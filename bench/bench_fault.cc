@@ -15,18 +15,33 @@
 // may lose answers, never corrupt them), retries per tuple, acquisition
 // cost per tuple, and the energy overhead vs the no-fault run.
 //
+// A second section is the columnar-under-faults bar: at 5% transient faults
+// with Retry(3), the fault-mode ColumnarBatchExecutor against per-row
+// ExecutePlan over a row-keyed FaultyAcquisitionSource (what dist shards
+// ran per row before fault mode existed), single-threaded, best pass over
+// the test split, instrumentation at its default on both sides. Both must
+// produce identical per-row verdicts and identical totals (cost to the
+// bit), and the columnar path must be >= kColumnarBar times faster; the
+// ratio is exported as the bench.fault.columnar_speedup gauge.
+//
+// Exit status 1 on any corrupted verdict, a columnar/per-row disagreement,
+// or a missed columnar bar.
+//
 // --json-out <path> writes the obs metrics registry (bench_util.h);
 // results/bench_fault.csv gets one row per (rate, policy).
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "data/garden_gen.h"
+#include "exec/batch_executor.h"
 #include "exec/executor.h"
 #include "fault/fault.h"
+#include "obs/obs.h"
 #include "obs/registry.h"
 #include "opt/greedy_plan.h"
 #include "opt/greedyseq.h"
@@ -39,6 +54,12 @@ namespace {
 
 constexpr uint64_t kFaultSeed = 20050405;
 constexpr size_t kMaxTuples = 8000;
+/// Columnar-bar timing: kRounds alternating rounds of kReps passes per
+/// side, best-of. Alternating spreads both sides over the same stretch of
+/// host load; repeating within a round keeps each side's best pass warm.
+constexpr size_t kRounds = 5;
+constexpr size_t kReps = 3;
+constexpr double kColumnarBar = 3.0;
 
 struct PolicyRun {
   std::string name;
@@ -85,6 +106,99 @@ RunStats RunPass(const Plan& plan, const Schema& schema,
     }
   }
   out.injected = injector.injected();
+  return out;
+}
+
+/// Dataset-backed source for the per-row side of the columnar bar.
+class RowSource : public AcquisitionSource {
+ public:
+  explicit RowSource(const Dataset& data) : data_(data) {}
+  void SetRow(RowId row) { row_ = row; }
+  AcquiredValue Acquire(AttrId attr) override { return data_.at(row_, attr); }
+
+ private:
+  const Dataset& data_;
+  RowId row_ = 0;
+};
+
+double Seconds(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+struct ColumnarBar {
+  double per_row_ns = 0.0;   ///< per-row ExecutePlan, ns per row
+  double columnar_ns = 0.0;  ///< fault-mode columnar, ns per row
+  size_t verdict_mismatches = 0;
+  bool totals_match = false;
+  size_t unknown = 0;
+  size_t retries = 0;
+};
+
+/// Times both fault paths over every test row (see file comment).
+ColumnarBar TimeColumnarUnderFaults(const CompiledPlan& plan,
+                                    const Dataset& test,
+                                    const AcquisitionCostModel& cm) {
+  FaultSpec spec;
+  spec.transient = 0.05;
+  spec.seed = kFaultSeed;
+  const DegradationPolicy policy = DegradationPolicy::Retry(3);
+  const size_t rows = test.num_rows();
+  std::vector<RowId> ids(rows);
+  for (RowId r = 0; r < rows; ++r) ids[r] = r;
+
+  RowSource base(test);
+  FaultInjector injector(spec);
+  FaultyAcquisitionSource source(base, injector);
+  const FaultInjector faults(spec);
+  ColumnarBatchExecutor exec(plan, test, cm);
+  BatchExecOptions opts;
+  opts.faults = &faults;
+  opts.policy = policy;
+
+  std::vector<uint8_t> per_row_verdicts(rows);
+  std::vector<uint8_t> columnar_verdicts;
+  BatchExecutionStats per_row;
+  BatchExecutionStats columnar;
+  double per_row_best = 1e300;
+  double columnar_best = 1e300;
+  for (size_t round = 0; round < kRounds; ++round) {
+    for (size_t rep = 0; rep < kReps; ++rep) {
+      per_row = BatchExecutionStats{};
+      const auto t0 = std::chrono::steady_clock::now();
+      for (size_t i = 0; i < rows; ++i) {
+        base.SetRow(ids[i]);
+        source.SetRow(ids[i]);
+        const ExecutionResult r = ExecutePlan(plan, test.schema(), cm, source,
+                                              /*trace=*/nullptr, policy);
+        per_row_verdicts[i] = static_cast<uint8_t>(r.verdict3);
+        per_row.total_cost += r.cost;
+        per_row.total_acquisitions += static_cast<size_t>(r.acquisitions);
+        per_row.total_retries += static_cast<size_t>(r.retries);
+        per_row.unknown += r.verdict3 == Truth::kUnknown;
+      }
+      per_row_best = std::min(per_row_best, Seconds(t0));
+    }
+    for (size_t rep = 0; rep < kReps; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      columnar = exec.Execute(ids, &columnar_verdicts, opts);
+      columnar_best = std::min(columnar_best, Seconds(t0));
+    }
+  }
+
+  ColumnarBar out;
+  out.per_row_ns = per_row_best * 1e9 / static_cast<double>(rows);
+  out.columnar_ns = columnar_best * 1e9 / static_cast<double>(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    out.verdict_mismatches += per_row_verdicts[i] != columnar_verdicts[i];
+  }
+  out.totals_match = per_row.total_cost == columnar.total_cost &&
+                     per_row.total_acquisitions ==
+                         columnar.total_acquisitions &&
+                     per_row.total_retries == columnar.total_retries &&
+                     per_row.unknown == columnar.unknown;
+  out.unknown = columnar.unknown;
+  out.retries = columnar.total_retries;
   return out;
 }
 
@@ -174,6 +288,27 @@ int main(int argc, char** argv) {
   std::printf("\ndegradation never corrupts: %zu defined-verdict "
               "mismatches across all runs%s\n",
               total_mismatches, total_mismatches == 0 ? " (PASS)" : " (FAIL)");
+
+  bench::Banner("columnar under faults (5% transient, retry3, 1 thread)");
+  const ColumnarBar bar =
+      TimeColumnarUnderFaults(CompiledPlan::Compile(plan), test, cost_model);
+  const double speedup = bar.per_row_ns / bar.columnar_ns;
+  std::printf("per-row ExecutePlan %8.1f ns/row\n", bar.per_row_ns);
+  std::printf("columnar fault mode %8.1f ns/row  (%.2fx, bar >= %.1fx)\n",
+              bar.columnar_ns, speedup, kColumnarBar);
+  std::printf("%zu rows, %zu unknown, %zu retries; %zu verdict mismatches, "
+              "totals %s\n",
+              test.num_rows(), bar.unknown, bar.retries,
+              bar.verdict_mismatches,
+              bar.totals_match ? "identical" : "DIFFER");
+  obs::MetricsRegistry& reg = obs::DefaultRegistry();
+  reg.GetGauge("bench.fault.columnar_speedup").Set(speedup);
+  reg.GetGauge("bench.fault.columnar_ns_per_row").Set(bar.columnar_ns);
+  reg.GetGauge("bench.fault.per_row_ns_per_row").Set(bar.per_row_ns);
+  const bool columnar_ok = bar.verdict_mismatches == 0 && bar.totals_match &&
+                           speedup >= kColumnarBar;
+  std::printf("columnar-under-faults bar%s\n",
+              columnar_ok ? " (PASS)" : " (FAIL)");
   bench::FinishBench();
-  return total_mismatches == 0 ? 0 : 1;
+  return total_mismatches == 0 && columnar_ok ? 0 : 1;
 }

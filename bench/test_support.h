@@ -18,7 +18,8 @@ inline Dataset MakeCorrelated(uint32_t n, uint32_t k, size_t rows,
                               uint64_t seed) {
   Schema schema;
   for (uint32_t a = 0; a < n; ++a) {
-    schema.AddAttribute("x" + std::to_string(a), k, a == 0 ? 1.0 : 100.0);
+    schema.AddAttribute(std::string("x").append(std::to_string(a)), k,
+                        a == 0 ? 1.0 : 100.0);
   }
   Rng rng(seed);
   Dataset ds(schema);

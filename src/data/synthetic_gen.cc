@@ -20,9 +20,13 @@ Dataset GenerateSyntheticData(const SyntheticDataOptions& options) {
   for (uint32_t a = 0; a < options.n; ++a) {
     const uint32_t group = a / group_size;
     const bool cheap = (a % group_size) == 0;  // first attr of each group
-    schema.AddAttribute(
-        "g" + std::to_string(group) + "_a" + std::to_string(a % group_size),
-        2, cheap ? options.cheap_cost : options.expensive_cost);
+    // append(), not `"g" + std::to_string(...)`: GCC 12 reports a false
+    // -Werror=restrict on the latter in Release builds.
+    schema.AddAttribute(std::string("g")
+                            .append(std::to_string(group))
+                            .append("_a")
+                            .append(std::to_string(a % group_size)),
+                        2, cheap ? options.cheap_cost : options.expensive_cost);
   }
 
   // rho^2 + (1 - rho)^2 = agreement  =>  rho = (1 + sqrt(2*agreement-1))/2.

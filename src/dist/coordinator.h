@@ -95,8 +95,9 @@ class Coordinator {
     double shard_deadline_seconds = 0.0;
     /// Row-level degradation inside shards (PR 3 semantics).
     DegradationPolicy row_policy{};
-    /// Row-level acquisition faults, applied in every shard with
-    /// per-shard-independent deterministic streams.
+    /// Row-level acquisition faults, applied in every shard. Outcomes are
+    /// keyed by (seed, global row id, attribute, attempt) — no per-shard
+    /// streams — so merged results do not depend on the partitioning.
     FaultSpec acquisition_faults{};
     /// Shard-level fault schedule (kill/delay), usually from
     /// --shard-fault-profile.

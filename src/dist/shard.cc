@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "dist/merge.h"
 #include "exec/batch_executor.h"
 #include "exec/result_serde.h"
 #include "plan/plan_serde.h"
@@ -15,29 +14,14 @@ namespace caqp::dist {
 
 namespace {
 
-// Acquisition straight from the shard's dataset slice; the row is swapped
-// per tuple so the executor inner loop allocates nothing.
-class RowSource : public AcquisitionSource {
- public:
-  explicit RowSource(const Dataset& data) : data_(data) {}
-  void SetRow(RowId row) { row_ = row; }
-  AcquiredValue Acquire(AttrId attr) override { return data_.at(row_, attr); }
-
- private:
-  const Dataset& data_;
-  RowId row_ = 0;
-};
-
-Status ParseSizeT(const std::string& text, size_t* out) {
-  if (text.empty()) return Status::InvalidArgument("empty number");
-  size_t v = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("bad number '" + text + "'");
-    }
-    v = v * 10 + static_cast<size_t>(c - '0');
+/// ParseDecimal (fault/fault.h) for a size, with the directive's error.
+Status ParseSizeT(const std::string& text, size_t* out,
+                  size_t max = SIZE_MAX) {
+  uint64_t v = 0;
+  if (!ParseDecimal(text, max, &v)) {
+    return Status::InvalidArgument("bad number '" + text + "'");
   }
-  *out = v;
+  *out = static_cast<size_t>(v);
   return Status::OK();
 }
 
@@ -85,7 +69,8 @@ Result<ShardFaultSpec> ShardFaultSpec::Parse(const std::string& text) {
     if (verb == "kill") {
       size_t after = 0;
       if (eq != std::string::npos) {
-        CAQP_RETURN_IF_ERROR(ParseSizeT(item.substr(eq + 1), &after));
+        CAQP_RETURN_IF_ERROR(ParseSizeT(item.substr(eq + 1), &after,
+                                        static_cast<size_t>(INT64_MAX)));
       }
       entry->kill_after = static_cast<int64_t>(after);
     } else if (verb == "delay") {
@@ -133,10 +118,10 @@ ExecutorShard::ExecutorShard(size_t shard_id, const Dataset& data,
       plan_cache_(serve::ShardedPlanCache::Options{
           options_.plan_cache_capacity, /*shards=*/1}) {
   if (options_.acquisition_faults.any()) {
-    // Independent deterministic streams per shard from one profile.
-    FaultSpec spec = options_.acquisition_faults;
-    spec.seed ^= (shard_id_ + 1) * 0x9e3779b97f4a7c15ULL;
-    injector_ = std::make_unique<FaultInjector>(spec);
+    // Faults are keyed by global row id, so every shard shares one
+    // realization and a row's faults do not depend on its shard.
+    faults_ =
+        std::make_unique<const FaultInjector>(options_.acquisition_faults);
   }
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *options_.metrics;
@@ -242,44 +227,35 @@ ShardReply ExecutorShard::Handle(const ShardRequest& request,
 
   {
     CAQP_OBS_SPAN(exec_span, "shard.exec");
-    ExecutionResult partial = MergeIdentity();
-    if (injector_ == nullptr) {
-      // Columnar scan path. With no fault injector acquisition is
-      // infallible, so row_policy can never engage and the per-row merge
-      // reduces to: verdict3 = exists-a-match, costs/acquisitions sum,
-      // acquired unions — exactly what BatchExecutionStats carries (the
-      // row-order cost sum even matches the per-row merge bitwise).
-      // Profiling rides the obs switch like the scalar ExecutePlan path.
-      ColumnarBatchExecutor exec(*plan, data_, cost_model_);
-      BatchExecOptions batch_options;
-      batch_options.profile = obs::Enabled() ? profile : nullptr;
-      std::vector<uint8_t> verdicts;
-      const BatchExecutionStats stats =
-          exec.Execute(rows_, &verdicts, batch_options);
-      partial.verdict3 = stats.matches > 0 ? Truth::kTrue : Truth::kFalse;
-      partial.verdict = stats.matches > 0;
-      partial.cost = stats.total_cost;
-      partial.acquisitions = static_cast<int>(stats.total_acquisitions);
-      partial.acquired = stats.acquired;
-      reply.row_verdicts.resize(verdicts.size());
-      for (size_t i = 0; i < verdicts.size(); ++i) {
-        reply.row_verdicts[i] = verdicts[i] ? Truth::kTrue : Truth::kFalse;
-      }
-    } else {
-      // Fault-injected path: the deterministic per-attribute fault streams
-      // are consumed in per-row acquisition order, so this stays on the
-      // scalar executor.
-      reply.row_verdicts.reserve(rows_.size());
-      RowSource rows_source(data_);
-      FaultyAcquisitionSource faulty(rows_source, *injector_);
-      for (RowId row : rows_) {
-        rows_source.SetRow(row);
-        const ExecutionResult r =
-            ExecutePlan(*plan, data_.schema(), cost_model_, faulty,
-                        /*trace=*/nullptr, options_.row_policy, profile);
-        reply.row_verdicts.push_back(r.verdict3);
-        partial = MergeExecutionResults(partial, r);
-      }
+    // One columnar scan for every fault profile. Without a fault injector
+    // acquisition is infallible and the per-row merge reduces to: verdict3
+    // = exists-a-match, costs/acquisitions sum, acquired unions. In fault
+    // mode the stats also carry the Unknown/aborted rows, retries and the
+    // failed union, and the row-order cost sum still matches the per-row
+    // merge bitwise. Profiling rides the obs switch like the scalar
+    // ExecutePlan path.
+    ColumnarBatchExecutor exec(*plan, data_, cost_model_);
+    BatchExecOptions batch_options;
+    batch_options.profile = obs::Enabled() ? profile : nullptr;
+    batch_options.faults = faults_.get();
+    batch_options.policy = options_.row_policy;
+    std::vector<uint8_t> verdicts;
+    const BatchExecutionStats stats =
+        exec.Execute(rows_, &verdicts, batch_options);
+    ExecutionResult partial;
+    partial.verdict3 = stats.matches > 0   ? Truth::kTrue
+                       : stats.unknown > 0 ? Truth::kUnknown
+                                           : Truth::kFalse;
+    partial.verdict = stats.matches > 0;
+    partial.aborted = stats.aborted > 0;
+    partial.cost = stats.total_cost;
+    partial.acquisitions = static_cast<int>(stats.total_acquisitions);
+    partial.retries = static_cast<int>(stats.total_retries);
+    partial.acquired = stats.acquired;
+    partial.failed = stats.failed;
+    reply.row_verdicts.resize(verdicts.size());
+    for (size_t i = 0; i < verdicts.size(); ++i) {
+      reply.row_verdicts[i] = static_cast<Truth>(verdicts[i]);
     }
     // Echo the trace context with the partial result: trace id, this
     // shard's root span, and the coordinator parent it was joined under.

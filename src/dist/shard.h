@@ -17,8 +17,12 @@
 //  * Kill()/kill_after — the shard answers kShardUnavailable (a crashed
 //    executor process);
 //  * delay_seconds — the shard sleeps before executing (a straggler);
-//  * acquisition_faults — a deterministic FaultSpec stream injected in front
-//    of row acquisition, the PR 3 row-level failure model.
+//  * acquisition_faults — the row-level failure model of fault/fault.h:
+//    faults keyed by (seed, global row id, attribute, attempt), so all
+//    shards share one realization and a row's outcome does not depend on
+//    the partitioning. The shard stays on the columnar path in fault mode
+//    (exec/batch_executor.h); only rows whose acquisition fails finish on
+//    the scalar executor.
 
 #ifndef CAQP_DIST_SHARD_H_
 #define CAQP_DIST_SHARD_H_
@@ -88,8 +92,8 @@ class ExecutorShard {
   struct Options {
     size_t plan_cache_capacity = 64;
     DegradationPolicy row_policy{};
-    /// Row-level acquisition faults; seed is XORed with the shard id so
-    /// shards draw independent streams from one profile.
+    /// Row-level acquisition faults, keyed by global row id (no per-shard
+    /// streams: every partitioning sees the same per-row faults).
     FaultSpec acquisition_faults{};
     int64_t kill_after = -1;
     double delay_seconds = 0.0;
@@ -164,7 +168,7 @@ class ExecutorShard {
 
   MetricRefs m_;
   serve::ShardedPlanCache plan_cache_;
-  std::unique_ptr<FaultInjector> injector_;  // shard-thread only
+  std::unique_ptr<const FaultInjector> faults_;  // null without faults
   std::atomic<bool> dead_{false};
   std::atomic<bool> killed_by_schedule_{false};
   std::atomic<uint64_t> served_{0};

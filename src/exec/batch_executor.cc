@@ -1,9 +1,11 @@
 #include "exec/batch_executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "exec/batch_masked.h"
+#include "exec/compiled_walk.h"
 #include "obs/obs.h"
 #include "obs/registry.h"
 #include "obs/span.h"
@@ -34,6 +36,50 @@ bool RowsConsecutive(const RowId* rows, size_t n) {
   return true;
 }
 
+/// Branch-free choice between two costs: fault-mode kernels pick a row's
+/// charged or uncharged running cost by its draw, and a branch would
+/// mispredict on every unclean row.
+inline double SelectCost(bool take, double charged, double uncharged) {
+  const uint64_t mask = 0 - static_cast<uint64_t>(take);
+  return std::bit_cast<double>((std::bit_cast<uint64_t>(charged) & mask) |
+                               (std::bit_cast<uint64_t>(uncharged) & ~mask));
+}
+
+/// Fault-mode resume source: the row's dataset values behind its row-keyed
+/// draws, with the per-row attempt counters FaultyAcquisitionSource::SetRow
+/// keeps. Failed attempts are tallied locally so Execute adds
+/// fault.injected once.
+class RowFaultSource final : public AcquisitionSource {
+ public:
+  RowFaultSource(const Dataset& data, const FaultInjector& faults)
+      : data_(data), faults_(faults) {}
+
+  void SetRow(RowId row) {
+    row_ = row;
+    attempts_.fill(0);
+  }
+
+  AcquiredValue Acquire(AttrId attr) final {
+    const FaultInjector::Outcome o = faults_.At(row_, attr, attempts_[attr]++);
+    if (o.fail) {
+      ++injected_;
+      return AcquiredValue::Failure(o.permanent);
+    }
+    AcquiredValue v = data_.at(row_, attr);
+    v.cost_multiplier = o.cost_multiplier;
+    return v;
+  }
+
+  size_t injected() const { return injected_; }
+
+ private:
+  const Dataset& data_;
+  const FaultInjector& faults_;
+  RowId row_ = 0;
+  std::array<uint32_t, 64> attempts_{};
+  size_t injected_ = 0;
+};
+
 }  // namespace
 
 ColumnarBatchExecutor::ColumnarBatchExecutor(
@@ -59,15 +105,18 @@ ColumnarBatchExecutor::ColumnarBatchExecutor(
   // exact total for a row that executed k steps there. Because these are
   // the same IEEE additions in the same order the scalar executor performs
   // per row, every table entry is bit-identical to the scalar result.
+  // The same marginals, kept per split slot and per leaf step, are what
+  // fault mode adds into each row's running cost instead.
   const size_t num_slots = view_.num_slots();
   std::vector<double> path_cost(num_slots, 0.0);
+  split_cost_.assign(num_slots, 0.0);
   leaf_cost_offset_.assign(num_slots, UINT32_MAX);
   for (uint32_t s = 0; s < num_slots; ++s) {
     const BatchPlanView::Node& node = view_.slot(s);
     switch (node.op) {
       case BatchPlanView::Op::kSplitFirst: {
-        const double child = path_cost[s] + cost_model_.Cost(node.attr,
-                                                             node.entry_acquired);
+        split_cost_[s] = cost_model_.Cost(node.attr, node.entry_acquired);
+        const double child = path_cost[s] + split_cost_[s];
         path_cost[node.lt] = child;
         path_cost[node.ge] = child;
         break;
@@ -80,11 +129,19 @@ ColumnarBatchExecutor::ColumnarBatchExecutor(
         leaf_cost_offset_[s] = static_cast<uint32_t>(leaf_cost_.size());
         double c = path_cost[s];
         leaf_cost_.push_back(c);
-        for (const BatchPlanView::AcqStep& st : view_.steps(node)) {
+        const auto steps = view_.steps(node);
+        step_cost_.resize(std::max<size_t>(step_cost_.size(),
+                                           node.steps + steps.size()));
+        for (uint32_t k = 0; k < steps.size(); ++k) {
+          const BatchPlanView::AcqStep& st = steps[k];
           // Non-charging steps copy the previous entry: the scalar path
           // performs no addition there, and even adding 0.0 could flip the
           // sign of a -0.0 intermediate.
-          if (st.is_new) c = c + cost_model_.Cost(st.attr, st.acquired_before);
+          if (st.is_new) {
+            step_cost_[node.steps + k] =
+                cost_model_.Cost(st.attr, st.acquired_before);
+            c = c + step_cost_[node.steps + k];
+          }
           leaf_cost_.push_back(c);
         }
         break;
@@ -105,6 +162,8 @@ void ColumnarBatchExecutor::EnsureScratch(size_t capacity) {
   for (auto& s : sel_) s.resize(chunk_capacity_);
   sel_n_.assign(view_.num_slots(), 0);
   seq_scratch_.resize(chunk_capacity_);
+  div_scratch_.resize(chunk_capacity_);
+  clean_scratch_.resize(chunk_capacity_);
   row_cost_.resize(chunk_capacity_);
   iota_.resize(chunk_capacity_);
   std::iota(iota_.begin(), iota_.end(), SelIdx{0});
@@ -121,7 +180,7 @@ void ColumnarBatchExecutor::EnsureScratch(size_t capacity) {
   }
 }
 
-template <bool kFirstAcq, bool kProfiled>
+template <bool kFirstAcq, bool kProfiled, bool kFaulty>
 void ColumnarBatchExecutor::SplitKernel(const BatchPlanView::Node& node,
                                         uint32_t slot, const SelIdx* sel_in,
                                         const RowId* rows,
@@ -139,33 +198,76 @@ void ColumnarBatchExecutor::SplitKernel(const BatchPlanView::Node& node,
   SelIdx* __restrict lt_out = sel_[node.lt].data();
   SelIdx* __restrict ge_out = sel_[node.ge].data();
   // A plan is a tree: this split is its children's only parent, so both
-  // output selections start empty. Cost is not touched here — the split's
-  // charge is folded into every downstream leaf's cost table.
+  // output selections start empty. Outside fault mode cost is not touched
+  // here — the split's charge is folded into every downstream leaf's cost
+  // table.
   uint32_t nl = 0;
   uint32_t ng = 0;
-  for (uint32_t i = 0; i < cnt; ++i) {
-    const SelIdx pos = in[i];
-    const bool ge = col[row_ids[pos]] >= split_value;
-    // Branch-light partition: write both outputs, advance one count.
-    lt_out[nl] = pos;
-    ge_out[ng] = pos;
-    nl += !ge;
-    ng += ge;
+  uint32_t nd = 0;  // fault mode: rows leaving for the scalar resume
+  if constexpr (kFaulty && kFirstAcq) {
+    // Fault mode charges the split into each row's running cost. A clean
+    // attempt-0 draw adds the marginal and partitions as usual; unclean
+    // rows are set aside, then pay the scalar attempt loop's charges and
+    // partition too if the acquisition still succeeds (a retry or a
+    // spike), or join the resume list if it fails. Selection order is
+    // immaterial: every output is stored per position.
+    const uint8_t* __restrict ok = DrawClean(node.attr, in, cnt, rows);
+    const double charge = split_cost_[slot];
+    double* __restrict rc = row_cost_.data();
+    SelIdx* __restrict div = div_scratch_.data();
+    for (uint32_t i = 0; i < cnt; ++i) {
+      const SelIdx pos = in[i];
+      const RowId row = row_ids[pos];
+      const bool ge = col[row] >= split_value;
+      const bool clean = ok[i];
+      rc[pos] = SelectCost(clean, rc[pos] + charge, rc[pos]);
+      lt_out[nl] = pos;
+      ge_out[ng] = pos;
+      div[nd] = pos;
+      nl += !ge & clean;
+      ng += ge & clean;
+      nd += !clean;
+    }
+    uint32_t failed = 0;
+    for (uint32_t j = 0; j < nd; ++j) {
+      const SelIdx pos = div[j];
+      const RowId row = row_ids[pos];
+      if (!ChargeAttempts(row, node.attr, charge, pos, stats)) {
+        div[failed++] = pos;
+      } else if (col[row] >= split_value) {
+        ge_out[ng++] = pos;
+      } else {
+        lt_out[nl++] = pos;
+      }
+    }
+    nd = failed;
+    Divert(slot, /*step=*/-1, nd);
+  } else {
+    for (uint32_t i = 0; i < cnt; ++i) {
+      const SelIdx pos = in[i];
+      const bool ge = col[row_ids[pos]] >= split_value;
+      // Branch-light partition: write both outputs, advance one count.
+      lt_out[nl] = pos;
+      ge_out[ng] = pos;
+      nl += !ge;
+      ng += ge;
+    }
   }
   sel_n_[node.lt] = nl;
   sel_n_[node.ge] = ng;
+  const uint32_t evaluated = cnt - nd;
   if constexpr (kFirstAcq) {
-    stats->total_acquisitions += cnt;
-    stats->acquired.Insert(node.attr);
+    stats->total_acquisitions += evaluated;
+    if (!kFaulty || evaluated > 0) stats->acquired.Insert(node.attr);
   }
   if constexpr (kProfiled) {
-    profile->NodeEvalN(node.plan_index, cnt);
-    profile->PredEvalN(node.attr, cnt, ng);
+    profile->NodeEvalN(node.plan_index, evaluated);
+    profile->PredEvalN(node.attr, evaluated, ng);
     profile->NodePassN(node.plan_index, ng);
   }
 }
 
-template <int kArity, bool kProfiled, bool kVerdicts>
+template <int kArity, bool kProfiled, bool kVerdicts, bool kFaulty>
 void ColumnarBatchExecutor::SeqKernel(const BatchPlanView::Node& node,
                                       uint32_t slot, const SelIdx* sel_in,
                                       const RowId* rows, uint8_t* verdicts,
@@ -212,20 +314,69 @@ void ColumnarBatchExecutor::SeqKernel(const BatchPlanView::Node& node,
     // per evaluated row replaces the scalar path's accumulate.
     const double cost_after = cost_at[k + 1];
     uint32_t out = 0;
-    for (uint32_t i = 0; i < live; ++i) {
-      const SelIdx pos = in[i];
-      rc[pos] = cost_after;
-      dst[out] = pos;
-      const Value v = col[row_ids[pos]];
-      out += (static_cast<uint32_t>(lo <= v) &
-              static_cast<uint32_t>(v <= hi)) ^
-             neg;
+    uint32_t nd = 0;  // fault mode: rows leaving for the scalar resume
+    if constexpr (kFaulty) {
+      if (st.is_new) {
+        // Fault mode, as in the split kernel: the new acquisition draws
+        // before its conjunct and charges the row's running cost; set-aside
+        // rows whose acquisition still succeeds filter on, the rest resume
+        // at this step.
+        const uint8_t* __restrict ok = DrawClean(st.attr, in, live, rows);
+        const double charge = step_cost_[node.steps + k];
+        SelIdx* __restrict div = div_scratch_.data();
+        for (uint32_t i = 0; i < live; ++i) {
+          const SelIdx pos = in[i];
+          dst[out] = pos;
+          div[nd] = pos;
+          const Value v = col[row_ids[pos]];
+          const uint32_t clean = ok[i];
+          rc[pos] = SelectCost(clean, rc[pos] + charge, rc[pos]);
+          out += ((static_cast<uint32_t>(lo <= v) &
+                   static_cast<uint32_t>(v <= hi)) ^
+                  neg) &
+                 clean;
+          nd += clean ^ 1u;
+        }
+        uint32_t failed = 0;
+        for (uint32_t j = 0; j < nd; ++j) {
+          const SelIdx pos = div[j];
+          const RowId row = row_ids[pos];
+          if (!ChargeAttempts(row, st.attr, charge, pos, stats)) {
+            div[failed++] = pos;
+          } else if (st.pred.Matches(col[row])) {
+            dst[out++] = pos;
+          }
+        }
+        nd = failed;
+        Divert(slot, k, nd);
+      } else {
+        // A repeat read charges nothing and cannot fail.
+        for (uint32_t i = 0; i < live; ++i) {
+          const SelIdx pos = in[i];
+          dst[out] = pos;
+          const Value v = col[row_ids[pos]];
+          out += (static_cast<uint32_t>(lo <= v) &
+                  static_cast<uint32_t>(v <= hi)) ^
+                 neg;
+        }
+      }
+    } else {
+      for (uint32_t i = 0; i < live; ++i) {
+        const SelIdx pos = in[i];
+        rc[pos] = cost_after;
+        dst[out] = pos;
+        const Value v = col[row_ids[pos]];
+        out += (static_cast<uint32_t>(lo <= v) &
+                static_cast<uint32_t>(v <= hi)) ^
+               neg;
+      }
     }
+    const uint32_t evaluated = live - nd;
     if (st.is_new) {
-      stats->total_acquisitions += live;
-      stats->acquired.Insert(st.attr);
+      stats->total_acquisitions += evaluated;
+      if (!kFaulty || evaluated > 0) stats->acquired.Insert(st.attr);
     }
-    if constexpr (kProfiled) profile->PredEvalN(st.attr, live, out);
+    if constexpr (kProfiled) profile->PredEvalN(st.attr, evaluated, out);
     live = out;
     src = ping;
     std::swap(ping, pong);
@@ -292,7 +443,101 @@ void ColumnarBatchExecutor::GenericKernel(const BatchPlanView::Node& node,
   if constexpr (kProfiled) profile->NodePassN(node.plan_index, matches);
 }
 
-template <bool kProfiled, bool kVerdicts>
+const uint8_t* ColumnarBatchExecutor::DrawClean(AttrId attr,
+                                                const SelIdx* sel,
+                                                uint32_t cnt,
+                                                const RowId* rows) {
+  // A pass of its own: the hash chain pipelines across rows when the loop
+  // carries nothing else, and the kernels then read one byte per row.
+  const FaultInjector::CleanTest test = faults_->CleanTestFor(attr);
+  const SelIdx* __restrict in = sel;
+  const RowId* __restrict row_ids = rows;
+  uint8_t* __restrict ok = clean_scratch_.data();
+  if (test.never_fails()) {
+    std::fill(ok, ok + cnt, uint8_t{1});
+  } else {
+    for (uint32_t i = 0; i < cnt; ++i) ok[i] = test.Clean(row_ids[in[i]]);
+  }
+  return ok;
+}
+
+bool ColumnarBatchExecutor::ChargeAttempts(RowId row, AttrId attr,
+                                           double marginal_cost, SelIdx pos,
+                                           BatchExecutionStats* stats) {
+  // The scalar attempt loop's additions, in its order: the marginal times
+  // the attempt's cost multiplier, times the retry multiplier past the
+  // first attempt. Committed only if an attempt succeeds: a failing
+  // acquisition is redone from attempt 0 by the resume.
+  double cost = row_cost_[pos];
+  for (int att = 0; att < max_attempts_; ++att) {
+    const FaultInjector::Outcome o =
+        faults_->At(row, attr, static_cast<uint32_t>(att));
+    double marginal = marginal_cost * o.cost_multiplier;
+    if (att > 0) marginal *= policy_.retry_cost_multiplier;
+    cost += marginal;
+    if (!o.fail) {
+      row_cost_[pos] = cost;
+      stats->total_retries += static_cast<size_t>(att);
+      stats->faults_injected += static_cast<size_t>(att);
+      return true;
+    }
+    if (o.permanent) break;
+  }
+  return false;
+}
+
+void ColumnarBatchExecutor::Divert(uint32_t slot, int32_t step, uint32_t n) {
+  for (uint32_t i = 0; i < n; ++i) {
+    diverted_.push_back(Diverted{slot, step, div_scratch_[i]});
+  }
+}
+
+template <bool kProfiled>
+void ColumnarBatchExecutor::ResumeDiverted(const RowId* rows,
+                                           uint8_t* verdicts,
+                                           ExecutionProfile* profile,
+                                           BatchExecutionStats* stats) {
+  RowFaultSource source(data_, *faults_);
+  Value values[64] = {};
+  for (const Diverted& d : diverted_) {
+    const BatchPlanView::Node& node = view_.slot(d.slot);
+    const RowId row = rows[d.pos];
+    // The static entry state: every acquisition on the way here succeeded,
+    // so the row holds exactly the attributes acquired before this node (or
+    // leaf step), and its running cost is the scalar total so far. The
+    // kernels above already counted those acquisitions, their retries, and
+    // the profile events.
+    ExecutionResult r;
+    r.acquired = d.step < 0 ? node.entry_acquired
+                            : view_.steps(node)[d.step].acquired_before;
+    r.cost = row_cost_[d.pos];
+    const int entry_acquisitions = r.acquired.Count();
+    r.acquisitions = entry_acquisitions;
+    for (uint64_t bits = r.acquired.bits; bits != 0; bits &= bits - 1) {
+      const AttrId a = static_cast<AttrId>(__builtin_ctzll(bits));
+      values[a] = data_.at(row, a);
+    }
+    source.SetRow(row);
+    internal::WalkCompiled<false, kProfiled>(
+        plan_, data_.schema(), cost_model_, source, /*trace=*/nullptr, policy_,
+        profile, node.plan_index, d.step, values, r);
+    row_cost_[d.pos] = r.cost;
+    if (verdicts != nullptr) verdicts[d.pos] = static_cast<uint8_t>(r.verdict3);
+    stats->matches += r.verdict3 == Truth::kTrue;
+    stats->unknown += r.verdict3 == Truth::kUnknown;
+    stats->aborted += r.aborted;
+    stats->total_acquisitions +=
+        static_cast<size_t>(r.acquisitions - entry_acquisitions);
+    stats->total_retries += static_cast<size_t>(r.retries);
+    stats->failed_attributes += static_cast<size_t>(r.failed.Count());
+    stats->failed = stats->failed.Union(r.failed);
+    stats->acquired = stats->acquired.Union(r.acquired);
+  }
+  stats->faults_injected += source.injected();
+  diverted_.clear();
+}
+
+template <bool kProfiled, bool kVerdicts, bool kFaulty>
 void ColumnarBatchExecutor::RunChunk(const RowId* rows, uint32_t n,
                                      uint8_t* verdicts,
                                      ExecutionProfile* profile,
@@ -300,12 +545,17 @@ void ColumnarBatchExecutor::RunChunk(const RowId* rows, uint32_t n,
   using Op = BatchPlanView::Op;
   std::fill(sel_n_.begin(), sel_n_.end(), 0u);
   sel_n_[0] = n;
+  // Fault-mode rows accumulate their running cost from the scalar
+  // executor's starting 0.0.
+  if constexpr (kFaulty) {
+    std::fill(row_cost_.begin(), row_cost_.begin() + n, 0.0);
+  }
 
   // One forward sweep: BFS slot order visits every parent before its
   // children, so each node's selection is complete when reached. The root
   // reads the persistent identity table instead of a per-chunk iota; every
   // row receives exactly one row_cost_ store at its unique leaf, so there
-  // is no per-chunk cost fill either.
+  // is no per-chunk cost fill either (outside fault mode).
   const uint32_t num_slots = static_cast<uint32_t>(view_.num_slots());
   for (uint32_t s = 0; s < num_slots; ++s) {
     if (sel_n_[s] == 0) continue;
@@ -314,10 +564,12 @@ void ColumnarBatchExecutor::RunChunk(const RowId* rows, uint32_t n,
     const SelIdx* sel_in = s == 0 ? iota_.data() : sel_[s].data();
     switch (node.op) {
       case Op::kSplitFirst:
-        SplitKernel<true, kProfiled>(node, s, sel_in, rows, profile, stats);
+        SplitKernel<true, kProfiled, kFaulty>(node, s, sel_in, rows, profile,
+                                              stats);
         break;
       case Op::kSplitRepeat:
-        SplitKernel<false, kProfiled>(node, s, sel_in, rows, profile, stats);
+        SplitKernel<false, kProfiled, kFaulty>(node, s, sel_in, rows, profile,
+                                               stats);
         break;
       case Op::kVerdictTrue:
       case Op::kVerdictFalse: {
@@ -329,7 +581,8 @@ void ColumnarBatchExecutor::RunChunk(const RowId* rows, uint32_t n,
         uint8_t* __restrict vd = verdicts;
         for (uint32_t i = 0; i < cnt; ++i) {
           const SelIdx pos = in[i];
-          rc[pos] = entry_cost;
+          // Fault mode's running cost already holds the path cost.
+          if constexpr (!kFaulty) rc[pos] = entry_cost;
           if constexpr (kVerdicts) vd[pos] = truth ? 1 : 0;
         }
         if (truth) stats->matches += cnt;
@@ -340,37 +593,70 @@ void ColumnarBatchExecutor::RunChunk(const RowId* rows, uint32_t n,
         break;
       }
       case Op::kSeq1:
-        SeqKernel<1, kProfiled, kVerdicts>(node, s, sel_in, rows, verdicts,
-                                           profile, stats);
+        SeqKernel<1, kProfiled, kVerdicts, kFaulty>(
+            node, s, sel_in, rows, verdicts, profile, stats);
         break;
       case Op::kSeq2:
-        SeqKernel<2, kProfiled, kVerdicts>(node, s, sel_in, rows, verdicts,
-                                           profile, stats);
+        SeqKernel<2, kProfiled, kVerdicts, kFaulty>(
+            node, s, sel_in, rows, verdicts, profile, stats);
         break;
       case Op::kSeq3:
-        SeqKernel<3, kProfiled, kVerdicts>(node, s, sel_in, rows, verdicts,
-                                           profile, stats);
+        SeqKernel<3, kProfiled, kVerdicts, kFaulty>(
+            node, s, sel_in, rows, verdicts, profile, stats);
         break;
       case Op::kSeq4:
-        SeqKernel<4, kProfiled, kVerdicts>(node, s, sel_in, rows, verdicts,
-                                           profile, stats);
+        SeqKernel<4, kProfiled, kVerdicts, kFaulty>(
+            node, s, sel_in, rows, verdicts, profile, stats);
         break;
       case Op::kSeqN:
-        SeqKernel<0, kProfiled, kVerdicts>(node, s, sel_in, rows, verdicts,
-                                           profile, stats);
+        SeqKernel<0, kProfiled, kVerdicts, kFaulty>(
+            node, s, sel_in, rows, verdicts, profile, stats);
         break;
       case Op::kGeneric:
-        GenericKernel<kProfiled, kVerdicts>(node, s, sel_in, rows, verdicts,
-                                            profile, stats);
+        if constexpr (kFaulty) {
+          // Residual-query leaves evaluate per row anyway: in fault mode
+          // the scalar executor finishes every row that reaches one.
+          std::copy(sel_in, sel_in + sel_n_[s], div_scratch_.data());
+          Divert(s, /*step=*/-1, sel_n_[s]);
+        } else {
+          GenericKernel<kProfiled, kVerdicts>(node, s, sel_in, rows, verdicts,
+                                              profile, stats);
+        }
         break;
     }
   }
 
+  if constexpr (kFaulty) {
+    ResumeDiverted<kProfiled>(rows, kVerdicts ? verdicts : nullptr, profile,
+                              stats);
+  }
+
   // Row-order summation reproduces the scalar path's addition sequence
-  // exactly: each row_cost_[pos] is a table entry folded in path order, so
-  // total_cost is bit-identical to scalar ExecuteBatch.
+  // exactly: each row_cost_[pos] is a table entry folded in path order (or
+  // a resumed row's scalar total), so total_cost is bit-identical to the
+  // scalar oracle.
   const double* row_cost = row_cost_.data();
   for (uint32_t i = 0; i < n; ++i) stats->total_cost += row_cost[i];
+}
+
+template <bool kFaulty>
+void ColumnarBatchExecutor::RunSelectionChunk(const RowId* rows, uint32_t n,
+                                              uint8_t* verdicts,
+                                              ExecutionProfile* profile,
+                                              BatchExecutionStats* stats) {
+  if (profile != nullptr) {
+    if (verdicts != nullptr) {
+      RunChunk<true, true, kFaulty>(rows, n, verdicts, profile, stats);
+    } else {
+      RunChunk<true, false, kFaulty>(rows, n, nullptr, profile, stats);
+    }
+  } else {
+    if (verdicts != nullptr) {
+      RunChunk<false, true, kFaulty>(rows, n, verdicts, nullptr, stats);
+    } else {
+      RunChunk<false, false, kFaulty>(rows, n, nullptr, nullptr, stats);
+    }
+  }
 }
 
 BatchExecutionStats ColumnarBatchExecutor::Execute(
@@ -386,8 +672,13 @@ BatchExecutionStats ColumnarBatchExecutor::Execute(
   chunk = std::min(chunk, kMaxChunk);  // SelIdx is 16-bit
   EnsureScratch(std::min(chunk, rows.size()));
   ExecutionProfile* profile = options.profile;
-  const bool masked =
-      masked_eligible_ && RowsConsecutive(rows.data(), rows.size());
+  faults_ = options.faults;
+  policy_ = options.policy;
+  max_attempts_ = policy_.mode == DegradationPolicy::Mode::kRetry
+                      ? std::max(1, policy_.max_attempts)
+                      : 1;
+  const bool masked = masked_eligible_ && faults_ == nullptr &&
+                      RowsConsecutive(rows.data(), rows.size());
 
   for (size_t off = 0; off < rows.size(); off += chunk) {
     const uint32_t n =
@@ -417,18 +708,10 @@ BatchExecutionStats ColumnarBatchExecutor::Execute(
       internal::RunChunkMasked(args);
       ++masked_chunks_;
       masked_rows_ += n;
-    } else if (profile != nullptr) {
-      if (out != nullptr) {
-        RunChunk<true, true>(chunk_rows, n, out, profile, &stats);
-      } else {
-        RunChunk<true, false>(chunk_rows, n, nullptr, profile, &stats);
-      }
+    } else if (faults_ != nullptr) {
+      RunSelectionChunk<true>(chunk_rows, n, out, profile, &stats);
     } else {
-      if (out != nullptr) {
-        RunChunk<false, true>(chunk_rows, n, out, nullptr, &stats);
-      } else {
-        RunChunk<false, false>(chunk_rows, n, nullptr, nullptr, &stats);
-      }
+      RunSelectionChunk<false>(chunk_rows, n, out, profile, &stats);
     }
     if (!masked) ++selection_chunks_;
   }
@@ -437,11 +720,34 @@ BatchExecutionStats ColumnarBatchExecutor::Execute(
     // One bulk total per call: a fresh profile's realized_cost then equals
     // the per-tuple path bitwise (0 + row-order total).
     profile->EndBatch(stats.total_cost, stats.total_acquisitions,
-                      stats.tuples);
+                      stats.tuples, stats.unknown);
   }
   CAQP_OBS_COUNTER_ADD("exec.tuples", static_cast<uint64_t>(stats.tuples));
   CAQP_OBS_COUNTER_ADD("exec.acquisitions",
                        static_cast<uint64_t>(stats.total_acquisitions));
+  if (faults_ != nullptr) {
+    // The per-row path's remaining exec / fault counters, summed once.
+    if (stats.total_retries > 0) {
+      CAQP_OBS_COUNTER_ADD("exec.retries",
+                           static_cast<uint64_t>(stats.total_retries));
+    }
+    if (stats.failed_attributes > 0) {
+      CAQP_OBS_COUNTER_ADD("exec.failed_attributes",
+                           static_cast<uint64_t>(stats.failed_attributes));
+    }
+    if (stats.aborted > 0) {
+      CAQP_OBS_COUNTER_ADD("exec.aborts", static_cast<uint64_t>(stats.aborted));
+    }
+    if (stats.unknown > stats.aborted) {
+      CAQP_OBS_COUNTER_ADD(
+          "exec.unknown_verdicts",
+          static_cast<uint64_t>(stats.unknown - stats.aborted));
+    }
+    if (stats.faults_injected > 0) {
+      CAQP_OBS_COUNTER_ADD("fault.injected",
+                           static_cast<uint64_t>(stats.faults_injected));
+    }
+  }
 #if CAQP_OBS_ENABLED
   if (obs::Enabled()) {
     // The CAQP_OBS_COUNTER_ADD macro caches one Counter& per call site, so

@@ -49,6 +49,32 @@
 // results, bit for bit — the selection kernels remain the universal
 // fallback (arbitrary row lists, huge plans, older CPUs).
 //
+// Fault mode (BatchExecOptions::faults): acquisition becomes fallible under
+// the row-keyed fault model of fault/fault.h, and rows stay on the
+// selection kernels unless an acquisition actually fails. Every new
+// acquisition (a first-acquisition split, an is_new leaf step) takes each
+// arriving row's attempt-0 draw (FaultInjector::CleanTest) in a pass of its
+// own. Rows carry an exact running cost instead of reading the cost
+// tables: a clean draw adds the static marginal, exactly the scalar
+// executor's addition. An unclean draw whose acquisition still succeeds
+// within the policy — a retry, or a cost spike — adds the scalar attempt
+// loop's charges, tallies its retries, and routes on: the value and every
+// counter are a clean row's. A failing acquisition (retries exhausted, a
+// stuck sensor, or any failure under UnknownVerdict / Abort) takes the row
+// out of the selection, and the flat scalar executor finishes it, resumed
+// at that node — or, in a sequential leaf, at that step — with its static
+// entry state: the attributes acquired so far, their column values, and the
+// running cost (internal::WalkCompiled). Every outcome on the way was what
+// the per-row oracle draws, so each row's ExecutionResult and profile
+// counters are the oracle's: ExecutePlan over FaultyAcquisitionSource with
+// SetRow(row). Residual-query leaves resume every row that reaches them.
+// Verdict bytes then carry Truth values (kUnknown = 2), BatchExecutionStats
+// fills its fault totals, and the exec.* / fault.injected counters are
+// added once per Execute with the per-row path's totals. Fault mode always
+// runs the selection kernels: the masked engine stays fault-free, and the
+// fault-free kernels compile exactly as before (kFaulty is a template
+// parameter).
+//
 // Thread safety: one ColumnarBatchExecutor is single-threaded scratch
 // (selection buffers are reused across chunks and calls); build one per
 // thread over the same shared CompiledPlan. The plan, dataset, and cost
@@ -65,6 +91,7 @@
 #include "core/dataset.h"
 #include "exec/exec_profile.h"
 #include "exec/executor.h"
+#include "fault/fault.h"
 #include "opt/cost_model.h"
 #include "plan/batch_plan.h"
 #include "plan/compiled_plan.h"
@@ -84,6 +111,10 @@ struct BatchExecOptions {
   /// passing a profile here is already an explicit opt-in (dist::shard
   /// applies the obs gate itself to mirror scalar serving).
   ExecutionProfile* profile = nullptr;
+  /// Fault mode (see file comment) when non-null; must outlive Execute.
+  const FaultInjector* faults = nullptr;
+  /// How fault mode degrades failed acquisitions (ignored without faults).
+  DegradationPolicy policy{};
 };
 
 class ColumnarBatchExecutor {
@@ -99,10 +130,12 @@ class ColumnarBatchExecutor {
   ColumnarBatchExecutor& operator=(const ColumnarBatchExecutor&) = delete;
 
   /// Executes the plan over `rows` (infallible, dedup'd acquisition straight
-  /// from the dataset). If `verdicts` is non-null it is resized to
-  /// rows.size() with 1/0 per-row verdicts in row order (passing nullptr
-  /// skips the verdict stores entirely). See the file comment for the
-  /// equivalence contract with scalar ExecuteBatch.
+  /// from the dataset, unless options.faults selects fault mode). If
+  /// `verdicts` is non-null it is resized to rows.size() with per-row Truth
+  /// bytes in row order (1/0 without faults; passing nullptr skips the
+  /// verdict stores entirely). See the file comment for the equivalence
+  /// contracts with scalar ExecuteBatch and, in fault mode, per-row
+  /// ExecutePlan.
   BatchExecutionStats Execute(std::span<const RowId> rows,
                               std::vector<uint8_t>* verdicts = nullptr,
                               const BatchExecOptions& options = {});
@@ -118,16 +151,47 @@ class ColumnarBatchExecutor {
 
   void EnsureScratch(size_t capacity);
 
-  template <bool kProfiled, bool kVerdicts>
+  template <bool kProfiled, bool kVerdicts, bool kFaulty>
   void RunChunk(const RowId* rows, uint32_t n, uint8_t* verdicts,
                 ExecutionProfile* profile, BatchExecutionStats* stats);
 
-  template <bool kFirstAcq, bool kProfiled>
+  /// Picks the RunChunk instantiation for the profile / verdict pointers.
+  template <bool kFaulty>
+  void RunSelectionChunk(const RowId* rows, uint32_t n, uint8_t* verdicts,
+                         ExecutionProfile* profile,
+                         BatchExecutionStats* stats);
+
+  /// Fault mode: the CleanTest outcome of each of the `cnt` selected rows'
+  /// attempt-0 draws on `attr`, as one byte per selection index.
+  const uint8_t* DrawClean(AttrId attr, const SelIdx* sel, uint32_t cnt,
+                           const RowId* rows);
+
+  /// Fault mode, for a row whose attempt-0 draw for `attr` is not clean:
+  /// if an attempt within the policy succeeds (or the draw was only a cost
+  /// spike), adds the scalar attempt loop's charges for `marginal_cost` to
+  /// the row's running cost, tallies its failed attempts, and returns true
+  /// — the row read its value and routes on. False when the acquisition
+  /// fails; nothing is charged then.
+  bool ChargeAttempts(RowId row, AttrId attr, double marginal_cost,
+                      SelIdx pos, BatchExecutionStats* stats);
+
+  /// Fault mode: queues the first `n` positions of div_scratch_ for a
+  /// scalar resume at `slot` — at node entry (step -1) or, in a sequential
+  /// leaf, at acquisition step `step`.
+  void Divert(uint32_t slot, int32_t step, uint32_t n);
+
+  /// Fault mode: finishes every diverted row of the chunk on the scalar
+  /// executor and folds its result into the chunk outputs.
+  template <bool kProfiled>
+  void ResumeDiverted(const RowId* rows, uint8_t* verdicts,
+                      ExecutionProfile* profile, BatchExecutionStats* stats);
+
+  template <bool kFirstAcq, bool kProfiled, bool kFaulty>
   void SplitKernel(const BatchPlanView::Node& node, uint32_t slot,
                    const uint16_t* sel_in, const RowId* rows,
                    ExecutionProfile* profile, BatchExecutionStats* stats);
 
-  template <int kArity, bool kProfiled, bool kVerdicts>
+  template <int kArity, bool kProfiled, bool kVerdicts, bool kFaulty>
   void SeqKernel(const BatchPlanView::Node& node, uint32_t slot,
                  const uint16_t* sel_in, const RowId* rows, uint8_t* verdicts,
                  ExecutionProfile* profile, BatchExecutionStats* stats);
@@ -151,6 +215,27 @@ class ColumnarBatchExecutor {
   /// hazards). leaf_cost_offset_[slot] indexes the table; ~0u for splits.
   std::vector<double> leaf_cost_;
   std::vector<uint32_t> leaf_cost_offset_;
+  /// The static marginals themselves, per kSplitFirst slot and per is_new
+  /// leaf step (indexed like BatchPlanView steps): fault mode adds them
+  /// into each row's running cost (row_cost_) as the row acquires, in the
+  /// scalar executor's order.
+  std::vector<double> split_cost_;
+  std::vector<double> step_cost_;
+
+  /// Fault-mode state of the current Execute call: the injector and policy,
+  /// and the chunk's rows awaiting a scalar resume (slot, leaf step or -1,
+  /// chunk position).
+  const FaultInjector* faults_ = nullptr;
+  DegradationPolicy policy_{};
+  int max_attempts_ = 1;  ///< attempts per acquisition under policy_
+  struct Diverted {
+    uint32_t slot;
+    int32_t step;
+    SelIdx pos;
+  };
+  std::vector<Diverted> diverted_;
+  std::vector<SelIdx> div_scratch_;  ///< one kernel's diverted positions
+  std::vector<uint8_t> clean_scratch_;  ///< one kernel's draws (DrawClean)
 
   RangeVec full_ranges_;     ///< cached Schema::FullRanges()
   RangeVec ranges_scratch_;  ///< generic-fallback per-row range vector

@@ -106,12 +106,16 @@ class ExecutionProfile {
     attr_passes_[attr].fetch_add(passes, std::memory_order_relaxed);
   }
   /// Batch-total twin of per-tuple EndExecution: `executions` tuples
-  /// finished with `acquisitions` total acquisitions and `cost` total
-  /// realized cost (infallible acquisition — no unknown executions). Call
+  /// finished with `acquisitions` total acquisitions, `cost` total realized
+  /// cost, and `unknown` Unknown verdicts (only fault mode has any). Call
   /// once per Execute() with the whole batch's totals so realized_cost adds
   /// the same row-order sum the per-tuple path accumulates.
-  void EndBatch(double cost, uint64_t acquisitions, uint64_t executions) {
+  void EndBatch(double cost, uint64_t acquisitions, uint64_t executions,
+                uint64_t unknown = 0) {
     executions_.fetch_add(executions, std::memory_order_relaxed);
+    if (unknown != 0) {
+      unknown_executions_.fetch_add(unknown, std::memory_order_relaxed);
+    }
     acquisitions_.fetch_add(acquisitions, std::memory_order_relaxed);
     realized_cost_.fetch_add(cost, std::memory_order_relaxed);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <type_traits>
 
+#include "exec/compiled_walk.h"
 #include "obs/obs.h"
 #include "obs/registry.h"
 #include "obs/span.h"
@@ -167,10 +168,7 @@ __attribute__((aligned(64))) ExecutionResult ExecutePlanImpl(
   return out;
 }
 
-// Flat-form twin of ExecutePlanImpl. Kept textually parallel on purpose:
-// the two must stay semantically identical bit for bit (the tree↔flat
-// equivalence property test in tests/compiled_plan_test.cc enforces it
-// across planners, workloads, and fault profiles).
+// Root entry of the flat walk (exec/compiled_walk.h).
 template <bool kTraced, bool kProfiled>
 __attribute__((aligned(64))) ExecutionResult ExecuteCompiledImpl(
     const CompiledPlan& plan, const Schema& schema,
@@ -183,146 +181,8 @@ __attribute__((aligned(64))) ExecutionResult ExecuteCompiledImpl(
   // out.acquired has the bit set.
   CAQP_DCHECK(schema.num_attributes() <= 64);
   Value values[64];
-  const int max_attempts =
-      policy.mode == DegradationPolicy::Mode::kRetry
-          ? std::max(1, policy.max_attempts)
-          : 1;
-
-  // Attempt loop for an attribute known to be neither acquired nor failed
-  // yet (first-acquisition splits branch here directly, with no set lookup).
-  auto attempt = [&](AttrId a, Value* v) -> bool {
-    for (int att = 0; att < max_attempts; ++att) {
-      const AcquiredValue av = source.Acquire(a);
-      double marginal = cost_model.Cost(a, out.acquired) * av.cost_multiplier;
-      if (att > 0) {
-        marginal *= policy.retry_cost_multiplier;
-        ++out.retries;
-      }
-      out.cost += marginal;
-      if (av.ok) {
-        out.acquired.Insert(a);
-        ++out.acquisitions;
-        values[a] = av.value;
-        if constexpr (kTraced) trace->OnAcquire(a, av.value, marginal);
-        *v = av.value;
-        return true;
-      }
-      if (av.permanent) break;  // stuck sensor: retrying cannot help
-    }
-    out.failed.Insert(a);
-    return false;
-  };
-
-  // Leaf-path acquisition: leaves may reference attributes the split walk
-  // already acquired (or failed), so the full checks remain here.
-  auto acquire = [&](AttrId a, Value* v) -> bool {
-    if (out.acquired.Contains(a)) {
-      *v = values[a];
-      return true;
-    }
-    if (out.failed.Contains(a)) return false;
-    return attempt(a, v);
-  };
-
-  auto degrade = [&]() -> bool {
-    out.verdict3 = Truth::kUnknown;
-    if (policy.mode == DegradationPolicy::Mode::kAbort) {
-      out.aborted = true;
-      return true;
-    }
-    return false;
-  };
-
-  uint32_t idx = 0;
-  const CompiledPlan::Node* n = &plan.node(0);
-  Value v = 0;
-  bool routed = true;
-  while (n->kind == CompiledPlan::Kind::kSplit) {
-    if constexpr (kProfiled) profile->NodeEval(idx);
-    if (n->first_acquisition()) {
-      if (!attempt(n->attr, &v)) {
-        // A split cannot route without its attribute: no residual conjuncts
-        // are visible here, so the verdict degrades straight to Unknown.
-        if constexpr (kProfiled) profile->NodeUnknown(idx);
-        (void)degrade();
-        routed = false;
-        break;
-      }
-    } else {
-      // A repeat split is only reachable when the first acquisition on this
-      // path succeeded (a failure ends the walk above): cached value, no
-      // set lookup.
-      v = values[n->attr];
-    }
-    const bool ge = v >= n->split_value;
-    if constexpr (kTraced) trace->OnBranch(n->attr, n->split_value, ge);
-    if constexpr (kProfiled) {
-      profile->PredEval(n->attr, ge);
-      if (ge) profile->NodePass(idx);
-    }
-    idx = ge ? n->a : idx + 1;
-    n = &plan.node(idx);
-  }
-
-  if (routed) {
-    if constexpr (kProfiled) profile->NodeEval(idx);
-    switch (n->kind) {
-      case CompiledPlan::Kind::kVerdict:
-        out.verdict3 = n->verdict() ? Truth::kTrue : Truth::kFalse;
-        break;
-      case CompiledPlan::Kind::kSequential: {
-        Truth t = Truth::kTrue;
-        for (const Predicate& p : plan.sequence(*n)) {
-          if (!acquire(p.attr, &v)) {
-            if (degrade()) break;
-            t = Truth::kUnknown;
-            continue;
-          }
-          const bool match = p.Matches(v);
-          if constexpr (kProfiled) profile->PredEval(p.attr, match);
-          if (!match) {
-            t = Truth::kFalse;
-            break;
-          }
-        }
-        if (!out.aborted) out.verdict3 = t;
-        break;
-      }
-      case CompiledPlan::Kind::kGeneric: {
-        const Query& query = plan.residual_query(*n);
-        RangeVec ranges = schema.FullRanges();
-        for (size_t a = 0; a < schema.num_attributes(); ++a) {
-          if (out.acquired.Contains(static_cast<AttrId>(a))) {
-            ranges[a] = ValueRange{values[a], values[a]};
-          }
-        }
-        Truth t = query.EvaluateOnRanges(ranges);
-        for (const AttrId a : plan.acquire_order(*n)) {
-          if (t != Truth::kUnknown) break;
-          if (!acquire(a, &v)) {
-            if (degrade()) break;
-            continue;  // range stays full; later attributes may still decide
-          }
-          ranges[a] = ValueRange{v, v};
-          t = query.EvaluateOnRanges(ranges);
-        }
-        // Without failures the acquisition order must resolve the query.
-        CAQP_CHECK(t != Truth::kUnknown || out.failed.Count() > 0);
-        if (!out.aborted) out.verdict3 = t;
-        break;
-      }
-      case CompiledPlan::Kind::kSplit:
-        CAQP_CHECK(false);
-    }
-    if constexpr (kProfiled) {
-      if (out.verdict3 == Truth::kTrue) {
-        profile->NodePass(idx);
-      } else if (out.verdict3 == Truth::kUnknown) {
-        profile->NodeUnknown(idx);
-      }
-    }
-  }
-  out.verdict = out.verdict3 == Truth::kTrue;
+  WalkCompiled<kTraced, kProfiled>(plan, schema, cost_model, source, trace,
+                                   policy, profile, 0, -1, values, out);
   if constexpr (kTraced) trace->OnVerdict(out.verdict, out.cost);
   if constexpr (kProfiled) {
     profile->EndExecution(out.cost, out.acquisitions,

@@ -234,6 +234,16 @@ struct BatchExecutionStats {
   /// Union of the attributes acquired for any row — what a dist shard
   /// reports in its partial ExecutionResult (merge semantics: union).
   AttrSet acquired;
+
+  // Fault-mode totals (ColumnarBatchExecutor with BatchExecOptions::faults;
+  // zero on the infallible paths): sums of the per-row ExecutionResult
+  // fields, and the union of their failed sets.
+  size_t total_retries = 0;
+  size_t failed_attributes = 0;  ///< sum of per-row failed-set sizes
+  AttrSet failed;
+  size_t aborted = 0;  ///< rows the kAbort policy stopped
+  size_t unknown = 0;  ///< rows with a kUnknown verdict (aborted included)
+  size_t faults_injected = 0;  ///< failed acquisition attempts
 };
 
 /// Executes the plan over the given dataset rows with infallible, dedup'd

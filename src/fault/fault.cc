@@ -1,5 +1,6 @@
 #include "fault/fault.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -10,13 +11,12 @@ namespace caqp {
 
 namespace {
 
-// SplitMix64 finalizer: decorrelates the per-attribute stream seeds so
-// adjacent attributes (and adjacent spec seeds) get unrelated streams.
-uint64_t MixSeed(uint64_t seed, uint64_t attr) {
-  uint64_t z = seed + 0x9e3779b97f4a7c15ull * (attr + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+bool IsRate(double p) { return std::isfinite(p) && p >= 0.0 && p <= 1.0; }
+
+/// Threshold a 53-bit uniform draw must fall below to fire with
+/// probability p (exactly never at 0, always at 1).
+uint64_t DrawThreshold(double p) {
+  return static_cast<uint64_t>(std::ceil(std::ldexp(p, 53)));
 }
 
 Status ParseProbability(const std::string& key, const std::string& text,
@@ -27,7 +27,7 @@ Status ParseProbability(const std::string& key, const std::string& text,
     return Status::InvalidArgument("fault profile: bad number for '" + key +
                                    "': " + text);
   }
-  if (v < 0.0 || v > 1.0) {
+  if (!IsRate(v)) {
     return Status::InvalidArgument("fault profile: '" + key +
                                    "' must be in [0,1], got " + text);
   }
@@ -35,7 +35,31 @@ Status ParseProbability(const std::string& key, const std::string& text,
   return Status::OK();
 }
 
+/// ParseDecimal with a descriptive error for `what` (seed, attribute).
+Status ParseUnsigned(const std::string& what, const std::string& text,
+                     uint64_t max, uint64_t* out) {
+  if (!ParseDecimal(text, max, out)) {
+    return Status::InvalidArgument("fault profile: bad " + what + " '" +
+                                   text + "' (decimal digits, at most " +
+                                   std::to_string(max) + ")");
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+bool ParseDecimal(const std::string& text, uint64_t max, uint64_t* out) {
+  if (text.empty()) return false;
+  uint64_t v = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (v > (max - digit) / 10) return false;  // v * 10 + digit > max
+    v = v * 10 + digit;
+  }
+  *out = v;
+  return true;
+}
 
 double FaultSpec::TransientFor(AttrId attr) const {
   for (const auto& [a, p] : transient_overrides) {
@@ -88,33 +112,27 @@ Result<FaultSpec> FaultSpec::Parse(const std::string& text) {
     } else if (key == "spike_mult") {
       char* end = nullptr;
       const double v = std::strtod(val.c_str(), &end);
-      if (end == val.c_str() || *end != '\0' || v <= 0.0) {
+      if (end == val.c_str() || *end != '\0' || !std::isfinite(v) ||
+          v <= 0.0) {
         return Status::InvalidArgument(
-            "fault profile: spike_mult must be a positive number, got '" + val +
-            "'");
+            "fault profile: spike_mult must be a finite positive number, "
+            "got '" + val + "'");
       }
       spec.spike_multiplier = v;
     } else if (key == "seed") {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(val.c_str(), &end, 10);
-      if (end == val.c_str() || *end != '\0') {
-        return Status::InvalidArgument("fault profile: bad seed '" + val + "'");
-      }
-      spec.seed = v;
+      CAQP_RETURN_IF_ERROR(
+          ParseUnsigned("seed", val, UINT64_MAX, &spec.seed));
     } else if (key.rfind("transient@", 0) == 0) {
       const std::string attr_text = key.substr(10);
-      char* end = nullptr;
-      const unsigned long long attr = std::strtoull(attr_text.c_str(), &end, 10);
-      if (end == attr_text.c_str() || *end != '\0') {
-        return Status::InvalidArgument("fault profile: bad attribute in '" +
-                                       key + "'");
-      }
+      uint64_t attr = 0;
+      CAQP_RETURN_IF_ERROR(ParseUnsigned("attribute", attr_text,
+                                         kInvalidAttr - 1, &attr));
       double p = 0.0;
       CAQP_RETURN_IF_ERROR(ParseProbability(key, val, &p));
       for (const auto& [existing, prob] : spec.transient_overrides) {
         (void)prob;
         // Catches spellings claim_key can't ("transient@3" vs
-        // "transient@03"): one stream per attribute, no silent override.
+        // "transient@03"): one rate per attribute, no silent override.
         if (existing == static_cast<AttrId>(attr)) {
           return Status::InvalidArgument(
               "fault profile: duplicate transient override for attribute " +
@@ -140,50 +158,38 @@ std::string FaultSpec::ToString() const {
   return out.str();
 }
 
-FaultInjector::AttrState& FaultInjector::StateFor(AttrId attr) {
-  const size_t idx = static_cast<size_t>(attr);
-  if (idx >= states_.size()) {
-    states_.resize(idx + 1, AttrState{Rng(0), false});
-    initialized_.resize(idx + 1, false);
+FaultInjector::FaultInjector(const FaultSpec& spec) : spec_(spec) {
+  CAQP_CHECK(IsRate(spec.transient));
+  CAQP_CHECK(IsRate(spec.stuck));
+  CAQP_CHECK(IsRate(spec.spike));
+  CAQP_CHECK(std::isfinite(spec.spike_multiplier) &&
+             spec.spike_multiplier > 0.0);
+  for (const auto& [attr, p] : spec.transient_overrides) {
+    (void)attr;
+    CAQP_CHECK(IsRate(p));
   }
-  if (!initialized_[idx]) {
-    states_[idx].rng = Rng(MixSeed(spec_.seed, attr));
-    // The stuck decision is the stream's first draw, so it is independent of
-    // how many attempts any other attribute has seen.
-    states_[idx].stuck = states_[idx].rng.Bernoulli(spec_.stuck);
-    initialized_[idx] = true;
+  const uint64_t stuck_below = DrawThreshold(spec.stuck);
+  spike_below_ = DrawThreshold(spec.spike);
+  for (size_t a = 0; a < kMaxAttrs; ++a) {
+    const AttrId attr = static_cast<AttrId>(a);
+    // Mixing decorrelates adjacent attributes (and adjacent spec seeds).
+    attr_key_[a] = Mix(spec.seed + kGolden * (a + 1));
+    key0_[a][kFailDraw] = AttemptKey(attr_key_[a], 0, kFailDraw);
+    key0_[a][kSpikeDraw] = AttemptKey(attr_key_[a], 0, kSpikeDraw);
+    fail_below_[a] = DrawThreshold(spec.TransientFor(attr));
+    // The stuck draw hashes the key itself, which no attempt key does.
+    if ((Mix(attr_key_[a]) >> 11) < stuck_below) stuck_ |= uint64_t{1} << a;
   }
-  return states_[idx];
 }
 
 FaultInjector::Outcome FaultInjector::NextAttempt(AttrId attr) {
-  AttrState& st = StateFor(attr);
-  Outcome out;
-  if (st.stuck) {
-    out.fail = true;
-    out.permanent = true;
-  } else {
-    out.fail = st.rng.Bernoulli(spec_.TransientFor(attr));
-    if (!out.fail && st.rng.Bernoulli(spec_.spike)) {
-      out.cost_multiplier = spec_.spike_multiplier;
-    }
-  }
+  CAQP_CHECK(attr < kMaxAttrs);
+  const Outcome out = At(row_, attr, attempts_[attr]++);
   if (out.fail) {
     ++injected_;
     CAQP_OBS_COUNTER_INC("fault.injected");
   }
   return out;
-}
-
-bool FaultInjector::IsStuck(AttrId attr) const {
-  const size_t idx = static_cast<size_t>(attr);
-  return idx < states_.size() && initialized_[idx] && states_[idx].stuck;
-}
-
-void FaultInjector::Reset() {
-  states_.clear();
-  initialized_.clear();
-  injected_ = 0;
 }
 
 }  // namespace caqp

@@ -1,31 +1,42 @@
 // Deterministic fault injection for acquisitional execution (paper Section
 // 2.4: motes brown out, sensors stick, radios time out). A FaultSpec
-// describes the failure distribution; a FaultInjector turns it into a
-// reproducible per-attempt decision stream; FaultyAcquisitionSource decorates
-// any AcquisitionSource so the executor sees failures without the underlying
+// describes the failure distribution; a FaultInjector turns it into
+// reproducible per-attempt decisions; FaultyAcquisitionSource decorates any
+// AcquisitionSource so the executor sees failures without the underlying
 // data source knowing about them.
 //
-// Determinism contract: the outcome of the k-th acquisition attempt for
-// attribute `a` depends only on (spec.seed, a, k). Each attribute draws from
-// its own forked RNG stream, so plans that acquire attributes in different
-// orders — or skip some entirely — still see identical per-attribute fault
-// sequences. Two runs with the same spec and the same workload are
-// bit-identical.
+// Determinism contract: the outcome of attempt k to acquire attribute `a`
+// for dataset row `r` depends only on (spec.seed, r, a, k). It is a pure
+// hash (FaultInjector::At), not the k-th draw of a stream shared across
+// rows, so a row's faults do not depend on plan shape, row order, which
+// other rows ran first, or how rows are partitioned across shards — which is
+// what lets the columnar executor draw a whole batch at once and what makes
+// dist merge equivalence hold under faults. Plans that acquire attributes in
+// different orders, or skip some entirely, see identical per-(row,
+// attribute) outcomes; two runs with the same spec are bit-identical.
 
 #ifndef CAQP_FAULT_FAULT_H_
 #define CAQP_FAULT_FAULT_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
+#include "common/check.h"
 #include "common/status.h"
+#include "core/dataset.h"
 #include "core/types.h"
 #include "exec/executor.h"
 
 namespace caqp {
+
+/// Parses `text` as plain decimal digits (no sign, no spaces) no larger than
+/// `max` into *out. False for empty text, any other character, or a value
+/// past `max` (never wraps). Shared by the fault-profile mini-languages
+/// (FaultSpec::Parse, dist::ShardFaultSpec::Parse).
+bool ParseDecimal(const std::string& text, uint64_t max, uint64_t* out);
 
 /// Declarative description of a sensor fault distribution.
 struct FaultSpec {
@@ -33,8 +44,8 @@ struct FaultSpec {
   /// sensor returns nothing this time but may succeed on retry).
   double transient = 0.0;
   /// Per-attribute probability that a sensor is permanently stuck. Decided
-  /// once per attribute per injector; a stuck sensor fails every attempt
-  /// with permanent=true so the executor stops retrying it.
+  /// once per (seed, attribute); a stuck sensor fails every attempt with
+  /// permanent=true so the executor stops retrying it.
   double stuck = 0.0;
   /// Per-attempt probability of a latency/cost spike on a *successful*
   /// acquisition; the sampled value arrives but costs spike_multiplier x
@@ -61,21 +72,32 @@ struct FaultSpec {
   /// Parses the `--fault-profile` mini-language: comma-separated key=value
   /// pairs, e.g. "transient=0.1,stuck=0.01,spike=0.05,spike_mult=3,seed=7".
   /// Per-attribute transient overrides use "transient@<attr>=<p>".
-  /// Probabilities must lie in [0,1]; spike_mult must be positive.
-  /// Malformed input is rejected with a descriptive InvalidArgument rather
-  /// than repaired: duplicate keys (including a second override for the
-  /// same attribute), empty items, and trailing commas are all errors.
+  /// Probabilities must be finite and lie in [0,1]; spike_mult must be a
+  /// finite positive number; seeds and attributes are plain decimal
+  /// integers that fit their types (no sign, no wrap-around). Malformed
+  /// input is rejected with a descriptive InvalidArgument rather than
+  /// repaired: duplicate keys (including a second override for the same
+  /// attribute), empty items, and trailing commas are all errors.
   static Result<FaultSpec> Parse(const std::string& text);
 
   /// Round-trips through Parse (modulo float formatting).
   std::string ToString() const;
 };
 
-/// Turns a FaultSpec into reproducible per-attempt fault decisions. Not
-/// thread-safe; use one injector per mote / per execution thread.
+/// Turns a FaultSpec into reproducible per-attempt fault decisions.
+///
+/// At() is the model: a const, thread-safe pure function of (seed, row,
+/// attribute, attempt). NextAttempt() is the stateful convenience the
+/// per-tuple executor consumes through FaultyAcquisitionSource: it draws
+/// At(row, attr, k) for the current row (SetRow) with a per-attribute
+/// attempt counter k. Only NextAttempt/SetRow/Reset mutate; use one injector
+/// per thread for those, or share one for At().
 class FaultInjector {
  public:
-  explicit FaultInjector(const FaultSpec& spec) : spec_(spec) {}
+  /// Aborts unless every rate is finite and in [0,1] and spike_multiplier
+  /// is finite and positive (Parse rejects such text; this catches specs
+  /// built in code — a NaN rate would otherwise silently inject nothing).
+  explicit FaultInjector(const FaultSpec& spec);
 
   /// Outcome of one acquisition attempt.
   struct Outcome {
@@ -84,33 +106,132 @@ class FaultInjector {
     double cost_multiplier = 1.0;
   };
 
-  /// Decides the next attempt for `attr`, advancing only that attribute's
-  /// stream. Emits the `fault.injected` counter on failure.
+  /// The outcome of attempt `attempt` (0 = first) to acquire `attr` for
+  /// dataset row `row`. Stuck attributes fail permanently; otherwise a
+  /// transient-failure draw, and on success an independent spike draw.
+  Outcome At(RowId row, AttrId attr, uint32_t attempt) const {
+    CAQP_DCHECK(attr < kMaxAttrs);
+    Outcome o;
+    if ((stuck_ >> attr) & 1) {
+      o.fail = true;
+      o.permanent = true;
+      return o;
+    }
+    if (fail_below_[attr] != 0 &&
+        Draw(StreamKey(attr, attempt, kFailDraw), row) < fail_below_[attr]) {
+      o.fail = true;
+      return o;
+    }
+    if (spike_below_ != 0 &&
+        Draw(StreamKey(attr, attempt, kSpikeDraw), row) < spike_below_) {
+      o.cost_multiplier = spec_.spike_multiplier;
+    }
+    return o;
+  }
+
+  /// Whether attempt 0 for one attribute succeeds at the normal cost —
+  /// At(row, attr, 0) is the default Outcome — with the attribute's keys
+  /// and thresholds copied out so a batch loop keeps them in registers.
+  /// This is the one draw the columnar fault mode takes per new
+  /// acquisition.
+  struct CleanTest {
+    bool stuck = false;
+    uint64_t fail_key = 0;
+    uint64_t fail_below = 0;
+    uint64_t spike_key = 0;
+    uint64_t spike_below = 0;
+
+    /// No row can ever draw a fault: callers may skip the test.
+    bool never_fails() const {
+      return !stuck && fail_below == 0 && spike_below == 0;
+    }
+    /// Branch-free in the draws (whether a draw is taken at all depends
+    /// only on the spec): a spike on a failed attempt is not clean either.
+    bool Clean(RowId row) const {
+      if (stuck) return false;
+      bool clean = true;
+      if (fail_below != 0) clean &= Draw(fail_key, row) >= fail_below;
+      if (spike_below != 0) clean &= Draw(spike_key, row) >= spike_below;
+      return clean;
+    }
+  };
+  CleanTest CleanTestFor(AttrId attr) const {
+    CAQP_DCHECK(attr < kMaxAttrs);
+    return CleanTest{((stuck_ >> attr) & 1) != 0, key0_[attr][kFailDraw],
+                     fail_below_[attr], key0_[attr][kSpikeDraw],
+                     spike_below_};
+  }
+
+  /// Selects the row later NextAttempt calls draw for and restarts every
+  /// attribute's attempt counter.
+  void SetRow(RowId row) {
+    row_ = row;
+    attempts_.fill(0);
+  }
+
+  /// Decides the next attempt for `attr` on the current row:
+  /// At(row, attr, k), where k counts this attribute's NextAttempt calls
+  /// since the last SetRow/Reset. Emits the `fault.injected` counter on
+  /// failure.
   Outcome NextAttempt(AttrId attr);
 
-  /// True when `attr` has been decided permanently stuck. Only meaningful
-  /// after the first NextAttempt for that attribute.
-  bool IsStuck(AttrId attr) const;
+  /// True when `attr` is permanently stuck under this spec.
+  bool IsStuck(AttrId attr) const {
+    return attr < kMaxAttrs && ((stuck_ >> attr) & 1);
+  }
 
-  /// Faults injected (failed attempts) since construction or Reset().
+  /// Faults injected (failed NextAttempt calls) since construction or
+  /// Reset(). At() is pure and counts nothing.
   uint64_t injected() const { return injected_; }
 
-  /// Re-derives every stream from the spec seed; after Reset() the injector
-  /// replays exactly the same decision sequence.
-  void Reset();
+  /// Back to row 0 with every attempt counter and injected() at zero; the
+  /// injector then replays exactly the same decision sequence.
+  void Reset() {
+    SetRow(0);
+    injected_ = 0;
+  }
 
   const FaultSpec& spec() const { return spec_; }
 
  private:
-  struct AttrState {
-    Rng rng;
-    bool stuck = false;
-  };
-  AttrState& StateFor(AttrId attr);
+  /// AttrSet bounds schemas to 64 attributes library-wide.
+  static constexpr size_t kMaxAttrs = 64;
+  static constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+  static constexpr int kFailDraw = 0;
+  static constexpr int kSpikeDraw = 1;
+
+  /// splitmix64 finalizer (full avalanche).
+  static uint64_t Mix(uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+  /// Key of the splitmix64 stream over rows that decides draw `kind` of
+  /// attempt `attempt` for the attribute keyed `attr_key`.
+  static uint64_t AttemptKey(uint64_t attr_key, uint32_t attempt, int kind) {
+    return Mix(attr_key +
+               kGolden * (2 * static_cast<uint64_t>(attempt) + kind + 1));
+  }
+  /// AttemptKey for `attr`, with attempt 0's keys cached.
+  uint64_t StreamKey(AttrId attr, uint32_t attempt, int kind) const {
+    if (attempt == 0) return key0_[attr][kind];
+    return AttemptKey(attr_key_[attr], attempt, kind);
+  }
+  /// Uniform 53-bit draw for `row` from stream `key`; compared against a
+  /// threshold ceil(p * 2^53), so p = 0 never and p = 1 always fires.
+  static uint64_t Draw(uint64_t key, RowId row) {
+    return Mix(key + kGolden * (static_cast<uint64_t>(row) + 1)) >> 11;
+  }
 
   FaultSpec spec_;
-  std::vector<AttrState> states_;  // index = attr; grown lazily
-  std::vector<bool> initialized_;
+  std::array<uint64_t, kMaxAttrs> attr_key_{};  ///< per-(seed, attr) key
+  std::array<std::array<uint64_t, 2>, kMaxAttrs> key0_{};
+  std::array<uint64_t, kMaxAttrs> fail_below_{};  ///< transient thresholds
+  uint64_t spike_below_ = 0;
+  uint64_t stuck_ = 0;  ///< bit a set: attribute a is stuck
+
+  RowId row_ = 0;  ///< NextAttempt state
+  std::array<uint32_t, kMaxAttrs> attempts_{};
   uint64_t injected_ = 0;
 };
 
@@ -121,6 +242,11 @@ class FaultyAcquisitionSource : public AcquisitionSource {
  public:
   FaultyAcquisitionSource(AcquisitionSource& base, FaultInjector& injector)
       : base_(base), injector_(injector) {}
+
+  /// Row-keyed mode: later attempts draw for dataset row `row` (point the
+  /// base source at the same row). Without it every attempt draws for row
+  /// 0, with attempt counters that never restart — a single long stream.
+  void SetRow(RowId row) { injector_.SetRow(row); }
 
   AcquiredValue Acquire(AttrId attr) override {
     const FaultInjector::Outcome o = injector_.NextAttempt(attr);

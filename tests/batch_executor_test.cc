@@ -4,7 +4,9 @@
 // union, total_cost as an exact double) across planners, datasets, chunk
 // sizes, and row orders. Consecutive-row batches exercise the masked
 // AVX-512 engine where the CPU has it; shuffled and strided batches pin the
-// selection-vector kernels; both must produce identical results.
+// selection-vector kernels; both must produce identical results. Fault mode
+// must agree, just as exactly, with per-row ExecutePlan over a row-keyed
+// FaultyAcquisitionSource across fault profiles and degradation policies.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +21,9 @@
 #include "data/workload.h"
 #include "exec/batch_executor.h"
 #include "exec/executor.h"
+#include "fault/fault.h"
 #include "obs/obs.h"
+#include "obs/registry.h"
 #include "opt/exhaustive.h"
 #include "opt/greedy_plan.h"
 #include "opt/greedyseq.h"
@@ -450,6 +454,308 @@ TEST(BatchExecConcurrencyTest, TwoExecutorsShareOneProfile) {
   EXPECT_EQ(got.executions, want.executions);
   EXPECT_EQ(got.acquisitions, want.acquisitions);
   EXPECT_DOUBLE_EQ(got.realized_cost, want.realized_cost);
+}
+
+// ---------------------------------------------------------------------------
+// Fault mode: columnar under faults vs per-row scalar ExecutePlan over
+// FaultyAcquisitionSource::SetRow
+
+constexpr const char* kFaultProfiles[] = {
+    "transient=0.05,seed=11", "transient@2=0.5,seed=12", "stuck=0.3,seed=13",
+    "spike=0.2,spike_mult=3,seed=14"};
+
+const DegradationPolicy kFaultPolicies[] = {DegradationPolicy::UnknownVerdict(),
+                                            DegradationPolicy::Retry(3, 1.5),
+                                            DegradationPolicy::Abort()};
+
+FaultSpec ParseProfile(const char* text) {
+  const Result<FaultSpec> spec = FaultSpec::Parse(text);
+  CAQP_CHECK(spec.ok());
+  return spec.value();
+}
+
+/// The per-row oracle folded into BatchExecutionStats form: one ExecutePlan
+/// per row, row-keyed draws, costs summed in row order.
+BatchExecutionStats PerRowOracle(const CompiledPlan& plan, const Dataset& data,
+                                 const AcquisitionCostModel& cm,
+                                 std::span<const RowId> rows,
+                                 const FaultSpec& spec,
+                                 const DegradationPolicy& policy,
+                                 std::vector<uint8_t>* verdicts,
+                                 ExecutionProfile* profile = nullptr) {
+  testing_util::RowSource base(data);
+  FaultInjector injector(spec);
+  FaultyAcquisitionSource source(base, injector);
+  BatchExecutionStats want;
+  want.tuples = rows.size();
+  verdicts->clear();
+  for (const RowId row : rows) {
+    base.SetRow(row);
+    source.SetRow(row);
+    const ExecutionResult r = ExecutePlan(plan, data.schema(), cm, source,
+                                          nullptr, policy, profile);
+    verdicts->push_back(static_cast<uint8_t>(r.verdict3));
+    want.matches += r.verdict3 == Truth::kTrue;
+    want.unknown += r.verdict3 == Truth::kUnknown;
+    want.aborted += r.aborted;
+    want.total_acquisitions += static_cast<size_t>(r.acquisitions);
+    want.total_retries += static_cast<size_t>(r.retries);
+    want.failed_attributes += static_cast<size_t>(r.failed.Count());
+    want.total_cost += r.cost;
+    want.acquired = want.acquired.Union(r.acquired);
+    want.failed = want.failed.Union(r.failed);
+  }
+  want.faults_injected = injector.injected();
+  return want;
+}
+
+void ExpectSameStats(const BatchExecutionStats& got,
+                     const BatchExecutionStats& want) {
+  EXPECT_EQ(got.tuples, want.tuples);
+  EXPECT_EQ(got.matches, want.matches);
+  EXPECT_EQ(got.unknown, want.unknown);
+  EXPECT_EQ(got.aborted, want.aborted);
+  EXPECT_EQ(got.total_acquisitions, want.total_acquisitions);
+  EXPECT_EQ(got.total_retries, want.total_retries);
+  EXPECT_EQ(got.failed_attributes, want.failed_attributes);
+  EXPECT_EQ(got.faults_injected, want.faults_injected);
+  EXPECT_EQ(got.acquired.bits, want.acquired.bits);
+  EXPECT_EQ(got.failed.bits, want.failed.bits);
+  // Exact: clean rows read the cost tables, resumed rows carry the scalar
+  // executor's own total, and the fold runs in row order.
+  EXPECT_EQ(got.total_cost, want.total_cost);
+}
+
+/// Fault mode vs the oracle for every profile x policy x row order x chunk
+/// size, with and without verdict stores.
+void ExpectFaultModeMatches(const CompiledPlan& plan, const Dataset& data,
+                            const AcquisitionCostModel& cm) {
+  const size_t n = data.num_rows();
+  std::vector<RowId> consecutive(n);
+  for (RowId r = 0; r < n; ++r) consecutive[r] = r;
+  std::vector<RowId> shuffled = consecutive;
+  std::mt19937 rng(1907u);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  std::vector<RowId> strided;
+  for (size_t r = 0; r < n; r += 3) strided.push_back(static_cast<RowId>(r));
+
+  ColumnarBatchExecutor exec(plan, data, cm);
+  size_t injected = 0;  // the matrix must actually exercise faults
+  for (const char* profile : kFaultProfiles) {
+    const FaultSpec spec = ParseProfile(profile);
+    const FaultInjector faults(spec);
+    for (const DegradationPolicy& policy : kFaultPolicies) {
+      for (const std::vector<RowId>* rows :
+           {&consecutive, &shuffled, &strided}) {
+        SCOPED_TRACE(std::string(profile) + " policy=" +
+                     std::to_string(static_cast<int>(policy.mode)) +
+                     " rows=" + std::to_string(rows->size()));
+        std::vector<uint8_t> want_verdicts;
+        const BatchExecutionStats want = PerRowOracle(
+            plan, data, cm, *rows, spec, policy, &want_verdicts);
+        injected += want.faults_injected;
+        for (const size_t chunk : kChunkSizes) {
+          SCOPED_TRACE("chunk=" + std::to_string(chunk));
+          BatchExecOptions opts;
+          opts.chunk_size = chunk;
+          opts.faults = &faults;
+          opts.policy = policy;
+          std::vector<uint8_t> got_verdicts;
+          ExpectSameStats(exec.Execute(*rows, &got_verdicts, opts), want);
+          EXPECT_EQ(got_verdicts, want_verdicts);
+          ExpectSameStats(exec.Execute(*rows, nullptr, opts), want);
+        }
+      }
+    }
+  }
+  EXPECT_GT(injected, 0u);
+}
+
+TEST(BatchExecFaultTest, GardenGreedyAndNaiveMatchPerRowOracle) {
+  GardenDataOptions gopts;
+  gopts.num_motes = 3;
+  gopts.epochs = 1500;
+  const Dataset all = GenerateGardenData(gopts);
+  const auto [train, test] = all.SplitFraction(0.6);
+  const Schema& schema = all.schema();
+  const GardenAttrs attrs = ResolveGardenAttrs(schema);
+  GardenQueryOptions qopts;
+  qopts.num_queries = 2;
+  const std::vector<Query> queries =
+      GenerateGardenQueries(schema, attrs.temperature, attrs.humidity, qopts);
+
+  DatasetEstimator est(train);
+  PerAttributeCostModel cm(schema);
+  const SplitPointSet splits = SplitPointSet::FromLog10Spsf(
+      schema, static_cast<double>(schema.num_attributes()));
+  GreedySeqSolver seq;
+  GreedyPlanner::Options hopts;
+  hopts.split_points = &splits;
+  hopts.seq_solver = &seq;
+  hopts.max_splits = 5;
+  GreedyPlanner greedy(est, cm, hopts);
+  NaivePlanner naive(est, cm);
+  for (const Planner* planner : {static_cast<const Planner*>(&greedy),
+                                 static_cast<const Planner*>(&naive)}) {
+    for (const Query& q : queries) {
+      SCOPED_TRACE(planner->Name());
+      ExpectFaultModeMatches(CompiledPlan::Compile(planner->BuildPlan(q)),
+                             test, cm);
+    }
+  }
+}
+
+TEST(BatchExecFaultTest, LabAndSyntheticGreedyMatchPerRowOracle) {
+  LabDataOptions lopts;
+  lopts.num_motes = 4;
+  lopts.readings = 2000;
+  const Dataset lab = GenerateLabData(lopts);
+  const auto [lab_train, lab_test] = lab.SplitFraction(0.6);
+  const LabAttrs attrs = ResolveLabAttrs(lab.schema());
+  LabQueryOptions qopts;
+  qopts.num_queries = 1;
+  const Query lab_query = GenerateLabQueries(
+      lab_train, {attrs.light, attrs.temperature, attrs.humidity}, qopts)[0];
+
+  SyntheticDataOptions sopts;
+  sopts.n = 6;
+  sopts.tuples = 2000;
+  const Dataset syn = GenerateSyntheticData(sopts);
+  const auto [syn_train, syn_test] = syn.SplitFraction(0.5);
+  const Query syn_query = SyntheticAllExpensiveQuery(syn.schema());
+
+  GreedySeqSolver seq;
+  const struct {
+    const Dataset& train;
+    const Dataset& test;
+    const Query& query;
+  } cases[] = {{lab_train, lab_test, lab_query},
+               {syn_train, syn_test, syn_query}};
+  for (const auto& c : cases) {
+    const Schema& schema = c.test.schema();
+    DatasetEstimator est(c.train);
+    PerAttributeCostModel cm(schema);
+    const SplitPointSet splits = SplitPointSet::AllPoints(schema);
+    GreedyPlanner::Options hopts;
+    hopts.split_points = &splits;
+    hopts.seq_solver = &seq;
+    hopts.max_splits = 4;
+    GreedyPlanner greedy(est, cm, hopts);
+    ExpectFaultModeMatches(CompiledPlan::Compile(greedy.BuildPlan(c.query)),
+                           c.test, cm);
+  }
+}
+
+TEST(BatchExecFaultTest, ExhaustiveGenericLeavesMatchPerRowOracle) {
+  const Schema schema = testing_util::SmallSchema();
+  const Dataset data = testing_util::CorrelatedDataset(schema, 1500, 11);
+  const auto [train, test] = data.SplitFraction(0.5);
+  DatasetEstimator est(train);
+  PerAttributeCostModel cm(schema);
+  const SplitPointSet splits = SplitPointSet::AllPoints(schema);
+  ExhaustivePlanner::Options opts;
+  opts.split_points = &splits;
+  ExhaustivePlanner planner(est, cm, opts);
+  Rng rng(7);
+  for (int i = 0; i < 2; ++i) {
+    const Query q = testing_util::RandomConjunctiveQuery(schema, rng);
+    ExpectFaultModeMatches(CompiledPlan::Compile(planner.BuildPlan(q)), test,
+                           cm);
+  }
+  // A residual-query leaf below a split, for certain generic coverage.
+  Query q = Query::Disjunction({{Predicate(0, 3, 3)}, {Predicate(3, 4, 4)}});
+  auto root = PlanNode::Split(0, 2, PlanNode::Verdict(false),
+                              PlanNode::Generic(q, {0, 3}));
+  ExpectFaultModeMatches(CompiledPlan::Compile(Plan(std::move(root))), test,
+                         cm);
+}
+
+TEST(BatchExecFaultTest, ProfileAndObsCountersMatchPerRowPath) {
+  obs::SetEnabled(true);
+  if (!obs::Enabled()) GTEST_SKIP() << "obs compiled out";
+  GardenDataOptions gopts;
+  gopts.num_motes = 3;
+  gopts.epochs = 1500;
+  const Dataset all = GenerateGardenData(gopts);
+  const auto [train, test] = all.SplitFraction(0.6);
+  const Schema& schema = all.schema();
+  const GardenAttrs attrs = ResolveGardenAttrs(schema);
+  GardenQueryOptions qopts;
+  qopts.num_queries = 1;
+  const Query q = GenerateGardenQueries(schema, attrs.temperature,
+                                        attrs.humidity, qopts)[0];
+  DatasetEstimator est(train);
+  PerAttributeCostModel cm(schema);
+  const SplitPointSet splits = SplitPointSet::FromLog10Spsf(
+      schema, static_cast<double>(schema.num_attributes()));
+  GreedySeqSolver seq;
+  GreedyPlanner::Options hopts;
+  hopts.split_points = &splits;
+  hopts.seq_solver = &seq;
+  hopts.max_splits = 5;
+  GreedyPlanner greedy(est, cm, hopts);
+  const CompiledPlan plan = CompiledPlan::Compile(greedy.BuildPlan(q));
+  std::vector<RowId> rows(test.num_rows());
+  for (RowId r = 0; r < rows.size(); ++r) rows[r] = r;
+
+  const char* kCounters[] = {"exec.tuples",      "exec.acquisitions",
+                             "exec.retries",     "exec.failed_attributes",
+                             "exec.aborts",      "exec.unknown_verdicts",
+                             "fault.injected"};
+  const auto counters = [&] {
+    std::vector<uint64_t> out;
+    for (const char* name : kCounters) {
+      out.push_back(obs::DefaultRegistry().GetCounter(name).value());
+    }
+    return out;
+  };
+  const auto delta = [](const std::vector<uint64_t>& after,
+                        const std::vector<uint64_t>& before) {
+    std::vector<uint64_t> out(after.size());
+    for (size_t i = 0; i < after.size(); ++i) out[i] = after[i] - before[i];
+    return out;
+  };
+
+  for (const char* profile_text : kFaultProfiles) {
+    const FaultSpec spec = ParseProfile(profile_text);
+    const FaultInjector faults(spec);
+    for (const DegradationPolicy& policy : kFaultPolicies) {
+      SCOPED_TRACE(std::string(profile_text) + " policy=" +
+                   std::to_string(static_cast<int>(policy.mode)));
+      ExecutionProfile scalar_profile(plan.NumNodes());
+      std::vector<uint8_t> want_verdicts;
+      const std::vector<uint64_t> s0 = counters();
+      PerRowOracle(plan, test, cm, rows, spec, policy, &want_verdicts,
+                   &scalar_profile);
+      const std::vector<uint64_t> want_counters = delta(counters(), s0);
+      const ExecutionProfileSnapshot want = scalar_profile.Snapshot();
+
+      ExecutionProfile batch_profile(plan.NumNodes());
+      ColumnarBatchExecutor exec(plan, test, cm);
+      BatchExecOptions opts;
+      opts.profile = &batch_profile;
+      opts.faults = &faults;
+      opts.policy = policy;
+      const std::vector<uint64_t> b0 = counters();
+      exec.Execute(rows, nullptr, opts);
+      EXPECT_EQ(delta(counters(), b0), want_counters);
+      const ExecutionProfileSnapshot got = batch_profile.Snapshot();
+
+      ASSERT_EQ(got.nodes.size(), want.nodes.size());
+      for (size_t i = 0; i < want.nodes.size(); ++i) {
+        EXPECT_EQ(got.nodes[i].evals, want.nodes[i].evals) << "node " << i;
+        EXPECT_EQ(got.nodes[i].passes, want.nodes[i].passes) << "node " << i;
+        EXPECT_EQ(got.nodes[i].unknowns, want.nodes[i].unknowns)
+            << "node " << i;
+      }
+      EXPECT_EQ(got.attr_evals, want.attr_evals);
+      EXPECT_EQ(got.attr_passes, want.attr_passes);
+      EXPECT_EQ(got.executions, want.executions);
+      EXPECT_EQ(got.unknown_executions, want.unknown_executions);
+      EXPECT_EQ(got.acquisitions, want.acquisitions);
+      EXPECT_EQ(got.realized_cost, want.realized_cost);
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // caqp::dist tests: result-merge semantics, row partitioning, the shard
 // health machine, ExecutionResult wire round-trips, and the Coordinator end
-// to end — including the merge-equivalence matrix (N-shard scatter-gather
-// must agree with single-process ExecuteBatch) and the fault-path tests
+// to end — including the merge-equivalence matrices (N-shard scatter-gather
+// must agree with single-process ExecuteBatch, and under row-level faults
+// with per-row ExecutePlan, for every partitioning) and the fault-path tests
 // that hold the PR 3 invariant under dead and straggling shards. Every
 // suite is named Dist* so scripts/check.sh can select them for the TSan
 // build with ctest -R '^Dist'.
@@ -376,6 +377,14 @@ TEST(DistFaultSpecTest, RejectsMalformedDirectives) {
   EXPECT_FALSE(ShardFaultSpec::Parse("kill@x").ok());
   EXPECT_FALSE(ShardFaultSpec::Parse("delay@1").ok());
   EXPECT_FALSE(ShardFaultSpec::Parse("delay@1=abc").ok());
+  // Numbers past 2^64-1 must not wrap: these read as kill@1=0 and a zero
+  // delay before the overflow check.
+  EXPECT_FALSE(ShardFaultSpec::Parse("kill@18446744073709551617").ok());
+  EXPECT_FALSE(ShardFaultSpec::Parse("delay@0=18446744073709551616").ok());
+  EXPECT_FALSE(ShardFaultSpec::Parse("kill@0=18446744073709551616").ok());
+  // kill_after is signed; a count past INT64_MAX would read as "never".
+  EXPECT_FALSE(ShardFaultSpec::Parse("kill@0=9223372036854775808").ok());
+  EXPECT_TRUE(ShardFaultSpec::Parse("kill@0=9223372036854775807").ok());
 }
 
 TEST(DistFaultSpecTest, RoundTripsThroughToString) {
@@ -703,6 +712,89 @@ TEST(DistCoordinatorTest, RowLevelFaultsDegradeRowsNotShards) {
               q.Matches(fx.data.GetTuple(r)))
         << "row " << r;
   }
+}
+
+TEST(DistCoordinatorTest, MergeEquivalenceUnderFaults) {
+  // Faults are keyed by global row id, so every partitioning must return
+  // the per-row scalar oracle's verdicts and totals: only the cross-shard
+  // cost summation order may differ.
+  DistFixture fx;
+  const PartitionSpec specs[] = {
+      PartitionSpec::Hash(1), PartitionSpec::Hash(4), PartitionSpec::Range(2),
+      PartitionSpec::Range(4)};
+  const char* profiles[] = {"transient=0.05", "transient@2=0.5", "stuck=0.3",
+                            "spike=0.2,spike_mult=3"};
+  const DegradationPolicy policies[] = {DegradationPolicy::UnknownVerdict(),
+                                        DegradationPolicy::Retry(3, 1.5),
+                                        DegradationPolicy::Abort()};
+  Rng rng(4242);
+  const Query queries[] = {
+      fx.MidQuery(), testing_util::RandomConjunctiveQuery(fx.schema, rng)};
+  size_t unknown_total = 0;
+  for (const char* profile : profiles) {
+    const Result<FaultSpec> faults = FaultSpec::Parse(profile);
+    ASSERT_TRUE(faults.ok()) << faults.status().ToString();
+    for (const DegradationPolicy& policy : policies) {
+      // Per query: the per-row oracle, computed on the first partitioning's
+      // plan (planning is deterministic, so every coordinator serves it).
+      struct Oracle {
+        std::vector<Truth> verdicts;
+        ExecutionResult merged = MergeIdentity();
+        size_t matches = 0;
+        size_t unknown = 0;
+      };
+      std::vector<Oracle> oracles;
+      for (const PartitionSpec& spec : specs) {
+        Coordinator::Options opts;
+        opts.partition = spec;
+        opts.acquisition_faults = faults.value();
+        opts.row_policy = policy;
+        Coordinator coord = fx.MakeCoordinator(opts);
+        for (size_t qi = 0; qi < std::size(queries); ++qi) {
+          SCOPED_TRACE(std::string(profile) + " policy=" +
+                       std::to_string(static_cast<int>(policy.mode)) +
+                       " scheme=" + dist::PartitionSchemeName(spec.scheme) +
+                       " shards=" + std::to_string(spec.num_shards) +
+                       " query=" + std::to_string(qi));
+          const Coordinator::Response resp = coord.Execute(queries[qi]);
+          ASSERT_TRUE(resp.ok());
+          ASSERT_FALSE(resp.degraded());
+          ASSERT_EQ(resp.row_verdicts.size(), fx.data.num_rows());
+          if (oracles.size() <= qi) {
+            Oracle o;
+            testing_util::RowSource base(fx.data);
+            FaultInjector injector(faults.value());
+            FaultyAcquisitionSource source(base, injector);
+            for (RowId r = 0; r < fx.data.num_rows(); ++r) {
+              base.SetRow(r);
+              source.SetRow(r);
+              const ExecutionResult row = ExecutePlan(
+                  *resp.plan, fx.schema, fx.cm, source, nullptr, policy);
+              o.verdicts.push_back(row.verdict3);
+              o.matches += row.verdict3 == Truth::kTrue;
+              o.unknown += row.verdict3 == Truth::kUnknown;
+              o.merged = MergeExecutionResults(o.merged, row);
+            }
+            unknown_total += o.unknown;
+            oracles.push_back(std::move(o));
+          }
+          const Oracle& want = oracles[qi];
+          EXPECT_EQ(resp.row_verdicts, want.verdicts);
+          EXPECT_EQ(resp.matches, want.matches);
+          EXPECT_EQ(resp.unknown_rows, want.unknown);
+          EXPECT_EQ(resp.merged.verdict3, want.merged.verdict3);
+          EXPECT_EQ(resp.merged.acquisitions, want.merged.acquisitions);
+          EXPECT_EQ(resp.merged.retries, want.merged.retries);
+          EXPECT_EQ(resp.merged.failed.bits, want.merged.failed.bits);
+          EXPECT_EQ(resp.merged.acquired.bits, want.merged.acquired.bits);
+          EXPECT_EQ(resp.merged.aborted, want.merged.aborted);
+          EXPECT_NEAR(resp.merged.cost, want.merged.cost,
+                      1e-9 * (1.0 + std::abs(want.merged.cost)));
+        }
+      }
+    }
+  }
+  EXPECT_GT(unknown_total, 0u);  // the profiles really degrade rows
 }
 
 TEST(DistCoordinatorTest, TracingCapturesShardIncidents) {

@@ -290,7 +290,7 @@ TEST_P(ExhaustiveBruteForceTest, MatchesOptimalAdaptiveStrategy) {
   // 4 binary attributes with random costs and a correlated distribution.
   Schema schema;
   for (int a = 0; a < 4; ++a) {
-    schema.AddAttribute("b" + std::to_string(a), 2,
+    schema.AddAttribute(std::string("b").append(std::to_string(a)), 2,
                         std::floor(rng.Uniform(1.0, 50.0)));
   }
   Dataset ds(schema);

@@ -1,11 +1,16 @@
 // Fault-injection tests: FaultSpec parsing, injector determinism, the
-// FaultyAcquisitionSource decorator, executor degradation policies, and the
-// acceptance-style continuous-query simulation under 10% transient faults.
+// row-keyed fault model (At() purity, rates, attempt independence, stuck and
+// spike semantics, SetRow), the FaultyAcquisitionSource decorator, executor
+// degradation policies, and the acceptance-style continuous-query
+// simulation under 10% transient faults.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "data/garden_gen.h"
@@ -52,6 +57,29 @@ TEST(FaultSpecTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(FaultSpec::Parse("seed=xyz").ok());
   EXPECT_FALSE(FaultSpec::Parse("transient@x=0.5").ok());
   EXPECT_FALSE(FaultSpec::Parse("bogus=1").ok());
+  // Non-finite rates compare false against both bounds; a NaN rate would
+  // inject nothing and raise no error downstream.
+  EXPECT_FALSE(FaultSpec::Parse("transient=nan").ok());
+  EXPECT_FALSE(FaultSpec::Parse("stuck=nan").ok());
+  EXPECT_FALSE(FaultSpec::Parse("spike=nan").ok());
+  EXPECT_FALSE(FaultSpec::Parse("transient@2=nan").ok());
+  EXPECT_FALSE(FaultSpec::Parse("transient=inf").ok());
+  EXPECT_FALSE(FaultSpec::Parse("spike_mult=nan").ok());
+  EXPECT_FALSE(FaultSpec::Parse("spike_mult=inf").ok());
+  EXPECT_FALSE(FaultSpec::Parse("spike_mult=1e400").ok());
+  // Integers must not wrap: strtoull alone maps both to 2^64-1.
+  EXPECT_FALSE(FaultSpec::Parse("seed=-1").ok());
+  EXPECT_FALSE(FaultSpec::Parse("seed=99999999999999999999999").ok());
+  EXPECT_FALSE(FaultSpec::Parse("seed=+5").ok());
+  EXPECT_FALSE(FaultSpec::Parse("seed=").ok());
+  EXPECT_FALSE(FaultSpec::Parse("transient@-1=0.5").ok());
+  EXPECT_FALSE(FaultSpec::Parse("transient@65537=0.5").ok());
+  // The boundaries themselves still parse.
+  const Result<FaultSpec> max_seed =
+      FaultSpec::Parse("seed=18446744073709551615,spike_mult=1e300");
+  ASSERT_TRUE(max_seed.ok()) << max_seed.status().ToString();
+  EXPECT_EQ(max_seed->seed, UINT64_MAX);
+  EXPECT_TRUE(FaultSpec::Parse("transient=0,stuck=1,spike=1").ok());
 }
 
 TEST(FaultSpecTest, ParseRejectsDuplicateKeys) {
@@ -168,6 +196,216 @@ TEST(FaultInjectorTest, TransientRateIsApproximatelyHonored) {
   for (int i = 0; i < n; ++i) fails += inj.NextAttempt(0).fail ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(fails) / n, 0.1, 0.01);
   EXPECT_EQ(inj.injected(), static_cast<uint64_t>(fails));
+}
+
+TEST(FaultInjectorDeathTest, RejectsInvalidRatesBuiltInCode) {
+  // Parse rejects these as text; specs built in code must not slip through.
+  FaultSpec nan_rate;
+  nan_rate.transient = std::nan("");
+  EXPECT_DEATH(FaultInjector{nan_rate}, "");
+  FaultSpec big_stuck;
+  big_stuck.stuck = 1.5;
+  EXPECT_DEATH(FaultInjector{big_stuck}, "");
+  FaultSpec bad_override;
+  bad_override.transient_overrides.emplace_back(1, -0.1);
+  EXPECT_DEATH(FaultInjector{bad_override}, "");
+  FaultSpec inf_mult;
+  inf_mult.spike_multiplier = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(FaultInjector{inf_mult}, "");
+}
+
+// ------------------------------------------------ row-keyed fault model
+
+TEST(FaultRowKeyedTest, AtIsAPureFunctionOfRowAttrAttempt) {
+  FaultSpec spec;
+  spec.transient = 0.3;
+  spec.stuck = 0.2;
+  spec.spike = 0.25;
+  spec.spike_multiplier = 2.5;
+  spec.seed = 99;
+  const FaultInjector a(spec);
+  const FaultInjector b(spec);
+  struct Key {
+    RowId row;
+    AttrId attr;
+    uint32_t attempt;
+  };
+  std::vector<Key> keys;
+  for (RowId row = 0; row < 300; ++row) {
+    for (AttrId attr = 0; attr < 6; ++attr) {
+      for (uint32_t attempt = 0; attempt < 3; ++attempt) {
+        keys.push_back(Key{row, attr, attempt});
+      }
+    }
+  }
+  std::vector<FaultInjector::Outcome> forward;
+  for (const Key& k : keys) forward.push_back(a.At(k.row, k.attr, k.attempt));
+  // Another injector, the opposite call order, with NextAttempt traffic
+  // interleaved: none of it can move an outcome.
+  FaultInjector noisy(spec);
+  for (size_t i = keys.size(); i-- > 0;) {
+    noisy.NextAttempt(static_cast<AttrId>(i % 6));
+    const FaultInjector::Outcome o =
+        b.At(keys[i].row, keys[i].attr, keys[i].attempt);
+    EXPECT_EQ(o.fail, forward[i].fail);
+    EXPECT_EQ(o.permanent, forward[i].permanent);
+    EXPECT_EQ(o.cost_multiplier, forward[i].cost_multiplier);
+    const FaultInjector::Outcome n =
+        noisy.At(keys[i].row, keys[i].attr, keys[i].attempt);
+    EXPECT_EQ(n.fail, forward[i].fail);
+    EXPECT_EQ(n.cost_multiplier, forward[i].cost_multiplier);
+  }
+  // The columnar executor's clean test is exactly "attempt 0 is the
+  // default outcome".
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i].attempt != 0) continue;
+    const bool clean = !forward[i].fail && forward[i].cost_multiplier == 1.0;
+    EXPECT_EQ(a.CleanTestFor(keys[i].attr).Clean(keys[i].row), clean);
+  }
+}
+
+TEST(FaultRowKeyedTest, ConcurrentAtCallsAgree) {
+  FaultSpec spec;
+  spec.transient = 0.2;
+  spec.spike = 0.1;
+  spec.spike_multiplier = 3.0;
+  spec.seed = 5;
+  const FaultInjector shared(spec);
+  constexpr RowId kRows = 20000;
+  std::vector<uint8_t> outcomes[2];
+  auto run = [&](std::vector<uint8_t>* out) {
+    for (RowId row = 0; row < kRows; ++row) {
+      const FaultInjector::Outcome o = shared.At(row, row % 8, row % 3);
+      out->push_back(static_cast<uint8_t>(o.fail) |
+                     static_cast<uint8_t>(o.cost_multiplier != 1.0) << 1);
+    }
+  };
+  std::thread t0(run, &outcomes[0]);
+  std::thread t1(run, &outcomes[1]);
+  t0.join();
+  t1.join();
+  EXPECT_EQ(outcomes[0], outcomes[1]);
+}
+
+TEST(FaultRowKeyedTest, TransientRateWithinFourSigmaPerAttribute) {
+  FaultSpec spec;
+  spec.transient = 0.05;
+  spec.seed = 20050405;
+  spec.transient_overrides.emplace_back(3, 0.5);
+  const FaultInjector inj(spec);
+  constexpr RowId kDraws = 1000000;
+  for (AttrId attr = 0; attr < 4; ++attr) {
+    const double p = spec.TransientFor(attr);
+    size_t fails = 0;
+    for (RowId row = 0; row < kDraws; ++row) fails += inj.At(row, attr, 0).fail;
+    const double sigma = std::sqrt(p * (1.0 - p) / kDraws);
+    EXPECT_NEAR(static_cast<double>(fails) / kDraws, p, 4.0 * sigma)
+        << "attr " << attr;
+  }
+}
+
+TEST(FaultRowKeyedTest, NextAttemptIsIndependentOfThePreviousOne) {
+  FaultSpec spec;
+  spec.transient = 0.3;
+  spec.seed = 77;
+  const FaultInjector inj(spec);
+  // P(fail at k+1 | fail at k) must match the marginal rate; a correlated
+  // construction would make retries pointless (or free).
+  constexpr RowId kRows = 400000;
+  for (uint32_t k = 0; k < 2; ++k) {
+    size_t fail_k = 0;
+    size_t both = 0;
+    for (RowId row = 0; row < kRows; ++row) {
+      if (!inj.At(row, 1, k).fail) continue;
+      ++fail_k;
+      both += inj.At(row, 1, k + 1).fail;
+    }
+    const double conditional =
+        static_cast<double>(both) / static_cast<double>(fail_k);
+    const double sigma = std::sqrt(0.3 * 0.7 / static_cast<double>(fail_k));
+    EXPECT_NEAR(conditional, 0.3, 4.0 * sigma) << "attempt " << k;
+  }
+}
+
+TEST(FaultRowKeyedTest, StuckIsPerAttributeAndPermanent) {
+  FaultSpec spec;
+  spec.stuck = 0.5;
+  spec.transient = 0.1;
+  spec.seed = 3;
+  const FaultInjector inj(spec);
+  size_t stuck = 0;
+  for (AttrId attr = 0; attr < 64; ++attr) {
+    stuck += inj.IsStuck(attr);
+    // Every row and attempt agrees with the per-attribute decision.
+    for (RowId row = 0; row < 200; ++row) {
+      for (uint32_t attempt = 0; attempt < 4; ++attempt) {
+        const FaultInjector::Outcome o = inj.At(row, attr, attempt);
+        if (inj.IsStuck(attr)) {
+          EXPECT_TRUE(o.fail && o.permanent);
+        } else {
+          EXPECT_FALSE(o.permanent);
+        }
+      }
+    }
+  }
+  // Roughly half the attributes stick, so the decision is per attribute,
+  // not global.
+  EXPECT_GT(stuck, 16u);
+  EXPECT_LT(stuck, 48u);
+}
+
+TEST(FaultRowKeyedTest, SpikesOnlyHitSuccessfulAttempts) {
+  FaultSpec spec;
+  spec.transient = 0.4;
+  spec.spike = 0.5;
+  spec.spike_multiplier = 3.0;
+  spec.seed = 8;
+  const FaultInjector inj(spec);
+  size_t spikes = 0;
+  size_t successes = 0;
+  for (RowId row = 0; row < 50000; ++row) {
+    const FaultInjector::Outcome o = inj.At(row, 2, row % 3);
+    if (o.fail) {
+      EXPECT_EQ(o.cost_multiplier, 1.0);
+      continue;
+    }
+    ++successes;
+    if (o.cost_multiplier != 1.0) {
+      EXPECT_EQ(o.cost_multiplier, 3.0);
+      ++spikes;
+    }
+  }
+  // The spike draw is independent of the failure draw: half the successes.
+  EXPECT_NEAR(static_cast<double>(spikes) / static_cast<double>(successes),
+              0.5, 0.02);
+}
+
+TEST(FaultRowKeyedTest, SetRowRestartsAttemptCounters) {
+  FaultSpec spec;
+  spec.transient = 0.5;
+  spec.seed = 31;
+  FaultInjector inj(spec);
+  for (RowId row : {RowId{0}, RowId{17}, RowId{123456}}) {
+    inj.SetRow(row);
+    for (uint32_t k = 0; k < 4; ++k) {
+      EXPECT_EQ(inj.NextAttempt(1).fail, inj.At(row, 1, k).fail);
+    }
+    // Revisiting the row replays it from attempt 0, whatever came between.
+    inj.SetRow(row + 1);
+    inj.NextAttempt(1);
+    inj.SetRow(row);
+    EXPECT_EQ(inj.NextAttempt(1).fail, inj.At(row, 1, 0).fail);
+    EXPECT_EQ(inj.NextAttempt(2).fail, inj.At(row, 2, 0).fail);
+  }
+  // The decorator forwards SetRow.
+  const Tuple t = {1, 2, 3, 0};
+  TupleSource base(t);
+  FaultyAcquisitionSource src(base, inj);
+  src.SetRow(9);
+  EXPECT_EQ(src.Acquire(2).ok, !inj.At(9, 2, 0).fail);
+  EXPECT_EQ(src.Acquire(2).ok, !inj.At(9, 2, 1).fail);
+  src.SetRow(9);
+  EXPECT_EQ(src.Acquire(2).ok, !inj.At(9, 2, 0).fail);
 }
 
 // -------------------------------------------------- FaultyAcquisitionSource

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "core/dataset.h"
 #include "core/query.h"
+#include "exec/executor.h"
 #include "prob/subproblem.h"
 
 namespace caqp {
@@ -149,6 +150,19 @@ size_t CountVerdictMismatches(const PlanT& plan, const Query& query,
   }
   return mismatches;
 }
+
+/// Acquisition from one dataset row at a time (point a row-keyed
+/// FaultyAcquisitionSource at the same row with its SetRow).
+class RowSource : public AcquisitionSource {
+ public:
+  explicit RowSource(const Dataset& data) : data_(data) {}
+  void SetRow(RowId row) { row_ = row; }
+  AcquiredValue Acquire(AttrId attr) override { return data_.at(row_, attr); }
+
+ private:
+  const Dataset& data_;
+  RowId row_ = 0;
+};
 
 }  // namespace testing_util
 }  // namespace caqp

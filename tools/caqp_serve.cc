@@ -74,7 +74,7 @@
 //                          "kill@1=50,delay@2=20": shard 1 dies after 50
 //                          requests, shard 2 sleeps 20ms per request
 // --fault-profile P        row-level acquisition faults inside every shard
-//                          (fault/fault.h mini-language, per-shard seeds)
+//                          (fault/fault.h mini-language, keyed by row id)
 //
 // Run `caqp_serve --help` for the full grouped flag listing.
 
