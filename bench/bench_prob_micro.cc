@@ -1,7 +1,9 @@
 // Section 5 microbenchmarks: the probability-computation machinery.
 //
-//  * Scope-stack row selection vs re-filtering from the root (the paper's
-//    per-subproblem dataset indices).
+//  * DatasetEstimator's bitmap count index: PredicateMasks and
+//    PerValuePredicateMasks for k = 4, 10 and 20 predicates, at the root and
+//    at a narrowed scope. k = 4 and 10 count into a dense table indexed by
+//    mask; k = 20 sorts and merges (mask, count) pairs.
 //  * One-pass per-value predicate joints (the incremental Eq. (7) sweep)
 //    vs re-counting each candidate split from scratch.
 //  * Chow-Liu evidence inference vs direct counting for one conditional.
@@ -28,27 +30,55 @@ RangeVec NarrowedRanges(const Schema& schema) {
   return ranges;
 }
 
-void BM_MarginalWithScopeStack(benchmark::State& state) {
+/// k predicates cycling over the attributes, each a different band of its
+/// attribute's domain, every third one negated.
+std::vector<Predicate> BandPredicates(const Schema& schema, size_t k) {
+  std::vector<Predicate> preds;
+  for (size_t j = 0; j < k; ++j) {
+    const AttrId attr = static_cast<AttrId>(j % schema.num_attributes());
+    const uint32_t domain = schema.domain_size(attr);
+    const Value lo = static_cast<Value>((3 * j) % (domain / 2));
+    const Value hi = static_cast<Value>(lo + domain / 2 - 1);
+    preds.emplace_back(attr, lo, hi, /*neg=*/j % 3 == 2);
+  }
+  return preds;
+}
+
+/// Args: {k, narrowed}. Narrowed runs at NarrowedRanges' scope, else root.
+RangeVec ScopeFor(const Schema& schema, int64_t narrowed) {
+  return narrowed != 0 ? NarrowedRanges(schema) : schema.FullRanges();
+}
+
+void BM_PredicateMasks(benchmark::State& state) {
   const Dataset& ds = SharedData();
   DatasetEstimator est(ds);
-  const RangeVec ranges = NarrowedRanges(ds.schema());
-  est.PushScope(ranges);  // planner-style: filter once...
+  const RangeVec ranges = ScopeFor(ds.schema(), state.range(1));
+  const std::vector<Predicate> preds =
+      BandPredicates(ds.schema(), static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(est.Marginal(ranges, 5));  // ...query many times
+    benchmark::DoNotOptimize(est.PredicateMasks(ranges, preds));
   }
-  est.PopScope();
 }
-BENCHMARK(BM_MarginalWithScopeStack)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PredicateMasks)
+    ->ArgsProduct({{4, 10, 20}, {0, 1}})
+    ->ArgNames({"k", "narrowed"})
+    ->Unit(benchmark::kMicrosecond);
 
-void BM_MarginalColdEachTime(benchmark::State& state) {
+void BM_PerValuePredicateMasks(benchmark::State& state) {
   const Dataset& ds = SharedData();
-  const RangeVec ranges = NarrowedRanges(ds.schema());
+  DatasetEstimator est(ds);
+  const RangeVec ranges = ScopeFor(ds.schema(), state.range(1));
+  const std::vector<Predicate> preds =
+      BandPredicates(ds.schema(), static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    DatasetEstimator est(ds);  // no reusable scope: refilter from the root
-    benchmark::DoNotOptimize(est.Marginal(ranges, 5));
+    // The split sweep on attribute 1 (full range in both scopes).
+    benchmark::DoNotOptimize(est.PerValuePredicateMasks(ranges, 1, preds));
   }
 }
-BENCHMARK(BM_MarginalColdEachTime)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PerValuePredicateMasks)
+    ->ArgsProduct({{4, 10, 20}, {0, 1}})
+    ->ArgNames({"k", "narrowed"})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_PerValueMasksOnePass(benchmark::State& state) {
   const Dataset& ds = SharedData();

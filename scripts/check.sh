@@ -11,8 +11,8 @@
 # uncertainty-box suites incl. the widen-mode drift loop, the columnar
 # batch-executor differential and shared-profile concurrency suites, and
 # the PR 10 telemetry suites — exposer scrapes, SLO burn recording, and the
-# shard-flapping calibration/trace-join stress tests) plus the fault
-# suites again.
+# shard-flapping calibration/trace-join stress tests, and the shared
+# DatasetEstimator suites) plus the fault suites again.
 # Usage: scripts/check.sh [--skip-sanitizers]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -39,6 +39,6 @@ echo "== TSan build + concurrency and fault suites =="
 cmake -B build-tsan -S . -DCAQP_SANITIZE=thread
 cmake --build build-tsan -j
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-  -R '^Serve|^Dist|^Adaptive|^Fault|^SerdeFuzz|^CompiledPlan|^Span|^Histogram|^ShardedRegistry|^FlightRecorder|^Calibration|^Drift|^Regret|^BatchExec|^Telemetry'
+  -R '^Serve|^Dist|^Adaptive|^Fault|^SerdeFuzz|^CompiledPlan|^Span|^Histogram|^ShardedRegistry|^FlightRecorder|^Calibration|^Drift|^Regret|^BatchExec|^Telemetry|^DatasetEstimator'
 
 echo "== all checks passed =="

@@ -290,7 +290,6 @@ std::pair<double, uint32_t> ExhaustivePlanner::Solve(const Query& query,
 
       const RangeVec lt_ranges = Refined(ranges, attr, lt_r);
       if (p_lt > 0) {
-        ScopedEstimatorScope scope(estimator_, lt_ranges);
         auto [cost, node] = Solve(query, lt_ranges, ctx);
         acc += p_lt * cost;
         lt_node = node;
@@ -305,7 +304,6 @@ std::pair<double, uint32_t> ExhaustivePlanner::Solve(const Query& query,
 
       const RangeVec ge_ranges = Refined(ranges, attr, ge_r);
       if (p_ge > 0) {
-        ScopedEstimatorScope scope(estimator_, ge_ranges);
         auto [cost, node] = Solve(query, ge_ranges, ctx);
         acc += p_ge * cost;
         ge_node = node;

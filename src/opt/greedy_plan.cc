@@ -130,7 +130,6 @@ void GreedyPlanner::GreedySplit(GNode* node, Stats& stats) const {
   if (node->masks.total() <= 0) return;  // No training mass: keep the leaf.
   ++stats.split_searches;
 
-  ScopedEstimatorScope scope(estimator_, node->ranges);
   const Schema& schema = estimator_.schema();
   const AttrSet acquired = AcquiredAttrs(schema, node->ranges);
   const double parent_total = node->masks.total();

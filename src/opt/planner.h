@@ -27,11 +27,9 @@ namespace caqp {
 ///   build finishes. One planner instance may therefore run concurrent
 ///   BuildPlan calls **iff the CondProbEstimator it references is itself
 ///   safe for concurrent use**:
-///     * IndependentEstimator / ChowLiuEstimator — immutable after
-///       construction, safe to share across threads.
-///     * DatasetEstimator — maintains a scope stack and scratch row buffer,
-///       NOT safe to share; give each thread its own instance (see
-///       serve/query_service.h's per-worker PlanBuilder bundles).
+///     * DatasetEstimator / IndependentEstimator / ChowLiuEstimator —
+///       immutable after construction with per-call scratch, safe to share
+///       across threads.
 ///   Diagnostics (planner_stats(), per-planner stats(), LastPlanCost())
 ///   describe the most recently *completed* build and are unsynchronized on
 ///   the read side: read them only while no build is in flight.

@@ -1,20 +1,36 @@
 // DatasetEstimator: exact conditional probabilities by counting over a
 // historical dataset (paper Sections 2.3 and 5).
 //
-// The planners explore subproblems depth-first, each refining its parent's
-// ranges on a single attribute. The estimator exploits this with a *scope
-// stack* of row selections: PushScope filters the parent's rows once, and
-// every probability asked at that subproblem is O(rows_in_scope). Queries
-// for ranges that are not on the stack (e.g., GreedySplit probing candidate
-// children) are answered by filtering down from the nearest enclosing scope.
-
-// NOT thread-safe: the scope stack and scratch row buffer are mutated by
-// every probability query. Use one instance per thread (caqp::serve gives
-// each worker its own PlanBuilder bundle for exactly this reason).
+// Section 5 keeps one row list per subproblem. This estimator replaces those
+// lists with an immutable bitmap count index built once, in the
+// constructor: for every attribute X and value v, the 64-bit-word bitmap of
+// rows with X <= v. A value range [lo, hi] is then one AND-NOT of two
+// bitmaps, and a subproblem's rows (its *scope*) are the AND of its
+// narrowed attributes' ranges. Every statistic is an exact integer count
+// over the scope's rows:
+//
+//  * Marginal       -- popcounts of the scope against the "X <= v" bitmaps.
+//  * PredicateMasks / PerValuePredicateMasks -- each scope row's predicate
+//    mask is assembled from the predicates' range bitmaps, eight rows by
+//    eight predicates per bit-matrix transpose, and counted by (value,
+//    mask) into a dense table while (value-range width x 2^k) <=
+//    kDenseTableEntries for k predicates, into a hash table otherwise.
+//
+// Entries come out in ascending mask order with integer weights, exactly
+// what per-row counting followed by MaskDistribution::Aggregate produced,
+// so every plan built on this estimator is bit-identical to one built by
+// walking the rows.
+//
+// Thread safety: nothing is mutated after construction and all scratch is
+// per call, so one instance may be shared by any number of threads. The
+// dataset must outlive the estimator and must not change after the
+// estimator is built.
 
 #ifndef CAQP_PROB_DATASET_ESTIMATOR_H_
 #define CAQP_PROB_DATASET_ESTIMATOR_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/dataset.h"
@@ -24,7 +40,11 @@ namespace caqp {
 
 class DatasetEstimator : public CondProbEstimator {
  public:
-  /// The dataset must outlive the estimator.
+  /// Largest (value-range width x 2^k) counted into a dense table; wider
+  /// calls count into a hash table sized by the scope's rows instead.
+  static constexpr size_t kDenseTableEntries = size_t{1} << 16;
+
+  /// Builds the index. The dataset must outlive the estimator.
   explicit DatasetEstimator(const Dataset& data);
 
   const Schema& schema() const override { return data_.schema(); }
@@ -37,38 +57,46 @@ class DatasetEstimator : public CondProbEstimator {
       const RangeVec& given, AttrId attr,
       const std::vector<Predicate>& preds) override;
 
-  void PushScope(const RangeVec& ranges) override;
-  void PopScope() override;
-
-  /// Rows matching the ranges, resolved via the scope stack. Exposed for
-  /// tests and for metrics.
-  std::vector<RowId> RowsMatching(const RangeVec& given);
+  /// Rows matching the ranges, ascending. Exposed for tests and metrics.
+  std::vector<RowId> RowsMatching(const RangeVec& given) const;
 
   const Dataset& dataset() const { return data_; }
 
  private:
-  struct Scope {
-    RangeVec ranges;
-    std::vector<RowId> rows;
+  /// Rows with X_attr in [lo, hi] (or outside it, when flipped), one word
+  /// at a time: AtMost(hi) AND NOT AtMost(lo - 1).
+  struct RangeBits {
+    const uint64_t* at_most_hi;
+    const uint64_t* below_lo;
+    uint64_t flip;
+    uint64_t Word(size_t w) const {
+      return (at_most_hi[w] & ~below_lo[w]) ^ flip;
+    }
   };
 
-  /// True iff `outer` contains `inner` attribute-wise.
-  static bool Covers(const RangeVec& outer, const RangeVec& inner);
+  /// Bitmap of rows with X_attr <= v; v == -1 gives the empty bitmap.
+  const uint64_t* AtMost(AttrId attr, int64_t v) const;
+  RangeBits Bits(AttrId attr, ValueRange r, bool negated = false) const;
+  /// Bitmap of the rows matching `given`: the AND of its ranges narrower
+  /// than their attribute's domain.
+  std::vector<uint64_t> Scope(const RangeVec& given) const;
 
-  /// Filters `rows` down to those matching `target`, testing only attributes
-  /// whose range differs from `from`.
-  std::vector<RowId> FilterRows(const std::vector<RowId>& rows,
-                                const RangeVec& from,
-                                const RangeVec& target) const;
-
-  /// Returns the rows for `given`: exact stack hit, or filter from the
-  /// deepest stack entry covering `given`.
-  const std::vector<RowId>& ResolveRows(const RangeVec& given);
+  /// Counts the scope's rows by (value of `attr` - given[attr].lo, predicate
+  /// mask) into out[value index]; `attr` == kInvalidAttr counts every row
+  /// into out[0].
+  void CountMasks(const RangeVec& given, AttrId attr,
+                  const std::vector<Predicate>& preds,
+                  std::vector<MaskDistribution>& out) const;
 
   const Dataset& data_;
-  std::vector<Scope> stack_;  // stack_[0] is the root (all rows).
-  /// Scratch result for off-stack queries (valid until the next call).
-  std::vector<RowId> scratch_rows_;
+  size_t words_ = 0;
+  /// Valid-row bits of the last word (all ones when rows % 64 == 0).
+  uint64_t last_word_mask_ = 0;
+  /// First bitmap of each attribute in index_; bitmap 0 is all zeros.
+  std::vector<size_t> first_;
+  /// words_ words per bitmap: [0] zeros, then per attribute "X <= v" for
+  /// v = 0 .. K-1.
+  std::vector<uint64_t> index_;
 };
 
 }  // namespace caqp

@@ -1,9 +1,9 @@
 // CondProbEstimator: the oracle interface the planners use for every
 // conditional probability (paper Sections 2.3 and 5). Implementations:
 //
-//  * DatasetEstimator     -- exact counting over a historical dataset, with
-//                            the per-subproblem row indices and incremental
-//                            histograms of Section 5.
+//  * DatasetEstimator     -- exact counting over a historical dataset,
+//                            through a bitmap count index that stands in
+//                            for Section 5's per-subproblem row lists.
 //  * IndependentEstimator -- attribute-independence approximation (the
 //                            assumption baked into the Naive optimizer);
 //                            useful as an ablation.
@@ -17,13 +17,11 @@
 //
 // Thread safety: the interface is deliberately non-const (implementations
 // may keep incremental per-query state), so an estimator instance is safe to
-// share across threads only if its implementation says so:
-//  * IndependentEstimator and ChowLiuEstimator mutate nothing after
-//    construction -- safe for concurrent use.
-//  * DatasetEstimator keeps a scope stack and a scratch row buffer -- NOT
-//    safe to share; use one instance per thread.
-// Planner thread safety (opt/planner.h) is exactly the thread safety of the
-// estimator the planner references.
+// share across threads only if its implementation says so. All three
+// implementations here mutate nothing after construction and keep their
+// scratch per call, so each is safe for concurrent use. Planner thread
+// safety (opt/planner.h) is exactly the thread safety of the estimator the
+// planner references.
 
 #ifndef CAQP_PROB_ESTIMATOR_H_
 #define CAQP_PROB_ESTIMATOR_H_
@@ -81,28 +79,11 @@ class CondProbEstimator {
     return pred.negated ? 1.0 - in : in;
   }
 
-  /// Optional scope hints: planners bracket their depth-first recursion with
-  /// Push/Pop so dataset-backed estimators can maintain an incremental stack
-  /// of row selections instead of re-filtering from the root. Estimators that
-  /// do not benefit ignore these.
+  /// Scope hints. No planner issues them and no estimator here uses them;
+  /// they remain only so existing forwarding wrappers that override them
+  /// keep compiling.
   virtual void PushScope(const RangeVec& /*ranges*/) {}
   virtual void PopScope() {}
-};
-
-/// RAII helper for PushScope/PopScope.
-class ScopedEstimatorScope {
- public:
-  ScopedEstimatorScope(CondProbEstimator& est, const RangeVec& ranges)
-      : est_(est) {
-    est_.PushScope(ranges);
-  }
-  ~ScopedEstimatorScope() { est_.PopScope(); }
-
-  ScopedEstimatorScope(const ScopedEstimatorScope&) = delete;
-  ScopedEstimatorScope& operator=(const ScopedEstimatorScope&) = delete;
-
- private:
-  CondProbEstimator& est_;
 };
 
 }  // namespace caqp

@@ -36,12 +36,29 @@ double Histogram::StdDev() const {
 }
 
 void MaskDistribution::Aggregate() {
-  if (entries_.size() <= 1) return;
-  std::unordered_map<uint64_t, double> agg;
-  agg.reserve(entries_.size());
-  for (const auto& [mask, w] : entries_) agg[mask] += w;
-  entries_.assign(agg.begin(), agg.end());
-  std::sort(entries_.begin(), entries_.end());
+  const auto not_ascending = [](const auto& a, const auto& b) {
+    return a.first >= b.first;
+  };
+  if (std::adjacent_find(entries_.begin(), entries_.end(), not_ascending) ==
+      entries_.end()) {
+    return;  // strictly ascending: already aggregated
+  }
+  // Equal masks keep their insertion order, so each sum adds its weights in
+  // the order they were added.
+  std::stable_sort(entries_.begin(), entries_.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  size_t out = 0;
+  for (size_t i = 0; i < entries_.size();) {
+    const uint64_t mask = entries_[i].first;
+    double sum = 0.0;
+    for (; i < entries_.size() && entries_[i].first == mask; ++i) {
+      sum += entries_[i].second;
+    }
+    entries_[out++] = {mask, sum};
+  }
+  entries_.resize(out);
 }
 
 double MaskDistribution::MassAllTrue(uint64_t subset) const {

@@ -67,7 +67,9 @@ class MaskDistribution {
     total_ += w;
   }
 
-  /// Collapses duplicate masks (call once after bulk adds).
+  /// Collapses duplicate masks into ascending mask order (call once after
+  /// bulk adds). Weights of equal masks are summed in insertion order; a
+  /// distribution whose masks are already strictly ascending is unchanged.
   void Aggregate();
 
   const std::vector<std::pair<uint64_t, double>>& entries() const {

@@ -17,7 +17,8 @@ ShardedPlanCache::ShardedPlanCache(Options options) : options_(options) {
       (options_.capacity + options_.shards - 1) / options_.shards;
 }
 
-ShardedPlanCache::Shard& ShardedPlanCache::ShardFor(const PlanCacheKey& key) {
+ShardedPlanCache::Shard& ShardedPlanCache::ShardFor(
+    const PlanCacheKey& key) const {
   // The low bits of the key hash pick the map bucket inside a shard; run a
   // full splitmix64 finalizer before picking the shard so the two choices
   // stay independent even for near-sequential signatures.
@@ -47,6 +48,15 @@ std::shared_ptr<const CompiledPlan> ShardedPlanCache::Get(const PlanCacheKey& ke
   hits_.fetch_add(1, std::memory_order_relaxed);
   CAQP_OBS_COUNTER_INC("serve.cache.hits");
   return it->second->second;
+}
+
+std::shared_ptr<const CompiledPlan> ShardedPlanCache::Peek(
+    const PlanCacheKey& key) const {
+  if (options_.capacity == 0) return nullptr;
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.index.find(key);
+  return it == shard.index.end() ? nullptr : it->second->second;
 }
 
 void ShardedPlanCache::Put(const PlanCacheKey& key,

@@ -76,7 +76,12 @@ class ShardedPlanCache {
   explicit ShardedPlanCache(Options options);
 
   /// Returns the cached plan and refreshes its LRU position, or nullptr.
+  /// Counts one hit or one miss.
   std::shared_ptr<const CompiledPlan> Get(const PlanCacheKey& key);
+
+  /// Get without counting it or touching LRU order: for a caller that has
+  /// already counted its lookup and only re-checks before planning.
+  std::shared_ptr<const CompiledPlan> Peek(const PlanCacheKey& key) const;
 
   /// Inserts (or replaces) the plan for `key`, evicting the shard's
   /// least-recently-used entries if over budget.
@@ -104,7 +109,7 @@ class ShardedPlanCache {
         index;
   };
 
-  Shard& ShardFor(const PlanCacheKey& key);
+  Shard& ShardFor(const PlanCacheKey& key) const;
 
   Options options_;
   size_t per_shard_capacity_ = 0;

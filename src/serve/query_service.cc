@@ -33,8 +33,8 @@ QueryService::QueryService(const Schema& schema,
       options_(options),
       cache_(ShardedPlanCache::Options{options.cache_capacity,
                                        options.cache_shards}),
-      metrics_(NonZero(options.num_workers)),
-      tracer_(NonZero(options.num_workers),
+      metrics_(NonZero(options.num_workers) + 1),
+      tracer_(NonZero(options.num_workers) + 1,
               obs::TraceRecorder::Options{
                   /*max_events_per_worker=*/options.max_span_events_per_worker,
                   /*flight_capacity=*/options.flight_capacity,
@@ -50,11 +50,11 @@ QueryService::QueryService(const Schema& schema,
     // A factory whose bundles disagree on config would alias cache entries.
     CAQP_CHECK(b->ConfigFingerprint() == planner_fingerprint_);
   }
-  // Prefetch every hot-path metric ref out of the per-worker shards: the
-  // request path below does no by-name lookups and each worker's updates
-  // land on lines no other worker writes.
-  worker_metrics_.resize(options_.num_workers);
-  for (size_t i = 0; i < options_.num_workers; ++i) {
+  // Prefetch every hot-path metric ref out of the per-worker shards (plus
+  // the submitter slot): the request path below does no by-name lookups and
+  // each worker's updates land on lines no other worker writes.
+  worker_metrics_.resize(metrics_.num_shards());
+  for (size_t i = 0; i < worker_metrics_.size(); ++i) {
     obs::MetricsRegistry& shard = metrics_.shard(i);
     WorkerMetrics& wm = worker_metrics_[i];
     wm.requests = &shard.GetCounter("serve.requests");
@@ -67,8 +67,8 @@ QueryService::QueryService(const Schema& schema,
     wm.latency = &shard.GetHistogram("serve.request_latency_seconds");
   }
   if (options_.enable_calibration) {
-    calibration_ =
-        std::make_unique<obs::CalibrationAggregator>(options_.num_workers);
+    calibration_ = std::make_unique<obs::CalibrationAggregator>(
+        options_.num_workers + 1);
   }
   if (options_.enable_slo) {
     // Wrap the user hook with the service's own burn reaction: a counter
@@ -101,8 +101,8 @@ QueryService::~QueryService() = default;  // pool_ drains first (last member)
 
 std::future<QueryService::Response> QueryService::Submit(
     Query query, Tuple tuple, double deadline_seconds) {
-  auto state = std::make_shared<std::promise<Response>>();
-  std::future<Response> result = state->get_future();
+  const double start = NowSeconds();
+  const uint64_t submit_ns = obs::MonotonicNowNs();
   const uint64_t trace_id = tracer_.NewTraceId();
 
   if (options_.max_queue_depth > 0) {
@@ -136,31 +136,40 @@ std::future<QueryService::Response> QueryService::Submit(
       Response r;
       r.status = Status::Unavailable("queue depth limit reached");
       r.trace_id = trace_id;
-      state->set_value(std::move(r));
-      return result;
+      return Ready(std::move(r));
     }
   } else {
     pending_.fetch_add(1, std::memory_order_acq_rel);
+  }
+
+  // One counted cache lookup per request, here on the calling thread. A hit
+  // is answered here too: handing it to a worker would cost more than
+  // executing it.
+  const PlanCacheKey key{QuerySignature(query),
+                         estimator_version_.load(std::memory_order_acquire),
+                         planner_fingerprint_};
+  if (options_.cache_capacity > 0) {
+    std::shared_ptr<const CompiledPlan> plan = cache_.Get(key);
+    if (plan != nullptr) {
+      Response r =
+          AnswerHit(key, std::move(plan), tuple, trace_id, start, submit_ns);
+      Finish(r);
+      return Ready(std::move(r));
+    }
   }
 
   const double relative = deadline_seconds < 0.0
                               ? options_.default_deadline_seconds
                               : deadline_seconds;
   // Absolute pickup deadline; 0 disables the check.
-  const double deadline = relative > 0.0 ? NowSeconds() + relative : 0.0;
-  const uint64_t submit_ns = obs::MonotonicNowNs();
-  pool_->Submit([this, state, deadline, trace_id, submit_ns,
+  const double deadline = relative > 0.0 ? start + relative : 0.0;
+  auto state = std::make_shared<std::promise<Response>>();
+  std::future<Response> result = state->get_future();
+  pool_->Submit([this, state, key, deadline, trace_id, submit_ns,
                  query = std::move(query),
                  tuple = std::move(tuple)](size_t worker_id) {
-    Response r = Handle(worker_id, query, tuple, deadline, trace_id, submit_ns);
-    if (slo_ != nullptr) {
-      // Availability is "usable answer": OK status AND a defined verdict.
-      // Degradation to Unknown consumes availability budget even though
-      // the request nominally succeeded.
-      slo_->RecordRequest(obs::MonotonicNowNs(),
-                          r.status.ok() && r.exec.defined(),
-                          r.latency_seconds);
-    }
+    Response r =
+        Handle(worker_id, key, query, tuple, deadline, trace_id, submit_ns);
     if (tracing_on()) {
       // The request span is closed by now, so the flight ring holds the
       // request's full span history when we dump it. The meta block joins
@@ -175,8 +184,8 @@ std::future<QueryService::Response> QueryService::Submit(
                            meta);
       }
     }
+    Finish(r);
     state->set_value(std::move(r));
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
   });
   return result;
 }
@@ -186,7 +195,51 @@ QueryService::Response QueryService::SubmitAndWait(Query query, Tuple tuple,
   return Submit(std::move(query), std::move(tuple), deadline_seconds).get();
 }
 
+std::future<QueryService::Response> QueryService::Ready(Response r) {
+  std::promise<Response> promise;
+  promise.set_value(std::move(r));
+  return promise.get_future();
+}
+
+void QueryService::Finish(const Response& r) {
+  if (slo_ != nullptr) {
+    // Availability is "usable answer": OK status AND a defined verdict.
+    // Degradation to Unknown consumes availability budget even though the
+    // request nominally succeeded.
+    slo_->RecordRequest(obs::MonotonicNowNs(),
+                        r.status.ok() && r.exec.defined(), r.latency_seconds);
+  }
+  pending_.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+QueryService::Response QueryService::AnswerHit(
+    const PlanCacheKey& key, std::shared_ptr<const CompiledPlan> plan,
+    const Tuple& tuple, uint64_t trace_id, double start, uint64_t submit_ns) {
+  const size_t slot = submitter_slot();
+  worker_metrics_[slot].requests->Increment();
+  // Same span tree as a worker-answered request, minus the queue span: a
+  // root backdated to submission, the lookup as "plan", then "exec".
+  std::optional<obs::TraceRecorder::RequestScope> scope;
+  std::optional<obs::ScopedSpan> root;
+  if (tracing_on()) {
+    scope.emplace(&tracer_, slot, trace_id);
+    root.emplace("request", submit_ns);
+    obs::SetRequestPlanContext(key.query_sig, planner_fingerprint_,
+                               key.estimator_version);
+    obs::RecordSpan("plan", submit_ns, obs::MonotonicNowNs());
+  }
+  Response r;
+  r.trace_id = trace_id;
+  r.query_sig = key.query_sig;
+  r.estimator_version = key.estimator_version;
+  r.cache_hit = true;
+  r.plan = std::move(plan);
+  Execute(slot, tuple, start, r);
+  return r;
+}
+
 QueryService::Response QueryService::Handle(size_t worker_id,
+                                            const PlanCacheKey& key,
                                             const Query& query,
                                             const Tuple& tuple,
                                             double deadline, uint64_t trace_id,
@@ -216,8 +269,8 @@ QueryService::Response QueryService::Handle(size_t worker_id,
     wm.deadline_exceeded->Increment();
     return r;
   }
-  r.query_sig = QuerySignature(query);
-  r.estimator_version = estimator_version_.load(std::memory_order_acquire);
+  r.query_sig = key.query_sig;
+  r.estimator_version = key.estimator_version;
   if (tracing_on()) {
     // Every span this request records from here on carries the calibration
     // join key (obs/span.h).
@@ -225,8 +278,6 @@ QueryService::Response QueryService::Handle(size_t worker_id,
                                r.estimator_version);
   }
   PlanBuilder& builder = *builders_[worker_id];
-  const PlanCacheKey key{r.query_sig, r.estimator_version,
-                         planner_fingerprint_};
 
   {
     CAQP_OBS_SPAN(plan_span, "plan");
@@ -235,40 +286,48 @@ QueryService::Response QueryService::Handle(size_t worker_id,
       r.plan = CompileForServe(builder, builder.Build(query));
       r.planned = true;
     } else {
-      r.plan = cache_.Get(key);
-      if (r.plan != nullptr) {
-        r.cache_hit = true;
+      // Submit already counted this request's miss.
+      const double follower_wait = options_.planner_timeout_seconds > 0.0
+                                       ? options_.planner_timeout_seconds
+                                       : -1.0;
+      bool built = false;
+      SingleFlight::Result flight = flight_.Do(
+          key,
+          [&] {
+            // A leader for this key may have finished while this request
+            // sat in the queue.
+            if (auto cached = cache_.Peek(key)) return cached;
+            // Compile once at insert time: every cached-path execution
+            // after this runs the flat IR with zero PlanNode clones or
+            // copies.
+            auto plan = CompileForServe(builder, builder.Build(query));
+            cache_.Put(key, plan);
+            built = true;
+            return plan;
+          },
+          follower_wait);
+      if (flight.timed_out) {
+        // The leader is still planning; answer from the cheap fallback
+        // plan rather than blocking past the timeout. The fallback is NOT
+        // cached: the leader's (better) plan lands in the cache when it
+        // finishes.
+        wm.planner_timeouts->Increment();
+        CAQP_OBS_SPAN(fallback_span, "plan.build_fallback");
+        r.plan = CompileForServe(builder, builder.BuildFallback(query));
+        r.fallback = true;
       } else {
-        const double follower_wait = options_.planner_timeout_seconds > 0.0
-                                         ? options_.planner_timeout_seconds
-                                         : -1.0;
-        SingleFlight::Result flight = flight_.Do(
-            key,
-            [&] {
-              // Compile once at insert time: every cached-path execution
-              // after this runs the flat IR with zero PlanNode clones or
-              // copies.
-              auto plan = CompileForServe(builder, builder.Build(query));
-              cache_.Put(key, plan);
-              return plan;
-            },
-            follower_wait);
-        if (flight.timed_out) {
-          // The leader is still planning; answer from the cheap fallback
-          // plan rather than blocking past the timeout. The fallback is NOT
-          // cached: the leader's (better) plan lands in the cache when it
-          // finishes.
-          wm.planner_timeouts->Increment();
-          CAQP_OBS_SPAN(fallback_span, "plan.build_fallback");
-          r.plan = CompileForServe(builder, builder.BuildFallback(query));
-          r.fallback = true;
-        } else {
-          r.plan = std::move(flight.plan);
-          r.planned = flight.leader;
-        }
+        r.plan = std::move(flight.plan);
+        r.planned = built;
       }
     }
   }
+  Execute(worker_id, tuple, start, r);
+  return r;
+}
+
+void QueryService::Execute(size_t slot, const Tuple& tuple, double start,
+                           Response& r) {
+  WorkerMetrics& wm = worker_metrics_[slot];
   if (r.cache_hit) wm.cache_hits->Increment();
   if (r.planned) wm.planned->Increment();
   if (r.fallback) wm.fallbacks->Increment();
@@ -279,7 +338,7 @@ QueryService::Response QueryService::Handle(size_t worker_id,
     // from the keyed plan, so they are excluded from calibration rather
     // than corrupting the per-node rows of the real plan under this key.
     profile = calibration_->Profile(
-        worker_id,
+        slot,
         obs::CalibrationKey{r.query_sig, r.estimator_version,
                             planner_fingerprint_},
         r.plan);
@@ -295,10 +354,8 @@ QueryService::Response QueryService::Handle(size_t worker_id,
 
   r.latency_seconds = NowSeconds() - start;
   if (r.ok()) wm.ok->Increment();
-  // Lock-free worker-local histogram: the one place PR 2 funnelled every
-  // completion through a global mutex (latency_mu_).
+  // Lock-free slot-local histogram: completions share no global mutex.
   wm.latency->Record(r.latency_seconds);
-  return r;
 }
 
 std::shared_ptr<const CompiledPlan> QueryService::CompileForServe(
@@ -308,7 +365,7 @@ std::shared_ptr<const CompiledPlan> QueryService::CompileForServe(
     CondProbEstimator* estimator = builder.CalibrationEstimator();
     if (estimator != nullptr) {
       // Stamp what the planner believed at build time. Same worker thread
-      // as Build, so non-shareable estimators (DatasetEstimator) are safe.
+      // as Build, so an estimator the builder does not share is safe too.
       auto estimates = std::make_shared<PlanEstimates>(
           EstimatePlan(compiled, *estimator, cost_model_));
       estimates->estimator_version =
@@ -434,8 +491,8 @@ ServeReport QueryService::Report() const {
   for (const auto& h : snap.histograms) {
     if (h.name == "serve.request_latency_seconds") rep.latency = h.hist;
   }
-  rep.workers.reserve(options_.num_workers);
-  for (size_t i = 0; i < options_.num_workers; ++i) {
+  rep.workers.reserve(metrics_.num_shards());
+  for (size_t i = 0; i < metrics_.num_shards(); ++i) {
     const obs::RegistrySnapshot ws = metrics_.shard(i).Snapshot();
     WorkerReport w;
     w.worker = i;

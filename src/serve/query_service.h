@@ -8,15 +8,20 @@
 // amortizes planning across a workload:
 //
 //   Submit -> canonical signature -> sharded plan cache (plan_cache.h)
-//          -> miss: single-flight BuildPlan (single_flight.h)
-//          -> ExecutePlan on the worker pool (thread_pool.h)
+//          -> hit: ExecutePlan on the calling thread
+//          -> miss: worker pool (thread_pool.h) -> single-flight BuildPlan
+//             (single_flight.h) -> ExecutePlan on the worker
+//
+// A hit never waits for a worker: executing a cached plan takes about a
+// microsecond, less than handing the request to another thread. Each
+// request does exactly one counted cache lookup, in Submit.
 //
 // Planning state is per worker: the factory supplied at construction is
-// invoked once per worker thread, so estimators that are not shareable
-// (DatasetEstimator's scope stack) still serve concurrent traffic safely.
-// Thread-safe estimators (IndependentEstimator, ChowLiuEstimator) can back
-// all bundles with one shared const Planner instead — see the thread-safety
-// contract in opt/planner.h.
+// invoked once per worker thread, and Build runs only on that worker, so a
+// bundle may hold state no other thread touches. Every estimator in
+// caqp::prob is immutable after construction, so bundles may equally share
+// one estimator or one const Planner (SharedPlannerBuilder) — see the
+// thread-safety contract in opt/planner.h.
 //
 // Invalidation: InvalidateCache() bumps the estimator version (a component
 // of every cache key) and eagerly clears the cache. Wire it to the adaptive
@@ -26,9 +31,11 @@
 //
 // Observability (caqp::obs v2): per-request metrics — counts and the
 // request-latency histogram behind Report() — are written to per-worker
-// shards of an obs::ShardedRegistry, so the cached-request hot path never
-// touches a cross-worker cache line (the PR 2 design funnelled every
-// completion through one mutex-guarded StreamingStat). With
+// shards of an obs::ShardedRegistry, so a worker never touches another
+// worker's cache lines. Hits answered on calling threads record
+// into one extra "submitter" slot, index num_workers(), of the registry,
+// the trace recorder and the calibration aggregator; all three accept
+// concurrent writers per slot. With
 // Options::enable_tracing, each request also gets a SpanContext threaded
 // through queueing, single-flight planning, execution, and dissemination
 // (obs/span.h), and degraded requests (kDeadlineExceeded / kUnavailable /
@@ -80,8 +87,8 @@ namespace caqp {
 namespace serve {
 
 /// Per-worker planning bundle. QueryService calls Build from exactly one
-/// thread at a time per instance, so implementations may hold non-shareable
-/// state (e.g. a DatasetEstimator).
+/// thread at a time per instance, so implementations may hold state that is
+/// not safe to share (every caqp::prob estimator is, so they need not).
 class PlanBuilder {
  public:
   virtual ~PlanBuilder() = default;
@@ -230,7 +237,7 @@ struct WorkerReport {
 /// percentiles come from the merged obs::Histogram, so they reflect every
 /// completed request, not a sample.
 struct ServeReport {
-  uint64_t requests = 0;  ///< requests handled by a worker (excludes shed)
+  uint64_t requests = 0;  ///< requests answered, hits included (excludes shed)
   uint64_t ok = 0;
   uint64_t cache_hits = 0;
   uint64_t planned = 0;
@@ -240,12 +247,13 @@ struct ServeReport {
   uint64_t shed = 0;  ///< rejected kUnavailable at Submit
   /// Requests admitted but not completed when the report was taken — the
   /// live queue depth the load shedder compares against max_queue_depth.
-  /// Point-in-time: a request's response future is fulfilled just before
-  /// its decrement, so this may read 1 high immediately after a wait.
+  /// Point-in-time.
   uint64_t pending = 0;
-  /// Seconds from worker pickup to completion, every completed request.
+  /// Response::latency_seconds of every completed request.
   obs::HistogramSnapshot latency;
-  /// Per-worker breakdown of the aggregate counters above.
+  /// Per-worker breakdown of the aggregate counters above; the last entry
+  /// (worker == num_workers()) is the submitter slot, the cache hits
+  /// answered on calling threads.
   std::vector<WorkerReport> workers;
 };
 
@@ -259,9 +267,10 @@ class QueryService {
     size_t cache_capacity = 1024;
     size_t cache_shards = 8;
     /// Deadline applied to requests submitted without an explicit one.
-    /// <= 0 means no deadline. A request whose deadline has already passed
-    /// when a worker picks it up is answered kDeadlineExceeded without
-    /// planning or executing.
+    /// <= 0 means no deadline. A cache miss whose deadline has already
+    /// passed when a worker picks it up is answered kDeadlineExceeded
+    /// without planning or executing. Cache hits are answered in Submit and
+    /// never queue, so no deadline applies to them.
     double default_deadline_seconds = 0.0;
     /// How long a single-flight follower waits for the leader's plan before
     /// degrading to PlanBuilder::BuildFallback. <= 0 waits forever. The
@@ -326,7 +335,8 @@ class QueryService {
     bool fallback = false;
     std::shared_ptr<const CompiledPlan> plan;
     ExecutionResult exec;
-    /// Wall-clock seconds from worker pickup to completion.
+    /// Wall-clock seconds to completion: from worker pickup for a request
+    /// a worker answered, from Submit for a cache hit.
     double latency_seconds = 0.0;
 
     bool ok() const { return status.ok(); }
@@ -343,11 +353,12 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Admits one request. The returned future resolves on a worker thread
-  /// (or immediately, when the request is load-shed). The query need not be
+  /// Admits one request. A cache hit is executed on the calling thread and
+  /// returned as an already-fulfilled future, as is a load-shed request;
+  /// a miss resolves on a worker thread. The query need not be
   /// canonicalized; the tuple must be valid for the schema.
-  /// `deadline_seconds` is relative to submission: requests not picked up
-  /// by a worker within it are answered kDeadlineExceeded. Negative uses
+  /// `deadline_seconds` is relative to submission: misses not picked up by
+  /// a worker within it are answered kDeadlineExceeded. Negative uses
   /// Options::default_deadline_seconds; 0 means no deadline.
   std::future<Response> Submit(Query query, Tuple tuple,
                                double deadline_seconds = -1.0);
@@ -423,8 +434,31 @@ class QueryService {
     obs::Histogram* latency = nullptr;
   };
 
-  Response Handle(size_t worker_id, const Query& query, const Tuple& tuple,
-                  double deadline, uint64_t trace_id, uint64_t submit_ns);
+  /// The metric / trace / calibration slot of calling-thread hits.
+  size_t submitter_slot() const { return options_.num_workers; }
+
+  static std::future<Response> Ready(Response r);
+
+  /// Cache hit, on the calling thread: execute and record in the
+  /// submitter slot.
+  Response AnswerHit(const PlanCacheKey& key,
+                     std::shared_ptr<const CompiledPlan> plan,
+                     const Tuple& tuple, uint64_t trace_id, double start,
+                     uint64_t submit_ns);
+
+  /// Cache miss, on a worker: deadline check, single-flight planning, then
+  /// Execute.
+  Response Handle(size_t worker_id, const PlanCacheKey& key,
+                  const Query& query, const Tuple& tuple, double deadline,
+                  uint64_t trace_id, uint64_t submit_ns);
+
+  /// Runs r.plan over the tuple and records the request's outcome in
+  /// `slot`'s metrics and calibration shard.
+  void Execute(size_t slot, const Tuple& tuple, double start, Response& r);
+
+  /// SLO accounting and the pending-count release, for every admitted
+  /// request once its response is final.
+  void Finish(const Response& r);
 
   /// Compile + (when calibration is on and the builder exposes an
   /// estimator) stamp predicted side tables. All three plan-producing
@@ -448,7 +482,7 @@ class QueryService {
   /// Shed happens on submitter threads, which own no shard; count it here.
   std::atomic<uint64_t> shed_{0};
 
-  obs::ShardedRegistry metrics_;  // one shard per worker
+  obs::ShardedRegistry metrics_;  // one shard per worker + submitter slot
   std::vector<WorkerMetrics> worker_metrics_;
   obs::TraceRecorder tracer_;
 
@@ -457,8 +491,8 @@ class QueryService {
   /// Monotonic deadline of the active burn-shed window (0 = none armed).
   std::atomic<uint64_t> burn_shed_until_ns_{0};
 
-  /// Predicted-vs-observed aggregation, one shard per worker. Null unless
-  /// Options::enable_calibration.
+  /// Predicted-vs-observed aggregation, one shard per worker plus the
+  /// submitter slot. Null unless Options::enable_calibration.
   std::unique_ptr<obs::CalibrationAggregator> calibration_;
   /// Serializes CheckDrift callers and guards the window state below.
   mutable std::mutex drift_mu_;

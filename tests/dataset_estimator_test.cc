@@ -5,7 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
+#include <unordered_map>
+#include <utility>
 
+#include "data/garden_gen.h"
+#include "data/synthetic_gen.h"
 #include "prob/dataset_estimator.h"
 #include "test_util.h"
 
@@ -15,6 +21,7 @@ namespace {
 using testing_util::BruteForceRows;
 using testing_util::CorrelatedDataset;
 using testing_util::RandomRanges;
+using testing_util::RowWalkEstimator;
 using testing_util::SmallSchema;
 
 TEST(DatasetEstimatorTest, RootMarginalMatchesColumnCounts) {
@@ -138,7 +145,7 @@ TEST(DatasetEstimatorTest, ScopeStackSpeedsEqualAnswers) {
   // Without scopes.
   const double p_no_scope = est.ReachProbability(inner);
 
-  // With a scope stack mirroring planner recursion.
+  // Scope hints are ignored: answers under them equal answers without.
   est.PushScope(outer);
   est.PushScope(inner);
   const double p_scoped = est.ReachProbability(inner);
@@ -156,8 +163,8 @@ TEST(DatasetEstimatorTest, OffStackQueriesResolveFromNearestScope) {
   DatasetEstimator est(ds);
   RangeVec scope = ds.schema().FullRanges();
   scope[1] = ValueRange{1, 4};
-  est.PushScope(scope);
-  // Query a sibling refinement not on the stack.
+  est.PushScope(scope);  // ignored, like every scope hint
+  // Query a sibling refinement of the hinted scope.
   RangeVec probe = scope;
   probe[3] = ValueRange{2, 3};
   EXPECT_DOUBLE_EQ(
@@ -205,6 +212,227 @@ TEST(DatasetEstimatorTest, RowsMatchingExactAndSubset) {
     const RangeVec ranges = RandomRanges(ds.schema(), rng);
     EXPECT_EQ(est.RowsMatching(ranges), BruteForceRows(ds, ranges));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the bitmap count index vs the row walk, exactly
+
+/// `k` random predicates over random attributes (repeats allowed): a third
+/// negated, a fifth spanning their whole domain.
+std::vector<Predicate> RandomPredicates(const Schema& schema, size_t k,
+                                        Rng& rng) {
+  std::vector<Predicate> preds;
+  for (size_t j = 0; j < k; ++j) {
+    const AttrId attr = static_cast<AttrId>(
+        rng.UniformInt(0, static_cast<int64_t>(schema.num_attributes()) - 1));
+    const uint32_t domain = schema.domain_size(attr);
+    Value lo = 0;
+    Value hi = static_cast<Value>(domain - 1);
+    if (!rng.Bernoulli(0.2)) {
+      lo = static_cast<Value>(rng.UniformInt(0, domain - 1));
+      hi = static_cast<Value>(rng.UniformInt(lo, domain - 1));
+    }
+    preds.emplace_back(attr, lo, hi, rng.Bernoulli(1.0 / 3.0));
+  }
+  return preds;
+}
+
+void ExpectSameDistribution(const MaskDistribution& got,
+                            const MaskDistribution& want) {
+  // Exact: same masks in the same (ascending) order, same weights, same
+  // total, bit for bit.
+  EXPECT_EQ(got.entries(), want.entries());
+  EXPECT_EQ(got.total(), want.total());
+}
+
+/// Every statistic at `ranges`, compared exactly against the row walk.
+void ExpectMatchesRowWalk(DatasetEstimator& est, RowWalkEstimator& ref,
+                          const RangeVec& ranges,
+                          const std::vector<Predicate>& preds) {
+  EXPECT_EQ(est.ReachProbability(ranges), ref.ReachProbability(ranges));
+  ExpectSameDistribution(est.PredicateMasks(ranges, preds),
+                         ref.PredicateMasks(ranges, preds));
+  const Schema& schema = est.schema();
+  for (size_t a = 0; a < schema.num_attributes(); ++a) {
+    const AttrId attr = static_cast<AttrId>(a);
+    const Histogram got = est.Marginal(ranges, attr);
+    const Histogram want = ref.Marginal(ranges, attr);
+    EXPECT_EQ(got.total(), want.total());
+    for (Value v = 0; v < schema.domain_size(attr); ++v) {
+      ASSERT_EQ(got.Count(v), want.Count(v)) << "attr " << a << " v " << v;
+    }
+    const std::vector<MaskDistribution> got_pv =
+        est.PerValuePredicateMasks(ranges, attr, preds);
+    const std::vector<MaskDistribution> want_pv =
+        ref.PerValuePredicateMasks(ranges, attr, preds);
+    ASSERT_EQ(got_pv.size(), want_pv.size());
+    for (size_t i = 0; i < got_pv.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "attr " << a << " value index " << i);
+      ExpectSameDistribution(got_pv[i], want_pv[i]);
+    }
+  }
+}
+
+/// Predicate counts covering both counting paths: the dense table (k <= 16
+/// for PredicateMasks, while width x 2^k <= 2^16 per value) and the sorted
+/// path beyond it.
+constexpr size_t kPredicateCounts[] = {1, 8, 9, 16, 17, 24};
+
+void ExpectDifferentialOn(const Dataset& ds, uint64_t seed, int iters) {
+  DatasetEstimator est(ds);
+  RowWalkEstimator ref(ds);
+  Rng rng(seed);
+  for (const size_t k : kPredicateCounts) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    for (int iter = 0; iter < iters; ++iter) {
+      const RangeVec ranges = RandomRanges(ds.schema(), rng);
+      ExpectMatchesRowWalk(est, ref, ranges,
+                           RandomPredicates(ds.schema(), k, rng));
+    }
+    ExpectMatchesRowWalk(est, ref, ds.schema().FullRanges(),
+                         RandomPredicates(ds.schema(), k, rng));
+  }
+}
+
+TEST(DatasetEstimatorDifferentialTest, SmallSchemaAcrossWordTails) {
+  // 0 rows, a single row, and row counts straddling a 64-bit word.
+  for (const size_t rows : {0, 1, 63, 64, 65}) {
+    SCOPED_TRACE(testing::Message() << "rows=" << rows);
+    ExpectDifferentialOn(CorrelatedDataset(SmallSchema(), rows, 40 + rows), 7,
+                         4);
+  }
+}
+
+TEST(DatasetEstimatorDifferentialTest, SmallSchemaTwelveThousandRows) {
+  ExpectDifferentialOn(CorrelatedDataset(SmallSchema(), 12000, 41), 8, 3);
+}
+
+TEST(DatasetEstimatorDifferentialTest, SyntheticData) {
+  SyntheticDataOptions sopts;
+  sopts.n = 10;
+  sopts.gamma = 4;
+  sopts.tuples = 3001;
+  ExpectDifferentialOn(GenerateSyntheticData(sopts), 9, 3);
+}
+
+TEST(DatasetEstimatorDifferentialTest, GardenData) {
+  GardenDataOptions gopts;
+  gopts.num_motes = 2;
+  gopts.epochs = 2000;
+  ExpectDifferentialOn(GenerateGardenData(gopts), 10, 2);
+}
+
+TEST(DatasetEstimatorDifferentialTest, RowsMatchingAtWordTails) {
+  for (const size_t rows : {0, 1, 63, 64, 65, 12000}) {
+    const Dataset ds = CorrelatedDataset(SmallSchema(), rows, 50 + rows);
+    const DatasetEstimator est(ds);
+    Rng rng(rows);
+    for (int iter = 0; iter < 10; ++iter) {
+      const RangeVec ranges = RandomRanges(ds.schema(), rng);
+      EXPECT_EQ(est.RowsMatching(ranges), BruteForceRows(ds, ranges));
+    }
+    EXPECT_EQ(est.RowsMatching(ds.schema().FullRanges()).size(), rows);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// MaskDistribution::Aggregate vs hash-map aggregation
+
+/// Reference aggregation: sum weights per mask through an unordered_map (in
+/// insertion order per mask), then sort by mask. Aggregate must match it bit
+/// for bit.
+std::vector<std::pair<uint64_t, double>> HashAggregated(
+    const std::vector<std::pair<uint64_t, double>>& adds) {
+  std::unordered_map<uint64_t, double> agg;
+  for (const auto& [mask, w] : adds) agg[mask] += w;
+  std::vector<std::pair<uint64_t, double>> out(agg.begin(), agg.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(DatasetEstimatorAggregateTest, MatchesHashMapAggregationBitwise) {
+  Rng rng(2005);
+  for (int iter = 0; iter < 50; ++iter) {
+    // Unsorted, heavily duplicated masks with non-integer weights whose sums
+    // depend on the order they are added in.
+    std::vector<std::pair<uint64_t, double>> adds;
+    const int n = static_cast<int>(rng.UniformInt(0, 200));
+    for (int i = 0; i < n; ++i) {
+      const uint64_t mask =
+          static_cast<uint64_t>(rng.UniformInt(0, 12)) << (iter % 50);
+      adds.emplace_back(mask, rng.Uniform() * 1e3 + 1e-7 * i);
+    }
+    MaskDistribution dist;
+    double total = 0.0;
+    for (const auto& [mask, w] : adds) {
+      dist.Add(mask, w);
+      total += w;
+    }
+    dist.Aggregate();
+    EXPECT_EQ(dist.entries(), HashAggregated(adds));
+    EXPECT_EQ(dist.total(), total);
+    // Aggregating an aggregated (strictly ascending) distribution is a no-op.
+    const auto once = dist.entries();
+    dist.Aggregate();
+    EXPECT_EQ(dist.entries(), once);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Concurrency: one shared instance
+
+TEST(DatasetEstimatorConcurrencyTest, SharedInstanceAnswersLikeSingleThreaded) {
+  const Dataset ds = CorrelatedDataset(SmallSchema(), 3000, 60);
+  DatasetEstimator shared(ds);
+  Rng rng(61);
+  struct Probe {
+    RangeVec ranges;
+    std::vector<Predicate> preds;
+  };
+  std::vector<Probe> probes;
+  for (int i = 0; i < 24; ++i) {
+    const size_t k = kPredicateCounts[i % std::size(kPredicateCounts)];
+    probes.push_back({RandomRanges(ds.schema(), rng),
+                      RandomPredicates(ds.schema(), k, rng)});
+  }
+  // Single-threaded answers first, from the same instance.
+  struct Answer {
+    double reach;
+    MaskDistribution masks;
+    std::vector<MaskDistribution> per_value;
+    double marginal_total;
+  };
+  const auto answer = [&](const Probe& p) {
+    return Answer{shared.ReachProbability(p.ranges),
+                  shared.PredicateMasks(p.ranges, p.preds),
+                  shared.PerValuePredicateMasks(p.ranges, 1, p.preds),
+                  shared.Marginal(p.ranges, 3).total()};
+  };
+  std::vector<Answer> want;
+  for (const Probe& p : probes) want.push_back(answer(p));
+
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 5; ++round) {
+        for (size_t i = 0; i < probes.size(); ++i) {
+          const size_t j = (i + t * 7) % probes.size();
+          const Answer got = answer(probes[j]);
+          bool same = got.reach == want[j].reach &&
+                      got.marginal_total == want[j].marginal_total &&
+                      got.masks.entries() == want[j].masks.entries() &&
+                      got.per_value.size() == want[j].per_value.size();
+          for (size_t v = 0; same && v < got.per_value.size(); ++v) {
+            same = got.per_value[v].entries() == want[j].per_value[v].entries();
+          }
+          if (!same) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include "core/query_signature.h"
 #include "obs/registry.h"
+#include "obs/trace_join.h"
 #include "opt/adaptive.h"
 #include "opt/greedy_plan.h"
 #include "opt/greedyseq.h"
@@ -434,6 +435,40 @@ TEST(ServeQueryServiceTest, ReportCoversEveryRequest) {
   EXPECT_EQ(report.cache_hits, 31u);
   EXPECT_EQ(report.deadline_exceeded, 0u);
   EXPECT_EQ(report.shed, 0u);
+  // The hits were answered on this thread, in the submitter slot after the
+  // workers.
+  ASSERT_EQ(report.workers.size(), service.num_workers() + 1);
+  EXPECT_EQ(report.workers.back().worker, service.num_workers());
+  EXPECT_EQ(report.workers.back().requests, 31u);
+  EXPECT_EQ(report.workers.back().cache_hits, 31u);
+  EXPECT_EQ(report.workers.back().latency.count, 31u);
+}
+
+TEST(ServeQueryServiceTest, CalibrationCountsEveryHit) {
+  ServiceFixture fx;
+  QueryService::Options opts;
+  opts.num_workers = 2;
+  opts.enable_calibration = true;
+  QueryService service(
+      fx.schema, fx.cm,
+      [&fx] {
+        return std::make_unique<CountingBuilder>(fx.estimator, fx.cm,
+                                                 fx.splits, fx.solver,
+                                                 fx.builds);
+      },
+      opts);
+  const Query q = fx.MidQuery();
+  size_t hits = 0;
+  for (RowId r = 0; r < 40; ++r) {
+    hits += service.SubmitAndWait(q, fx.data.GetTuple(r)).cache_hit ? 1 : 0;
+  }
+  EXPECT_EQ(hits, 39u);
+  const obs::CalibrationReport report = service.CalibrationSnapshot();
+  // One plan row (one key) holding all 40 executions, the 39 calling-thread
+  // hits included.
+  ASSERT_EQ(report.plans.size(), 1u);
+  EXPECT_EQ(report.plans[0].executions, 40u);
+  EXPECT_EQ(report.executions, 40u);
 }
 
 TEST(ServeQueryServiceTest, AdaptiveAdoptionInvalidatesTheCache) {
@@ -683,6 +718,55 @@ TEST(ServeRobustnessTest, DeadlinePassedBeforePickupIsRejected) {
   EXPECT_TRUE(first.exec.verdict);
 }
 
+TEST(ServeRobustnessTest, CacheHitDoesNotWaitForBusyWorkers) {
+  SlowServiceFixture fx;
+  QueryService::Options opts;
+  opts.num_workers = 1;
+  QueryService svc = fx.MakeService(opts, /*build_sleep_seconds=*/0.3);
+  const Tuple t = {1, 1, 1, 1};
+  const Query cached = Query::Conjunction({Predicate(0, 1, 2)});
+  ASSERT_TRUE(svc.SubmitAndWait(cached, t).planned);
+
+  // Hold the only worker with a 0.3 s build...
+  std::future<QueryService::Response> blocker =
+      svc.Submit(Query::Conjunction({Predicate(1, 1, 2)}), t);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // ...while the cached query answers without it.
+  const auto t0 = std::chrono::steady_clock::now();
+  const QueryService::Response hit = svc.SubmitAndWait(cached, t);
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+  EXPECT_TRUE(hit.ok());
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_TRUE(hit.exec.verdict);
+  EXPECT_LT(waited, 0.05);
+  EXPECT_LE(hit.latency_seconds, waited);
+  EXPECT_TRUE(blocker.get().planned);
+  EXPECT_EQ(fx.builds.load(), 2u);
+}
+
+TEST(ServeRobustnessTest, QueuedMissReusesPlanFinishedWhileQueued) {
+  SlowServiceFixture fx;
+  QueryService::Options opts;
+  opts.num_workers = 1;
+  QueryService svc = fx.MakeService(opts, /*build_sleep_seconds=*/0.1);
+  const Tuple t = {1, 1, 1, 1};
+  const Query q = Query::Conjunction({Predicate(2, 1, 2)});
+  // Both miss in Submit; the second reaches the worker only after the
+  // first's build has finished and left single-flight.
+  std::future<QueryService::Response> first = svc.Submit(q, t);
+  std::future<QueryService::Response> second = svc.Submit(q, t);
+  EXPECT_TRUE(first.get().planned);
+  const QueryService::Response r = second.get();
+  EXPECT_TRUE(r.ok());
+  EXPECT_FALSE(r.cache_hit);
+  EXPECT_FALSE(r.planned);
+  EXPECT_EQ(fx.builds.load(), 1u);
+  const ShardedPlanCache::Stats cs = svc.cache().stats();
+  EXPECT_EQ(cs.hits + cs.misses, 2u);
+}
+
 TEST(ServeRobustnessTest, LoadSheddingAnswersUnavailableImmediately) {
   SlowServiceFixture fx;
   QueryService::Options opts;
@@ -768,20 +852,24 @@ TEST(ServeObsTest, TracingRecordsNestedRequestSpans) {
       },
       opts);
   const Query q = fx.MidQuery();
-  std::vector<uint64_t> trace_ids;
+  std::vector<std::pair<uint64_t, bool>> trace_ids;  // (trace id, cache hit)
   for (RowId r = 0; r < 3; ++r) {
     const QueryService::Response resp =
         service.SubmitAndWait(q, fx.data.GetTuple(r));
     ASSERT_TRUE(resp.ok());
     EXPECT_NE(resp.trace_id, 0u);
-    trace_ids.push_back(resp.trace_id);
+    trace_ids.emplace_back(resp.trace_id, resp.cache_hit);
   }
+  ASSERT_FALSE(trace_ids[0].second);
+  ASSERT_TRUE(trace_ids[1].second);
 
   const std::vector<obs::SpanEvent> events = service.trace_recorder().Events();
-  for (const uint64_t trace_id : trace_ids) {
-    // Each request yields a root "request" span with queue, plan, and exec
-    // children nested inside it — the queueing -> planning -> execution
-    // story of one request, reconstructable from parent ids alone.
+  for (const auto& [trace_id, hit] : trace_ids) {
+    // Each request yields a root "request" span with plan and exec children
+    // nested inside it, plus a queue child when a worker answered it (a
+    // cache hit is answered on the calling thread and never queues) — the
+    // queueing -> planning -> execution story of one request,
+    // reconstructable from parent ids alone.
     const obs::SpanEvent* request = nullptr;
     for (const obs::SpanEvent& ev : events) {
       if (ev.trace_id == trace_id && std::string_view(ev.name) == "request") {
@@ -811,7 +899,7 @@ TEST(ServeObsTest, TracingRecordsNestedRequestSpans) {
         EXPECT_EQ(ev.parent_id, request->span_id);
       }
     }
-    EXPECT_TRUE(saw_queue);
+    EXPECT_EQ(saw_queue, !hit);
     EXPECT_TRUE(saw_plan);
     EXPECT_TRUE(saw_exec);
   }
@@ -825,6 +913,47 @@ TEST(ServeObsTest, TracingRecordsNestedRequestSpans) {
   EXPECT_EQ(build_leader_spans, 1u);
   EXPECT_EQ(planner_spans, 1u);
   EXPECT_EQ(service.trace_recorder().incident_count(), 0u);
+}
+
+TEST(ServeObsTest, CacheHitSpansJoinUnderTheirRequestRoot) {
+  ServiceFixture fx;
+  QueryService::Options opts;
+  opts.num_workers = 2;
+  opts.enable_tracing = true;
+  QueryService service(
+      fx.schema, fx.cm,
+      [&fx] {
+        return std::make_unique<CountingBuilder>(fx.estimator, fx.cm,
+                                                 fx.splits, fx.solver,
+                                                 fx.builds);
+      },
+      opts);
+  const Query q = fx.MidQuery();
+  service.SubmitAndWait(q, fx.data.GetTuple(0));
+  std::vector<uint64_t> hit_ids;
+  for (RowId r = 1; r < 6; ++r) {
+    const QueryService::Response resp =
+        service.SubmitAndWait(q, fx.data.GetTuple(r));
+    ASSERT_TRUE(resp.cache_hit);
+    hit_ids.push_back(resp.trace_id);
+  }
+  const obs::TraceJoinResult joined =
+      obs::JoinTraces(service.trace_recorder().Events());
+  for (const uint64_t trace_id : hit_ids) {
+    const obs::JoinedTrace* trace = joined.Find(trace_id);
+    ASSERT_NE(trace, nullptr);
+    EXPECT_EQ(std::string_view(trace->root_name), "request");
+    EXPECT_EQ(trace->adopted_orphans, 0u);
+    EXPECT_EQ(trace->duplicate_span_ids, 0u);
+    EXPECT_TRUE(trace->AllUnderRoot()) << "trace " << trace_id;
+    EXPECT_GE(trace->events.size(), 3u);  // request, plan, exec
+    for (const obs::SpanEvent& ev : trace->events) {
+      // Recorded in the submitter slot, carrying the plan's cache key.
+      EXPECT_EQ(ev.worker, service.num_workers());
+      EXPECT_EQ(ev.plan_sig, QuerySignature(q));
+      EXPECT_NE(std::string_view(ev.name), "queue");
+    }
+  }
 }
 
 TEST(ServeObsTest, TracingOffRecordsNothing) {

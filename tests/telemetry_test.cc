@@ -668,6 +668,8 @@ struct TelemetryDistFixture {
 };
 
 TEST(TelemetryDistTraceTest, EveryShardSpanJoinsUnderTheRequestSpan) {
+  // Asserts spans and counters that -DCAQP_ENABLE_OBS=OFF compiles out.
+  if (!CAQP_OBS_ENABLED) GTEST_SKIP() << "obs compiled out";
   TelemetryDistFixture fx;
   dist::Coordinator::Options opts;
   opts.partition = dist::PartitionSpec::Hash(4);
@@ -707,6 +709,8 @@ TEST(TelemetryDistTraceTest, EveryShardSpanJoinsUnderTheRequestSpan) {
 // ---------------------------------------------------------------------------
 
 TEST(TelemetryFlapTest, CalibrationAndTracesSurviveConcurrentShardFlapping) {
+  // Asserts spans and counters that -DCAQP_ENABLE_OBS=OFF compiles out.
+  if (!CAQP_OBS_ENABLED) GTEST_SKIP() << "obs compiled out";
   TelemetryDistFixture fx;
   dist::Coordinator::Options opts;
   opts.partition = dist::PartitionSpec::Hash(4);
@@ -828,6 +832,8 @@ uint64_t CounterIn(const RegistrySnapshot& snap, const std::string& name) {
 }
 
 TEST(TelemetryKernelCountersTest, BatchExecutionFeedsPerOpRowCounters) {
+  // Asserts spans and counters that -DCAQP_ENABLE_OBS=OFF compiles out.
+  if (!CAQP_OBS_ENABLED) GTEST_SKIP() << "obs compiled out";
   const bool was_enabled = obs::Enabled();
   obs::SetEnabled(true);
   TelemetryDistFixture fx;

@@ -11,6 +11,7 @@
 #include "core/dataset.h"
 #include "core/query.h"
 #include "exec/executor.h"
+#include "prob/estimator.h"
 #include "prob/subproblem.h"
 
 namespace caqp {
@@ -87,6 +88,61 @@ inline std::vector<RowId> BruteForceRows(const Dataset& ds,
   }
   return rows;
 }
+
+/// Reference estimator for DatasetEstimator's bitmap count index, which must
+/// match it exactly: every statistic walks the rows matching the ranges,
+/// adds one unit of weight per row, and aggregates the masks with
+/// MaskDistribution::Aggregate.
+class RowWalkEstimator : public CondProbEstimator {
+ public:
+  explicit RowWalkEstimator(const Dataset& data) : data_(data) {}
+
+  const Schema& schema() const override { return data_.schema(); }
+
+  Histogram Marginal(const RangeVec& given, AttrId attr) override {
+    Histogram h(data_.schema().domain_size(attr));
+    for (RowId r : BruteForceRows(data_, given)) h.Add(data_.at(r, attr));
+    return h;
+  }
+
+  double ReachProbability(const RangeVec& given) override {
+    if (data_.num_rows() == 0) return 0.0;
+    return static_cast<double>(BruteForceRows(data_, given).size()) /
+           static_cast<double>(data_.num_rows());
+  }
+
+  MaskDistribution PredicateMasks(
+      const RangeVec& given, const std::vector<Predicate>& preds) override {
+    MaskDistribution dist;
+    for (RowId r : BruteForceRows(data_, given)) dist.Add(Mask(r, preds), 1.0);
+    dist.Aggregate();
+    return dist;
+  }
+
+  std::vector<MaskDistribution> PerValuePredicateMasks(
+      const RangeVec& given, AttrId attr,
+      const std::vector<Predicate>& preds) override {
+    std::vector<MaskDistribution> out(given[attr].Width());
+    for (RowId r : BruteForceRows(data_, given)) {
+      out[data_.at(r, attr) - given[attr].lo].Add(Mask(r, preds), 1.0);
+    }
+    for (MaskDistribution& d : out) d.Aggregate();
+    return out;
+  }
+
+ private:
+  uint64_t Mask(RowId r, const std::vector<Predicate>& preds) const {
+    uint64_t mask = 0;
+    for (size_t j = 0; j < preds.size(); ++j) {
+      if (preds[j].Matches(data_.at(r, preds[j].attr))) {
+        mask |= uint64_t{1} << j;
+      }
+    }
+    return mask;
+  }
+
+  const Dataset& data_;
+};
 
 /// Random valid sub-ranges of the schema's domains.
 inline RangeVec RandomRanges(const Schema& schema, Rng& rng,

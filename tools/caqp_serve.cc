@@ -380,9 +380,11 @@ std::vector<Query> MakeWorkload(const Schema& schema, const Config& cfg) {
   return out;
 }
 
-/// Per-worker planning bundle: own DatasetEstimator (not shareable — see
-/// prob/dataset_estimator.h) over the shared training split, plus the
-/// chosen planner. With --robust-drift, the chosen planner becomes the
+/// Per-worker planning bundle: a DatasetEstimator over the shared training
+/// split, plus the chosen planner. The estimator is immutable once built
+/// and could be shared (prob/dataset_estimator.h); its index is a few
+/// bitmaps per attribute value, so one per bundle keeps bundles
+/// self-contained at little memory cost. With --robust-drift, the chosen planner becomes the
 /// point planner inside an opt::RegretPlanner that reads the shared
 /// uncertainty box the drift monitor widens.
 class WorkloadPlanBuilder : public serve::PlanBuilder {
