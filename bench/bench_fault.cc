@@ -79,7 +79,7 @@ struct RunStats {
 /// Executes `plan` over every test tuple with faults at `transient_rate`,
 /// using one injector for the whole pass (faults accumulate across epochs,
 /// as they would on a live mote).
-RunStats RunPass(const Plan& plan, const Schema& schema,
+RunStats RunPass(const CompiledPlan& plan, const Schema& schema,
                  const AcquisitionCostModel& cm, const Query& query,
                  const Dataset& test, double transient_rate,
                  const DegradationPolicy& policy) {
@@ -108,18 +108,6 @@ RunStats RunPass(const Plan& plan, const Schema& schema,
   out.injected = injector.injected();
   return out;
 }
-
-/// Dataset-backed source for the per-row side of the columnar bar.
-class RowSource : public AcquisitionSource {
- public:
-  explicit RowSource(const Dataset& data) : data_(data) {}
-  void SetRow(RowId row) { row_ = row; }
-  AcquiredValue Acquire(AttrId attr) override { return data_.at(row_, attr); }
-
- private:
-  const Dataset& data_;
-  RowId row_ = 0;
-};
 
 double Seconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -230,7 +218,7 @@ int main(int argc, char** argv) {
   gopts.seq_solver = &greedyseq;
   gopts.max_splits = 5;
   GreedyPlanner planner(estimator, cost_model, gopts);
-  const Plan plan = planner.BuildPlan(query);
+  const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(query));
 
   const std::vector<double> rates = {0.0, 0.01, 0.05, 0.10};
   const std::vector<PolicyRun> policies = {
@@ -290,8 +278,7 @@ int main(int argc, char** argv) {
               total_mismatches, total_mismatches == 0 ? " (PASS)" : " (FAIL)");
 
   bench::Banner("columnar under faults (5% transient, retry3, 1 thread)");
-  const ColumnarBar bar =
-      TimeColumnarUnderFaults(CompiledPlan::Compile(plan), test, cost_model);
+  const ColumnarBar bar = TimeColumnarUnderFaults(plan, test, cost_model);
   const double speedup = bar.per_row_ns / bar.columnar_ns;
   std::printf("per-row ExecutePlan %8.1f ns/row\n", bar.per_row_ns);
   std::printf("columnar fault mode %8.1f ns/row  (%.2fx, bar >= %.1fx)\n",

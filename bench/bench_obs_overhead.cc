@@ -1,6 +1,6 @@
-// Measures the cost of the obs instrumentation on the executor hot paths —
-// both the tree-walking ExecutePlan and the flat CompiledPlan executor.
-// Five configurations per path over the same plan and tuples:
+// Measures the cost of the obs instrumentation on the per-tuple executor
+// hot path (ExecutePlan on a CompiledPlan). Five configurations over the
+// same plan and tuples:
 //
 //   baseline   a local copy of the executor loop with no instrumentation
 //              at all (no trace pointer, no counter macros, no span site)
@@ -12,11 +12,11 @@
 //   traced     ExecutePlan with counters enabled and an ExecutionTrace sink
 //
 // The acceptance bar for the instrumentation is obs-off within 5% of
-// baseline on BOTH paths: a disabled counter is one predicted-untaken
-// branch, a null trace sink is one pointer test, and an unbound span site
-// is one thread-local load per call. Reported numbers are the minimum over
-// repetitions (least-noise estimate); the process exits non-zero when
-// either path misses the bar, so CI enforces it.
+// baseline: a disabled counter is one predicted-untaken branch, a null
+// trace sink is one pointer test, and an unbound span site is one
+// thread-local load per call. Reported numbers are the minimum over
+// repetitions (least-noise estimate); the process exits non-zero when the
+// executor misses the bar, so CI enforces it.
 
 #include <algorithm>
 #include <chrono>
@@ -42,130 +42,17 @@ using namespace caqp;
 namespace {
 
 /// Executor loop stripped of every obs hook; an exact copy of the library's
-/// ExecutePlanImpl<false> (exec/executor.cc) — degradation-policy machinery
-/// included — minus the wrapper's span site, trace dispatch, and counter
-/// emission, so the comparison isolates instrumentation cost. Must be kept
-/// textually in sync when the library impl changes; a mirror that drifts
-/// measures algorithmic differences as "overhead". noinline so the baseline
-/// pays the same function-call boundary as the library's ExecutePlan;
-/// aligned(64) so the measured delta is not at the mercy of where the
-/// linker happens to drop the mirror relative to I-cache lines — the true
-/// disabled-path cost is ~1-2 ns/tuple and unpinned layout luck swings the
-/// comparison by about the same amount.
-__attribute__((noinline, aligned(64))) ExecutionResult ExecutePlanBare(
-    const Plan& plan, const Schema& schema,
-    const AcquisitionCostModel& cost_model, AcquisitionSource& source,
-    const DegradationPolicy& policy) {
-  ExecutionResult out;
-  std::vector<Value> values(schema.num_attributes(), 0);
-  const int max_attempts =
-      policy.mode == DegradationPolicy::Mode::kRetry
-          ? std::max(1, policy.max_attempts)
-          : 1;
-
-  auto acquire = [&](AttrId a, Value* v) -> bool {
-    if (out.acquired.Contains(a)) {
-      *v = values[a];
-      return true;
-    }
-    if (out.failed.Contains(a)) return false;
-    for (int attempt = 0; attempt < max_attempts; ++attempt) {
-      const AcquiredValue av = source.Acquire(a);
-      double marginal = cost_model.Cost(a, out.acquired) * av.cost_multiplier;
-      if (attempt > 0) {
-        marginal *= policy.retry_cost_multiplier;
-        ++out.retries;
-      }
-      out.cost += marginal;
-      if (av.ok) {
-        out.acquired.Insert(a);
-        ++out.acquisitions;
-        values[a] = av.value;
-        *v = av.value;
-        return true;
-      }
-      if (av.permanent) break;
-    }
-    out.failed.Insert(a);
-    return false;
-  };
-
-  auto degrade = [&]() -> bool {
-    out.verdict3 = Truth::kUnknown;
-    if (policy.mode == DegradationPolicy::Mode::kAbort) {
-      out.aborted = true;
-      return true;
-    }
-    return false;
-  };
-
-  const PlanNode* n = &plan.root();
-  Value v = 0;
-  bool routed = true;
-  while (n->kind == PlanNode::Kind::kSplit) {
-    if (!acquire(n->attr, &v)) {
-      (void)degrade();
-      routed = false;
-      break;
-    }
-    n = (v >= n->split_value) ? n->ge.get() : n->lt.get();
-  }
-
-  if (routed) {
-    switch (n->kind) {
-      case PlanNode::Kind::kVerdict:
-        out.verdict3 = n->verdict ? Truth::kTrue : Truth::kFalse;
-        break;
-      case PlanNode::Kind::kSequential: {
-        Truth t = Truth::kTrue;
-        for (const Predicate& p : n->sequence) {
-          if (!acquire(p.attr, &v)) {
-            if (degrade()) break;
-            t = Truth::kUnknown;
-            continue;
-          }
-          const bool match = p.Matches(v);
-          if (!match) {
-            t = Truth::kFalse;
-            break;
-          }
-        }
-        if (!out.aborted) out.verdict3 = t;
-        break;
-      }
-      case PlanNode::Kind::kGeneric: {
-        RangeVec ranges = schema.FullRanges();
-        for (size_t a = 0; a < schema.num_attributes(); ++a) {
-          if (out.acquired.Contains(static_cast<AttrId>(a))) {
-            ranges[a] = ValueRange{values[a], values[a]};
-          }
-        }
-        Truth t = n->residual_query.EvaluateOnRanges(ranges);
-        for (size_t k = 0; t == Truth::kUnknown && k < n->acquire_order.size();
-             ++k) {
-          const AttrId a = n->acquire_order[k];
-          if (!acquire(a, &v)) {
-            if (degrade()) break;
-            continue;
-          }
-          ranges[a] = ValueRange{v, v};
-          t = n->residual_query.EvaluateOnRanges(ranges);
-        }
-        CAQP_CHECK(t != Truth::kUnknown || out.failed.Count() > 0);
-        if (!out.aborted) out.verdict3 = t;
-        break;
-      }
-      case PlanNode::Kind::kSplit:
-        CAQP_CHECK(false);
-    }
-  }
-  out.verdict = out.verdict3 == Truth::kTrue;
-  return out;
-}
-
-/// Flat-executor twin: exact copy of ExecuteCompiledImpl<false>
-/// (exec/executor.cc) minus the wrapper's obs hooks. Same sync and
-/// alignment caveats as ExecutePlanBare above.
+/// ExecuteCompiledImpl<false, false> (exec/executor.cc, exec/compiled_walk.h)
+/// — degradation-policy machinery included — minus the wrapper's span
+/// site, trace dispatch, and counter emission, so the comparison isolates
+/// instrumentation cost. Must be kept textually in sync when the library
+/// walk changes; a mirror that drifts measures algorithmic differences as
+/// "overhead". noinline so the baseline pays the same function-call
+/// boundary as the library's ExecutePlan; aligned(64) so the measured delta
+/// is not at the mercy of where the linker happens to drop the mirror
+/// relative to I-cache lines — the true disabled-path cost is ~1-2
+/// ns/tuple and unpinned layout luck swings the comparison by about the
+/// same amount.
 __attribute__((noinline, aligned(64))) ExecutionResult ExecuteCompiledBare(
     const CompiledPlan& plan, const Schema& schema,
     const AcquisitionCostModel& cost_model, AcquisitionSource& source,
@@ -288,30 +175,6 @@ __attribute__((noinline, aligned(64))) ExecutionResult ExecuteCompiledBare(
   return out;
 }
 
-double RunBare(const Plan& plan, const Schema& schema,
-               const AcquisitionCostModel& cm, const std::vector<Tuple>& rows,
-               TraceSink* /*trace*/, ExecutionProfile* /*profile*/) {
-  double sink = 0;
-  const DegradationPolicy policy;
-  for (const Tuple& t : rows) {
-    TupleSource src(t);
-    sink += ExecutePlanBare(plan, schema, cm, src, policy).cost;
-  }
-  return sink;
-}
-
-double RunInstrumented(const Plan& plan, const Schema& schema,
-                       const AcquisitionCostModel& cm,
-                       const std::vector<Tuple>& rows, TraceSink* trace,
-                       ExecutionProfile* profile) {
-  double sink = 0;
-  for (const Tuple& t : rows) {
-    TupleSource src(t);
-    sink += ExecutePlan(plan, schema, cm, src, trace, {}, profile).cost;
-  }
-  return sink;
-}
-
 double RunFlatBare(const CompiledPlan& plan, const Schema& schema,
                    const AcquisitionCostModel& cm,
                    const std::vector<Tuple>& rows, TraceSink* /*trace*/,
@@ -338,8 +201,8 @@ double RunFlatInstrumented(const CompiledPlan& plan, const Schema& schema,
 }
 
 /// One timed pass, in ns per tuple.
-template <typename RunnerT, typename PlanT>
-double TimeOnce(RunnerT run, const PlanT& plan, const Schema& schema,
+template <typename RunnerT>
+double TimeOnce(RunnerT run, const CompiledPlan& plan, const Schema& schema,
                 const AcquisitionCostModel& cm, const std::vector<Tuple>& rows,
                 TraceSink* trace, ExecutionProfile* profile = nullptr) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -410,97 +273,65 @@ int main(int argc, char** argv) {
   // Interleave the configurations across repetitions so slow drift
   // (frequency scaling, noisy neighbours) hits them all equally; keep the
   // minimum per configuration as the least-noise estimate.
-  RunInstrumented(plan, data.schema(), cm, rows, nullptr, nullptr);  // warm-up
   RunFlatInstrumented(flat, data.schema(), cm, rows, nullptr,
                       nullptr);  // warm-up
-  PathReport tree, flat_path;
+  PathReport flat_path;
   ExecutionTrace trace;
-  // Shared by both paths: PlanNode ids are preorder, matching flat indices.
   ExecutionProfile profile(flat.NumNodes());
   const Schema& schema = data.schema();
-  // The estimator is a min, so extra reps can only tighten it: when a path
-  // sits at the bar after the base reps, keep sampling before declaring
-  // failure. Transient machine noise (CI neighbours, thermal throttling)
-  // gets averaged out; a genuine regression stays above the bar no matter
-  // how many reps run.
+  // The estimator is a min, so extra reps can only tighten it: when the
+  // path sits at the bar after the base reps, keep sampling before
+  // declaring failure. Transient machine noise (CI neighbours, thermal
+  // throttling) gets averaged out; a genuine regression stays above the bar
+  // no matter how many reps run.
   constexpr double kBarPct = 5.0;
   const size_t kReps = 15;
   const size_t kMaxReps = 40;
   for (size_t rep = 0;
-       rep < kReps || (rep < kMaxReps && (tree.OffOverheadPct() >= kBarPct ||
-                                          flat_path.OffOverheadPct() >=
-                                              kBarPct));
+       rep < kReps ||
+       (rep < kMaxReps && flat_path.OffOverheadPct() >= kBarPct);
        ++rep) {
-    tree.bare =
-        std::min(tree.bare, TimeOnce(&RunBare, plan, schema, cm, rows,
-                                     static_cast<TraceSink*>(nullptr)));
     flat_path.bare = std::min(
         flat_path.bare, TimeOnce(&RunFlatBare, flat, schema, cm, rows,
                                  static_cast<TraceSink*>(nullptr)));
     obs::SetEnabled(false);
-    tree.off =
-        std::min(tree.off, TimeOnce(&RunInstrumented, plan, schema, cm, rows,
-                                    static_cast<TraceSink*>(nullptr)));
     flat_path.off = std::min(
         flat_path.off, TimeOnce(&RunFlatInstrumented, flat, schema, cm, rows,
                                 static_cast<TraceSink*>(nullptr)));
     obs::SetEnabled(true);
-    tree.on =
-        std::min(tree.on, TimeOnce(&RunInstrumented, plan, schema, cm, rows,
-                                   static_cast<TraceSink*>(nullptr)));
     flat_path.on = std::min(
         flat_path.on, TimeOnce(&RunFlatInstrumented, flat, schema, cm, rows,
                                static_cast<TraceSink*>(nullptr)));
-    tree.profiled = std::min(
-        tree.profiled, TimeOnce(&RunInstrumented, plan, schema, cm, rows,
-                                static_cast<TraceSink*>(nullptr), &profile));
     flat_path.profiled = std::min(
         flat_path.profiled,
         TimeOnce(&RunFlatInstrumented, flat, schema, cm, rows,
                  static_cast<TraceSink*>(nullptr), &profile));
-    tree.traced = std::min(
-        tree.traced, TimeOnce(&RunInstrumented, plan, schema, cm, rows,
-                              static_cast<TraceSink*>(&trace)));
     flat_path.traced = std::min(
         flat_path.traced, TimeOnce(&RunFlatInstrumented, flat, schema, cm,
                                    rows, static_cast<TraceSink*>(&trace)));
-    if (rep + 1 == kReps && (tree.OffOverheadPct() >= kBarPct ||
-                             flat_path.OffOverheadPct() >= kBarPct)) {
-      std::printf("near the bar (tree %.1f%%, flat %.1f%%); extending reps\n",
-                  tree.OffOverheadPct(), flat_path.OffOverheadPct());
+    if (rep + 1 == kReps && flat_path.OffOverheadPct() >= kBarPct) {
+      std::printf("near the bar (flat %.1f%%); extending reps\n",
+                  flat_path.OffOverheadPct());
     }
   }
 
-  tree.Print("tree executor (ExecutePlan on Plan)");
   flat_path.Print("flat executor (ExecutePlan on CompiledPlan)");
 
-  const double tree_over = tree.OffOverheadPct();
   const double flat_over = flat_path.OffOverheadPct();
-  std::printf(
-      "\ndisabled-instrumentation overhead: tree %.1f%%, flat %.1f%% "
-      "(bar: < %.0f%%)\n",
-      tree_over, flat_over, kBarPct);
-  bool ok = true;
-  if (tree_over >= kBarPct) {
-    std::printf("FAIL: tree executor misses the disabled-overhead bar\n");
-    ok = false;
-  }
-  if (flat_over >= kBarPct) {
+  std::printf("\ndisabled-instrumentation overhead: flat %.1f%% "
+              "(bar: < %.0f%%)\n",
+              flat_over, kBarPct);
+  const bool ok = flat_over < kBarPct;
+  if (!ok) {
     std::printf("FAIL: flat executor misses the disabled-overhead bar\n");
-    ok = false;
   }
 
   // Structured export for scripts/check_bench_bars.py: the <5% bar becomes
   // "headroom >= 0" so --min works directly, and the raw numbers ride along
   // for baseline (BENCH_obs.json) diffing.
   obs::MetricsRegistry& reg = obs::DefaultRegistry();
-  reg.GetGauge("bench_obs.tree_overhead_pct").Set(tree_over);
   reg.GetGauge("bench_obs.flat_overhead_pct").Set(flat_over);
-  reg.GetGauge("bench_obs.tree_headroom_pct").Set(kBarPct - tree_over);
   reg.GetGauge("bench_obs.flat_headroom_pct").Set(kBarPct - flat_over);
-  reg.GetGauge("bench_obs.tree_bare_ns").Set(tree.bare);
-  reg.GetGauge("bench_obs.tree_off_ns").Set(tree.off);
-  reg.GetGauge("bench_obs.tree_on_ns").Set(tree.on);
   reg.GetGauge("bench_obs.flat_bare_ns").Set(flat_path.bare);
   reg.GetGauge("bench_obs.flat_off_ns").Set(flat_path.off);
   reg.GetGauge("bench_obs.flat_on_ns").Set(flat_path.on);

@@ -109,13 +109,14 @@ std::vector<Measurement> RunWorkload(Planner& planner,
     const auto t1 = std::chrono::steady_clock::now();
     m.plan_build_seconds =
         std::chrono::duration<double>(t1 - t0).count();
-    m.plan_splits = plan.NumSplits();
-    m.plan_bytes = PlanSizeBytes(plan);
+    const CompiledPlan compiled = CompiledPlan::Compile(plan);
+    m.plan_splits = compiled.NumSplits();
+    m.plan_bytes = PlanSizeBytes(compiled);
     m.train_cost =
-        EmpiricalPlanCost(plan, train, queries[i], cost_model).mean_cost;
+        EmpiricalPlanCost(compiled, train, queries[i], cost_model).mean_cost;
     AttributeProfile profile(test.schema().num_attributes());
     const EmpiricalCostResult te = EmpiricalPlanCost(
-        plan, test, queries[i], cost_model, record ? &profile : nullptr);
+        compiled, test, queries[i], cost_model, record ? &profile : nullptr);
     m.test_cost = te.mean_cost;
     m.verdict_errors = te.verdict_errors;
     if (record) {

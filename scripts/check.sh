@@ -22,7 +22,7 @@ skip_san=0
 
 echo "== tier-1: regular build + ctest =="
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 if [[ "$skip_san" == 1 ]]; then
@@ -32,12 +32,12 @@ fi
 
 echo "== ASan/UBSan build + ctest (incl. fault + serde-fuzz suites) =="
 cmake -B build-asan -S . -DCAQP_SANITIZE=ON
-cmake --build build-asan -j
+cmake --build build-asan -j "$(nproc)"
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 
 echo "== TSan build + concurrency and fault suites =="
 cmake -B build-tsan -S . -DCAQP_SANITIZE=thread
-cmake --build build-tsan -j
+cmake --build build-tsan -j "$(nproc)"
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
   -R '^Serve|^Dist|^Adaptive|^Fault|^SerdeFuzz|^CompiledPlan|^Span|^Histogram|^ShardedRegistry|^FlightRecorder|^Calibration|^Drift|^Regret|^BatchExec|^Telemetry|^DatasetEstimator'
 

@@ -6,13 +6,17 @@
 //
 //  * per-node counters — evals (node reached), passes (its test succeeded),
 //    unknowns (acquisition failed at the node / three-valued Unknown),
-//    indexed by the flat CompiledPlan node index (== PlanNode::id for the
-//    tree executor);
+//    indexed by the flat CompiledPlan node index (the preorder index
+//    PlanEstimates uses too);
 //  * per-attribute predicate counters — evaluations and passes of each
 //    attribute's predicates, the observed twin of
 //    PlanEstimates::attr_eval_rate / attr_pass_rate;
 //  * per-execution totals — executions, unknown verdicts, acquisitions, and
 //    realized acquisition cost.
+//
+// It counts predicate evaluations, not individual acquisitions: which
+// attribute was acquired, with what value and marginal cost, reaches only a
+// TraceSink (obs/trace.h; AttributeProfile aggregates it per attribute).
 //
 // All counters are relaxed atomics: single-writer in the serve layer (each
 // worker owns its shard) but safe under concurrent snapshotting, and cheap

@@ -35,7 +35,6 @@
 #include "obs/trace.h"
 #include "opt/cost_model.h"
 #include "plan/compiled_plan.h"
-#include "plan/plan.h"
 #include "prob/subproblem.h"
 
 namespace caqp {
@@ -83,6 +82,20 @@ class TupleSource : public AcquisitionSource {
   const Tuple& tuple_;
 };
 
+/// Source backed by one dataset row at a time: SetRow picks the row, and
+/// every acquisition reads its value straight out of the dataset (point a
+/// row-keyed FaultyAcquisitionSource at the same row with its SetRow).
+class RowSource : public AcquisitionSource {
+ public:
+  explicit RowSource(const Dataset& data) : data_(data) {}
+  void SetRow(RowId row) { row_ = row; }
+  AcquiredValue Acquire(AttrId attr) override { return data_.at(row_, attr); }
+
+ private:
+  const Dataset& data_;
+  RowId row_ = 0;
+};
+
 /// How ExecutePlan degrades when an acquisition fails (see file comment).
 struct DegradationPolicy {
   enum class Mode : uint8_t { kUnknownVerdict = 0, kRetry = 1, kAbort = 2 };
@@ -125,28 +138,16 @@ struct ExecutionResult {
 };
 
 namespace internal {
-// Out-of-line halves of the inline ExecutePlan wrappers below. The Impl
-// templates (defined and explicitly instantiated for
-// kTraced=kProfiled=false in executor.cc) are the executors themselves;
-// calling Impl<false, false> straight from the inline wrapper keeps the
-// common disabled-instrumentation case at one call, exactly like an
-// uninstrumented build. Obs wraps execution in the "exec" span and counter
-// emission (and handles the obs-disabled-but-traced case). kProfiled adds
-// the per-node eval/pass/unknown counter hooks for calibration
-// (exec/exec_profile.h); like tracing, the hooks vanish at compile time in
-// the <*, false> instantiations.
-template <bool kTraced, bool kProfiled>
-ExecutionResult ExecutePlanImpl(const Plan& plan, const Schema& schema,
-                                const AcquisitionCostModel& cost_model,
-                                AcquisitionSource& source, TraceSink* trace,
-                                const DegradationPolicy& policy,
-                                ExecutionProfile* profile);
-extern template ExecutionResult ExecutePlanImpl<false, false>(
-    const Plan& plan, const Schema& schema,
-    const AcquisitionCostModel& cost_model, AcquisitionSource& source,
-    TraceSink* trace, const DegradationPolicy& policy,
-    ExecutionProfile* profile);
-
+// Out-of-line halves of the inline ExecutePlan wrapper below. The Impl
+// template (defined and explicitly instantiated for kTraced=kProfiled=false
+// in executor.cc) is the executor itself; calling Impl<false, false>
+// straight from the inline wrapper keeps the common disabled-instrumentation
+// case at one call, exactly like an uninstrumented build. Obs wraps
+// execution in the "exec" span and counter emission (and handles the
+// obs-disabled-but-traced case). kProfiled adds the per-node
+// eval/pass/unknown counter hooks for calibration (exec/exec_profile.h);
+// like tracing, the hooks vanish at compile time in the <*, false>
+// instantiations.
 template <bool kTraced, bool kProfiled>
 ExecutionResult ExecuteCompiledImpl(const CompiledPlan& plan,
                                     const Schema& schema,
@@ -161,11 +162,6 @@ extern template ExecutionResult ExecuteCompiledImpl<false, false>(
     TraceSink* trace, const DegradationPolicy& policy,
     ExecutionProfile* profile);
 
-ExecutionResult ExecutePlanObs(const Plan& plan, const Schema& schema,
-                               const AcquisitionCostModel& cost_model,
-                               AcquisitionSource& source, TraceSink* trace,
-                               const DegradationPolicy& policy,
-                               ExecutionProfile* profile);
 ExecutionResult ExecuteCompiledObs(const CompiledPlan& plan,
                                    const Schema& schema,
                                    const AcquisitionCostModel& cost_model,
@@ -181,35 +177,21 @@ ExecutionResult ExecuteCompiledObs(const CompiledPlan& plan,
 /// the default null sink costs one untaken branch per event site. If
 /// `profile` is non-null *and* instrumentation is runtime-enabled, per-node
 /// eval/pass/unknown counters and realized cost are recorded into it
-/// (exec/exec_profile.h; nodes are addressed by PlanNode::id / flat index).
-/// Profiling rides the obs switch on purpose: with obs disabled the profile
-/// is ignored and the call costs exactly what an unprofiled call costs.
+/// (exec/exec_profile.h; nodes are addressed by flat index). Profiling rides
+/// the obs switch on purpose: with obs disabled the profile is ignored and
+/// the call costs exactly what an unprofiled call costs.
+///
+/// The walk iterates over the CompiledPlan node array: no recursion, no
+/// pointer chasing, no per-tuple allocation, and no acquired-set lookups on
+/// the split walk (the compiler precomputed the first-acquisition flags).
+/// This is what motes, the serve layer and EmpiricalPlanCost run; planners'
+/// Plan trees compile once (CompiledPlan::Compile) before they execute.
 ///
 /// Inline so the common case — no per-tuple trace, instrumentation
 /// runtime-disabled — dispatches straight to the uninstrumented executor
 /// for one relaxed load and a branch in the caller. This is a per-tuple
 /// call; an extra out-of-line gating frame here costs measurable percent
 /// (bench_obs_overhead holds the disabled path under 5%).
-inline ExecutionResult ExecutePlan(const Plan& plan, const Schema& schema,
-                                   const AcquisitionCostModel& cost_model,
-                                   AcquisitionSource& source,
-                                   TraceSink* trace = nullptr,
-                                   const DegradationPolicy& policy = {},
-                                   ExecutionProfile* profile = nullptr) {
-  if (trace == nullptr && !obs::Enabled()) {
-    return internal::ExecutePlanImpl<false, false>(plan, schema, cost_model,
-                                                   source, nullptr, policy,
-                                                   nullptr);
-  }
-  return internal::ExecutePlanObs(plan, schema, cost_model, source, trace,
-                                  policy, profile);
-}
-
-/// Flat-form hot path: identical semantics (and bit-identical results) to
-/// the tree overload, but iterates over the CompiledPlan node array — no
-/// recursion, no pointer chasing, no per-tuple allocation, and no
-/// acquired-set lookups on the split walk (the compiler precomputed the
-/// first-acquisition flags). This is what motes and the serve layer run.
 inline ExecutionResult ExecutePlan(const CompiledPlan& plan,
                                    const Schema& schema,
                                    const AcquisitionCostModel& cost_model,

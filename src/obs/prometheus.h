@@ -15,10 +15,8 @@
 //   * a leading digit is prefixed with '_' (Prometheus name grammar).
 //
 // The JSON export (obs/export.h) emits the same canonical names, so the
-// /metrics endpoint and --metrics-out files agree key for key; JSON
-// documents additionally carry an "aliases" map (legacy -> canonical) for
-// every renamed metric so existing consumers keep resolving old keys for
-// one release (scripts/check_bench_bars.py applies it when loading).
+// /metrics endpoint and --metrics-out files agree key for key. Canonical
+// names are the only exported names: no legacy dotted key is kept.
 //
 // Exposition notes: histograms render as classic cumulative histograms over
 // the native log-linear bucket bounds (obs/histogram.h) — only non-empty
@@ -31,8 +29,6 @@
 
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "obs/registry.h"
 
@@ -45,14 +41,9 @@ enum class MetricKind { kCounter, kGauge, kStat, kHistogram };
 /// in the header comment.
 std::string CanonicalMetricName(std::string_view name, MetricKind kind);
 
-/// legacy -> canonical pairs for metrics whose canonical name differs.
-using MetricAliases = std::vector<std::pair<std::string, std::string>>;
-
-/// Rewrites every name in `snap` to its canonical form, recording renames
-/// in `*aliases` (appended; pass nullptr to discard). Sort order by name is
-/// preserved (re-sorted after renaming).
-RegistrySnapshot CanonicalizeSnapshot(RegistrySnapshot snap,
-                                      MetricAliases* aliases);
+/// Rewrites every name in `snap` to its canonical form. Sort order by name
+/// is preserved (re-sorted after renaming).
+RegistrySnapshot CanonicalizeSnapshot(RegistrySnapshot snap);
 
 /// Merges `src` into `*dst` with ShardedRegistry semantics: counters sum,
 /// gauges max, histograms bucket-merge. Stats keep the first-seen entry on

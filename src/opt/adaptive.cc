@@ -19,7 +19,7 @@ AdaptivePlanner::AdaptivePlanner(const Schema& schema, const Query& query,
   CAQP_CHECK(query_.ValidFor(schema_));
   // Cold start: evaluate the query predicates in declaration order until the
   // first window provides statistics.
-  plan_ = Plan(PlanNode::Sequential(query_.predicates()));
+  plan_ = CompiledPlan::Compile(*PlanNode::Sequential(query_.predicates()));
 }
 
 double AdaptivePlanner::Observe(const Tuple& tuple) {
@@ -51,7 +51,7 @@ void AdaptivePlanner::MaybeReplan() {
   gopts.seq_solver = options_.seq_solver;
   gopts.max_splits = options_.max_splits;
   GreedyPlanner planner(estimator, cost_model_, gopts);
-  Plan candidate = planner.BuildPlan(query_);
+  CompiledPlan candidate = CompiledPlan::Compile(planner.BuildPlan(query_));
 
   const double current_cost =
       ExpectedPlanCost(plan_, estimator, cost_model_);

@@ -11,7 +11,7 @@
 #include <functional>
 
 #include "opt/greedy_plan.h"
-#include "plan/plan.h"
+#include "plan/compiled_plan.h"
 
 namespace caqp {
 
@@ -51,9 +51,9 @@ class AdaptivePlanner {
   /// acquisition cost paid for this tuple.
   double Observe(const Tuple& tuple);
 
-  /// Current plan (initially Naive-less: a sequential scan of the query
-  /// predicates until the first window fills).
-  const Plan& plan() const { return plan_; }
+  /// Current plan, compiled once per adoption (initially Naive-less: a
+  /// sequential scan of the query predicates until the first window fills).
+  const CompiledPlan& plan() const { return plan_; }
   const Stats& stats() const { return stats_; }
 
  private:
@@ -64,7 +64,7 @@ class AdaptivePlanner {
   const AcquisitionCostModel& cost_model_;
   Options options_;
   std::deque<Tuple> window_;
-  Plan plan_;
+  CompiledPlan plan_;
   Stats stats_;
   size_t since_replan_ = 0;
 };

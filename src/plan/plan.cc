@@ -51,7 +51,6 @@ std::unique_ptr<PlanNode> PlanNode::Clone() const {
   CAQP_OBS_COUNTER_INC("plan.node_clones");
   auto n = std::make_unique<PlanNode>();
   n->kind = kind;
-  n->id = id;
   n->attr = attr;
   n->split_value = split_value;
   n->verdict = verdict;
@@ -80,21 +79,7 @@ size_t NodeDepth(const PlanNode& n) {
   return 1 + std::max(NodeDepth(*n.lt), NodeDepth(*n.ge));
 }
 
-// Preorder: node, lt subtree, ge subtree — the same order
-// CompiledPlan::Compile appends nodes, so tree id == flat index.
-void AssignPreorderIds(PlanNode& n, uint32_t& next) {
-  n.id = next++;
-  if (n.kind != PlanNode::Kind::kSplit) return;
-  AssignPreorderIds(*n.lt, next);
-  AssignPreorderIds(*n.ge, next);
-}
-
 }  // namespace
-
-void Plan::ReindexNodes() {
-  uint32_t next = 0;
-  AssignPreorderIds(*root_, next);
-}
 
 size_t Plan::NumNodes() const { return CountNodes(*root_); }
 size_t Plan::NumSplits() const { return CountSplits(*root_); }

@@ -44,15 +44,6 @@ struct PlanNode {
 
   Kind kind = Kind::kVerdict;
 
-  /// Stable preorder index of this node within its plan (root = 0, then the
-  /// lt subtree, then the ge subtree). Matches the flat index assigned by
-  /// CompiledPlan::Compile, so a tree node and its compiled twin share one
-  /// identity — the hook that lets per-node execution counters and per-node
-  /// predicted estimates (plan_estimates.h) join across representations.
-  /// Maintained by Plan (assigned on construction, refreshed by
-  /// ReindexNodes()); nodes built by hand outside a Plan default to 0.
-  uint32_t id = 0;
-
   // --- kSplit ---
   AttrId attr = kInvalidAttr;  ///< attribute observed at this node
   Value split_value = 0;       ///< test is X_attr >= split_value
@@ -84,10 +75,9 @@ struct PlanNode {
 /// An executable conditional plan. Owns its node tree.
 class Plan {
  public:
-  Plan() : root_(PlanNode::Verdict(false)) { ReindexNodes(); }
+  Plan() : root_(PlanNode::Verdict(false)) {}
   explicit Plan(std::unique_ptr<PlanNode> root) : root_(std::move(root)) {
     CAQP_CHECK(root_ != nullptr);
-    ReindexNodes();
   }
 
   Plan(Plan&&) = default;
@@ -102,7 +92,6 @@ class Plan {
   Plan Clone() const { return Plan(root_->Clone()); }
 
   const PlanNode& root() const { return *root_; }
-  PlanNode* mutable_root() { return root_.get(); }
 
   /// Total node count (splits + leaves).
   size_t NumNodes() const;
@@ -114,10 +103,6 @@ class Plan {
   /// True iff the plan's verdict equals query.Matches(t) for this tuple.
   /// (The executor computes verdicts; this is a convenience for tests.)
   bool VerdictFor(const Tuple& t) const;
-
-  /// Reassigns preorder ids (root = 0, lt subtree, ge subtree). Call after
-  /// mutating the tree through mutable_root(); constructors do it for you.
-  void ReindexNodes();
 
  private:
   std::unique_ptr<PlanNode> root_;

@@ -1,5 +1,7 @@
 #include "plan/plan_cost.h"
 
+#include "exec/executor.h"
+
 namespace caqp {
 
 namespace {
@@ -128,87 +130,6 @@ double ExpectedSubplanCost(const PlanNode& node, const RangeVec& ranges,
                              cost_model);
 }
 
-namespace {
-
-/// Per-tuple execution mirroring exec/executor.cc but reading values straight
-/// out of a dataset row (hot path for benches over large test sets).
-struct TupleRun {
-  double cost = 0.0;
-  int acquisitions = 0;
-  bool verdict = false;
-};
-
-TupleRun RunTuple(const CompiledPlan& plan, const Schema& schema,
-                  const Dataset& data, RowId row,
-                  const AcquisitionCostModel& cm, TraceSink* trace) {
-  TupleRun out;
-  AttrSet acquired;
-  auto acquire = [&](AttrId a) {
-    if (!acquired.Contains(a)) {
-      const double marginal = cm.Cost(a, acquired);
-      out.cost += marginal;
-      acquired.Insert(a);
-      ++out.acquisitions;
-      if (trace) trace->OnAcquire(a, data.at(row, a), marginal);
-    }
-    return data.at(row, a);
-  };
-
-  uint32_t idx = 0;
-  const CompiledPlan::Node* n = &plan.node(idx);
-  while (n->kind == CompiledPlan::Kind::kSplit) {
-    const Value v = acquire(n->attr);
-    const bool ge = v >= n->split_value;
-    if (trace) trace->OnBranch(n->attr, n->split_value, ge);
-    idx = ge ? n->a : CompiledPlan::LtChild(idx);
-    n = &plan.node(idx);
-  }
-  switch (n->kind) {
-    case CompiledPlan::Kind::kVerdict:
-      out.verdict = n->verdict();
-      break;
-    case CompiledPlan::Kind::kSequential: {
-      out.verdict = true;
-      for (const Predicate& p : plan.sequence(*n)) {
-        if (!p.Matches(acquire(p.attr))) {
-          out.verdict = false;
-          break;
-        }
-      }
-      break;
-    }
-    case CompiledPlan::Kind::kGeneric: {
-      RangeVec ranges = schema.FullRanges();
-      // Narrow ranges to the values acquired on the split path so the
-      // residual query can resolve without re-acquisition.
-      for (size_t a = 0; a < schema.num_attributes(); ++a) {
-        if (acquired.Contains(static_cast<AttrId>(a))) {
-          const Value v = data.at(row, static_cast<AttrId>(a));
-          ranges[a] = ValueRange{v, v};
-        }
-      }
-      const Query& query = plan.residual_query(*n);
-      const std::span<const AttrId> order = plan.acquire_order(*n);
-      Truth t = query.EvaluateOnRanges(ranges);
-      for (size_t k = 0; t == Truth::kUnknown && k < order.size(); ++k) {
-        const AttrId a = order[k];
-        const Value v = acquire(a);
-        ranges[a] = ValueRange{v, v};
-        t = query.EvaluateOnRanges(ranges);
-      }
-      CAQP_CHECK(t != Truth::kUnknown);
-      out.verdict = (t == Truth::kTrue);
-      break;
-    }
-    case CompiledPlan::Kind::kSplit:
-      CAQP_CHECK(false);
-  }
-  if (trace) trace->OnVerdict(out.verdict, out.cost);
-  return out;
-}
-
-}  // namespace
-
 EmpiricalCostResult EmpiricalPlanCost(const CompiledPlan& plan,
                                       const Dataset& data, const Query& query,
                                       const AcquisitionCostModel& cost_model,
@@ -216,11 +137,13 @@ EmpiricalCostResult EmpiricalPlanCost(const CompiledPlan& plan,
   EmpiricalCostResult res;
   res.tuples = data.num_rows();
   size_t total_acq = 0;
+  RowSource source(data);
   for (RowId r = 0; r < data.num_rows(); ++r) {
-    const TupleRun run =
-        RunTuple(plan, data.schema(), data, r, cost_model, trace);
+    source.SetRow(r);
+    const ExecutionResult run =
+        ExecutePlan(plan, data.schema(), cost_model, source, trace);
     res.total_cost += run.cost;
-    total_acq += run.acquisitions;
+    total_acq += static_cast<size_t>(run.acquisitions);
     const bool truth = query.Matches(data.GetTuple(r));
     if (truth != run.verdict) ++res.verdict_errors;
   }

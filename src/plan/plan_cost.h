@@ -8,9 +8,11 @@
 //    over a concrete dataset (the paper's test-set evaluation), plus verdict
 //    accuracy against the original query (always 1.0 for our planners; the
 //    paper stresses its plans never err, unlike approximate predicate work).
+//    Each row runs through the executor itself (ExecutePlan over a
+//    RowSource), so the empirical cost is what execution charges.
 //
-// Both cost walks run over the CompiledPlan flat form; the Plan/PlanNode
-// entry points compile once and delegate, so the arithmetic (and hence the
+// Both costs run over the CompiledPlan flat form; the Plan/PlanNode entry
+// points compile once and delegate, so the arithmetic (and hence the
 // floating-point result) is identical whichever form the caller holds.
 
 #ifndef CAQP_PLAN_PLAN_COST_H_
@@ -60,8 +62,9 @@ struct EmpiricalCostResult {
 
 /// Runs the plan over every tuple of `data`, charging `cost_model`, and
 /// checks each verdict against `query`. If `trace` is non-null it receives
-/// the execution events of every tuple (e.g. an obs::AttributeProfile to
-/// collect per-attribute acquisition histograms).
+/// the execution events of every tuple, exactly as a per-row ExecutePlan
+/// emits them (e.g. an AttributeProfile to collect per-attribute
+/// acquisition histograms).
 EmpiricalCostResult EmpiricalPlanCost(const CompiledPlan& plan,
                                       const Dataset& data, const Query& query,
                                       const AcquisitionCostModel& cost_model,

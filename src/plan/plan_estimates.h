@@ -8,7 +8,7 @@
 // in flat arrays indexed by node — the "predicted" half that obs/calibration
 // joins against the executor's observed counters (exec/exec_profile.h).
 //
-// Semantics, per node i (flat preorder index; == PlanNode::id):
+// Semantics, per node i (flat CompiledPlan preorder index):
 //  * reach — probability a tuple drawn from the estimated distribution
 //    reaches node i. Root = 1. Sums over a level need not be 1 because
 //    degenerate splits route all mass one way.

@@ -10,9 +10,9 @@
 // "<" child is always the next node); leaves carry their payloads inline.
 // Decoding rebuilds the flat arrays with a single linear pass, validates the
 // preorder topology with a stack walk, and gates the result on
-// PlanIsWellFormed. The version byte 0xCA cannot collide with the legacy
-// tree encoding (whose first byte is a node kind in 0..3), so old bytes
-// still decode through the recursive tree parser as a compat shim.
+// PlanIsWellFormed. Bytes with any other leading byte (including the
+// pre-0xCA recursive tree encoding, whose first byte was a node kind in
+// 0..3) are rejected as an unknown format version.
 
 #ifndef CAQP_PLAN_PLAN_SERDE_H_
 #define CAQP_PLAN_PLAN_SERDE_H_
@@ -27,8 +27,7 @@
 
 namespace caqp {
 
-/// Leading byte of the flat wire format. Chosen outside the legacy tree
-/// encoding's leading-byte range (a PlanNode::Kind in 0..3).
+/// Leading byte of the flat wire format, the only one decoders accept.
 inline constexpr uint8_t kPlanWireFormatVersion = 0xCA;
 
 /// Encodes a compiled plan. Varint-based: a typical split costs 4-6 bytes.
@@ -41,8 +40,8 @@ size_t PlanSizeBytes(const CompiledPlan& plan);
 size_t PlanSizeBytes(const Plan& plan);
 
 /// Decodes and validates a plan against `schema`. Fails on truncated input,
-/// out-of-domain attributes or values, malformed preorder topology, or
-/// trailing garbage. Accepts both the flat format and legacy tree bytes.
+/// out-of-domain attributes or values, malformed preorder topology,
+/// trailing garbage, or a leading byte other than kPlanWireFormatVersion.
 Result<CompiledPlan> DeserializeCompiledPlan(const std::vector<uint8_t>& bytes,
                                              const Schema& schema);
 

@@ -483,7 +483,7 @@ BatchExecutionStats PerRowOracle(const CompiledPlan& plan, const Dataset& data,
                                  const DegradationPolicy& policy,
                                  std::vector<uint8_t>* verdicts,
                                  ExecutionProfile* profile = nullptr) {
-  testing_util::RowSource base(data);
+  RowSource base(data);
   FaultInjector injector(spec);
   FaultyAcquisitionSource source(base, injector);
   BatchExecutionStats want;

@@ -1,8 +1,8 @@
 // CompiledPlan: flat layout invariants, tree<->flat round-trips, and the
 // central property of the IR refactor -- executing the compiled form is
 // observationally identical (verdict3, cost, acquisitions, retries, failure
-// sets) to executing the pointer tree, across planners, workloads, fault
-// profiles, and degradation policies.
+// sets) to walking the pointer tree (the reference walk in test_util.h),
+// across planners, workloads, fault profiles, and degradation policies.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +29,7 @@ namespace {
 
 using testing_util::CorrelatedDataset;
 using testing_util::CountVerdictMismatches;
+using testing_util::ExecuteTreeReference;
 using testing_util::RandomConjunctiveQuery;
 using testing_util::SmallSchema;
 using testing_util::UniformDataset;
@@ -236,8 +237,8 @@ TEST(CompiledPlanEquivalenceTest, TreeAndFlatAgreeAcrossPlannersAndFaults) {
           const Tuple t = test.GetTuple(r);
           TupleSource tree_base(t);
           FaultyAcquisitionSource tree_src(tree_base, tree_inj);
-          const ExecutionResult tree_res = ExecutePlan(
-              plan, schema, cm, tree_src, nullptr, fc.policy);
+          const ExecutionResult tree_res =
+              ExecuteTreeReference(plan, schema, cm, tree_src, fc.policy);
           TupleSource flat_base(t);
           FaultyAcquisitionSource flat_src(flat_base, flat_inj);
           const ExecutionResult flat_res = ExecutePlan(

@@ -762,7 +762,7 @@ TEST(DistCoordinatorTest, MergeEquivalenceUnderFaults) {
           ASSERT_EQ(resp.row_verdicts.size(), fx.data.num_rows());
           if (oracles.size() <= qi) {
             Oracle o;
-            testing_util::RowSource base(fx.data);
+            RowSource base(fx.data);
             FaultInjector injector(faults.value());
             FaultyAcquisitionSource source(base, injector);
             for (RowId r = 0; r < fx.data.num_rows(); ++r) {

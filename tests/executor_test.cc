@@ -31,8 +31,8 @@ class RecordingSource : public AcquisitionSource {
 TEST(ExecutorTest, SequentialLeafAcquiresInOrderAndShortCircuits) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
-  Plan plan(PlanNode::Sequential(
-      {Predicate(1, 0, 2), Predicate(3, 4, 4), Predicate(2, 0, 0)}));
+  const CompiledPlan plan = CompiledPlan::Compile(Plan(PlanNode::Sequential(
+      {Predicate(1, 0, 2), Predicate(3, 4, 4), Predicate(2, 0, 0)})));
   // Tuple fails the second predicate: third never acquired.
   Tuple t = {0, 1, 3, 0};
   RecordingSource src(t);
@@ -53,7 +53,7 @@ TEST(ExecutorTest, SplitPathChargesOncePerAttribute) {
   auto leaf = PlanNode::Sequential({Predicate(0, 2, 2)});
   auto inner = PlanNode::Split(0, 3, std::move(leaf), PlanNode::Verdict(false));
   auto root = PlanNode::Split(0, 1, PlanNode::Verdict(false), std::move(inner));
-  Plan plan(std::move(root));
+  const CompiledPlan plan = CompiledPlan::Compile(Plan(std::move(root)));
   Tuple t = {2, 0, 0, 0};
   RecordingSource src(t);
   const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
@@ -66,7 +66,8 @@ TEST(ExecutorTest, SplitPathChargesOncePerAttribute) {
 TEST(ExecutorTest, VerdictLeafAcquiresNothing) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
-  Plan plan(PlanNode::Verdict(true));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      Plan(PlanNode::Verdict(true)));
   Tuple t = {0, 0, 0, 0};
   RecordingSource src(t);
   const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
@@ -79,7 +80,8 @@ TEST(ExecutorTest, GenericLeafStopsWhenResolved) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
   Query q = Query::Disjunction({{Predicate(0, 3, 3)}, {Predicate(3, 0, 0)}});
-  Plan plan(PlanNode::Generic(q, {0, 3}));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      Plan(PlanNode::Generic(q, {0, 3})));
   // attr0 == 3 resolves the query; attr3 must not be acquired.
   Tuple t = {3, 0, 0, 4};
   RecordingSource src(t);
@@ -97,7 +99,7 @@ TEST(ExecutorTest, GenericLeafReusesSplitPathValues) {
   auto leaf = PlanNode::Generic(q, {0, 3});
   auto root =
       PlanNode::Split(0, 2, PlanNode::Verdict(false), std::move(leaf));
-  Plan plan(std::move(root));
+  const CompiledPlan plan = CompiledPlan::Compile(Plan(std::move(root)));
   // attr0 == 3: the split sends us to the leaf, where the first disjunct is
   // already satisfied by the split-path value. attr3 never acquired.
   Tuple t = {3, 0, 0, 0};
@@ -111,7 +113,8 @@ TEST(ExecutorTest, GenericLeafReusesSplitPathValues) {
 TEST(ExecutorTest, TupleSourceReadsValues) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
-  Plan plan(PlanNode::Sequential({Predicate(2, 1, 3)}));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      Plan(PlanNode::Sequential({Predicate(2, 1, 3)})));
   Tuple t = {0, 0, 2, 0};
   TupleSource src(t);
   EXPECT_TRUE(ExecutePlan(plan, schema, cm, src).verdict);
@@ -137,7 +140,8 @@ TEST(SensorBoardCostModelTest, ExecutorIntegration) {
   const Schema schema = SmallSchema();
   SensorBoardCostModel cm(schema, {-1, -1, 0, 0}, {40.0});
   // Sequential plan touching both board attrs: power-up charged once.
-  Plan plan(PlanNode::Sequential({Predicate(2, 0, 3), Predicate(3, 0, 4)}));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      Plan(PlanNode::Sequential({Predicate(2, 0, 3), Predicate(3, 0, 4)})));
   Tuple t = {0, 0, 1, 1};
   TupleSource src(t);
   const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
@@ -202,7 +206,8 @@ TEST(ExecutorTraceTest, AcquisitionOrderMatchesPlanTraversal) {
   PerAttributeCostModel cm(schema);
   // Split on attr 0, then a sequential leaf over attrs 1, 3 on the >= side.
   auto leaf = PlanNode::Sequential({Predicate(1, 0, 5), Predicate(3, 0, 4)});
-  Plan plan(PlanNode::Split(0, 2, PlanNode::Verdict(false), std::move(leaf)));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      Plan(PlanNode::Split(0, 2, PlanNode::Verdict(false), std::move(leaf))));
   Tuple t = {3, 1, 0, 2};
   RecordingSource src(t);
   ExecutionTrace trace;
@@ -229,7 +234,8 @@ TEST(ExecutorTraceTest, AcquiredSetConsistentWithAcquisitionCount) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
   auto leaf = PlanNode::Sequential({Predicate(2, 0, 3), Predicate(1, 0, 5)});
-  Plan plan(PlanNode::Split(0, 2, std::move(leaf), PlanNode::Verdict(true)));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      Plan(PlanNode::Split(0, 2, std::move(leaf), PlanNode::Verdict(true))));
   Tuple t = {0, 2, 1, 4};
   RecordingSource src(t);
   ExecutionTrace trace;
@@ -252,8 +258,8 @@ TEST(ExecutorTraceTest, CostChargedOncePerAttribute) {
   // one acquisition event for it, carrying the full marginal cost.
   auto leaf = PlanNode::Sequential({Predicate(0, 2, 2)});
   auto inner = PlanNode::Split(0, 3, std::move(leaf), PlanNode::Verdict(false));
-  Plan plan(
-      PlanNode::Split(0, 1, PlanNode::Verdict(false), std::move(inner)));
+  const CompiledPlan plan = CompiledPlan::Compile(Plan(
+      PlanNode::Split(0, 1, PlanNode::Verdict(false), std::move(inner))));
   Tuple t = {2, 0, 0, 0};
   RecordingSource src(t);
   ExecutionTrace trace;
@@ -277,7 +283,8 @@ TEST(ExecutorTraceTest, NullSinkMatchesTracedExecution) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
   auto leaf = PlanNode::Sequential({Predicate(1, 0, 2), Predicate(3, 0, 2)});
-  Plan plan(PlanNode::Split(0, 2, std::move(leaf), PlanNode::Verdict(false)));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      Plan(PlanNode::Split(0, 2, std::move(leaf), PlanNode::Verdict(false))));
   Tuple t = {1, 1, 0, 1};
   RecordingSource s1(t);
   const ExecutionResult untraced = ExecutePlan(plan, schema, cm, s1);

@@ -487,7 +487,8 @@ class ScriptedSource : public AcquisitionSource {
 TEST(FaultExecutorTest, MissingAttrPropagatesUnknown) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
-  Plan plan(PlanNode::Sequential({Predicate(0, 0, 2), Predicate(1, 0, 2)}));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      Plan(PlanNode::Sequential({Predicate(0, 0, 2), Predicate(1, 0, 2)})));
   ScriptedSource src({1, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure()});
   const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
@@ -506,8 +507,8 @@ TEST(FaultExecutorTest, LaterFalseConjunctStillDefinesVerdict) {
   PerAttributeCostModel cm(schema);
   // Attr 1 fails, but attr 2's predicate is false for the tuple: the AND is
   // decidably false regardless of the missing value.
-  Plan plan(PlanNode::Sequential(
-      {Predicate(0, 0, 2), Predicate(1, 0, 2), Predicate(2, 3, 3)}));
+  const CompiledPlan plan = CompiledPlan::Compile(Plan(PlanNode::Sequential(
+      {Predicate(0, 0, 2), Predicate(1, 0, 2), Predicate(2, 3, 3)})));
   ScriptedSource src({1, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure()});
   const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
@@ -519,7 +520,8 @@ TEST(FaultExecutorTest, LaterFalseConjunctStillDefinesVerdict) {
 TEST(FaultExecutorTest, RetryRecoversTransientFailure) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
-  Plan plan(PlanNode::Sequential({Predicate(1, 1, 1)}));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      Plan(PlanNode::Sequential({Predicate(1, 1, 1)})));
   ScriptedSource src({0, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure(), AcquiredValue::Failure()});
   const ExecutionResult res = ExecutePlan(
@@ -535,7 +537,8 @@ TEST(FaultExecutorTest, RetryRecoversTransientFailure) {
 TEST(FaultExecutorTest, RetryCostMultiplierScalesRetriesOnly) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
-  Plan plan(PlanNode::Sequential({Predicate(1, 1, 1)}));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      Plan(PlanNode::Sequential({Predicate(1, 1, 1)})));
   ScriptedSource src({0, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure()});
   const ExecutionResult res = ExecutePlan(
@@ -549,7 +552,8 @@ TEST(FaultExecutorTest, RetryCostMultiplierScalesRetriesOnly) {
 TEST(FaultExecutorTest, RetryExhaustionDegradesToUnknown) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
-  Plan plan(PlanNode::Sequential({Predicate(1, 1, 1)}));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      Plan(PlanNode::Sequential({Predicate(1, 1, 1)})));
   ScriptedSource src({0, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure(), AcquiredValue::Failure(),
                  AcquiredValue::Failure()});
@@ -564,7 +568,8 @@ TEST(FaultExecutorTest, RetryExhaustionDegradesToUnknown) {
 TEST(FaultExecutorTest, StuckSensorIsNotRetried) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
-  Plan plan(PlanNode::Sequential({Predicate(1, 1, 1)}));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      Plan(PlanNode::Sequential({Predicate(1, 1, 1)})));
   ScriptedSource src({0, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure(/*permanent_failure=*/true)});
   const ExecutionResult res = ExecutePlan(
@@ -577,8 +582,8 @@ TEST(FaultExecutorTest, StuckSensorIsNotRetried) {
 TEST(FaultExecutorTest, AbortPolicyStopsAtFirstFailure) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
-  Plan plan(PlanNode::Sequential(
-      {Predicate(1, 0, 5), Predicate(0, 0, 3), Predicate(2, 3, 3)}));
+  const CompiledPlan plan = CompiledPlan::Compile(Plan(PlanNode::Sequential(
+      {Predicate(1, 0, 5), Predicate(0, 0, 3), Predicate(2, 3, 3)})));
   ScriptedSource src({1, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure()});
   const ExecutionResult res = ExecutePlan(
@@ -593,8 +598,9 @@ TEST(FaultExecutorTest, AbortPolicyStopsAtFirstFailure) {
 TEST(FaultExecutorTest, SplitAttrFailureYieldsUnknown) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
-  Plan plan(PlanNode::Split(0, 2, PlanNode::Verdict(false),
-                            PlanNode::Verdict(true)));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      Plan(PlanNode::Split(0, 2, PlanNode::Verdict(false),
+                           PlanNode::Verdict(true))));
   ScriptedSource src({1, 1, 0, 0});
   src.Script(0, {AcquiredValue::Failure()});
   const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
@@ -607,8 +613,8 @@ TEST(FaultExecutorTest, FailedAttrIsChargedOnlyOnce) {
   PerAttributeCostModel cm(schema);
   // Attr 1 appears twice; after the first (failed) acquisition the executor
   // must remember the failure instead of paying again.
-  Plan plan(PlanNode::Sequential(
-      {Predicate(1, 0, 5), Predicate(0, 0, 3), Predicate(1, 0, 5)}));
+  const CompiledPlan plan = CompiledPlan::Compile(Plan(PlanNode::Sequential(
+      {Predicate(1, 0, 5), Predicate(0, 0, 3), Predicate(1, 0, 5)})));
   ScriptedSource src({1, 1, 0, 0});
   src.Script(1, {AcquiredValue::Failure(), AcquiredValue::Failure()});
   const ExecutionResult res = ExecutePlan(plan, schema, cm, src);
@@ -621,7 +627,8 @@ TEST(FaultExecutorTest, FailedAttrIsChargedOnlyOnce) {
 TEST(FaultExecutorTest, SpikeMultiplierScalesMarginalCost) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
-  Plan plan(PlanNode::Sequential({Predicate(1, 1, 1)}));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      Plan(PlanNode::Sequential({Predicate(1, 1, 1)})));
   ScriptedSource src({0, 1, 0, 0});
   AcquiredValue spiked(Value{1});
   spiked.cost_multiplier = 3.0;

@@ -329,10 +329,10 @@ TEST(ExportTest, RegistryJsonContainsAllKinds) {
   EXPECT_NE(json.find("\"n_gauge\":1.5"), std::string::npos);
   EXPECT_NE(json.find("\"n_stat\""), std::string::npos);
   EXPECT_NE(json.find("\"p95\""), std::string::npos);
-  // ...plus an aliases map resolving the legacy dotted keys for one release.
-  EXPECT_NE(json.find("\"aliases\""), std::string::npos);
-  EXPECT_NE(json.find("\"n.count\":\"n_count_total\""), std::string::npos);
-  EXPECT_NE(json.find("\"n.gauge\":\"n_gauge\""), std::string::npos);
+  // ...and nothing else: no aliases map, no legacy dotted key.
+  EXPECT_EQ(json.find("\"aliases\""), std::string::npos);
+  EXPECT_EQ(json.find("n.count"), std::string::npos);
+  EXPECT_EQ(json.find("n.gauge"), std::string::npos);
 
   const std::string md = obs::RegistryToMarkdown(reg);
   EXPECT_NE(md.find("n.count"), std::string::npos);
@@ -344,7 +344,7 @@ TEST(ExportTest, RegistryJsonIncludesHistograms) {
   reg.GetHistogram("n.hist").Record(0.002);
   const std::string json = obs::RegistryToJson(reg);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("\"n.hist\""), std::string::npos);
+  EXPECT_NE(json.find("\"n_hist\""), std::string::npos);
   EXPECT_NE(json.find("\"buckets\""), std::string::npos);
   const std::string md = obs::RegistryToMarkdown(reg);
   EXPECT_NE(md.find("| histogram |"), std::string::npos);

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <utility>
+#include <vector>
+
+#include "exec/executor.h"
+#include "obs/trace.h"
 #include "opt/cost_model.h"
 #include "plan/plan_cost.h"
 #include "prob/dataset_estimator.h"
@@ -14,6 +20,7 @@ namespace caqp {
 namespace {
 
 using testing_util::CorrelatedDataset;
+using testing_util::RandomConjunctiveQuery;
 using testing_util::SmallSchema;
 using testing_util::UniformDataset;
 
@@ -133,6 +140,97 @@ TEST(EmpiricalCostTest, DetectsWrongVerdicts) {
   PerAttributeCostModel cm(schema);
   const EmpiricalCostResult res = EmpiricalPlanCost(always_true, ds, q, cm);
   EXPECT_EQ(res.verdict_errors, 1u);  // tuple {0,...} should fail
+}
+
+/// One TraceSink event, kept verbatim; costs compare bit for bit.
+struct TraceEvent {
+  enum class Kind { kAcquire, kBranch, kVerdict };
+  Kind kind = Kind::kVerdict;
+  AttrId attr = kInvalidAttr;
+  Value value = 0;    ///< acquired value, or split value
+  bool flag = false;  ///< went_ge, or verdict
+  double cost = 0.0;  ///< marginal cost, or total cost
+
+  bool operator==(const TraceEvent& o) const {
+    return kind == o.kind && attr == o.attr && value == o.value &&
+           flag == o.flag &&
+           std::bit_cast<uint64_t>(cost) == std::bit_cast<uint64_t>(o.cost);
+  }
+};
+
+class RecordingSink : public TraceSink {
+ public:
+  void OnAcquire(AttrId attr, Value value, double marginal_cost) override {
+    events.push_back(
+        {TraceEvent::Kind::kAcquire, attr, value, false, marginal_cost});
+  }
+  void OnBranch(AttrId attr, Value split_value, bool went_ge) override {
+    events.push_back(
+        {TraceEvent::Kind::kBranch, attr, split_value, went_ge, 0.0});
+  }
+  void OnVerdict(bool verdict, double total_cost) override {
+    events.push_back(
+        {TraceEvent::Kind::kVerdict, kInvalidAttr, 0, verdict, total_cost});
+  }
+
+  std::vector<TraceEvent> events;
+};
+
+TEST(EmpiricalCostTraceTest, EmitsPerRowExecutionEventsAndSumsVerdictCosts) {
+  Rng rng(29);
+  const Schema schema = SmallSchema();
+  const Dataset ds = CorrelatedDataset(schema, 200, 41);
+  std::vector<std::pair<Query, CompiledPlan>> plans;
+  for (int i = 0; i < 6; ++i) {
+    const Query q = RandomConjunctiveQuery(schema, rng);
+    plans.emplace_back(q, CompiledPlan::Compile(*RandomCorrectPlan(
+                              schema, q, schema.FullRanges(), rng, 3)));
+  }
+  // A generic leaf below a split: its residual query reuses the split's
+  // acquired attribute before acquiring more.
+  const Query dnf = Query::Disjunction(
+      {{Predicate(0, 2, 3)}, {Predicate(2, 0, 1), Predicate(3, 1, 3)}});
+  plans.emplace_back(
+      dnf, CompiledPlan::Compile(*PlanNode::Split(
+               0, 2, PlanNode::Generic(dnf, {2, 3}), PlanNode::Verdict(true))));
+
+  PerAttributeCostModel per_attribute(schema);
+  // Attributes 2 and 3 share a board: marginals depend on what was acquired.
+  SensorBoardCostModel board(schema, {-1, -1, 0, 0}, {25.0});
+  const std::vector<const AcquisitionCostModel*> cost_models = {
+      &per_attribute, &board};
+  for (const AcquisitionCostModel* cm : cost_models) {
+    for (const auto& [query, plan] : plans) {
+      SCOPED_TRACE(query.ToString(schema));
+      RecordingSink all;
+      const EmpiricalCostResult res =
+          EmpiricalPlanCost(plan, ds, query, *cm, &all);
+      EXPECT_EQ(res.verdict_errors, 0u);
+
+      // Row by row, the stream is exactly what ExecutePlan emits for the
+      // row: each row's events end at its verdict, so comparing the
+      // concatenations compares every row.
+      RecordingSink per_row;
+      for (RowId r = 0; r < ds.num_rows(); ++r) {
+        const Tuple t = ds.GetTuple(r);
+        TupleSource src(t);
+        (void)ExecutePlan(plan, schema, *cm, src, &per_row);
+      }
+      EXPECT_TRUE(all.events == per_row.events);
+
+      // total_cost is the in-order sum of the OnVerdict costs, bit for bit.
+      double verdict_costs = 0.0;
+      size_t verdicts = 0;
+      for (const TraceEvent& e : all.events) {
+        if (e.kind != TraceEvent::Kind::kVerdict) continue;
+        verdict_costs += e.cost;
+        ++verdicts;
+      }
+      EXPECT_EQ(verdicts, ds.num_rows());
+      EXPECT_EQ(std::bit_cast<uint64_t>(res.total_cost),
+                std::bit_cast<uint64_t>(verdict_costs));
+    }
+  }
 }
 
 TEST(ExpectedCostTest, VerdictLeafIsFree) {

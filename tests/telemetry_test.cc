@@ -56,7 +56,6 @@ using obs::CanonicalizeSnapshot;
 using obs::JoinTraces;
 using obs::JoinedTrace;
 using obs::MergeSnapshotInto;
-using obs::MetricAliases;
 using obs::MetricKind;
 using obs::MetricsExposer;
 using obs::RegistrySnapshot;
@@ -83,17 +82,16 @@ TEST(TelemetryMetricNameTest, CanonicalFormRules) {
   EXPECT_EQ(CanonicalMetricName("", MetricKind::kGauge), "_");
 }
 
-TEST(TelemetryMetricNameTest, CanonicalizeRecordsAliasesForRenames) {
+TEST(TelemetryMetricNameTest, CanonicalizeRenamesLegacyNames) {
   RegistrySnapshot snap;
   snap.counters.push_back({"serve.cache.hits", 5});
   snap.gauges.push_back({"already_canonical", 1.0});
-  MetricAliases aliases;
-  const RegistrySnapshot canon = CanonicalizeSnapshot(snap, &aliases);
+  const RegistrySnapshot canon = CanonicalizeSnapshot(snap);
   ASSERT_EQ(canon.counters.size(), 1u);
   EXPECT_EQ(canon.counters[0].name, "serve_cache_hits_total");
-  ASSERT_EQ(aliases.size(), 1u);
-  EXPECT_EQ(aliases[0].first, "serve.cache.hits");
-  EXPECT_EQ(aliases[0].second, "serve_cache_hits_total");
+  EXPECT_EQ(canon.counters[0].value, 5u);
+  ASSERT_EQ(canon.gauges.size(), 1u);
+  EXPECT_EQ(canon.gauges[0].name, "already_canonical");
 }
 
 TEST(TelemetryMetricNameTest, CollidingCanonicalNamesMergeIntoOneSeries) {
@@ -105,7 +103,7 @@ TEST(TelemetryMetricNameTest, CollidingCanonicalNamesMergeIntoOneSeries) {
   snap.counters.push_back({"serve.cache_hits", 7});
   snap.gauges.push_back({"a.b", 1.0});
   snap.gauges.push_back({"a_b", 3.0});
-  const RegistrySnapshot canon = CanonicalizeSnapshot(snap, nullptr);
+  const RegistrySnapshot canon = CanonicalizeSnapshot(snap);
   ASSERT_EQ(canon.counters.size(), 1u);
   EXPECT_EQ(canon.counters[0].name, "serve_cache_hits_total");
   EXPECT_EQ(canon.counters[0].value, 12u);

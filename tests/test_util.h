@@ -5,12 +5,14 @@
 #ifndef CAQP_TESTS_TEST_UTIL_H_
 #define CAQP_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/dataset.h"
 #include "core/query.h"
 #include "exec/executor.h"
+#include "plan/plan.h"
 #include "prob/estimator.h"
 #include "prob/subproblem.h"
 
@@ -207,18 +209,134 @@ size_t CountVerdictMismatches(const PlanT& plan, const Query& query,
   return mismatches;
 }
 
-/// Acquisition from one dataset row at a time (point a row-keyed
-/// FaultyAcquisitionSource at the same row with its SetRow).
-class RowSource : public AcquisitionSource {
- public:
-  explicit RowSource(const Dataset& data) : data_(data) {}
-  void SetRow(RowId row) { row_ = row; }
-  AcquiredValue Acquire(AttrId attr) override { return data_.at(row_, attr); }
+/// Reference executor for the flat walk (src/exec/compiled_walk.h), which
+/// must match it field for field: a pointer walk down a Plan tree with the
+/// same acquisition, retry, charging and three-valued degradation
+/// semantics, and no trace or profile hooks. Kept textually parallel to
+/// WalkCompiled; the tree<->flat equivalence test in
+/// tests/compiled_plan_test.cc compares every ExecutionResult field.
+inline ExecutionResult ExecuteTreeReference(
+    const Plan& plan, const Schema& schema,
+    const AcquisitionCostModel& cost_model, AcquisitionSource& source,
+    const DegradationPolicy& policy = {}) {
+  ExecutionResult out;
+  // Cache of acquired values; valid where out.acquired has the bit set.
+  std::vector<Value> values(schema.num_attributes(), 0);
+  const int max_attempts =
+      policy.mode == DegradationPolicy::Mode::kRetry
+          ? std::max(1, policy.max_attempts)
+          : 1;
 
- private:
-  const Dataset& data_;
-  RowId row_ = 0;
-};
+  // Acquires `a` (retrying per policy), returning true and filling *v on
+  // success. Every attempt is charged: the sensor is energized whether or
+  // not it returns a sample. A permanently failed attribute is remembered so
+  // later plan references don't pay again for a sensor known to be dead.
+  auto acquire = [&](AttrId a, Value* v) -> bool {
+    if (out.acquired.Contains(a)) {
+      *v = values[a];
+      return true;
+    }
+    if (out.failed.Contains(a)) return false;
+    for (int attempt = 0; attempt < max_attempts; ++attempt) {
+      const AcquiredValue av = source.Acquire(a);
+      double marginal = cost_model.Cost(a, out.acquired) * av.cost_multiplier;
+      if (attempt > 0) {
+        marginal *= policy.retry_cost_multiplier;
+        ++out.retries;
+      }
+      out.cost += marginal;
+      if (av.ok) {
+        out.acquired.Insert(a);
+        ++out.acquisitions;
+        values[a] = av.value;
+        *v = av.value;
+        return true;
+      }
+      if (av.permanent) break;  // stuck sensor: retrying cannot help
+    }
+    out.failed.Insert(a);
+    return false;
+  };
+
+  // Sets the degraded outcome for a failed acquisition the plan could not
+  // work around; returns true when execution must stop (kAbort).
+  auto degrade = [&]() -> bool {
+    out.verdict3 = Truth::kUnknown;
+    if (policy.mode == DegradationPolicy::Mode::kAbort) {
+      out.aborted = true;
+      return true;
+    }
+    return false;
+  };
+
+  const PlanNode* n = &plan.root();
+  Value v = 0;
+  bool routed = true;
+  while (n->kind == PlanNode::Kind::kSplit) {
+    if (!acquire(n->attr, &v)) {
+      // A split cannot route without its attribute: no residual conjuncts
+      // are visible here, so the verdict degrades straight to Unknown.
+      (void)degrade();
+      routed = false;
+      break;
+    }
+    n = v >= n->split_value ? n->ge.get() : n->lt.get();
+  }
+
+  if (routed) {
+    switch (n->kind) {
+      case PlanNode::Kind::kVerdict:
+        out.verdict3 = n->verdict ? Truth::kTrue : Truth::kFalse;
+        break;
+      case PlanNode::Kind::kSequential: {
+        // Three-valued short-circuit AND: a failed acquisition leaves the
+        // conjunct Unknown but scanning continues — a later false conjunct
+        // still decides the verdict (defined kFalse).
+        Truth t = Truth::kTrue;
+        for (const Predicate& p : n->sequence) {
+          if (!acquire(p.attr, &v)) {
+            if (degrade()) break;
+            t = Truth::kUnknown;
+            continue;
+          }
+          if (!p.Matches(v)) {
+            t = Truth::kFalse;
+            break;
+          }
+        }
+        if (!out.aborted) out.verdict3 = t;
+        break;
+      }
+      case PlanNode::Kind::kGeneric: {
+        RangeVec ranges = schema.FullRanges();
+        for (size_t a = 0; a < schema.num_attributes(); ++a) {
+          if (out.acquired.Contains(static_cast<AttrId>(a))) {
+            ranges[a] = ValueRange{values[a], values[a]};
+          }
+        }
+        Truth t = n->residual_query.EvaluateOnRanges(ranges);
+        for (size_t k = 0; t == Truth::kUnknown && k < n->acquire_order.size();
+             ++k) {
+          const AttrId a = n->acquire_order[k];
+          if (!acquire(a, &v)) {
+            if (degrade()) break;
+            continue;  // range stays full; later attributes may still decide
+          }
+          ranges[a] = ValueRange{v, v};
+          t = n->residual_query.EvaluateOnRanges(ranges);
+        }
+        // Without failures the acquisition order must resolve the query.
+        CAQP_CHECK(t != Truth::kUnknown || out.failed.Count() > 0);
+        if (!out.aborted) out.verdict3 = t;
+        break;
+      }
+      case PlanNode::Kind::kSplit:
+        CAQP_CHECK(false);
+    }
+  }
+  out.verdict = out.verdict3 == Truth::kTrue;
+  return out;
+}
 
 }  // namespace testing_util
 }  // namespace caqp
