@@ -53,9 +53,7 @@
 
 using namespace caqp;
 using opt::CornerScenarios;
-using opt::CostScenario;
 using opt::RegretPlanner;
-using opt::ScenarioPlanCost;
 using opt::UncertaintyBox;
 
 namespace {
@@ -131,10 +129,10 @@ PlanScore Score(const std::string& name, const CompiledPlan& plan,
                 const std::vector<double>& best) {
   PlanScore out;
   out.planner = name;
-  out.nominal_cost = ScenarioPlanCost(plan, est, cm, scenarios[0]);
+  out.nominal_cost = ExpectedPlanCost(plan, est, cm, scenarios[0]);
   for (size_t s = 0; s < scenarios.size(); ++s) {
     const double regret =
-        ScenarioPlanCost(plan, est, cm, scenarios[s]) - best[s];
+        ExpectedPlanCost(plan, est, cm, scenarios[s]) - best[s];
     out.worst_regret = std::max(out.worst_regret, regret);
     out.mean_regret += regret;
   }
@@ -208,10 +206,10 @@ int main(int argc, char** argv) {
 
     std::vector<double> best(scenarios.size(), 0.0);
     for (size_t s = 0; s < scenarios.size(); ++s) {
-      double lo = ScenarioPlanCost(*reference[0], estimator, cost_model,
+      double lo = ExpectedPlanCost(*reference[0], estimator, cost_model,
                                    scenarios[s]);
       for (size_t c = 1; c < reference.size(); ++c) {
-        lo = std::min(lo, ScenarioPlanCost(*reference[c], estimator,
+        lo = std::min(lo, ExpectedPlanCost(*reference[c], estimator,
                                            cost_model, scenarios[s]));
       }
       best[s] = lo;

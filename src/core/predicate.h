@@ -46,13 +46,6 @@ struct Predicate {
   ///  * kUnknown otherwise.
   Truth EvaluateOnRange(const ValueRange& range) const;
 
-  /// Probability mass interpretation helper: the sub-range of `range` on
-  /// which the (non-negated) inner interval holds; empty() if disjoint.
-  /// Exposed for estimator unit tests.
-  bool IntersectsInterval(const ValueRange& range) const {
-    return !(range.hi < lo || range.lo > hi);
-  }
-
   bool operator==(const Predicate& o) const = default;
 
   /// AbslHashValue-style stable 64-bit hash, consistent with operator==

@@ -5,44 +5,11 @@
 #ifndef CAQP_EXEC_METRICS_H_
 #define CAQP_EXEC_METRICS_H_
 
-#include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace caqp {
-
-/// Streaming accumulator for per-tuple execution costs. Tracks mean and
-/// population variance online (Welford's algorithm: numerically stable,
-/// one pass, no stored samples) plus min/max.
-class CostAccumulator {
- public:
-  void Add(double cost) {
-    total_ += cost;
-    ++count_;
-    const double delta = cost - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (cost - mean_);
-    if (count_ == 1 || cost < min_) min_ = cost;
-    if (count_ == 1 || cost > max_) max_ = cost;
-  }
-  double mean() const { return count_ ? mean_ : 0.0; }
-  double variance() const {
-    return count_ ? m2_ / static_cast<double>(count_) : 0.0;
-  }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double total() const { return total_; }
-  size_t count() const { return count_; }
-
- private:
-  double total_ = 0.0;
-  size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Ratios of baseline cost to algorithm cost, one per experiment; >1 means
 /// the algorithm beat the baseline. Mirrors the paper's "performance gain".

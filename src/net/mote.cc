@@ -44,7 +44,7 @@ std::optional<ExecutionResult> Mote::RunEpoch(size_t epoch) {
     return std::nullopt;
   }
   CAQP_OBS_COUNTER_INC("net.mote.epochs");
-  CAQP_OBS_STAT_RECORD("net.mote.epoch_cost", res.cost);
+  CAQP_OBS_HIST_RECORD("net.mote.epoch_cost", res.cost);
   return res;
 }
 

@@ -36,7 +36,7 @@ Radio::Delivery Radio::Transmit(const std::vector<uint8_t>& bytes,
       ++burst_drops_;
       CAQP_OBS_COUNTER_INC("net.radio.dropped_burst");
     }
-    CAQP_OBS_STAT_RECORD("net.radio.message_energy", cost);
+    CAQP_OBS_HIST_RECORD("net.radio.message_energy", cost);
     return out;
   }
   // Receiver pays iff the message reaches it; a browned-out receiver cannot
@@ -44,10 +44,10 @@ Radio::Delivery Radio::Transmit(const std::vector<uint8_t>& bytes,
   if (!receiver.Consume(cost)) {
     ++messages_dropped_;
     CAQP_OBS_COUNTER_INC("net.radio.dropped_energy");
-    CAQP_OBS_STAT_RECORD("net.radio.message_energy", cost);
+    CAQP_OBS_HIST_RECORD("net.radio.message_energy", cost);
     return out;
   }
-  CAQP_OBS_STAT_RECORD("net.radio.message_energy", 2.0 * cost);
+  CAQP_OBS_HIST_RECORD("net.radio.message_energy", 2.0 * cost);
   out.payload = bytes;
   if (options_.corruption_probability > 0) {
     for (uint8_t& b : out.payload) {

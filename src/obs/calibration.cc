@@ -52,12 +52,6 @@ double CalibrationReport::MaxDrift(uint64_t min_evals) const {
   return max_drift;
 }
 
-uint64_t CalibrationReport::TotalAttrEvals() const {
-  uint64_t total = 0;
-  for (const AttrCalibration& a : attrs) total += a.evals;
-  return total;
-}
-
 CalibrationReport CalibrationReport::DeltaSince(
     const CalibrationReport& prev) const {
   CalibrationReport out;

@@ -177,8 +177,6 @@ struct CalibrationReport {
   /// Largest per-attribute drift() among attributes with at least
   /// `min_evals` observed evaluations this report.
   double MaxDrift(uint64_t min_evals = 1) const;
-  /// Observed evaluations summed over every attribute row.
-  uint64_t TotalAttrEvals() const;
   /// This report minus `prev` (both cumulative), saturating at zero —
   /// the per-window view DriftPolicy consumes. Plans/attrs with no
   /// activity in the window are dropped.

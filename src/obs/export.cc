@@ -166,19 +166,6 @@ void WriteRegistrySnapshot(JsonWriter& w, const RegistrySnapshot& snap) {
   w.Key("gauges").BeginObject();
   for (const auto& g : canon.gauges) w.Key(g.name).Double(g.value);
   w.EndObject();
-  w.Key("stats").BeginObject();
-  for (const auto& s : canon.stats) {
-    w.Key(s.name).BeginObject();
-    w.Key("count").UInt(s.count);
-    w.Key("mean").Double(s.mean);
-    w.Key("variance").Double(s.variance);
-    w.Key("min").Double(s.min);
-    w.Key("max").Double(s.max);
-    w.Key("p50").Double(s.p50);
-    w.Key("p95").Double(s.p95);
-    w.EndObject();
-  }
-  w.EndObject();
   w.Key("histograms").BeginObject();
   for (const auto& h : canon.histograms) {
     w.Key(h.name);
@@ -395,18 +382,6 @@ std::string RegistryToMarkdown(const MetricsRegistry& registry) {
     for (const auto& g : snap.gauges) {
       std::snprintf(buf, sizeof(buf), "| %s | %g |\n", g.name.c_str(),
                     g.value);
-      out += buf;
-    }
-  }
-  if (!snap.stats.empty()) {
-    out +=
-        "\n| stat | count | mean | stddev | min | p50 | p95 | max |\n"
-        "|---|---|---|---|---|---|---|---|\n";
-    for (const auto& s : snap.stats) {
-      std::snprintf(buf, sizeof(buf),
-                    "| %s | %zu | %g | %g | %g | %g | %g | %g |\n",
-                    s.name.c_str(), s.count, s.mean, std::sqrt(s.variance),
-                    s.min, s.p50, s.p95, s.max);
       out += buf;
     }
   }

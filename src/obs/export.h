@@ -56,7 +56,7 @@ class JsonWriter {
 /// JSON string escaping per RFC 8259 (quotes, backslash, control chars).
 std::string EscapeJson(std::string_view s);
 
-/// Emits `snap` as {"counters":{...},"gauges":{...},"stats":{name:{...}},
+/// Emits `snap` as {"counters":{...},"gauges":{...},
 /// "histograms":{name:{...}}}. Writer must be positioned where a value is
 /// expected.
 void WriteRegistrySnapshot(JsonWriter& w, const RegistrySnapshot& snap);
@@ -111,8 +111,8 @@ void WriteAttributeProfile(JsonWriter& w, const AttributeProfile& profile,
 /// One-call helpers over the default registry.
 std::string RegistryToJson(const MetricsRegistry& registry);
 
-/// Human-readable markdown tables (counters / gauges / stats) for terminal
-/// summaries.
+/// Human-readable markdown tables (counters / gauges / histograms) for
+/// terminal summaries.
 std::string RegistryToMarkdown(const MetricsRegistry& registry);
 
 /// Appends one line to `path` (creating parent dirs is the caller's job).

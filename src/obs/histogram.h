@@ -1,9 +1,9 @@
 // obs::Histogram — fixed-layout log-linear latency histogram.
 //
-// Replaces StreamingStat on the serving hot path: Record() is lock-free
-// (relaxed atomic adds, no mutex, no reservoir shuffle) and histograms are
-// mergeable, so each serve worker owns one and Snapshot()-time aggregation
-// produces whole-service percentiles without any cross-worker write sharing.
+// The library's one distribution metric: Record() is lock-free (relaxed
+// atomic adds, no mutex) and histograms are mergeable, so each serve worker
+// owns one and Snapshot()-time aggregation produces whole-service
+// percentiles without any cross-worker write sharing.
 //
 // Bucket layout (identical for every histogram in the process, so merging
 // is an element-wise add):
@@ -15,10 +15,11 @@
 //                                  for e in [kMinExp, kMaxExp)
 //   bucket N-1                     overflow: v >= 2^kMaxExp
 //
-// With kMinExp=-20, kMaxExp=6, kSubBuckets=8 the range ~0.95us..64s is
-// covered by 208 buckets with <= 1/8 relative quantile error — ample for
-// p50/p90/p99/p99.9 latency SLOs. Values are dimensionless doubles; the
-// serve layer records seconds.
+// With kMinExp=-20, kMaxExp=16, kSubBuckets=8 the range ~0.95e-6..65536 is
+// covered by 288 log-linear buckets with <= 1/8 relative quantile error —
+// ample for p50/p90/p99/p99.9 latency SLOs in seconds (the serve layer's
+// unit) and for the network simulator's per-epoch acquisition costs, which
+// reach about 1000. Values are dimensionless doubles.
 
 #ifndef CAQP_OBS_HISTOGRAM_H_
 #define CAQP_OBS_HISTOGRAM_H_
@@ -36,7 +37,7 @@ inline constexpr int kHistSubBuckets = 8;
 /// Lowest bucketed exponent: values below 2^kHistMinExp underflow.
 inline constexpr int kHistMinExp = -20;
 /// Values >= 2^kHistMaxExp overflow.
-inline constexpr int kHistMaxExp = 6;
+inline constexpr int kHistMaxExp = 16;
 /// Total bucket count including the underflow and overflow buckets.
 inline constexpr size_t kHistNumBuckets =
     2 + static_cast<size_t>(kHistMaxExp - kHistMinExp) * kHistSubBuckets;

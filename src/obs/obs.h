@@ -73,15 +73,6 @@ inline void SetEnabled(bool on) {
     }                                                                    \
   } while (0)
 
-#define CAQP_OBS_STAT_RECORD(name, v)                                    \
-  do {                                                                   \
-    if (::caqp::obs::Enabled()) {                                        \
-      static ::caqp::obs::StreamingStat& caqp_obs_s =                    \
-          ::caqp::obs::DefaultRegistry().GetStat(name);                  \
-      caqp_obs_s.Record(v);                                              \
-    }                                                                    \
-  } while (0)
-
 #define CAQP_OBS_HIST_RECORD(name, v)                                    \
   do {                                                                   \
     if (::caqp::obs::Enabled()) {                                        \
@@ -105,10 +96,6 @@ inline void SetEnabled(bool on) {
 #define CAQP_OBS_GAUGE_SET(name, v) \
   do {                              \
     (void)sizeof(v);                \
-  } while (0)
-#define CAQP_OBS_STAT_RECORD(name, v) \
-  do {                                \
-    (void)sizeof(v);                  \
   } while (0)
 #define CAQP_OBS_HIST_RECORD(name, v) \
   do {                                \

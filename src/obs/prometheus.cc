@@ -63,7 +63,7 @@ std::string CanonicalMetricName(std::string_view name, MetricKind kind) {
   std::string out;
   out.reserve(name.size() + 6);
   for (char c : name) out += ValidNameChar(c) ? c : '_';
-  if (out.empty()) out = "_";
+  if (out.empty()) out += '_';
   if (out[0] >= '0' && out[0] <= '9') out.insert(out.begin(), '_');
   if (kind == MetricKind::kCounter && !EndsWith(out, "_total")) {
     out += "_total";
@@ -74,14 +74,12 @@ std::string CanonicalMetricName(std::string_view name, MetricKind kind) {
 RegistrySnapshot CanonicalizeSnapshot(RegistrySnapshot snap) {
   RenameAll(snap.counters, MetricKind::kCounter);
   RenameAll(snap.gauges, MetricKind::kGauge);
-  RenameAll(snap.stats, MetricKind::kStat);
   RenameAll(snap.histograms, MetricKind::kHistogram);
   MergeAdjacentDuplicates(snap.counters,
                           [](auto& a, const auto& b) { a.value += b.value; });
   MergeAdjacentDuplicates(snap.gauges, [](auto& a, const auto& b) {
     a.value = std::max(a.value, b.value);
   });
-  MergeAdjacentDuplicates(snap.stats, [](auto&, const auto&) {});
   MergeAdjacentDuplicates(snap.histograms, [](auto& a, const auto& b) {
     a.hist.Merge(b.hist);
   });
@@ -107,11 +105,6 @@ void MergeSnapshotInto(RegistrySnapshot* dst, const RegistrySnapshot& src) {
       it->value = std::max(it->value, g.value);
     }
   }
-  for (const auto& s : src.stats) {
-    auto it = std::find_if(dst->stats.begin(), dst->stats.end(),
-                           [&](const auto& e) { return e.name == s.name; });
-    if (it == dst->stats.end()) dst->stats.push_back(s);
-  }
   for (const auto& h : src.histograms) {
     auto it = std::find_if(dst->histograms.begin(), dst->histograms.end(),
                            [&](const auto& e) { return e.name == h.name; });
@@ -123,7 +116,6 @@ void MergeSnapshotInto(RegistrySnapshot* dst, const RegistrySnapshot& src) {
   }
   SortByName(dst->counters);
   SortByName(dst->gauges);
-  SortByName(dst->stats);
   SortByName(dst->histograms);
 }
 
@@ -142,15 +134,6 @@ std::string RenderPrometheusText(const RegistrySnapshot& raw) {
   for (const auto& g : snap.gauges) {
     out += "# TYPE " + g.name + " gauge\n";
     out += g.name + " " + FormatValue(g.value) + "\n";
-  }
-  for (const auto& s : snap.stats) {
-    out += "# TYPE " + s.name + " summary\n";
-    out += s.name + "{quantile=\"0.5\"} " + FormatValue(s.p50) + "\n";
-    out += s.name + "{quantile=\"0.95\"} " + FormatValue(s.p95) + "\n";
-    out += s.name + "_sum " +
-           FormatValue(s.mean * static_cast<double>(s.count)) + "\n";
-    std::snprintf(buf, sizeof(buf), "%zu", s.count);
-    out += s.name + "_count " + buf + "\n";
   }
   for (const auto& h : snap.histograms) {
     out += "# TYPE " + h.name + " histogram\n";

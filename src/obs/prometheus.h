@@ -9,8 +9,8 @@
 //   * '.' and any non-[a-zA-Z0-9_] byte become '_';
 //   * counters gain a "_total" suffix unless they already carry one
 //     ("serve.requests" -> "serve_requests_total");
-//   * gauges, stats, and histograms keep their unit suffix as spelled at
-//     the call site ("_seconds", "_ratio") — the registration name is the
+//   * gauges and histograms keep their unit suffix as spelled at the call
+//     site ("_seconds", "_ratio") — the registration name is the
 //     contract;
 //   * a leading digit is prefixed with '_' (Prometheus name grammar).
 //
@@ -21,8 +21,8 @@
 // Exposition notes: histograms render as classic cumulative histograms over
 // the native log-linear bucket bounds (obs/histogram.h) — only non-empty
 // buckets plus the mandatory "+Inf" are emitted, which Prometheus accepts
-// (le values strictly increase). StreamingStats render as summaries with
-// their p50/p95 quantiles.
+// (le values strictly increase). Histograms are the one distribution metric,
+// so there are no summaries.
 
 #ifndef CAQP_OBS_PROMETHEUS_H_
 #define CAQP_OBS_PROMETHEUS_H_
@@ -35,7 +35,7 @@
 namespace caqp {
 namespace obs {
 
-enum class MetricKind { kCounter, kGauge, kStat, kHistogram };
+enum class MetricKind { kCounter, kGauge, kHistogram };
 
 /// Canonical exported name for a metric registered as `name`, per the rules
 /// in the header comment.
@@ -46,10 +46,8 @@ std::string CanonicalMetricName(std::string_view name, MetricKind kind);
 RegistrySnapshot CanonicalizeSnapshot(RegistrySnapshot snap);
 
 /// Merges `src` into `*dst` with ShardedRegistry semantics: counters sum,
-/// gauges max, histograms bucket-merge. Stats keep the first-seen entry on
-/// a name collision (reservoirs do not merge; prefer histograms across
-/// registries). Used to combine the serving tier's ShardedRegistry with the
-/// process-global DefaultRegistry for one scrape.
+/// gauges max, histograms bucket-merge. Used to combine the serving tier's
+/// ShardedRegistry with the process-global DefaultRegistry for one scrape.
 void MergeSnapshotInto(RegistrySnapshot* dst, const RegistrySnapshot& src);
 
 /// Renders `snap` as Prometheus text exposition 0.0.4. Names in `snap` are

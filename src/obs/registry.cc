@@ -1,65 +1,13 @@
 #include "obs/registry.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/check.h"
 
 namespace caqp {
 namespace obs {
 
-namespace {
-
-uint64_t NextRandom(uint64_t& state) {
-  // xorshift64*: deterministic, good enough for reservoir replacement.
-  state ^= state >> 12;
-  state ^= state << 25;
-  state ^= state >> 27;
-  return state * 0x2545f4914f6cdd1dull;
-}
-
-}  // namespace
-
-void StreamingStat::Record(double x) {
-  ++n_;
-  sum_ += x;
-  if (n_ == 1) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-
-  if (reservoir_.size() < kReservoirCapacity) {
-    reservoir_.push_back(x);
-  } else {
-    const uint64_t j = NextRandom(rng_) % n_;
-    if (j < kReservoirCapacity) reservoir_[j] = x;
-  }
-}
-
-double StreamingStat::stddev() const { return std::sqrt(variance()); }
-
-double StreamingStat::Quantile(double q) const {
-  if (reservoir_.empty()) return 0.0;
-  CAQP_DCHECK(q >= 0.0 && q <= 1.0);
-  std::vector<double> sorted = reservoir_;
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted[0];
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
 Counter& MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   CAQP_DCHECK(gauges_.find(name) == gauges_.end());
-  CAQP_DCHECK(stats_.find(name) == stats_.end());
   CAQP_DCHECK(histograms_.find(name) == histograms_.end());
   std::unique_ptr<Counter>& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
@@ -69,20 +17,9 @@ Counter& MetricsRegistry::GetCounter(const std::string& name) {
 Gauge& MetricsRegistry::GetGauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   CAQP_DCHECK(counters_.find(name) == counters_.end());
-  CAQP_DCHECK(stats_.find(name) == stats_.end());
   CAQP_DCHECK(histograms_.find(name) == histograms_.end());
   std::unique_ptr<Gauge>& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-StreamingStat& MetricsRegistry::GetStat(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  CAQP_DCHECK(counters_.find(name) == counters_.end());
-  CAQP_DCHECK(gauges_.find(name) == gauges_.end());
-  CAQP_DCHECK(histograms_.find(name) == histograms_.end());
-  std::unique_ptr<StreamingStat>& slot = stats_[name];
-  if (!slot) slot = std::make_unique<StreamingStat>();
   return *slot;
 }
 
@@ -90,7 +27,6 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   CAQP_DCHECK(counters_.find(name) == counters_.end());
   CAQP_DCHECK(gauges_.find(name) == gauges_.end());
-  CAQP_DCHECK(stats_.find(name) == stats_.end());
   std::unique_ptr<Histogram>& slot = histograms_[name];
   if (!slot) slot = std::make_unique<Histogram>();
   return *slot;
@@ -107,11 +43,6 @@ RegistrySnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, g] : gauges_) {
     snap.gauges.push_back({name, g->value()});
   }
-  snap.stats.reserve(stats_.size());
-  for (const auto& [name, s] : stats_) {
-    snap.stats.push_back({name, s->count(), s->mean(), s->variance(),
-                          s->min(), s->max(), s->p50(), s->p95()});
-  }
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {
     snap.histograms.push_back({name, h->Snapshot()});
@@ -123,7 +54,6 @@ void MetricsRegistry::ResetAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->Reset();
   for (auto& [name, g] : gauges_) g->Reset();
-  for (auto& [name, s] : stats_) s->Reset();
   for (auto& [name, h] : histograms_) h->Reset();
 }
 

@@ -1,15 +1,15 @@
-// Metrics registry: named counters, gauges, and streaming timers shared by
-// every layer of the library (planners, executor, network sim, tools).
+// Metrics registry: named counters, gauges, and histograms shared by every
+// layer of the library (planners, executor, network sim, tools).
 //
 // Design for the hot path:
 //  * Counter / Gauge are single std::atomics updated with relaxed ordering —
 //    lock-free, one instruction on x86/ARM.
-//  * StreamingStat (Welford mean/variance + min/max + deterministic
-//    reservoir for quantiles) is single-writer: the library is
-//    single-threaded per query, and concurrent *readers* of counters and
-//    gauges are safe. Registering a metric takes a mutex, but call sites
-//    cache the returned reference (see the CAQP_OBS_* macros in obs.h), so
-//    the lock is touched once per call site for the process lifetime.
+//  * Histogram (obs/histogram.h) is the one distribution metric: lock-free
+//    relaxed atomic buckets with a process-wide log-linear layout, so
+//    snapshots merge exactly across registries and shards.
+//  * Registering a metric takes a mutex, but call sites cache the returned
+//    reference (see the CAQP_OBS_* macros in obs.h), so the lock is touched
+//    once per call site for the process lifetime.
 //  * Metric objects are never destroyed or moved once created; references
 //    stay valid until process exit (std::map nodes are stable).
 
@@ -53,44 +53,6 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Streaming distribution summary: count, Welford mean/variance, min/max,
-/// and approximate quantiles from a fixed-size deterministic reservoir.
-/// Single-writer; O(1) per Record.
-class StreamingStat {
- public:
-  static constexpr size_t kReservoirCapacity = 1024;
-
-  void Record(double x);
-
-  size_t count() const { return n_; }
-  double sum() const { return sum_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  /// Population variance; 0 for fewer than two samples.
-  double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_) : 0.0; }
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
-  /// Approximate q-quantile (q in [0,1]) from the reservoir sample, with
-  /// linear interpolation. Exact while count() <= kReservoirCapacity.
-  double Quantile(double q) const;
-  double p50() const { return Quantile(0.50); }
-  double p95() const { return Quantile(0.95); }
-
-  void Reset() { *this = StreamingStat(); }
-
- private:
-  uint64_t n_ = 0;
-  double sum_ = 0.0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  // Algorithm R with a fixed-seed xorshift so runs are reproducible.
-  uint64_t rng_ = 0x9e3779b97f4a7c15ull;
-  std::vector<double> reservoir_;
-};
-
 /// Point-in-time copy of every registered metric, for export.
 struct RegistrySnapshot {
   struct CounterValue {
@@ -101,23 +63,12 @@ struct RegistrySnapshot {
     std::string name;
     double value = 0.0;
   };
-  struct StatValue {
-    std::string name;
-    size_t count = 0;
-    double mean = 0.0;
-    double variance = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-  };
   struct HistogramValue {
     std::string name;
     HistogramSnapshot hist;
   };
   std::vector<CounterValue> counters;      // sorted by name
   std::vector<GaugeValue> gauges;          // sorted by name
-  std::vector<StatValue> stats;            // sorted by name
   std::vector<HistogramValue> histograms;  // sorted by name
 };
 
@@ -128,7 +79,6 @@ class MetricsRegistry {
   /// same name as two different metric kinds is a programming error.
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
-  StreamingStat& GetStat(const std::string& name);
   Histogram& GetHistogram(const std::string& name);
 
   RegistrySnapshot Snapshot() const;
@@ -142,7 +92,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<StreamingStat>> stats_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

@@ -6,34 +6,6 @@
 namespace caqp {
 namespace obs {
 
-namespace {
-
-// Chan et al. parallel update of (count, mean, M2); exact in exact
-// arithmetic, numerically stable for the shard counts we see in practice.
-struct Moments {
-  uint64_t n = 0;
-  double mean = 0.0;
-  double m2 = 0.0;
-
-  void Merge(uint64_t on, double omean, double om2) {
-    if (on == 0) return;
-    if (n == 0) {
-      n = on;
-      mean = omean;
-      m2 = om2;
-      return;
-    }
-    const double delta = omean - mean;
-    const double total = static_cast<double>(n + on);
-    mean += delta * static_cast<double>(on) / total;
-    m2 += om2 + delta * delta * static_cast<double>(n) *
-                    static_cast<double>(on) / total;
-    n += on;
-  }
-};
-
-}  // namespace
-
 ShardedRegistry::ShardedRegistry(size_t num_shards) {
   if (num_shards == 0) num_shards = 1;
   shards_.reserve(num_shards);
@@ -46,18 +18,6 @@ RegistrySnapshot ShardedRegistry::Snapshot() const {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-  struct StatAgg {
-    Moments moments;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    // Quantiles come from the most populated shard: reservoir samples are
-    // not mergeable, and the biggest shard is the least biased stand-in.
-    uint64_t best_n = 0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-  };
-  std::map<std::string, StatAgg> stats;
 
   for (const auto& shard : shards_) {
     const RegistrySnapshot snap = shard->Snapshot();
@@ -67,21 +27,6 @@ RegistrySnapshot ShardedRegistry::Snapshot() const {
       if (!inserted) it->second = std::max(it->second, g.value);
     }
     for (const auto& h : snap.histograms) histograms[h.name].Merge(h.hist);
-    for (const auto& s : snap.stats) {
-      StatAgg& agg = stats[s.name];
-      if (s.count > 0) {
-        agg.min = agg.moments.n == 0 ? s.min : std::min(agg.min, s.min);
-        agg.max = agg.moments.n == 0 ? s.max : std::max(agg.max, s.max);
-      }
-      agg.moments.Merge(s.count, s.mean,
-                        s.variance * static_cast<double>(s.count));
-      agg.sum += s.mean * static_cast<double>(s.count);
-      if (s.count > agg.best_n) {
-        agg.best_n = s.count;
-        agg.p50 = s.p50;
-        agg.p95 = s.p95;
-      }
-    }
   }
 
   RegistrySnapshot out;
@@ -89,13 +34,6 @@ RegistrySnapshot ShardedRegistry::Snapshot() const {
   for (const auto& [name, value] : counters) out.counters.push_back({name, value});
   out.gauges.reserve(gauges.size());
   for (const auto& [name, value] : gauges) out.gauges.push_back({name, value});
-  out.stats.reserve(stats.size());
-  for (const auto& [name, agg] : stats) {
-    const uint64_t n = agg.moments.n;
-    out.stats.push_back({name, static_cast<size_t>(n), agg.moments.mean,
-                         n ? agg.moments.m2 / static_cast<double>(n) : 0.0,
-                         agg.min, agg.max, agg.p50, agg.p95});
-  }
   out.histograms.reserve(histograms.size());
   for (const auto& [name, hist] : histograms) {
     out.histograms.push_back({name, hist});

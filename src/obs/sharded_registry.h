@@ -14,11 +14,8 @@
 //               serve path; a sum of last-written values is meaningless).
 //  * histograms — bucket-wise merge; quantiles over the merged snapshot are
 //               exact up to bucket resolution, identical to a single
-//               histogram fed every sample.
-//  * stats    — count/sum/mean/variance merged exactly via Chan's parallel
-//               moments formula; p50/p95 are taken from the largest-count
-//               shard (reservoirs cannot be merged without bias). Prefer
-//               histograms for cross-shard quantiles.
+//               histogram fed every sample. Histograms are the only
+//               distribution metric, so every distribution merges exactly.
 
 #ifndef CAQP_OBS_SHARDED_REGISTRY_H_
 #define CAQP_OBS_SHARDED_REGISTRY_H_

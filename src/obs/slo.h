@@ -112,10 +112,6 @@ class SloMonitor {
     return burns_fired_.load(std::memory_order_relaxed);
   }
 
-  static const char* SloName(Slo slo) {
-    return slo == Slo::kAvailability ? "availability" : "latency";
-  }
-
  private:
   /// Ring resolution: the slow window is split into this many buckets; the
   /// fast window covers ceil(fast/slow * kBuckets) of them (>= 1).

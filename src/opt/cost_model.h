@@ -12,7 +12,6 @@
 #ifndef CAQP_OPT_COST_MODEL_H_
 #define CAQP_OPT_COST_MODEL_H_
 
-#include <array>
 #include <vector>
 
 #include "core/schema.h"
@@ -60,34 +59,6 @@ class SensorBoardCostModel : public AcquisitionCostModel {
   const Schema& schema_;
   std::vector<int> board_of_;
   std::vector<double> board_powerup_;
-};
-
-/// Decorator scaling every marginal charge of attribute a by a per-attribute
-/// multiplier. opt/uncertainty.h uses it to price plans under transient
-/// fault rates (retry-until-success at rate f => multiplier 1/(1-f)), but
-/// the multipliers are arbitrary — any per-attribute cost inflation fits.
-/// Attributes past the multiplier table (or with multiplier <= 0) charge the
-/// base cost unchanged.
-class FaultAdjustedCostModel : public AcquisitionCostModel {
- public:
-  static constexpr size_t kMaxAttrs = 64;
-
-  FaultAdjustedCostModel(const AcquisitionCostModel& base,
-                         std::array<double, kMaxAttrs> multipliers)
-      : base_(base), multipliers_(multipliers) {}
-
-  double Cost(AttrId attr, const AttrSet& acquired) const override {
-    double m = 1.0;
-    if (attr != kInvalidAttr && static_cast<size_t>(attr) < kMaxAttrs &&
-        multipliers_[attr] > 0.0) {
-      m = multipliers_[attr];
-    }
-    return base_.Cost(attr, acquired) * m;
-  }
-
- private:
-  const AcquisitionCostModel& base_;
-  std::array<double, kMaxAttrs> multipliers_;
 };
 
 }  // namespace caqp

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "plan/compiled_plan.h"
+#include "plan/plan_cost.h"
 
 namespace caqp {
 namespace opt {
@@ -102,8 +103,8 @@ Plan RegretPlanner::BuildPlanImpl(const Query& query,
                            &point_plan, options_.max_enumerated_predicates);
   CAQP_CHECK(!candidates.empty());
 
-  // cost[c][s]: candidate c priced at scenario s, on the compiled form so
-  // the regret sweep shares ExpectedPlanCost's flat walk.
+  // cost[c][s]: candidate c priced at scenario s by the one Eq. 3 walk
+  // (ExpectedPlanCost), on the compiled form.
   const size_t nc = candidates.size();
   const size_t ns = scenarios.size();
   std::vector<std::vector<double>> cost(nc, std::vector<double>(ns));
@@ -111,7 +112,7 @@ Plan RegretPlanner::BuildPlanImpl(const Query& query,
     const CompiledPlan compiled = CompiledPlan::Compile(candidates[c]);
     for (size_t s = 0; s < ns; ++s) {
       cost[c][s] =
-          ScenarioPlanCost(compiled, estimator_, cost_model_, scenarios[s]);
+          ExpectedPlanCost(compiled, estimator_, cost_model_, scenarios[s]);
     }
   }
 

@@ -1,7 +1,7 @@
 // Minmax-regret planning over an uncertainty box (opt/uncertainty.h).
 //
 // The regret of a plan P at a scenario s of the box is
-//     regret(P, s) = ScenarioPlanCost(P, s) - min_Q ScenarioPlanCost(Q, s)
+//     regret(P, s) = ExpectedPlanCost(P, s) - min_Q ExpectedPlanCost(Q, s)
 // where Q ranges over the candidate plan set; RegretPlanner picks the
 // candidate minimizing max_s regret(P, s) over the box's corner scenarios
 // (Alyoubi/Helmer/Wood, arXiv 1507.08257, applied to acquisitional

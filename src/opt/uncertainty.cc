@@ -19,11 +19,6 @@ double Clamp(double v, double lo, double hi) {
 
 double Clamp01(double v) { return Clamp(v, 0.0, 1.0); }
 
-/// Expected-attempts multiplier for a transient-failure rate f under
-/// retry-until-success. Rates are clamped below 1 so a (mis)configured
-/// box can never divide by zero.
-double FaultMultiplier(double f) { return 1.0 / (1.0 - Clamp(f, 0.0, 0.99)); }
-
 }  // namespace
 
 UncertaintyBox UncertaintyBox::Uniform(double eps) {
@@ -185,138 +180,6 @@ std::vector<CostScenario> CornerScenarios(const UncertaintyBox& box,
   return out;
 }
 
-namespace {
-
-/// ExpectedCoster (plan/plan_cost.cc) with the scenario's perturbations:
-/// pass probabilities shifted additively per attribute and acquisition
-/// costs multiplied by the retry factor of the scenario's fault rate. Keep
-/// the recursion structure (incl. degenerate-split routing and
-/// zero-probability pruning) in lockstep with plan_cost.cc so a zero
-/// scenario is bit-for-bit ExpectedPlanCost.
-class ScenarioCoster {
- public:
-  ScenarioCoster(const CompiledPlan& plan, CondProbEstimator& est,
-                 const AcquisitionCostModel& cm, const CostScenario& scenario)
-      : plan_(plan),
-        est_(est),
-        cm_(cm),
-        scenario_(scenario),
-        schema_(est.schema()) {}
-
-  double Cost(uint32_t index, const RangeVec& ranges) {
-    const CompiledPlan::Node& node = plan_.node(index);
-    switch (node.kind) {
-      case CompiledPlan::Kind::kVerdict:
-        return 0.0;
-      case CompiledPlan::Kind::kSequential:
-        return SequentialCost(plan_.sequence(node), ranges);
-      case CompiledPlan::Kind::kGeneric:
-        return GenericCost(node, 0, ranges);
-      case CompiledPlan::Kind::kSplit:
-        break;
-    }
-    const AttrSet acquired = AcquiredAttrs(schema_, ranges);
-    const double observe =
-        acquired.Contains(node.attr) ? 0.0 : Charge(node.attr, acquired);
-    const ValueRange r = ranges[node.attr];
-    if (node.split_value <= r.lo) return observe + Cost(node.a, ranges);
-    if (node.split_value > r.hi) {
-      return observe + Cost(CompiledPlan::LtChild(index), ranges);
-    }
-
-    const ValueRange lt_r{r.lo, static_cast<Value>(node.split_value - 1)};
-    const ValueRange ge_r{node.split_value, r.hi};
-    // The split's "pass" is the >= branch (plan_estimates.h semantics), so
-    // the shift perturbs p_ge and p_lt follows as its complement.
-    const double p_lt = est_.RangeProbability(ranges, node.attr, lt_r);
-    const double p_ge =
-        Clamp01(1.0 - p_lt + scenario_.shift[node.attr]);
-    const double p_lt_s = 1.0 - p_ge;
-    double cost = observe;
-    if (p_lt_s > 0) {
-      cost += p_lt_s * Cost(CompiledPlan::LtChild(index),
-                            Refined(ranges, node.attr, lt_r));
-    }
-    if (p_ge > 0) {
-      cost += p_ge * Cost(node.a, Refined(ranges, node.attr, ge_r));
-    }
-    return cost;
-  }
-
- private:
-  double Charge(AttrId attr, const AttrSet& acquired) const {
-    return cm_.Cost(attr, acquired) * FaultMultiplier(scenario_.fault[attr]);
-  }
-
-  double SequentialCost(std::span<const Predicate> seq,
-                        const RangeVec& ranges) {
-    if (seq.empty()) return 0.0;
-    const std::vector<Predicate> preds(seq.begin(), seq.end());
-    const MaskDistribution masks = est_.PredicateMasks(ranges, preds);
-    if (masks.total() <= 0) return 0.0;
-    AttrSet acquired = AcquiredAttrs(schema_, ranges);
-    double cost = 0.0;
-    double reach = 1.0;  // shifted P(all predicates so far passed)
-    double point_prefix_mass = masks.total();
-    uint64_t prefix = 0;
-    for (size_t i = 0; i < seq.size(); ++i) {
-      if (reach <= 0 || point_prefix_mass <= 0) break;
-      const AttrId a = seq[i].attr;
-      if (!acquired.Contains(a)) {
-        cost += reach * Charge(a, acquired);
-        acquired.Insert(a);
-      }
-      // Point conditional pass probability of predicate i given the prefix
-      // passed, then shifted by the attribute's scenario shift; the chain
-      // of shifted conditionals replaces plan_cost.cc's mass quotient.
-      prefix |= uint64_t{1} << i;
-      const double next_mass = masks.MassAllTrue(prefix);
-      const double p_point = next_mass / point_prefix_mass;
-      reach *= Clamp01(p_point + scenario_.shift[a]);
-      point_prefix_mass = next_mass;
-    }
-    return cost;
-  }
-
-  double GenericCost(const CompiledPlan::Node& node, size_t k,
-                     const RangeVec& ranges) {
-    const Query& query = plan_.residual_query(node);
-    if (query.EvaluateOnRanges(ranges) != Truth::kUnknown) {
-      return 0.0;
-    }
-    const std::span<const AttrId> order = plan_.acquire_order(node);
-    if (k >= order.size()) return 0.0;
-    const AttrId attr = order[k];
-    const AttrSet acquired = AcquiredAttrs(schema_, ranges);
-    double cost = acquired.Contains(attr) ? 0.0 : Charge(attr, acquired);
-    const Histogram h = est_.Marginal(ranges, attr);
-    if (h.total() <= 0) return 0.0;
-    for (Value v = ranges[attr].lo; v <= ranges[attr].hi; ++v) {
-      const double p = h.Count(v) / h.total();
-      if (p > 0) {
-        cost += p * GenericCost(node, k + 1,
-                                Refined(ranges, attr, ValueRange{v, v}));
-      }
-    }
-    return cost;
-  }
-
-  const CompiledPlan& plan_;
-  CondProbEstimator& est_;
-  const AcquisitionCostModel& cm_;
-  const CostScenario& scenario_;
-  const Schema& schema_;
-};
-
-}  // namespace
-
-double ScenarioPlanCost(const CompiledPlan& plan, CondProbEstimator& estimator,
-                        const AcquisitionCostModel& cost_model,
-                        const CostScenario& scenario) {
-  ScenarioCoster coster(plan, estimator, cost_model, scenario);
-  return coster.Cost(0, estimator.schema().FullRanges());
-}
-
 CostBounds ExpectedPlanCostBounds(const CompiledPlan& plan,
                                   CondProbEstimator& estimator,
                                   const AcquisitionCostModel& cost_model,
@@ -327,7 +190,7 @@ CostBounds ExpectedPlanCostBounds(const CompiledPlan& plan,
   CostBounds bounds;
   bool first = true;
   for (const CostScenario& s : scenarios) {
-    const double c = ScenarioPlanCost(plan, estimator, cost_model, s);
+    const double c = ExpectedPlanCost(plan, estimator, cost_model, s);
     if (first) {
       bounds.lo = bounds.hi = c;
       first = false;

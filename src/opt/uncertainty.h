@@ -17,13 +17,15 @@
 //  * fault intervals [fault_lo[a], fault_hi[a]] — transient-failure rates
 //    for acquisitions of attribute a. Under a retry-until-success
 //    discipline a rate f multiplies the expected acquisition cost by
-//    1/(1-f), which is how scenarios charge it (FaultAdjustedCostModel).
+//    1/(1-f).
 //
-// A CostScenario is one point of the box; CornerScenarios enumerates the
-// box's corners (capped), ScenarioPlanCost prices a compiled plan at one
-// scenario with the same flat-plan walk as ExpectedPlanCost, and
-// ExpectedPlanCostBounds reduces the corner sweep to a [lo, hi] cost
-// interval. opt/regret.h builds the minmax-regret planner on top.
+// A CostScenario (plan/plan_cost.h) is one point of the box, and
+// ExpectedPlanCost(plan, est, cm, scenario) prices a plan there: the one
+// Eq. 3 walk applies the shifts and fault multipliers itself, so the zero
+// scenario is the point cost. CornerScenarios enumerates the box's corners
+// (capped), and ExpectedPlanCostBounds reduces the corner sweep to a
+// [lo, hi] cost interval. opt/regret.h builds the minmax-regret planner on
+// top.
 //
 // Box construction closes two loops:
 //  * UncertaintyBox::Uniform — the static widening knob
@@ -50,6 +52,7 @@
 
 #include "opt/cost_model.h"
 #include "plan/compiled_plan.h"
+#include "plan/plan_cost.h"
 #include "plan/plan_estimates.h"
 #include "prob/estimator.h"
 
@@ -117,12 +120,6 @@ struct UncertaintyBox {
   std::string ToString() const;
 };
 
-/// One point of an UncertaintyBox: concrete shifts and fault rates.
-struct CostScenario {
-  std::array<double, kEstimateMaxAttrs> shift{};
-  std::array<double, kEstimateMaxAttrs> fault{};
-};
-
 /// Corner enumeration of `box`, at most `max_scenarios` entries. The first
 /// entry is always the nominal scenario (zero shift clamped into each
 /// interval, fault = fault_lo). Each uncertain attribute is one dimension
@@ -133,18 +130,7 @@ struct CostScenario {
 std::vector<CostScenario> CornerScenarios(const UncertaintyBox& box,
                                           size_t max_scenarios = 64);
 
-/// Expected acquisition cost of `plan` at one scenario: the
-/// ExpectedPlanCost walk (plan/plan_cost.cc) with every pass probability
-/// additively shifted by scenario.shift[attr] (clamped to [0,1]) and every
-/// acquisition of attribute a charged cost * 1/(1 - scenario.fault[a]).
-/// Generic leaves apply the fault multipliers but keep point probabilities
-/// (their evaluation order is data-dependent; calibration treats them as
-/// uncalibrated too). A zero scenario reproduces ExpectedPlanCost exactly.
-double ScenarioPlanCost(const CompiledPlan& plan, CondProbEstimator& estimator,
-                        const AcquisitionCostModel& cost_model,
-                        const CostScenario& scenario);
-
-/// Interval cost evaluation: [min, max] of ScenarioPlanCost over
+/// Interval cost evaluation: [min, max] of ExpectedPlanCost over
 /// CornerScenarios(box, max_scenarios). lo <= point cost <= hi whenever the
 /// box contains the zero scenario.
 struct CostBounds {

@@ -1,7 +1,12 @@
 // Plan costing.
 //
 //  * ExpectedPlanCost: the analytic expected cost C(P) of Equation (3),
-//    evaluated against any CondProbEstimator. Under a DatasetEstimator this
+//    evaluated against any CondProbEstimator, at the point estimates or at
+//    one scenario of an uncertainty box (CostScenario below). This is the
+//    library's one Eq. 3 walk: ExpectedSubplanCost is its subtree entry,
+//    EstimatePlan (plan/plan_estimates.h) records its per-node beliefs as it
+//    runs, and the robust planner (opt/uncertainty.h, opt/regret.h) prices
+//    every corner scenario with it. Under a DatasetEstimator the point cost
 //    equals the empirical mean execution cost over the same dataset exactly
 //    (Equation (4)); tests enforce that identity.
 //  * EmpiricalPlanCost: mean realized acquisition cost of running the plan
@@ -18,23 +23,45 @@
 #ifndef CAQP_PLAN_PLAN_COST_H_
 #define CAQP_PLAN_PLAN_COST_H_
 
+#include <array>
+
 #include "core/dataset.h"
 #include "core/query.h"
 #include "obs/trace.h"
 #include "opt/cost_model.h"
 #include "plan/compiled_plan.h"
 #include "plan/plan.h"
+#include "plan/plan_estimates.h"
 #include "prob/estimator.h"
 
 namespace caqp {
 
+/// One point of an uncertainty box (opt/uncertainty.h): concrete
+/// per-attribute pass-probability shifts and transient fault rates. The
+/// default (all-zero) scenario is the point estimate itself.
+///  * shift[a] is added to every pass probability of attribute a — P(X_a >=
+///    split) at split nodes, the conditional predicate pass probability at
+///    sequential leaves — and the sum is clamped to [0, 1].
+///  * fault[a] = f multiplies every acquisition charge of attribute a by
+///    1/(1 - f), the expected attempts under retry-until-success (f is
+///    clamped to [0, 0.99], so no scenario divides by zero).
+struct CostScenario {
+  std::array<double, kEstimateMaxAttrs> shift{};
+  std::array<double, kEstimateMaxAttrs> fault{};
+};
+
 /// Expected cost per Equation (3): recursive expectation over the branch
 /// probabilities supplied by `estimator`, with acquisition charges from
 /// `cost_model` (an attribute is charged the first time its range narrows on
-/// a root-to-leaf path; sequential leaves charge per-predicate with
-/// conditional pass probabilities).
+/// a root-to-leaf path; sequential leaves charge per predicate, weighted by
+/// the chained conditional pass probabilities of the predicates before it),
+/// perturbed by `scenario`. Generic leaves take the scenario's fault
+/// multipliers but keep point probabilities, because their evaluation order
+/// is data-dependent. ExpectedPlanCost(plan, est, cm) and
+/// ExpectedPlanCost(plan, est, cm, CostScenario{}) are the same number.
 double ExpectedPlanCost(const CompiledPlan& plan, CondProbEstimator& estimator,
-                        const AcquisitionCostModel& cost_model);
+                        const AcquisitionCostModel& cost_model,
+                        const CostScenario& scenario = CostScenario{});
 /// Tree convenience form: compiles once, then costs the flat form.
 double ExpectedPlanCost(const Plan& plan, CondProbEstimator& estimator,
                         const AcquisitionCostModel& cost_model);

@@ -2,11 +2,11 @@
 //
 // At plan time an estimator believes things about every node of the plan it
 // just built: how often the node will be reached, how often its test will
-// pass, and how much acquisition cost it will charge. EstimatePlan walks a
-// CompiledPlan with the same recursion (and the same degenerate-split and
-// zero-probability handling) as ExpectedPlanCost and records those beliefs
-// in flat arrays indexed by node — the "predicted" half that obs/calibration
-// joins against the executor's observed counters (exec/exec_profile.h).
+// pass, and how much acquisition cost it will charge. EstimatePlan runs the
+// Eq. 3 walk of ExpectedPlanCost (plan/plan_cost.h, where it is defined) and
+// records those beliefs in flat arrays indexed by node as the walk visits
+// them — the "predicted" half that obs/calibration joins against the
+// executor's observed counters (exec/exec_profile.h).
 //
 // Semantics, per node i (flat CompiledPlan preorder index):
 //  * reach — probability a tuple drawn from the estimated distribution
@@ -14,13 +14,17 @@
 //    degenerate splits route all mass one way.
 //  * pass — conditional probability the node's test succeeds given the node
 //    is reached: P(X >= split) for splits, P(all residual predicates true)
-//    for sequential leaves, verdict (1/0) for verdict leaves. Generic leaves
-//    and unreachable nodes carry the sentinel -1 ("no estimate").
+//    (the chained conditional pass probabilities) for sequential leaves,
+//    verdict (1/0) for verdict leaves. Generic leaves and unreachable nodes
+//    carry the sentinel -1 ("no estimate").
 //  * cost — expected acquisition cost charged at node i given it is reached
 //    (first-touch observe charge for splits; per-predicate conditional
 //    charges for sequential leaves; full residual-walk expectation for
-//    generic leaves). Sum over nodes of reach*cost == expected_cost, which
-//    matches ExpectedPlanCost up to summation order.
+//    generic leaves). Sum over nodes of reach*cost re-sums expected_cost up
+//    to rounding.
+//
+// expected_cost is the walk's return value at the root, so it is
+// ExpectedPlanCost bit for bit.
 //
 // attr_eval_rate / attr_pass_rate aggregate the same beliefs per attribute:
 // expected number of predicate evaluations (and passes) of attribute `a` per
@@ -57,8 +61,7 @@ struct PlanEstimates {
   std::array<double, kEstimateMaxAttrs> attr_eval_rate{};
   /// Expected predicate passes of attribute a per tuple.
   std::array<double, kEstimateMaxAttrs> attr_pass_rate{};
-  /// Expected acquisition cost per tuple (== ExpectedPlanCost up to
-  /// floating-point summation order).
+  /// Expected acquisition cost per tuple (== ExpectedPlanCost, bit for bit).
   double expected_cost = 0.0;
   /// Version of the estimator that produced these numbers (the serve layer's
   /// estimator-version counter; 0 outside serve).
@@ -80,9 +83,10 @@ struct PlanEstimates {
   std::array<double, kEstimateMaxAttrs> box_shift_hi{};
 };
 
-/// Stamps predicted side tables for `plan` under `estimator`/`cost_model`.
-/// O(nodes) walk with the ExpectedPlanCost recursion; the plan is unchanged
-/// (callers attach the result via CompiledPlan::AttachEstimates).
+/// Stamps predicted side tables for `plan` under `estimator`/`cost_model`:
+/// one ExpectedPlanCost walk at the point estimates, recording as it goes.
+/// The plan is unchanged (callers attach the result via
+/// CompiledPlan::AttachEstimates).
 PlanEstimates EstimatePlan(const CompiledPlan& plan,
                            CondProbEstimator& estimator,
                            const AcquisitionCostModel& cost_model);

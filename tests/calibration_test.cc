@@ -69,11 +69,9 @@ TEST(CalibrationEstimateTest, ExpectedCostMatchesExpectedPlanCost) {
     const CompiledPlan plan = tk.Compile(q);
     const PlanEstimates pe = EstimatePlan(plan, tk.est, tk.cm);
     ASSERT_EQ(pe.nodes.size(), plan.NumNodes());
-    // Same recursion as the coster, so the totals agree up to summation
-    // order.
-    EXPECT_NEAR(pe.expected_cost, ExpectedPlanCost(plan.ToTree(), tk.est,
-                                                   tk.cm),
-                1e-9)
+    // EstimatePlan is the ExpectedPlanCost walk, so the totals agree bit
+    // for bit.
+    EXPECT_EQ(pe.expected_cost, ExpectedPlanCost(plan.ToTree(), tk.est, tk.cm))
         << q.ToString(tk.schema);
     // The per-node decomposition re-sums to the total.
     double resum = 0.0;

@@ -187,15 +187,6 @@ TEST(MetricsTest, CumulativeGainCurveMonotone) {
   EXPECT_GT(curve.back().second, 0.0);  // at least one experiment at max
 }
 
-TEST(MetricsTest, CostAccumulator) {
-  CostAccumulator acc;
-  acc.Add(2.0);
-  acc.Add(4.0);
-  EXPECT_DOUBLE_EQ(acc.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(acc.total(), 6.0);
-  EXPECT_EQ(acc.count(), 2u);
-}
-
 TEST(MetricsTest, FormatRowPads) {
   const std::string row = FormatRow({"a", "bb"}, {3, 4});
   EXPECT_EQ(row, "| a   | bb   |");

@@ -1,50 +1,14 @@
-// Statistics used by the evaluation: CostAccumulator's Welford moments,
-// GainStats variance/percentiles, and the degenerate-input behavior of
-// SummarizeGains / CumulativeGainCurve.
+// Statistics used by the evaluation: GainStats variance/percentiles, and
+// the degenerate-input behavior of SummarizeGains / CumulativeGainCurve.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "exec/metrics.h"
 
 namespace caqp {
 namespace {
-
-TEST(CostAccumulatorTest, WelfordMatchesClosedForm) {
-  CostAccumulator acc;
-  const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  for (double x : xs) acc.Add(x);
-  EXPECT_EQ(acc.count(), xs.size());
-  EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(acc.variance(), 4.0);  // classic example set
-  EXPECT_DOUBLE_EQ(acc.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-  EXPECT_DOUBLE_EQ(acc.total(), 40.0);
-}
-
-TEST(CostAccumulatorTest, EmptyAndSingle) {
-  CostAccumulator acc;
-  EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.min(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 0.0);
-  acc.Add(3.5);
-  EXPECT_DOUBLE_EQ(acc.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.min(), 3.5);
-  EXPECT_DOUBLE_EQ(acc.max(), 3.5);
-}
-
-TEST(CostAccumulatorTest, StableOnLargeOffsets) {
-  // Naive sum-of-squares loses precision at this offset; Welford must not.
-  CostAccumulator acc;
-  const double offset = 1e9;
-  for (double x : {offset + 1.0, offset + 2.0, offset + 3.0}) acc.Add(x);
-  EXPECT_NEAR(acc.variance(), 2.0 / 3.0, 1e-6);
-}
 
 TEST(SortedPercentileTest, InterpolatesBetweenOrderStatistics) {
   const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};

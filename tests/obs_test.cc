@@ -1,4 +1,4 @@
-// caqp::obs tests: registry metrics (counters, gauges, streaming stats),
+// caqp::obs tests: registry metrics (counters, gauges, histograms),
 // the JSON writer, structured export of snapshots / planner stats /
 // attribute profiles, and the planner-stats plumbing on the real planners.
 
@@ -47,56 +47,20 @@ TEST(RegistryTest, CounterGaugeBasics) {
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
-TEST(RegistryTest, StreamingStatMoments) {
-  obs::StreamingStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Record(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RegistryTest, StreamingStatQuantilesExactBelowCapacity) {
-  obs::StreamingStat s;
-  for (int i = 1; i <= 100; ++i) s.Record(static_cast<double>(i));
-  // 1..100 fits in the reservoir, so quantiles are exact (interpolated).
-  EXPECT_NEAR(s.p50(), 50.5, 1e-9);
-  EXPECT_NEAR(s.p95(), 95.05, 1e-9);
-  EXPECT_NEAR(s.Quantile(0.0), 1.0, 1e-9);
-  EXPECT_NEAR(s.Quantile(1.0), 100.0, 1e-9);
-}
-
-TEST(RegistryTest, StreamingStatReservoirStaysBounded) {
-  obs::StreamingStat s;
-  for (int i = 0; i < 100000; ++i) s.Record(static_cast<double>(i % 1000));
-  EXPECT_EQ(s.count(), 100000u);
-  // Quantiles are approximate but must stay inside the data range and
-  // roughly ordered.
-  const double p50 = s.p50();
-  const double p95 = s.p95();
-  EXPECT_GE(p50, 0.0);
-  EXPECT_LE(p95, 999.0);
-  EXPECT_LE(p50, p95);
-  EXPECT_NEAR(p50, 500.0, 100.0);
-}
-
 TEST(RegistryTest, SnapshotSortedAndComplete) {
   obs::MetricsRegistry reg;
   reg.GetCounter("b.counter").Add(2);
   reg.GetCounter("a.counter").Add(1);
   reg.GetGauge("g").Set(3.0);
-  reg.GetStat("s").Record(1.5);
+  reg.GetHistogram("h").Record(1.5);
   const obs::RegistrySnapshot snap = reg.Snapshot();
   ASSERT_EQ(snap.counters.size(), 2u);
   EXPECT_EQ(snap.counters[0].name, "a.counter");
   EXPECT_EQ(snap.counters[1].name, "b.counter");
   EXPECT_EQ(snap.counters[1].value, 2u);
   ASSERT_EQ(snap.gauges.size(), 1u);
-  ASSERT_EQ(snap.stats.size(), 1u);
-  EXPECT_EQ(snap.stats[0].count, 1u);
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].hist.count, 1u);
 }
 
 TEST(ObsToggleTest, DisabledMacrosDoNotRecord) {
@@ -286,6 +250,20 @@ TEST(HistogramObsTest, QuantilesWithinRelativeErrorBar) {
   EXPECT_LE(snap.p99(), snap.p999());
 }
 
+TEST(HistogramObsTest, SimulatorCostsStayInsideTheBucketedRange) {
+  // caqp_simulate's default garden run records per-epoch acquisition costs
+  // of 100-1001 (net.mote.epoch_cost): they must land in log-linear
+  // buckets, not the overflow bucket, so their quantiles keep the layout's
+  // 1/8 relative error.
+  obs::Histogram h;
+  h.Record(100.0);
+  h.Record(1001.0);
+  h.Record(1001.0);
+  const obs::HistogramSnapshot snap = h.Snapshot();
+  EXPECT_EQ(snap.buckets[obs::kHistNumBuckets - 1], 0u);
+  EXPECT_NEAR(snap.p50(), 1001.0, 1001.0 / obs::kHistSubBuckets);
+}
+
 TEST(HistogramObsTest, MergeMatchesSingleStream) {
   obs::Histogram a, b, reference;
   for (int i = 1; i <= 200; ++i) {
@@ -322,13 +300,15 @@ TEST(ExportTest, RegistryJsonContainsAllKinds) {
   obs::MetricsRegistry reg;
   reg.GetCounter("n.count").Add(7);
   reg.GetGauge("n.gauge").Set(1.5);
-  reg.GetStat("n.stat").Record(3.0);
+  reg.GetHistogram("n.hist").Record(3.0);
   const std::string json = obs::RegistryToJson(reg);
   // Exports emit canonical snake_case names (counters gain _total)...
   EXPECT_NE(json.find("\"n_count_total\":7"), std::string::npos);
   EXPECT_NE(json.find("\"n_gauge\":1.5"), std::string::npos);
-  EXPECT_NE(json.find("\"n_stat\""), std::string::npos);
-  EXPECT_NE(json.find("\"p95\""), std::string::npos);
+  EXPECT_NE(json.find("\"n_hist\""), std::string::npos);
+  EXPECT_NE(json.find("\"p99\""), std::string::npos);
+  // Histograms are the one distribution metric: no "stats" block.
+  EXPECT_EQ(json.find("\"stats\""), std::string::npos);
   // ...and nothing else: no aliases map, no legacy dotted key.
   EXPECT_EQ(json.find("\"aliases\""), std::string::npos);
   EXPECT_EQ(json.find("n.count"), std::string::npos);

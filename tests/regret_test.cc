@@ -27,10 +27,8 @@ namespace {
 
 using opt::CornerScenarios;
 using opt::CostBounds;
-using opt::CostScenario;
 using opt::ExpectedPlanCostBounds;
 using opt::RegretPlanner;
-using opt::ScenarioPlanCost;
 using opt::SharedUncertaintyBox;
 using opt::UncertaintyBox;
 using serve::QueryService;
@@ -238,7 +236,7 @@ TEST(RegretUncertaintyTest, CornerScenariosRespectsCapDeterministically) {
 }
 
 // ---------------------------------------------------------------------------
-// RegretCostTest: scenario costing against the point-estimate walk.
+// RegretCostTest: ExpectedPlanCost at a scenario against the point cost.
 
 struct CostFixture {
   Schema schema = EqualCostSchema();
@@ -255,9 +253,8 @@ TEST(RegretCostTest, ZeroScenarioReproducesExpectedPlanCostExactly) {
   const CompiledPlan compiled = CompiledPlan::Compile(plan);
   const double point = ExpectedPlanCost(compiled, fx.est, fx.cm);
   EXPECT_NEAR(point, 5.5, 1e-9);  // a0 first: 5 + 0.1 * 5
-  // Bit-for-bit, not just close: the scenario walk mirrors ExpectedCoster.
-  EXPECT_DOUBLE_EQ(ScenarioPlanCost(compiled, fx.est, fx.cm, CostScenario{}),
-                   point);
+  // Bit-for-bit, not just close: the zero scenario is the point cost.
+  EXPECT_EQ(ExpectedPlanCost(compiled, fx.est, fx.cm, CostScenario{}), point);
 }
 
 TEST(RegretCostTest, ShiftedScenarioMovesPassProbabilities) {
@@ -267,10 +264,10 @@ TEST(RegretCostTest, ShiftedScenarioMovesPassProbabilities) {
   CostScenario s;
   s.shift[0] = 0.85;  // a0 now passes ~0.95 of the time
   // a0-first plan: 5 + clamp01(0.1 + 0.85) * 5 = 9.75.
-  EXPECT_NEAR(ScenarioPlanCost(compiled, fx.est, fx.cm, s), 9.75, 1e-9);
+  EXPECT_NEAR(ExpectedPlanCost(compiled, fx.est, fx.cm, s), 9.75, 1e-9);
   // Shifts clamp at 1: pushing further changes nothing.
   s.shift[0] = 5.0;
-  EXPECT_NEAR(ScenarioPlanCost(compiled, fx.est, fx.cm, s), 10.0, 1e-9);
+  EXPECT_NEAR(ExpectedPlanCost(compiled, fx.est, fx.cm, s), 10.0, 1e-9);
 }
 
 TEST(RegretCostTest, FaultRateMultipliesAcquisitionCost) {
@@ -282,7 +279,7 @@ TEST(RegretCostTest, FaultRateMultipliesAcquisitionCost) {
   // under retry-until-success: cost * 1/(1 - 0.5).
   CostScenario s;
   for (size_t a = 0; a < kEstimateMaxAttrs; ++a) s.fault[a] = 0.5;
-  EXPECT_NEAR(ScenarioPlanCost(compiled, fx.est, fx.cm, s), 2.0 * point,
+  EXPECT_NEAR(ExpectedPlanCost(compiled, fx.est, fx.cm, s), 2.0 * point,
               1e-9);
 }
 
@@ -355,7 +352,7 @@ TEST(RegretPlannerTest, PicksRobustOrderingUnderDirectionalBox) {
   CostScenario shifted;
   shifted.shift[0] = 0.85;
   shifted.shift[1] = -0.85;
-  EXPECT_NEAR(ScenarioPlanCost(compiled, fx.est, fx.cm, shifted), 5.25, 1e-9);
+  EXPECT_NEAR(ExpectedPlanCost(compiled, fx.est, fx.cm, shifted), 5.25, 1e-9);
 
   const RegretPlanner::Stats& st = regret.stats();
   EXPECT_FALSE(st.degenerate_fallback);

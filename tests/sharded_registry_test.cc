@@ -68,30 +68,6 @@ TEST(ShardedRegistryTest, HistogramsMergeBucketwise) {
   EXPECT_EQ(snap.histograms[0].hist.count, 100u);
 }
 
-TEST(ShardedRegistryTest, StatsMergeMomentsExactly) {
-  ShardedRegistry reg(2);
-  StreamingStat& a = reg.shard(0).GetStat("cost");
-  StreamingStat& b = reg.shard(1).GetStat("cost");
-  StreamingStat reference;
-  for (int i = 1; i <= 50; ++i) {
-    const double v = static_cast<double>(i * i % 17);
-    (i % 3 ? a : b).Record(v);
-    reference.Record(v);
-  }
-  const RegistrySnapshot snap = reg.Snapshot();
-  ASSERT_EQ(snap.stats.size(), 1u);
-  const auto& s = snap.stats[0];
-  EXPECT_EQ(s.count, reference.count());
-  EXPECT_NEAR(s.mean, reference.mean(), 1e-9);
-  // Chan's parallel-moments merge reproduces the single-stream variance.
-  EXPECT_NEAR(s.variance, reference.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(s.min, reference.min());
-  EXPECT_DOUBLE_EQ(s.max, reference.max());
-  // p50/p95 come from the largest-count shard: just sanity-bound them.
-  EXPECT_GE(s.p50, s.min);
-  EXPECT_LE(s.p95, s.max);
-}
-
 TEST(ShardedRegistryTest, ZeroShardsClampsToOne) {
   ShardedRegistry reg(0);
   EXPECT_EQ(reg.num_shards(), 1u);

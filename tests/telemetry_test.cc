@@ -154,13 +154,12 @@ TEST(TelemetryMetricNameTest, RenderedExpositionIsValidAndDeduplicated) {
   snap.counters.push_back({"serve.cache.hits", 5});
   snap.counters.push_back({"serve.cache_hits", 5});  // canonical collision
   snap.gauges.push_back({"serve.queue.depth", 3.5});
-  RegistrySnapshot::StatValue stat;
-  stat.name = "plan.build_seconds";
-  stat.count = 4;
-  stat.mean = 0.25;
-  stat.p50 = 0.2;
-  stat.p95 = 0.4;
-  snap.stats.push_back(stat);
+  obs::Histogram build;
+  for (double v : {0.2, 0.2, 0.3, 0.4}) build.Record(v);
+  RegistrySnapshot::HistogramValue build_hv;
+  build_hv.name = "plan.build_seconds";
+  build_hv.hist = build.Snapshot();
+  snap.histograms.push_back(build_hv);
   obs::Histogram latency;
   latency.Record(0.001);
   latency.Record(0.002);
@@ -176,8 +175,10 @@ TEST(TelemetryMetricNameTest, RenderedExpositionIsValidAndDeduplicated) {
             std::string::npos);
   EXPECT_NE(text.find("serve_requests_total 42\n"), std::string::npos);
   EXPECT_NE(text.find("# TYPE serve_queue_depth gauge\n"), std::string::npos);
-  EXPECT_NE(text.find("plan_build_seconds{quantile=\"0.95\"} "),
+  EXPECT_NE(text.find("# TYPE plan_build_seconds histogram\n"),
             std::string::npos);
+  EXPECT_NE(text.find("plan_build_seconds_count 4\n"), std::string::npos);
+  EXPECT_EQ(text.find(" summary\n"), std::string::npos);
   EXPECT_NE(text.find("serve_latency_seconds_bucket{le=\"+Inf\"} 3\n"),
             std::string::npos);
   EXPECT_NE(text.find("serve_latency_seconds_count 3\n"), std::string::npos);
