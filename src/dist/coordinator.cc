@@ -1,6 +1,7 @@
 #include "dist/coordinator.h"
 
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -176,7 +177,10 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
   const size_t n = shards_.size();
   r.shards_total = n;
   r.shard_status.assign(n, Status::OK());
-  r.row_verdicts.assign(data_.num_rows(), Truth::kUnknown);
+  // Answering shards write their rows' verdicts into this buffer in place
+  // (dist/shard.h); rows no shard writes stay kUnknown.
+  auto verdicts =
+      std::make_shared<std::vector<Truth>>(data_.num_rows(), Truth::kUnknown);
 
   std::vector<std::future<ShardReply>> futures(n);
   std::vector<char> attempted(n, 0);
@@ -203,16 +207,19 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
       }
       if (probe) cm_.probes->Increment();
       attempted[i] = 1;
-      futures[i] = shards_[i]->Submit(ShardRequest{key, plan_bytes}, parent);
+      futures[i] =
+          shards_[i]->Submit(ShardRequest{key, plan_bytes, verdicts}, parent);
     }
   }
 
   ExecutionResult merged = MergeIdentity();
+  bool straggling = false;  // an abandoned shard may still write `verdicts`
   {
     CAQP_OBS_SPAN(gather_span, "dist.gather");
     for (size_t i = 0; i < n; ++i) {
       if (!attempted[i]) {
         merged = MergeExecutionResults(merged, UnknownShardResult());
+        r.unknown_rows += shards_[i]->num_rows();
         ++r.shards_skipped;
         continue;
       }
@@ -239,12 +246,14 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
           tracer_.DumpFlight(i + 1, trace_id, reason, meta);
         }
         merged = MergeExecutionResults(merged, UnknownShardResult());
+        r.unknown_rows += shards_[i]->num_rows();
         ++r.shards_degraded;
       };
       if (!ready) {
         // Straggler: the shard may still finish (the abandoned future's
-        // promise is fulfilled harmlessly), but this query degrades its
-        // partition rather than waiting.
+        // promise is fulfilled harmlessly, and its request keeps `verdicts`
+        // alive), but this query degrades its partition rather than waiting.
+        straggling = true;
         cm_.stragglers->Increment();
         shard_timeouts_[i]->Increment();
         fail(Status::DeadlineExceeded("shard " + std::to_string(i) +
@@ -257,26 +266,34 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
         fail(std::move(reply.status), "shard_unavailable");
         continue;
       }
+      // An OK reply means the shard wrote its rows; rejecting the reply
+      // takes them back.
+      const auto reject = [&](Status status, const char* reason) {
+        for (RowId row : shards_[i]->rows()) {
+          (*verdicts)[row] = Truth::kUnknown;
+        }
+        fail(std::move(status), reason);
+      };
       ResultTraceContext echo;
       Result<ExecutionResult> partial =
           DeserializeExecutionResult(reply.result_bytes, &echo);
-      if (!partial.ok() ||
-          reply.row_verdicts.size() != shards_[i]->num_rows()) {
+      if (!partial.ok() || reply.rows_written != shards_[i]->num_rows() ||
+          reply.matches + reply.unknown_rows > reply.rows_written) {
         // A reply we cannot validate merges exactly like a lost shard.
-        fail(partial.ok()
-                 ? Status::DataLoss("shard " + std::to_string(i) +
-                                    " reply row count mismatch")
-                 : partial.status(),
-             "shard_reply_corrupt");
+        reject(partial.ok()
+                   ? Status::DataLoss("shard " + std::to_string(i) +
+                                      " reply row count mismatch")
+                   : partial.status(),
+               "shard_reply_corrupt");
         continue;
       }
       if (echo.present() && echo.trace_id != trace_id) {
         // The reply executed under some other trace — a scatter/gather
         // pairing bug or a stale wire buffer. Degrade like corruption.
         cm_.trace_mismatches->Increment();
-        fail(Status::DataLoss("shard " + std::to_string(i) +
-                              " echoed a foreign trace id"),
-             "shard_trace_mismatch");
+        reject(Status::DataLoss("shard " + std::to_string(i) +
+                                " echoed a foreign trace id"),
+               "shard_trace_mismatch");
         continue;
       }
       {
@@ -284,10 +301,8 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
         slots_[i]->health.OnSuccess();
       }
       merged = MergeExecutionResults(merged, partial.value());
-      const std::vector<RowId>& rows = shards_[i]->rows();
-      for (size_t j = 0; j < rows.size(); ++j) {
-        r.row_verdicts[rows[j]] = reply.row_verdicts[j];
-      }
+      r.matches += reply.matches;
+      r.unknown_rows += reply.unknown_rows;
       ++r.shards_ok;
     }
   }
@@ -295,11 +310,18 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
   {
     CAQP_OBS_SPAN(merge_span, "dist.merge");
     r.merged = merged;
-    for (Truth t : r.row_verdicts) {
-      if (t == Truth::kTrue) {
-        ++r.matches;
-      } else if (t == Truth::kUnknown) {
-        ++r.unknown_rows;
+    if (!straggling) {
+      // Every attempted shard has answered: nothing writes the buffer now.
+      r.row_verdicts = std::move(*verdicts);
+    } else {
+      // A straggler may still write its own rows. Copy only the merged
+      // shards' rows, so the response never aliases a live writer's bytes.
+      r.row_verdicts.assign(data_.num_rows(), Truth::kUnknown);
+      for (size_t i = 0; i < n; ++i) {
+        if (!r.shard_status[i].ok()) continue;
+        for (RowId row : shards_[i]->rows()) {
+          r.row_verdicts[row] = (*verdicts)[row];
+        }
       }
     }
   }

@@ -8,10 +8,22 @@
 //   Execute -> canonical signature -> coordinator plan cache (serve machinery)
 //           -> miss: single-flight Build + estimate stamping, then
 //              SerializePlan to v0xCA bytes (what a basestation would radio)
-//           -> scatter: Submit(key, bytes) to every attempted shard
-//           -> gather: per-shard deadline wait; dead/slow/corrupt shards
-//              degrade their partition to Unknown rows (never a failed query)
-//           -> merge: verdict3-aware MergeExecutionResults fold
+//           -> scatter: Submit(key, bytes, verdict buffer) to every attempted
+//              shard; each executing shard writes its rows' verdicts into
+//              the shared buffer itself
+//           -> gather: per-shard deadline wait; validate each reply and sum
+//              its match and Unknown counts. Dead/slow/corrupt shards degrade
+//              their partition to Unknown rows (never a failed query)
+//           -> merge: verdict3-aware MergeExecutionResults fold; the buffer
+//              becomes Response::row_verdicts
+//
+// When every attempted shard answers, the coordinator's per-query work is
+// O(shards): apart from allocating the Unknown-filled buffer, no step
+// touches a row. Per-row work is left to degraded queries:
+// a rejected reply's rows are reset to Unknown after its shard wrote them,
+// and while a straggler is still out (it may yet write its rows), the
+// response gets a fresh copy of the merged shards' rows instead of the
+// shared buffer.
 //
 // Shard-aware degradation: each shard has a ShardHealth state machine
 // (dist/health.h). Failures (error reply, timeout, undecodable result
@@ -182,6 +194,10 @@ class Coordinator {
   /// kHealthy — the shard earns it back through probes).
   void KillShard(size_t shard) { shards_[shard]->Kill(); }
   void ReviveShard(size_t shard) { shards_[shard]->Revive(); }
+  /// Test hook: see ExecutorShard::CorruptNextReply.
+  void CorruptNextShardReply(size_t shard) {
+    shards_[shard]->CorruptNextReply();
+  }
 
   DistReport Report() const;
   const obs::ShardedRegistry& metrics() const { return metrics_; }

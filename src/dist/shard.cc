@@ -195,6 +195,8 @@ ShardReply ExecutorShard::Handle(const ShardRequest& request,
     return finish();
   }
 
+  CAQP_CHECK(request.verdicts != nullptr &&
+             request.verdicts->size() == data_.num_rows());
   std::shared_ptr<const CompiledPlan> plan = plan_cache_.Get(request.key);
   reply.plan_cache_hit = plan != nullptr;
   if (plan == nullptr) {
@@ -239,9 +241,8 @@ ShardReply ExecutorShard::Handle(const ShardRequest& request,
     batch_options.profile = obs::Enabled() ? profile : nullptr;
     batch_options.faults = faults_.get();
     batch_options.policy = options_.row_policy;
-    std::vector<uint8_t> verdicts;
     const BatchExecutionStats stats =
-        exec.Execute(rows_, &verdicts, batch_options);
+        exec.Execute(rows_, &verdict_scratch_, batch_options);
     ExecutionResult partial;
     partial.verdict3 = stats.matches > 0   ? Truth::kTrue
                        : stats.unknown > 0 ? Truth::kUnknown
@@ -253,10 +254,14 @@ ShardReply ExecutorShard::Handle(const ShardRequest& request,
     partial.retries = static_cast<int>(stats.total_retries);
     partial.acquired = stats.acquired;
     partial.failed = stats.failed;
-    reply.row_verdicts.resize(verdicts.size());
-    for (size_t i = 0; i < verdicts.size(); ++i) {
-      reply.row_verdicts[i] = static_cast<Truth>(verdicts[i]);
+    // In place, into the query's buffer (the file comment in shard.h).
+    std::vector<Truth>& out = *request.verdicts;
+    for (size_t j = 0; j < rows_.size(); ++j) {
+      out[rows_[j]] = static_cast<Truth>(verdict_scratch_[j]);
     }
+    reply.rows_written = rows_.size();
+    reply.matches = stats.matches;
+    reply.unknown_rows = stats.unknown;
     // Echo the trace context with the partial result: trace id, this
     // shard's root span, and the coordinator parent it was joined under.
     ResultTraceContext echo;
@@ -266,6 +271,9 @@ ShardReply ExecutorShard::Handle(const ShardRequest& request,
       echo.parent_span_id = parent.span_id;
     }
     reply.result_bytes = SerializeExecutionResult(partial, echo);
+    if (corrupt_next_.exchange(false, std::memory_order_acq_rel)) {
+      reply.result_bytes.push_back(0);  // trailing bytes fail decoding
+    }
   }
   reply.status = Status::OK();
   return finish();

@@ -13,6 +13,16 @@
 // validates against — the same encoding a remote shard would send: a corrupt
 // reply is handled like a lost shard, never merged.
 //
+// Per-row verdicts do not travel in the reply. The request carries the
+// query's verdict buffer (one Truth per dataset row), and a shard that
+// executes writes its own rows' verdicts into it, from its worker thread,
+// before it fulfils the reply future; the reply carries only the counts.
+// Shards own disjoint rows, so their writes never overlap. The coordinator
+// reads a shard's rows only after it has received that shard's reply (the
+// future hand-off orders the writes before the read), and a shard it stops
+// waiting for keeps the buffer alive through its own reference until it
+// finishes.
+//
 // Fault surface for tests and the --shard-fault-profile flag:
 //  * Kill()/kill_after — the shard answers kShardUnavailable (a crashed
 //    executor process);
@@ -28,6 +38,7 @@
 #define CAQP_DIST_SHARD_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -68,10 +79,16 @@ struct ShardFaultSpec {
   std::string ToString() const;
 };
 
-/// One scatter request: the plan identity plus the shared wire bytes.
+/// One scatter request: the plan identity, the shared wire bytes, and the
+/// query's verdict buffer.
 struct ShardRequest {
   serve::PlanCacheKey key;
   std::shared_ptr<const std::vector<uint8_t>> plan_bytes;
+  /// One Truth per dataset row, in dataset row order, shared by every shard
+  /// of the query. A shard that executes writes exactly its own rows, before
+  /// its reply is fulfilled; a shard that answers with an error writes
+  /// nothing (see the file comment).
+  std::shared_ptr<std::vector<Truth>> verdicts;
 };
 
 /// One shard's reply.
@@ -80,9 +97,11 @@ struct ShardReply {
   /// SerializeExecutionResult(partial over this shard's rows); empty unless
   /// status is OK.
   std::vector<uint8_t> result_bytes;
-  /// Per-row verdicts aligned with the shard's row list (ascending row
-  /// order); empty unless status is OK.
-  std::vector<Truth> row_verdicts;
+  /// Verdicts this shard wrote into the request's buffer, and how many of
+  /// them are kTrue and kUnknown. All zero unless status is OK.
+  size_t rows_written = 0;
+  size_t matches = 0;
+  size_t unknown_rows = 0;
   bool plan_cache_hit = false;
   double exec_seconds = 0.0;  ///< shard-side handling time (incl. delay)
 };
@@ -137,6 +156,11 @@ class ExecutorShard {
     killed_by_schedule_.store(false, std::memory_order_release);
   }
   bool alive() const { return !dead_.load(std::memory_order_acquire); }
+  /// Test hook: the next request that executes writes its verdicts, then
+  /// replies with result bytes the coordinator's decoder rejects.
+  void CorruptNextReply() {
+    corrupt_next_.store(true, std::memory_order_release);
+  }
 
   uint64_t requests_served() const {
     return served_.load(std::memory_order_relaxed);
@@ -171,10 +195,15 @@ class ExecutorShard {
   std::unique_ptr<const FaultInjector> faults_;  // null without faults
   std::atomic<bool> dead_{false};
   std::atomic<bool> killed_by_schedule_{false};
+  std::atomic<bool> corrupt_next_{false};
   std::atomic<uint64_t> served_{0};
+  /// Shard-local verdicts of the last execution; worker thread only.
+  std::vector<uint8_t> verdict_scratch_;
 
-  // Last: the worker thread must stop before the members above die.
-  serve::ThreadPool pool_{1};
+  // Last: the worker thread must stop before the members above die. The
+  // worker spins briefly when idle (serve/thread_pool.h), so the next
+  // scatter finds it still on its CPU.
+  serve::ThreadPool pool_{1, std::chrono::microseconds(200)};
 };
 
 }  // namespace caqp::dist

@@ -2,8 +2,11 @@
 // health machine, ExecutionResult wire round-trips, and the Coordinator end
 // to end — including the merge-equivalence matrices (N-shard scatter-gather
 // must agree with single-process ExecuteBatch, and under row-level faults
-// with per-row ExecutePlan, for every partitioning) and the fault-path tests
-// that hold the PR 3 invariant under dead and straggling shards. Every
+// with per-row ExecutePlan, for every partitioning), the fault-path tests
+// that hold the degradation invariant (no defined verdict is ever wrong)
+// under dead and straggling shards, and the verdict-buffer contract: summed
+// counts equal a recount of the verdicts, a straggler's late writes never
+// reach a response, and a rejected reply's rows return to Unknown. Every
 // suite is named Dist* so scripts/check.sh can select them for the TSan
 // build with ctest -R '^Dist'.
 
@@ -440,6 +443,26 @@ struct DistFixture {
   }
 };
 
+/// Shards report their match and Unknown counts and write their verdicts
+/// into the response's buffer separately; the coordinator sums the counts.
+/// They must agree with a recount of the verdicts the response holds.
+::testing::AssertionResult CountsMatchVerdicts(
+    const Coordinator::Response& resp) {
+  size_t matches = 0;
+  size_t unknown = 0;
+  for (Truth t : resp.row_verdicts) {
+    matches += t == Truth::kTrue;
+    unknown += t == Truth::kUnknown;
+  }
+  if (resp.matches == matches && resp.unknown_rows == unknown) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "matches " << resp.matches << " vs recount " << matches
+         << ", unknown_rows " << resp.unknown_rows << " vs recount "
+         << unknown;
+}
+
 /// Checks one distributed response against single-process ExecuteBatch run
 /// with the *same compiled plan* over all rows: row verdicts, match count,
 /// acquisition counts exact; total cost within FP-reassociation tolerance
@@ -472,6 +495,7 @@ void ExpectMatchesBatch(const DistFixture& fx, const Query& q,
   EXPECT_EQ(resp.matches, matches);
   EXPECT_EQ(resp.matches, stats.matches);
   EXPECT_EQ(resp.unknown_rows, 0u);
+  EXPECT_TRUE(CountsMatchVerdicts(resp));
   EXPECT_EQ(static_cast<size_t>(resp.merged.acquisitions),
             stats.total_acquisitions);
   EXPECT_EQ(resp.merged.verdict3,
@@ -584,6 +608,7 @@ TEST(DistCoordinatorTest, DeadShardDegradesOnlyItsPartition) {
   // agrees with ground truth.
   const std::vector<RowId>& dead_rows = coord.shard_rows(victim);
   EXPECT_EQ(resp.unknown_rows, dead_rows.size());
+  EXPECT_TRUE(CountsMatchVerdicts(resp));
   std::vector<bool> is_dead_row(fx.data.num_rows(), false);
   for (RowId r : dead_rows) is_dead_row[r] = true;
   for (RowId r = 0; r < fx.data.num_rows(); ++r) {
@@ -611,13 +636,16 @@ TEST(DistCoordinatorTest, DeadShardIsSkippedThenRecoversThroughProbes) {
   coord.KillShard(0);
   // Fail it into kDead.
   while (coord.shard_state(0) != ShardHealth::State::kDead) {
-    ASSERT_TRUE(coord.Execute(q).ok());
+    const Coordinator::Response resp = coord.Execute(q);
+    ASSERT_TRUE(resp.ok());
+    EXPECT_TRUE(CountsMatchVerdicts(resp));
   }
 
   // Once dead, non-probe queries skip the shard without attempting it.
   bool saw_skip = false;
   for (uint64_t i = 0; i + 1 < opts.health.probe_every && !saw_skip; ++i) {
     const Coordinator::Response resp = coord.Execute(q);
+    EXPECT_TRUE(CountsMatchVerdicts(resp));
     if (resp.shards_skipped == 1) {
       saw_skip = true;
       EXPECT_EQ(resp.shard_status[0].code(), StatusCode::kShardUnavailable);
@@ -634,12 +662,14 @@ TEST(DistCoordinatorTest, DeadShardIsSkippedThenRecoversThroughProbes) {
         !coord.Execute(q).degraded()) {
       break;
     }
-    coord.Execute(q);
+    const Coordinator::Response probed = coord.Execute(q);
+    EXPECT_TRUE(CountsMatchVerdicts(probed));
   }
   EXPECT_EQ(coord.shard_state(0), ShardHealth::State::kHealthy);
   const Coordinator::Response whole = coord.Execute(q);
   EXPECT_FALSE(whole.degraded());
   EXPECT_EQ(whole.unknown_rows, 0u);
+  EXPECT_TRUE(CountsMatchVerdicts(whole));
   EXPECT_GT(coord.Report().probes, 0u);
 }
 
@@ -654,20 +684,36 @@ TEST(DistCoordinatorTest, StragglerTimesOutAndDegrades) {
   const Result<ShardFaultSpec> faults = ShardFaultSpec::Parse("delay@1=4000");
   ASSERT_TRUE(faults.ok());
   opts.shard_faults = faults.value();
-  Coordinator coord = fx.MakeCoordinator(opts);
 
-  const Coordinator::Response resp = coord.Execute(fx.MidQuery());
-  ASSERT_TRUE(resp.ok());
-  EXPECT_TRUE(resp.degraded());
-  EXPECT_EQ(resp.shard_status[1].code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(resp.unknown_rows, coord.shard_rows(1).size());
-  // Shard 0 is unaffected by its sibling's sleep.
-  EXPECT_TRUE(resp.shard_status[0].ok());
+  Coordinator::Response resp;
+  std::vector<Truth> before;
+  std::vector<RowId> straggler_rows;
+  {
+    Coordinator coord = fx.MakeCoordinator(opts);
+    resp = coord.Execute(fx.MidQuery());
+    before = resp.row_verdicts;  // shard 1 is still asleep
+    ASSERT_TRUE(resp.ok());
+    EXPECT_TRUE(resp.degraded());
+    EXPECT_EQ(resp.shard_status[1].code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(resp.unknown_rows, coord.shard_rows(1).size());
+    EXPECT_TRUE(CountsMatchVerdicts(resp));
+    // Shard 0 is unaffected by its sibling's sleep.
+    EXPECT_TRUE(resp.shard_status[0].ok());
 
-  const dist::DistReport report = coord.Report();
-  EXPECT_GE(report.stragglers, 1u);
-  EXPECT_GE(report.degraded_queries, 1u);
-  EXPECT_GE(report.shards[1].timeouts, 1u);
+    const dist::DistReport report = coord.Report();
+    EXPECT_GE(report.stragglers, 1u);
+    EXPECT_GE(report.degraded_queries, 1u);
+    EXPECT_GE(report.shards[1].timeouts, 1u);
+    straggler_rows = coord.shard_rows(1);
+  }
+  // Destroying the coordinator drained shard 1's queue: the straggler woke
+  // and wrote its verdicts into the query's shared buffer. The response
+  // holds its own copy, so it must not have moved.
+  EXPECT_EQ(resp.row_verdicts, before);
+  for (RowId row : straggler_rows) {
+    EXPECT_EQ(resp.row_verdicts[row], Truth::kUnknown) << "row " << row;
+  }
+  EXPECT_TRUE(CountsMatchVerdicts(resp));
 }
 
 TEST(DistCoordinatorTest, KillAfterScheduleFiresMidStream) {
@@ -681,11 +727,54 @@ TEST(DistCoordinatorTest, KillAfterScheduleFiresMidStream) {
   const Query q = fx.MidQuery();
 
   // The shard serves its first two requests, then dies.
-  EXPECT_FALSE(coord.Execute(q).degraded());
-  EXPECT_FALSE(coord.Execute(q).degraded());
+  for (int i = 0; i < 2; ++i) {
+    const Coordinator::Response alive = coord.Execute(q);
+    EXPECT_FALSE(alive.degraded());
+    EXPECT_TRUE(CountsMatchVerdicts(alive));
+  }
   const Coordinator::Response dead = coord.Execute(q);
   EXPECT_TRUE(dead.degraded());
   EXPECT_EQ(dead.shard_status[1].code(), StatusCode::kShardUnavailable);
+  EXPECT_EQ(dead.unknown_rows, coord.shard_rows(1).size());
+  EXPECT_TRUE(CountsMatchVerdicts(dead));
+}
+
+TEST(DistCoordinatorTest, RejectedReplyLeavesItsRowsUnknown) {
+  DistFixture fx;
+  Coordinator::Options opts;
+  opts.partition = PartitionSpec::Hash(4);
+  Coordinator coord = fx.MakeCoordinator(opts);
+  const Query q = fx.MidQuery();
+
+  // Shard 1 executes and writes its verdicts into the query's buffer, then
+  // replies with bytes the decoder rejects: the coordinator must take its
+  // rows back to Unknown.
+  const size_t victim = 1;
+  coord.CorruptNextShardReply(victim);
+  const Coordinator::Response resp = coord.Execute(q);
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp.shards_ok, 3u);
+  EXPECT_EQ(resp.shards_degraded, 1u);
+  EXPECT_FALSE(resp.shard_status[victim].ok());
+  const std::vector<RowId>& victim_rows = coord.shard_rows(victim);
+  EXPECT_EQ(resp.unknown_rows, victim_rows.size());
+  EXPECT_TRUE(CountsMatchVerdicts(resp));
+  std::vector<bool> is_victim_row(fx.data.num_rows(), false);
+  for (RowId r : victim_rows) is_victim_row[r] = true;
+  for (RowId r = 0; r < fx.data.num_rows(); ++r) {
+    if (is_victim_row[r]) {
+      EXPECT_EQ(resp.row_verdicts[r], Truth::kUnknown) << "row " << r;
+    } else {
+      EXPECT_EQ(resp.row_verdicts[r] == Truth::kTrue,
+                q.Matches(fx.data.GetTuple(r)))
+          << "row " << r;
+    }
+  }
+
+  // The hook corrupts one reply only.
+  const Coordinator::Response next = coord.Execute(q);
+  EXPECT_FALSE(next.degraded());
+  ExpectMatchesBatch(fx, q, next);
 }
 
 TEST(DistCoordinatorTest, RowLevelFaultsDegradeRowsNotShards) {
@@ -706,6 +795,7 @@ TEST(DistCoordinatorTest, RowLevelFaultsDegradeRowsNotShards) {
   EXPECT_FALSE(resp.degraded());  // no shard-level degradation
   EXPECT_GT(resp.unknown_rows, 0u);
   EXPECT_LT(resp.unknown_rows, fx.data.num_rows());
+  EXPECT_TRUE(CountsMatchVerdicts(resp));
   for (RowId r = 0; r < fx.data.num_rows(); ++r) {
     if (resp.row_verdicts[r] == Truth::kUnknown) continue;
     EXPECT_EQ(resp.row_verdicts[r] == Truth::kTrue,
@@ -782,6 +872,7 @@ TEST(DistCoordinatorTest, MergeEquivalenceUnderFaults) {
           EXPECT_EQ(resp.row_verdicts, want.verdicts);
           EXPECT_EQ(resp.matches, want.matches);
           EXPECT_EQ(resp.unknown_rows, want.unknown);
+          EXPECT_TRUE(CountsMatchVerdicts(resp));
           EXPECT_EQ(resp.merged.verdict3, want.merged.verdict3);
           EXPECT_EQ(resp.merged.acquisitions, want.merged.acquisitions);
           EXPECT_EQ(resp.merged.retries, want.merged.retries);
@@ -911,7 +1002,7 @@ TEST(DistCoordinatorConcurrencyTest, ConcurrentClientsWithShardFlapping) {
       for (int i = 0; i < kQueriesPerClient; ++i) {
         const Query q = testing_util::RandomConjunctiveQuery(fx.schema, rng);
         const Coordinator::Response resp = coord.Execute(q);
-        if (!resp.ok()) {
+        if (!resp.ok() || !CountsMatchVerdicts(resp)) {
           wrong.fetch_add(1);
           continue;
         }
@@ -931,7 +1022,8 @@ TEST(DistCoordinatorConcurrencyTest, ConcurrentClientsWithShardFlapping) {
   reporter.join();
 
   EXPECT_EQ(wrong.load(), 0u)
-      << "a defined verdict disagreed with ground truth under shard faults";
+      << "a defined verdict disagreed with ground truth, or a count with "
+         "the verdicts, under shard faults";
   EXPECT_EQ(coord.Report().queries,
             static_cast<uint64_t>(kClients) * kQueriesPerClient);
 }

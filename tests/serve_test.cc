@@ -217,6 +217,68 @@ TEST(ServeThreadPoolTest, RunsEveryTaskWithValidWorkerId) {
   EXPECT_FALSE(bad_id.load());
 }
 
+// Idle spin (ThreadPool's second argument). The budgets below are far longer
+// than any wait in the tests, so a worker that finished its task is still
+// spinning when the next Submit or the destructor arrives.
+constexpr std::chrono::seconds kLongSpin{30};
+
+TEST(ServeThreadPoolTest, IdleSpinRunsEveryTaskWithValidWorkerId) {
+  std::atomic<size_t> ran{0};
+  std::atomic<bool> bad_id{false};
+  {
+    ThreadPool pool(3, std::chrono::microseconds(200));
+    for (int i = 0; i < 200; ++i) {
+      pool.Submit([&](size_t worker_id) {
+        if (worker_id >= 3) bad_id = true;
+        ran.fetch_add(1);
+      });
+      // Gaps longer than the spin, so some tasks find a parked worker.
+      if (i % 16 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+      }
+    }
+  }
+  EXPECT_EQ(ran.load(), 200u);
+  EXPECT_FALSE(bad_id.load());
+}
+
+TEST(ServeThreadPoolTest, TaskSubmittedDuringIdleSpinRuns) {
+  ThreadPool pool(1, kLongSpin);
+  for (int i = 0; i < 3; ++i) {
+    // Each task after the first arrives while the worker spins on the empty
+    // queue it left; it must run long before the spin budget runs out.
+    std::promise<void> done;
+    std::future<void> fut = done.get_future();
+    pool.Submit([&done](size_t) { done.set_value(); });
+    ASSERT_EQ(fut.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready)
+        << "task " << i;
+  }
+}
+
+TEST(ServeThreadPoolTest, DestructionDuringIdleSpinDrainsAndJoins) {
+  std::atomic<size_t> ran{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    ThreadPool pool(2, kLongSpin);
+    std::promise<void> first;
+    std::future<void> fut = first.get_future();
+    pool.Submit([&](size_t) {
+      ran.fetch_add(1);
+      first.set_value();
+    });
+    ASSERT_EQ(fut.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    // Both workers are idle and spinning now; queue more work and destroy.
+    for (int i = 0; i < 50; ++i) {
+      pool.Submit([&](size_t) { ran.fetch_add(1); });
+    }
+  }
+  EXPECT_EQ(ran.load(), 51u);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, kLongSpin / 3)
+      << "the destructor waited out the spin budget";
+}
+
 // ---------------------------------------------------------------------------
 // Single-flight
 // ---------------------------------------------------------------------------

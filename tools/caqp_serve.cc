@@ -539,6 +539,16 @@ int RunDist(const Config& cfg, const Dataset& train, const Dataset& test,
         }
         degraded[c] += resp.degraded();
         unknown_rows[c] += resp.unknown_rows;
+        // The counts are the shards' sums; the verdicts must recount to them.
+        size_t matches = 0;
+        size_t unknown = 0;
+        for (Truth t : resp.row_verdicts) {
+          matches += t == Truth::kTrue;
+          unknown += t == Truth::kUnknown;
+        }
+        if (matches != resp.matches || unknown != resp.unknown_rows) {
+          ++verdict_errors[c];
+        }
         // Spot-check: every defined verdict must agree with ground truth.
         for (int probe = 0; probe < 32; ++probe) {
           const RowId row =
