@@ -2,8 +2,10 @@
 //
 //  * DatasetEstimator's bitmap count index: PredicateMasks and
 //    PerValuePredicateMasks for k = 4, 10 and 20 predicates, at the root and
-//    at a narrowed scope. k = 4 and 10 count into a dense table indexed by
-//    mask; k = 20 sorts and merges (mask, count) pairs.
+//    at a narrowed scope. The index holds the data's distinct tuples (47,915
+//    of the 100,000 rows here), and each scope tuple adds its multiplicity
+//    to its mask's count: into a dense table indexed by mask for k = 4 and
+//    10, into a hash table whose entries are then sorted for k = 20.
 //  * One-pass per-value predicate joints (the incremental Eq. (7) sweep)
 //    vs re-counting each candidate split from scratch.
 //  * Chow-Liu evidence inference vs direct counting for one conditional.

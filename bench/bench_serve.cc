@@ -8,7 +8,8 @@
 //   per-query   cache capacity 0 — every request runs BuildPlan itself
 //
 // The acceptance bar is cached >= 5x per-query throughput: amortizing the
-// planner (milliseconds of estimator probing per build) over cache hits
+// planner (a fraction of a millisecond per GreedyPlan build on this data,
+// most of it GreedySeq solving, the rest estimator counting) over cache hits
 // (microseconds of tree traversal) is the whole point of caqp::serve.
 // Also measures a cold burst of one query from many clients to show
 // single-flight collapses the thundering herd to one build.

@@ -2,8 +2,10 @@
 // conditional probability (paper Sections 2.3 and 5). Implementations:
 //
 //  * DatasetEstimator     -- exact counting over a historical dataset,
-//                            through a bitmap count index that stands in
-//                            for Section 5's per-subproblem row lists.
+//                            through a bitmap count index over its distinct
+//                            tuples, each weighted by its row multiplicity,
+//                            that stands in for Section 5's per-subproblem
+//                            row lists.
 //  * IndependentEstimator -- attribute-independence approximation (the
 //                            assumption baked into the Naive optimizer);
 //                            useful as an ablation.

@@ -336,6 +336,115 @@ TEST(DatasetEstimatorDifferentialTest, RowsMatchingAtWordTails) {
 }
 
 // ---------------------------------------------------------------------------
+// Multiplicities: the index counts distinct tuples, each weighted by the
+// number of rows it stands for. Every count must stay exact across the
+// bit-sliced multiplicity planes and the tuple index's word tails.
+
+/// `n` distinct tuples of the schema, drawn at random without replacement.
+std::vector<Tuple> DistinctTuples(const Schema& schema, size_t n,
+                                  uint64_t seed) {
+  std::vector<Tuple> all;
+  Tuple t(schema.num_attributes(), 0);
+  for (bool done = false; !done;) {
+    all.push_back(t);
+    done = true;
+    for (size_t a = 0; a < t.size() && done; ++a) {
+      done = ++t[a] == schema.domain_size(static_cast<AttrId>(a));
+      if (done) t[a] = 0;
+    }
+  }
+  Rng rng(seed);
+  for (size_t i = all.size(); i > 1; --i) {
+    std::swap(all[i - 1], all[static_cast<size_t>(rng.UniformInt(
+                              0, static_cast<int64_t>(i) - 1))]);
+  }
+  all.resize(std::min(n, all.size()));
+  return all;
+}
+
+/// copies[i] rows of tuples[i], in a seeded random order.
+Dataset WithCopies(const Schema& schema, const std::vector<Tuple>& tuples,
+                   const std::vector<size_t>& copies, uint64_t seed) {
+  std::vector<size_t> order;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    order.insert(order.end(), copies[i], i);
+  }
+  Rng rng(seed);
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[static_cast<size_t>(rng.UniformInt(
+                                0, static_cast<int64_t>(i) - 1))]);
+  }
+  Dataset ds(schema);
+  for (const size_t i : order) ds.Append(tuples[i]);
+  return ds;
+}
+
+TEST(DatasetEstimatorMultiplicityTest, OneTupleRepeatedAcrossPlaneBoundaries) {
+  // 2^b - 1 copies fill b planes, 2^b and 2^b + 1 open plane b; b = 16 and
+  // 17 take counts past 16 bits. The other 69 tuples appear once each.
+  const Schema schema = SmallSchema();
+  const std::vector<Tuple> tuples = DistinctTuples(schema, 70, 70);
+  for (size_t b = 1; b <= 17; ++b) {
+    for (const size_t copies :
+         {(size_t{1} << b) - 1, size_t{1} << b, (size_t{1} << b) + 1}) {
+      SCOPED_TRACE(testing::Message() << "copies=" << copies);
+      std::vector<size_t> counts(tuples.size(), 1);
+      counts[37] = copies;
+      ExpectDifferentialOn(WithCopies(schema, tuples, counts, copies), b, 0);
+    }
+  }
+}
+
+TEST(DatasetEstimatorMultiplicityTest, RepeatedTuplesAtWordTails) {
+  // 63, 64 and 65 distinct tuples end the tuple index inside, at, and just
+  // past a 64-bit word; each tuple is repeated 1 to 9 times.
+  const Schema schema = SmallSchema();
+  for (const size_t n : {63, 64, 65}) {
+    SCOPED_TRACE(testing::Message() << "tuples=" << n);
+    const std::vector<Tuple> tuples = DistinctTuples(schema, n, n);
+    std::vector<size_t> counts;
+    for (size_t i = 0; i < n; ++i) counts.push_back(1 + (i * 7) % 9);
+    ExpectDifferentialOn(WithCopies(schema, tuples, counts, n), n, 3);
+  }
+}
+
+TEST(DatasetEstimatorMultiplicityTest, OneHeavyTupleBesideDistinctRows) {
+  // 2^14 copies of one tuple among 300 distinct ones: the heavy tuple's word
+  // carries 15 planes, every other word one.
+  const Schema schema = SmallSchema();
+  const std::vector<Tuple> tuples = DistinctTuples(schema, 301, 14);
+  std::vector<size_t> counts(tuples.size(), 1);
+  counts[150] = size_t{1} << 14;
+  ExpectDifferentialOn(WithCopies(schema, tuples, counts, 14), 14, 3);
+}
+
+TEST(DatasetEstimatorMultiplicityTest, AllDistinctRowsUseOnePlane) {
+  // Every tuple of the schema (4 x 6 x 4 x 5 = 480) exactly once.
+  const Schema schema = SmallSchema();
+  const std::vector<Tuple> tuples = DistinctTuples(schema, 480, 480);
+  ASSERT_EQ(tuples.size(), 480u);
+  ExpectDifferentialOn(
+      WithCopies(schema, tuples, std::vector<size_t>(480, 1), 480), 480, 3);
+}
+
+TEST(DatasetEstimatorMultiplicityTest, RowsMatchingOnDuplicateHeavyData) {
+  // Row ids, not tuple ids, in ascending order, every copy included.
+  const Schema schema = SmallSchema();
+  const std::vector<Tuple> tuples = DistinctTuples(schema, 40, 40);
+  std::vector<size_t> counts;
+  for (size_t i = 0; i < tuples.size(); ++i) counts.push_back(1 + i % 50);
+  counts[3] = 3000;
+  const Dataset ds = WithCopies(schema, tuples, counts, 41);
+  const DatasetEstimator est(ds);
+  Rng rng(42);
+  for (int iter = 0; iter < 20; ++iter) {
+    const RangeVec ranges = RandomRanges(ds.schema(), rng);
+    EXPECT_EQ(est.RowsMatching(ranges), BruteForceRows(ds, ranges));
+  }
+  EXPECT_EQ(est.RowsMatching(ds.schema().FullRanges()).size(), ds.num_rows());
+}
+
+// ---------------------------------------------------------------------------
 // MaskDistribution::Aggregate vs hash-map aggregation
 
 /// Reference aggregation: sum weights per mask through an unordered_map (in
