@@ -118,10 +118,12 @@ ExecutorShard::ExecutorShard(size_t shard_id, const Dataset& data,
       plan_cache_(serve::ShardedPlanCache::Options{
           options_.plan_cache_capacity, /*shards=*/1}) {
   if (options_.acquisition_faults.any()) {
-    // Faults are keyed by global row id, so every shard shares one
-    // realization and a row's faults do not depend on its shard.
-    faults_ =
-        std::make_unique<const FaultInjector>(options_.acquisition_faults);
+    // Faults are keyed by global row id, so a row's faults do not depend on
+    // its shard. Its attempt-0 outcomes are drawn here, once, over the rows
+    // every request executes.
+    faults_ = std::make_unique<const FaultRealization>(
+        FaultInjector(options_.acquisition_faults), rows_,
+        data_.schema().num_attributes());
   }
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *options_.metrics;

@@ -29,10 +29,13 @@
 //  * delay_seconds — the shard sleeps before executing (a straggler);
 //  * acquisition_faults — the row-level failure model of fault/fault.h:
 //    faults keyed by (seed, global row id, attribute, attempt), so all
-//    shards share one realization and a row's outcome does not depend on
-//    the partitioning. The shard stays on the columnar path in fault mode
-//    (exec/batch_executor.h); only rows whose acquisition fails finish on
-//    the scalar executor.
+//    shards share one fault model and a row's outcome does not depend on
+//    the partitioning. The shard draws its rows' attempt-0 outcomes once,
+//    in its constructor (a FaultRealization over its rows: one bit per
+//    row and attribute), and passes them on every request. It stays on the
+//    columnar path in fault mode (exec/batch_executor.h): rows clean on
+//    every attribute a plan can acquire run the fault-free kernels, and
+//    only rows whose acquisition fails finish on the scalar executor.
 
 #ifndef CAQP_DIST_SHARD_H_
 #define CAQP_DIST_SHARD_H_
@@ -192,7 +195,9 @@ class ExecutorShard {
 
   MetricRefs m_;
   serve::ShardedPlanCache plan_cache_;
-  std::unique_ptr<const FaultInjector> faults_;  // null without faults
+  /// The attempt-0 fault realization of rows_, built once at construction
+  /// and passed to every request's Execute; null without faults.
+  std::unique_ptr<const FaultRealization> faults_;
   std::atomic<bool> dead_{false};
   std::atomic<bool> killed_by_schedule_{false};
   std::atomic<bool> corrupt_next_{false};

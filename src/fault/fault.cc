@@ -1,5 +1,6 @@
 #include "fault/fault.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -179,6 +180,30 @@ FaultInjector::FaultInjector(const FaultSpec& spec) : spec_(spec) {
     fail_below_[a] = DrawThreshold(spec.TransientFor(attr));
     // The stuck draw hashes the key itself, which no attempt key does.
     if ((Mix(attr_key_[a]) >> 11) < stuck_below) stuck_ |= uint64_t{1} << a;
+  }
+}
+
+FaultRealization::FaultRealization(const FaultInjector& injector,
+                                   std::span<const RowId> rows,
+                                   size_t num_attributes)
+    : injector_(injector),
+      rows_(rows),
+      num_attributes_(num_attributes),
+      words_per_attr_((rows.size() + 63) / 64),
+      words_(num_attributes * words_per_attr_, 0) {
+  CAQP_CHECK(num_attributes <= 64);
+  for (size_t a = 0; a < num_attributes; ++a) {
+    const FaultInjector::CleanTest test =
+        injector.CleanTestFor(static_cast<AttrId>(a));
+    uint64_t* words = words_.data() + a * words_per_attr_;
+    for (size_t w = 0; w < words_per_attr_; ++w) {
+      const size_t end = std::min(rows.size(), (w + 1) * 64);
+      uint64_t bits = 0;
+      for (size_t i = w * 64; i < end; ++i) {
+        bits |= static_cast<uint64_t>(test.Clean(rows[i])) << (i & 63);
+      }
+      words[w] = bits;
+    }
   }
 }
 

@@ -10,16 +10,18 @@
 // hash (FaultInjector::At), not the k-th draw of a stream shared across
 // rows, so a row's faults do not depend on plan shape, row order, which
 // other rows ran first, or how rows are partitioned across shards — which is
-// what lets the columnar executor draw a whole batch at once and what makes
-// dist merge equivalence hold under faults. Plans that acquire attributes in
-// different orders, or skip some entirely, see identical per-(row,
-// attribute) outcomes; two runs with the same spec are bit-identical.
+// what lets a dist shard draw its rows' attempt-0 outcomes once, up front
+// (FaultRealization), and what makes dist merge equivalence hold under
+// faults. Plans that acquire attributes in different orders, or skip some
+// entirely, see identical per-(row, attribute) outcomes; two runs with the
+// same spec are bit-identical.
 
 #ifndef CAQP_FAULT_FAULT_H_
 #define CAQP_FAULT_FAULT_H_
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -131,9 +133,8 @@ class FaultInjector {
 
   /// Whether attempt 0 for one attribute succeeds at the normal cost —
   /// At(row, attr, 0) is the default Outcome — with the attribute's keys
-  /// and thresholds copied out so a batch loop keeps them in registers.
-  /// This is the one draw the columnar fault mode takes per new
-  /// acquisition.
+  /// and thresholds copied out so a loop over rows keeps them in registers.
+  /// FaultRealization draws its clean bits with it.
   struct CleanTest {
     bool stuck = false;
     uint64_t fail_key = 0;
@@ -141,10 +142,6 @@ class FaultInjector {
     uint64_t spike_key = 0;
     uint64_t spike_below = 0;
 
-    /// No row can ever draw a fault: callers may skip the test.
-    bool never_fails() const {
-      return !stuck && fail_below == 0 && spike_below == 0;
-    }
     /// Branch-free in the draws (whether a draw is taken at all depends
     /// only on the spec): a spike on a failed attempt is not clean either.
     bool Clean(RowId row) const {
@@ -233,6 +230,70 @@ class FaultInjector {
   RowId row_ = 0;  ///< NextAttempt state
   std::array<uint32_t, kMaxAttrs> attempts_{};
   uint64_t injected_ = 0;
+};
+
+/// The attempt-0 fault realization of one row list: one clean bit per
+/// (position, attribute), drawn from the injector once, at construction.
+/// Bit i of attribute a is set iff At(rows[i], a, 0) is the default Outcome
+/// — no failure and no spike (FaultInjector::CleanTest). A fault is a pure
+/// function of (seed, row, attribute, attempt), so the bits are outcomes the
+/// model already fixes, only drawn earlier; verdicts, costs and counters
+/// are still computed per query (exec/batch_executor.h, fault mode).
+///
+/// A set bit is a promise: that attempt succeeds at the normal cost. A clear
+/// bit only means "take the exact path": the columnar fault kernels redraw
+/// such a row's attempts through At(). A clear bit can cost time but can
+/// never change a result.
+///
+/// Immutable after construction, so one instance can be shared across
+/// threads. It holds ceil(rows / 64) words per attribute and its own copy of
+/// the injector. It keeps the span, not the rows: they must outlive it, and
+/// its positions mean nothing over any other span.
+class FaultRealization {
+ public:
+  /// Draws the bits of attributes 0..num_attributes-1 (at most 64) for every
+  /// row of `rows`.
+  FaultRealization(const FaultInjector& injector, std::span<const RowId> rows,
+                   size_t num_attributes);
+
+  /// The model the bits were drawn from; later attempts draw through it.
+  const FaultInjector& injector() const { return injector_; }
+  /// The row list the bits were drawn over; a position indexes it.
+  std::span<const RowId> rows() const { return rows_; }
+  size_t num_attributes() const { return num_attributes_; }
+
+  /// Attribute `attr`'s words: position p's bit is bit (p & 63) of word
+  /// p >> 6. Bits past rows().size() are clear.
+  const uint64_t* clean_words(AttrId attr) const {
+    CAQP_DCHECK(attr < num_attributes_);
+    return words_.data() + attr * words_per_attr_;
+  }
+  /// Position `pos`'s bit for `attr`.
+  bool Clean(size_t pos, AttrId attr) const {
+    CAQP_DCHECK(pos < rows_.size());
+    return (clean_words(attr)[pos >> 6] >> (pos & 63)) & 1;
+  }
+  /// Bits of `attr` for positions pos..pos+63, for any pos < rows().size(),
+  /// word-aligned or not: bit j is position pos + j's bit, clear past the
+  /// end.
+  uint64_t CleanWord(AttrId attr, size_t pos) const {
+    CAQP_DCHECK(pos < rows_.size());
+    const uint64_t* words = clean_words(attr);
+    const size_t word = pos >> 6;
+    const size_t shift = pos & 63;
+    uint64_t bits = words[word] >> shift;
+    if (shift != 0 && word + 1 < words_per_attr_) {
+      bits |= words[word + 1] << (64 - shift);
+    }
+    return bits;
+  }
+
+ private:
+  const FaultInjector injector_;
+  const std::span<const RowId> rows_;
+  const size_t num_attributes_;
+  const size_t words_per_attr_;
+  std::vector<uint64_t> words_;  ///< attribute-major
 };
 
 /// Decorator that injects faults in front of any AcquisitionSource. The

@@ -1,19 +1,26 @@
 // Fault-injection tests: FaultSpec parsing, injector determinism, the
 // row-keyed fault model (At() purity, rates, attempt independence, stuck and
-// spike semantics, SetRow), the FaultyAcquisitionSource decorator, executor
-// degradation policies, and the acceptance-style continuous-query
-// simulation under 10% transient faults.
+// spike semantics, SetRow), the attempt-0 FaultRealization (bits at word
+// tails and extreme specs, the executor's span check), the
+// FaultyAcquisitionSource decorator, executor degradation policies, and the
+// acceptance-style continuous-query simulation under 10% transient faults.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
+#include <random>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "data/garden_gen.h"
+#include "exec/batch_executor.h"
 #include "fault/fault.h"
 #include "net/basestation.h"
 #include "net/mote.h"
@@ -255,13 +262,99 @@ TEST(FaultRowKeyedTest, AtIsAPureFunctionOfRowAttrAttempt) {
     EXPECT_EQ(n.fail, forward[i].fail);
     EXPECT_EQ(n.cost_multiplier, forward[i].cost_multiplier);
   }
-  // The columnar executor's clean test is exactly "attempt 0 is the
-  // default outcome".
+  // The clean test, and the realization's bit drawn with it, are exactly
+  // "attempt 0 is the default outcome". Rows 0..299 in order: a row's
+  // position is its id.
+  std::vector<RowId> rows(300);
+  std::iota(rows.begin(), rows.end(), RowId{0});
+  const FaultRealization realization(a, rows, 6);
   for (size_t i = 0; i < keys.size(); ++i) {
     if (keys[i].attempt != 0) continue;
     const bool clean = !forward[i].fail && forward[i].cost_multiplier == 1.0;
     EXPECT_EQ(a.CleanTestFor(keys[i].attr).Clean(keys[i].row), clean);
+    EXPECT_EQ(realization.Clean(keys[i].row, keys[i].attr), clean);
   }
+}
+
+TEST(FaultRealizationTest, BitsAreAttemptZeroAtWordTailsAndExtremeSpecs) {
+  std::vector<std::vector<RowId>> lists;
+  for (const size_t n : {0, 1, 63, 64, 65, 130}) {
+    std::vector<RowId> rows(n);
+    std::iota(rows.begin(), rows.end(), RowId{1000});
+    lists.push_back(std::move(rows));
+  }
+  std::vector<RowId> shuffled(200);
+  std::iota(shuffled.begin(), shuffled.end(), RowId{0});
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(7u));
+  lists.push_back(std::move(shuffled));
+
+  constexpr size_t kAttrs = 5;
+  for (const char* text :
+       {"transient=0", "stuck=1", "transient=0.3,spike=0.2,spike_mult=2"}) {
+    const Result<FaultSpec> spec = FaultSpec::Parse(text);
+    ASSERT_TRUE(spec.ok());
+    const FaultInjector injector(spec.value());
+    for (const std::vector<RowId>& rows : lists) {
+      SCOPED_TRACE(std::string(text) + " rows=" + std::to_string(rows.size()));
+      const FaultRealization realization(injector, rows, kAttrs);
+      EXPECT_EQ(realization.rows().data(), rows.data());
+      EXPECT_EQ(realization.rows().size(), rows.size());
+      size_t set = 0;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        for (AttrId attr = 0; attr < kAttrs; ++attr) {
+          const FaultInjector::Outcome o = injector.At(rows[i], attr, 0);
+          const bool clean =
+              !o.fail && !o.permanent && o.cost_multiplier == 1.0;
+          EXPECT_EQ(realization.Clean(i, attr), clean)
+              << "pos " << i << " attr " << attr;
+          set += clean;
+        }
+      }
+      const size_t bits = rows.size() * kAttrs;
+      if (spec.value().stuck == 1.0) {
+        EXPECT_EQ(set, 0u);
+      }
+      if (!spec.value().any()) {
+        EXPECT_EQ(set, bits);
+      }
+      // Every 64-bit window, word-aligned or not, reads the same bits and
+      // nothing past the end.
+      for (size_t pos = 0; pos < rows.size(); ++pos) {
+        for (AttrId attr = 0; attr < kAttrs; ++attr) {
+          uint64_t want = 0;
+          for (size_t j = 0; j < 64 && pos + j < rows.size(); ++j) {
+            want |= static_cast<uint64_t>(realization.Clean(pos + j, attr))
+                    << j;
+          }
+          EXPECT_EQ(realization.CleanWord(attr, pos), want)
+              << "pos " << pos << " attr " << attr;
+        }
+      }
+    }
+  }
+}
+
+TEST(FaultRealizationDeathTest, ExecuteRejectsARealizationOverOtherRows) {
+  const Schema schema = SmallSchema();
+  const Dataset data = testing_util::CorrelatedDataset(schema, 200, 3);
+  PerAttributeCostModel cm(schema);
+  const CompiledPlan plan = CompiledPlan::Compile(
+      Plan(PlanNode::Sequential({Predicate(0, 0, 2), Predicate(1, 0, 2)})));
+  std::vector<RowId> rows(data.num_rows());
+  std::iota(rows.begin(), rows.end(), RowId{0});
+  const std::vector<RowId> same_rows = rows;  // equal ids, another span
+  FaultSpec spec;
+  spec.transient = 0.1;
+  const FaultRealization realization(FaultInjector(spec), rows,
+                                     schema.num_attributes());
+  ColumnarBatchExecutor exec(plan, data, cm);
+  BatchExecOptions opts;
+  opts.faults = &realization;
+  EXPECT_EQ(exec.Execute(rows, nullptr, opts).tuples, rows.size());
+  const std::span<const RowId> all(rows);
+  EXPECT_DEATH(exec.Execute(same_rows, nullptr, opts), "");
+  EXPECT_DEATH(exec.Execute(all.first(rows.size() - 1), nullptr, opts), "");
+  EXPECT_DEATH(exec.Execute(all.subspan(1), nullptr, opts), "");
 }
 
 TEST(FaultRowKeyedTest, ConcurrentAtCallsAgree) {
