@@ -1,21 +1,23 @@
-// Executor hot path: flat per-tuple iteration vs columnar batch execution.
+// Executor hot path: per-row ExecutePlan vs columnar batch execution.
 //
 // The columnar batch executor exists so batch consumers (dist shards, the
 // simulator) never pay per-tuple dispatch at all. This bench quantifies it
 // on the garden workload (the paper's deployment scenario): plan every
 // query with the heuristic planner, then execute the test split two ways --
 //
-//   flat   ExecuteBatch(const CompiledPlan&)  iterative over the node array,
-//                                          first-acquisition flags, reused
-//                                          scratch across tuples
+//   flat   ExecutePlan per row over one    the per-tuple walk that serving,
+//          RowSource, obs disabled         motes and EmpiricalPlanCost run
+//                                          (bench_obs_overhead owns the cost
+//                                          of per-tuple instrumentation)
 //   batch  ColumnarBatchExecutor::Execute  selection-vector kernels over
 //                                          column slices, statically
 //                                          precomputed marginal costs
 //
-// Acceptance bar: batch >= 4x flat on per-tuple latency, with both paths
-// agreeing on total acquisition cost to the bit. A second section replays a
-// repeated-query workload through a cached QueryService and asserts the hot
-// path performs zero PlanNode clones end to end.
+// Acceptance bar: batch >= 8x flat on per-tuple latency, with the per-row
+// costs summed in row order equal to the columnar total to the bit. A
+// second section replays a repeated-query workload through a cached
+// QueryService and asserts the hot path performs zero PlanNode clones end
+// to end.
 //
 // --json-out <path> writes the obs metrics registry (bench_util.h).
 
@@ -30,6 +32,7 @@
 #include "data/workload.h"
 #include "exec/batch_executor.h"
 #include "exec/executor.h"
+#include "obs/obs.h"
 #include "obs/registry.h"
 #include "opt/greedy_plan.h"
 #include "opt/greedyseq.h"
@@ -44,6 +47,10 @@ namespace {
 constexpr size_t kQueries = 12;
 constexpr size_t kReps = 5;  ///< timed passes over the test split, best-of
 constexpr uint64_t kSeed = 20050405;
+/// batch / flat per-tuple speedup bar: 4x the per-row ExecutePlan to
+/// row-loop ratio measured on this workload, so the bar kept its
+/// strictness when the flat side became per-row ExecutePlan.
+constexpr double kSpeedupBar = 8.0;
 
 double Seconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -53,7 +60,7 @@ double Seconds(std::chrono::steady_clock::time_point t0) {
 struct ExecTiming {
   double flat_ns_per_tuple = 0.0;
   double batch_ns_per_tuple = 0.0;
-  double batch_checksum = 0.0;  ///< flat vs columnar total-cost agreement
+  double batch_checksum = 0.0;  ///< per-row vs columnar total-cost agreement
 };
 
 /// Times one plan both ways over every test tuple, best-of-kReps.
@@ -67,15 +74,25 @@ ExecTiming TimePlan(const CompiledPlan& flat, const Dataset& test,
   // constructor's per-node cost precomputation and scratch allocation
   // amortize over every batch the plan ever executes.
   ColumnarBatchExecutor batch_exec(flat, test, cm);
+  RowSource source(test);
+  const bool obs_was_enabled = obs::Enabled();
 
   ExecTiming out;
   double flat_best = 1e300, batch_best = 1e300;
   double flat_cost = 0.0, batch_cost = 0.0;
   for (size_t rep = 0; rep < kReps; ++rep) {
+    // Obs off for the per-row pass only: with it on, every tuple would also
+    // pay the exec span and counters.
+    obs::SetEnabled(false);
     auto t0 = std::chrono::steady_clock::now();
-    const BatchExecutionStats stats = ExecuteBatch(flat, test, ids, cm);
+    double cost = 0.0;
+    for (const RowId r : ids) {
+      source.SetRow(r);
+      cost += ExecutePlan(flat, test.schema(), cm, source).cost;
+    }
     flat_best = std::min(flat_best, Seconds(t0));
-    flat_cost = stats.total_cost;
+    obs::SetEnabled(obs_was_enabled);
+    flat_cost = cost;
 
     t0 = std::chrono::steady_clock::now();
     const BatchExecutionStats batch_stats = batch_exec.Execute(ids);
@@ -111,7 +128,7 @@ class BenchPlanBuilder : public serve::PlanBuilder {
 
 int main(int argc, char** argv) {
   bench::InitBench("bench_exec", argc, argv);
-  bench::Banner("executor: CompiledPlan flat iteration vs columnar batch");
+  bench::Banner("executor: per-row ExecutePlan vs columnar batch");
 
   GardenDataOptions gopts;
   gopts.num_motes = 5;
@@ -164,13 +181,13 @@ int main(int argc, char** argv) {
   }
   const double batch_speedup = flat_total / batch_total;
   std::printf("\nmean per-tuple latency: flat %.0f ns, batch %.1f ns -> "
-              "batch/flat %.2fx (bar: >= 4x)\n",
+              "batch/flat %.2fx (bar: >= %.1fx)\n",
               flat_total / static_cast<double>(queries.size()),
               batch_total / static_cast<double>(queries.size()),
-              batch_speedup);
+              batch_speedup, kSpeedupBar);
   if (batch_checksum != 0.0) {
-    std::printf("ERROR: flat and columnar batch execution disagree on total "
-                "cost (delta %.17g)\n", batch_checksum);
+    std::printf("ERROR: per-row and columnar batch execution disagree on "
+                "total cost (delta %.17g)\n", batch_checksum);
   }
 
   // -------------------------------------------------------------------------
@@ -222,7 +239,7 @@ int main(int argc, char** argv) {
   bench::WriteCsv("exec_latency",
                   "query,nodes,flat_ns_per_tuple,batch_ns_per_tuple", rows);
   bench::FinishBench();
-  const bool ok =
-      batch_speedup >= 4.0 && hot_clones == 0 && batch_checksum == 0.0;
+  const bool ok = batch_speedup >= kSpeedupBar && hot_clones == 0 &&
+                  batch_checksum == 0.0;
   return ok ? 0 : 1;
 }

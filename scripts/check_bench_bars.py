@@ -10,7 +10,7 @@ greppable, and reusable against any committed baseline:
 
 Default bars (the executor bench):
 
-    bench_exec_batch_speedup   >= 4.0  columnar batch vs flat per-tuple
+    bench_exec_batch_speedup   >= 8.0  columnar batch vs per-row ExecutePlan
     bench_exec_hot_path_clones == 0    cached serving clones no PlanNodes
 
 Gauge and counter names are the canonical snake_case names the JSON
@@ -64,7 +64,7 @@ def main():
             for name, value in [spec.rsplit(":", 1)]]
     zeros = list(args.zero)
     if not mins and not zeros:
-        mins = [("bench_exec_batch_speedup", 4.0)]
+        mins = [("bench_exec_batch_speedup", 8.0)]
         zeros = ["bench_exec_hot_path_clones"]
 
     gauges = load_gauges(args.results)

@@ -184,6 +184,9 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
 
   std::vector<std::future<ShardReply>> futures(n);
   std::vector<char> attempted(n, 0);
+  // The gather deadline counts from scatter: planning and serializing the
+  // plan above are not the shards' time.
+  const uint64_t scatter_ns = obs::MonotonicNowNs();
   {
     // Declared directly (not via CAQP_OBS_SPAN): its context is the parent
     // every shard span joins under. Inert when obs is compiled out or the
@@ -224,11 +227,11 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
         continue;
       }
       // Shared gather budget: each shard gets whatever remains of the
-      // per-query deadline, measured from query start.
+      // per-query deadline, measured from scatter.
       bool ready = true;
       if (options_.shard_deadline_seconds > 0.0) {
         const double elapsed =
-            static_cast<double>(obs::MonotonicNowNs() - t0) * 1e-9;
+            static_cast<double>(obs::MonotonicNowNs() - scatter_ns) * 1e-9;
         const double remaining = options_.shard_deadline_seconds - elapsed;
         ready = remaining > 0.0 &&
                 futures[i].wait_for(std::chrono::duration<double>(

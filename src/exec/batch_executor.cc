@@ -93,29 +93,29 @@ ColumnarBatchExecutor::ColumnarBatchExecutor(
     : plan_(plan),
       data_(data),
       cost_model_(cost_model),
-      view_(plan),
-      full_ranges_(data.schema().FullRanges()) {
+      view_(plan) {
   // Hard runtime bound in every build mode: AttrSet and the executor value
   // scratch are 64-wide, and a wider schema would silently corrupt them.
   // Schema construction enforces the same bound, so this is
   // defense-in-depth against hand-built schemas bypassing it.
   CAQP_CHECK(data_.schema().num_attributes() <= 64);
 
-  // Fold the exact-cost tables (header comment): path_cost[s] is the scalar
-  // path's running cost when a row *enters* slot s — 0.0 at the root, plus
+  // Fold the exact-cost tables (header comment): path_cost[s] is the per-row
+  // walk's running cost when a row *enters* slot s — 0.0 at the root, plus
   // one static marginal per first-acquisition split along the way, added in
   // root→leaf order. BFS slot order assigns every child after its parent,
   // so one forward pass suffices. Each leaf then extends its entry cost
   // through its acquisition steps: entry k of its leaf_cost_ range is the
   // exact total for a row that executed k steps there. Because these are
-  // the same IEEE additions in the same order the scalar executor performs
-  // per row, every table entry is bit-identical to the scalar result.
+  // the same IEEE additions in the same order the per-row walk performs,
+  // every table entry is bit-identical to the walk's result.
   // The same marginals, kept per split slot and per leaf step, are what
   // fault mode adds into each row's running cost instead.
   const size_t num_slots = view_.num_slots();
   std::vector<double> path_cost(num_slots, 0.0);
   split_cost_.assign(num_slots, 0.0);
   leaf_cost_offset_.assign(num_slots, UINT32_MAX);
+  bool has_generic = false;
   for (uint32_t s = 0; s < num_slots; ++s) {
     const BatchPlanView::Node& node = view_.slot(s);
     switch (node.op) {
@@ -131,6 +131,7 @@ ColumnarBatchExecutor::ColumnarBatchExecutor(
         path_cost[node.ge] = path_cost[s];
         break;
       default: {
+        has_generic |= node.op == BatchPlanView::Op::kGeneric;
         leaf_cost_offset_[s] = static_cast<uint32_t>(leaf_cost_.size());
         double c = path_cost[s];
         leaf_cost_.push_back(c);
@@ -139,7 +140,7 @@ ColumnarBatchExecutor::ColumnarBatchExecutor(
                                            node.steps + steps.size()));
         for (uint32_t k = 0; k < steps.size(); ++k) {
           const BatchPlanView::AcqStep& st = steps[k];
-          // Non-charging steps copy the previous entry: the scalar path
+          // Non-charging steps copy the previous entry: the per-row walk
           // performs no addition there, and even adding 0.0 could flip the
           // sign of a -0.0 intermediate.
           if (st.is_new) {
@@ -156,8 +157,10 @@ ColumnarBatchExecutor::ColumnarBatchExecutor(
 
   // The masked engine indexes the cost table through u16 lanes; plans whose
   // tables outgrow that (thousands of deep leaves) keep the selection path.
-  masked_eligible_ =
-      internal::MaskedChunkAvailable() && leaf_cost_.size() <= 65535;
+  // So do plans with a generic leaf: its rows resume on the per-row walk,
+  // which only the selection path's divert list feeds.
+  masked_eligible_ = internal::MaskedChunkAvailable() &&
+                     leaf_cost_.size() <= 65535 && !has_generic;
 }
 
 void ColumnarBatchExecutor::EnsureScratch(size_t capacity, bool faulty) {
@@ -214,14 +217,14 @@ void ColumnarBatchExecutor::SplitKernel(const BatchPlanView::Node& node,
   // table.
   uint32_t nl = 0;
   uint32_t ng = 0;
-  uint32_t nd = 0;  // fault mode: rows leaving for the scalar resume
+  uint32_t nd = 0;  // fault mode: rows leaving for the per-row resume
   if constexpr (kFaulty && kFirstAcq) {
     // Fault mode charges the split into each row's running cost. A row
     // whose realized attempt 0 is clean adds the marginal and partitions as
-    // usual; the others are set aside, then pay the scalar attempt loop's
-    // charges and partition too if the acquisition still succeeds (a retry
-    // or a spike), or join the resume list if it fails. Selection order is
-    // immaterial: every output is stored per position.
+    // usual; the others are set aside, then pay the per-row walk's
+    // attempt-loop charges and partition too if the acquisition still
+    // succeeds (a retry or a spike), or join the resume list if it fails.
+    // Selection order is immaterial: every output is stored per position.
     const uint64_t* __restrict ok = faults_->clean_words(node.attr);
     const size_t off = chunk_off_;
     const double charge = split_cost_[slot];
@@ -253,7 +256,7 @@ void ColumnarBatchExecutor::SplitKernel(const BatchPlanView::Node& node,
       }
     }
     nd = failed;
-    Divert(slot, /*step=*/-1, nd);
+    Divert(slot, /*step=*/-1, div, nd);
   } else {
     for (uint32_t i = 0; i < cnt; ++i) {
       const SelIdx pos = in[i];
@@ -323,10 +326,10 @@ void ColumnarBatchExecutor::SeqKernel(const BatchPlanView::Node& node,
     const uint32_t neg = st.pred.negated ? 1u : 0u;
     // Exact cost after executing steps 0..k: rows failing here keep this
     // value; survivors are overwritten at the next step. One plain store
-    // per evaluated row replaces the scalar path's accumulate.
+    // per evaluated row replaces the per-row walk's accumulate.
     const double cost_after = cost_at[k + 1];
     uint32_t out = 0;
-    uint32_t nd = 0;  // fault mode: rows leaving for the scalar resume
+    uint32_t nd = 0;  // fault mode: rows leaving for the per-row resume
     if constexpr (kFaulty) {
       if (st.is_new) {
         // Fault mode, as in the split kernel: the new acquisition reads
@@ -361,7 +364,7 @@ void ColumnarBatchExecutor::SeqKernel(const BatchPlanView::Node& node,
           }
         }
         nd = failed;
-        Divert(slot, k, nd);
+        Divert(slot, k, div, nd);
       } else {
         // A repeat read charges nothing and cannot fail.
         for (uint32_t i = 0; i < live; ++i) {
@@ -403,59 +406,6 @@ void ColumnarBatchExecutor::SeqKernel(const BatchPlanView::Node& node,
   if constexpr (kProfiled) profile->NodePassN(node.plan_index, live);
 }
 
-template <bool kProfiled, bool kVerdicts>
-void ColumnarBatchExecutor::GenericKernel(const BatchPlanView::Node& node,
-                                          uint32_t slot, const SelIdx* sel_in,
-                                          const RowId* rows, uint8_t* verdicts,
-                                          ExecutionProfile* profile,
-                                          BatchExecutionStats* stats) {
-  // Residual-query leaves evaluate three-valued range semantics whose
-  // acquisition count is data-dependent per row — this is the generic
-  // per-row fallback, textually parallel to the scalar ExecuteBatch leaf.
-  // Costs still come from the static table: a row's exact cost is
-  // determined by how many steps it executed before resolving.
-  const uint32_t cnt = sel_n_[slot];
-  if constexpr (kProfiled) profile->NodeEvalN(node.plan_index, cnt);
-  const Query& query = view_.residual_query(node);
-  const auto steps = view_.steps(node);
-  const double* cost_at = leaf_cost_.data() + leaf_cost_offset_[slot];
-  const size_t num_attrs = data_.schema().num_attributes();
-  uint64_t matches = 0;
-  for (uint32_t i = 0; i < cnt; ++i) {
-    const SelIdx pos = sel_in[i];
-    const RowId row = rows[pos];
-    ranges_scratch_ = full_ranges_;
-    for (size_t a = 0; a < num_attrs; ++a) {
-      if (node.entry_acquired.Contains(static_cast<AttrId>(a))) {
-        const Value v = data_.at(row, static_cast<AttrId>(a));
-        ranges_scratch_[a] = ValueRange{v, v};
-      }
-    }
-    Truth t = query.EvaluateOnRanges(ranges_scratch_);
-    size_t executed = 0;
-    for (size_t k = 0; k < steps.size(); ++k) {
-      if (t != Truth::kUnknown) break;
-      const BatchPlanView::AcqStep& st = steps[k];
-      executed = k + 1;
-      if (st.is_new) {
-        ++stats->total_acquisitions;
-        stats->acquired.Insert(st.attr);
-      }
-      const Value v = data_.at(row, st.attr);
-      ranges_scratch_[st.attr] = ValueRange{v, v};
-      t = query.EvaluateOnRanges(ranges_scratch_);
-    }
-    // Infallible acquisition: the order must resolve the query.
-    CAQP_CHECK(t != Truth::kUnknown);
-    row_cost_[pos] = cost_at[executed];
-    const bool verdict = t == Truth::kTrue;
-    if constexpr (kVerdicts) verdicts[pos] = verdict ? 1 : 0;
-    matches += verdict;
-  }
-  stats->matches += matches;
-  if constexpr (kProfiled) profile->NodePassN(node.plan_index, matches);
-}
-
 uint32_t ColumnarBatchExecutor::Route(uint32_t n) {
   // One word of clean bits per 64 chunk rows, ANDed over every attribute
   // the plan can acquire; the chunk's offset into the realization's rows
@@ -487,9 +437,9 @@ uint32_t ColumnarBatchExecutor::Route(uint32_t n) {
 bool ColumnarBatchExecutor::ChargeAttempts(RowId row, AttrId attr,
                                            double marginal_cost, SelIdx pos,
                                            BatchExecutionStats* stats) {
-  // The scalar attempt loop's additions, in its order: the marginal times
-  // the attempt's cost multiplier, times the retry multiplier past the
-  // first attempt. Committed only if an attempt succeeds: a failing
+  // The per-row walk's attempt-loop additions, in its order: the marginal
+  // times the attempt's cost multiplier, times the retry multiplier past
+  // the first attempt. Committed only if an attempt succeeds: a failing
   // acquisition is redone from attempt 0 by the resume.
   double cost = row_cost_[pos];
   for (int att = 0; att < max_attempts_; ++att) {
@@ -509,27 +459,27 @@ bool ColumnarBatchExecutor::ChargeAttempts(RowId row, AttrId attr,
   return false;
 }
 
-void ColumnarBatchExecutor::Divert(uint32_t slot, int32_t step, uint32_t n) {
+void ColumnarBatchExecutor::Divert(uint32_t slot, int32_t step,
+                                   const SelIdx* pos, uint32_t n) {
   for (uint32_t i = 0; i < n; ++i) {
-    diverted_.push_back(Diverted{slot, step, div_scratch_[i]});
+    diverted_.push_back(Diverted{slot, step, pos[i]});
   }
 }
 
-template <bool kProfiled>
-void ColumnarBatchExecutor::ResumeDiverted(const RowId* rows,
+template <bool kProfiled, typename Source>
+void ColumnarBatchExecutor::ResumeDiverted(Source& source, const RowId* rows,
                                            uint8_t* verdicts,
                                            ExecutionProfile* profile,
                                            BatchExecutionStats* stats) {
-  RowFaultSource source(data_, faults_->injector());
   Value values[64] = {};
   for (const Diverted& d : diverted_) {
     const BatchPlanView::Node& node = view_.slot(d.slot);
     const RowId row = rows[d.pos];
     // The static entry state: every acquisition on the way here succeeded,
     // so the row holds exactly the attributes acquired before this node (or
-    // leaf step), and its running cost is the scalar total so far. The
-    // kernels above already counted those acquisitions, their retries, and
-    // the profile events.
+    // leaf step), and row_cost_ holds the walk's total so far. The kernels
+    // above already counted those acquisitions, their retries, and the
+    // profile events.
     ExecutionResult r;
     r.acquired = d.step < 0 ? node.entry_acquired
                             : view_.steps(node)[d.step].acquired_before;
@@ -556,7 +506,6 @@ void ColumnarBatchExecutor::ResumeDiverted(const RowId* rows,
     stats->failed = stats->failed.Union(r.failed);
     stats->acquired = stats->acquired.Union(r.acquired);
   }
-  stats->faults_injected += source.injected();
   diverted_.clear();
 }
 
@@ -567,9 +516,9 @@ void ColumnarBatchExecutor::RunChunk(const RowId* rows, uint32_t n,
                                      BatchExecutionStats* stats) {
   if constexpr (kFaulty) {
     // Rows clean on every attribute the plan can acquire run the fault-free
-    // sweep; the rest accumulate their running cost from the scalar
-    // executor's starting 0.0 through the fault sweep, and its failures
-    // finish on the scalar walk.
+    // sweep; the rest accumulate their running cost from the per-row walk's
+    // starting 0.0 through the fault sweep. Both sweeps' diverted rows
+    // finish on the walk, over the row-keyed draws.
     const uint32_t num_clean = Route(n);
     Sweep<kProfiled, kVerdicts, false>(clean_sel_.data(), num_clean, rows,
                                        verdicts, profile, stats);
@@ -578,17 +527,25 @@ void ColumnarBatchExecutor::RunChunk(const RowId* rows, uint32_t n,
     for (uint32_t i = 0; i < num_faulty; ++i) row_cost_[faulty[i]] = 0.0;
     Sweep<kProfiled, kVerdicts, true>(faulty, num_faulty, rows, verdicts,
                                       profile, stats);
-    ResumeDiverted<kProfiled>(rows, kVerdicts ? verdicts : nullptr, profile,
-                              stats);
+    RowFaultSource source(data_, faults_->injector());
+    ResumeDiverted<kProfiled>(source, rows, kVerdicts ? verdicts : nullptr,
+                              profile, stats);
+    stats->faults_injected += source.injected();
   } else {
     Sweep<kProfiled, kVerdicts, false>(iota_.data(), n, rows, verdicts,
                                        profile, stats);
+    // Only generic leaves divert a fault-free row.
+    if (!diverted_.empty()) {
+      RowSource source(data_);
+      ResumeDiverted<kProfiled>(source, rows, kVerdicts ? verdicts : nullptr,
+                                profile, stats);
+    }
   }
 
-  // Row-order summation reproduces the scalar path's addition sequence
+  // Row-order summation reproduces the per-row oracle's addition sequence
   // exactly: each row_cost_[pos] is a table entry folded in path order (or
-  // a fault-sweep row's running cost, or a resumed row's scalar total), so
-  // total_cost is bit-identical to the scalar oracle.
+  // a fault-sweep row's running cost, or a resumed row's walk total), so
+  // total_cost is bit-identical to the oracle.
   const double* row_cost = row_cost_.data();
   for (uint32_t i = 0; i < n; ++i) stats->total_cost += row_cost[i];
 }
@@ -665,17 +622,19 @@ void ColumnarBatchExecutor::Sweep(const SelIdx* root_sel, uint32_t root_n,
         SeqKernel<0, kProfiled, kVerdicts, kFaulty>(
             node, s, sel_in, rows, verdicts, profile, stats);
         break;
-      case Op::kGeneric:
-        if constexpr (kFaulty) {
-          // Residual-query leaves evaluate per row anyway: in fault mode
-          // the scalar executor finishes every row that reaches one.
-          std::copy(sel_in, sel_in + sel_n_[s], div_scratch_.data());
-          Divert(s, /*step=*/-1, sel_n_[s]);
-        } else {
-          GenericKernel<kProfiled, kVerdicts>(node, s, sel_in, rows, verdicts,
-                                              profile, stats);
+      case Op::kGeneric: {
+        // Residual-query leaves evaluate per row anyway: the per-row walk
+        // finishes every row that reaches one, from the leaf's entry cost
+        // (fault mode's running cost already holds it).
+        if constexpr (!kFaulty) {
+          const double entry_cost = leaf_cost_[leaf_cost_offset_[s]];
+          for (uint32_t i = 0; i < sel_n_[s]; ++i) {
+            row_cost_[sel_in[i]] = entry_cost;
+          }
         }
+        Divert(s, /*step=*/-1, sel_in, sel_n_[s]);
         break;
+      }
     }
   }
 }
@@ -740,8 +699,6 @@ BatchExecutionStats ColumnarBatchExecutor::Execute(
       args.data = &data_;
       args.leaf_cost = leaf_cost_.data();
       args.leaf_cost_offset = leaf_cost_offset_.data();
-      args.full_ranges = &full_ranges_;
-      args.ranges_scratch = &ranges_scratch_;
       args.node_masks = mask_slots_.data();
       args.alive_scratch = mask_alive_.data();
       args.exec_scratch = mask_exec_.data();

@@ -1,6 +1,5 @@
 // Columnar batch execution of a CompiledPlan — the batch-at-a-time twin of
-// the scalar ExecuteBatch (exec/executor.h), which stays as its differential
-// oracle.
+// per-row ExecutePlan (exec/executor.h), which is its reference oracle.
 //
 // Instead of walking one root→leaf path per tuple, the executor routes a
 // whole chunk of rows through the plan with selection vectors: each plan
@@ -9,14 +8,14 @@
 // branch-light loop (both outputs written each iteration, counts advanced by
 // the comparison result), and sequential leaves drain their selection with
 // an in-place filter per conjunct — rows that fail a predicate simply stop
-// being copied forward, which *is* the scalar short-circuit. Because a plan
-// is a tree in BFS (level-major) slot order, one forward sweep over
+// being copied forward, which *is* the per-row short-circuit. Because a
+// plan is a tree in BFS (level-major) slot order, one forward sweep over
 // BatchPlanView slots visits every parent before its children.
 //
 // What makes the batch path fast is hoisting, twice over:
 //  * The acquired-set at any node is static (plan/batch_plan.h), so every
 //    marginal AcquisitionCostModel::Cost() — a virtual call per acquisition
-//    in the scalar loop — is precomputed once per plan at construction.
+//    in the per-row walk — is precomputed once per plan at construction.
 //  * A row's total cost is fully determined by (leaf reached, number of
 //    leaf steps executed): every such row adds the same static marginals in
 //    the same order. The constructor folds those additions once into an
@@ -25,29 +24,37 @@
 //    them in row order.
 //
 // Equivalence contract (enforced by tests/batch_executor_test.cc):
-// Execute() is bit-identical to scalar ExecuteBatch over the same rows —
-// verdict vector, match count, acquisition count, acquired-attribute union,
-// and total_cost as an exact double (the cost table replays the scalar
+// Execute() is bit-identical to per-row ExecutePlan over the same rows (a
+// RowSource set to each row in turn, costs summed in row order) — verdict
+// vector, match count, acquisition count, acquired-attribute union, and
+// total_cost as an exact double (the cost table replays the walk's
 // addition sequence, and the final sum runs in row order, so every
 // intermediate double matches). With a profile attached, the per-node /
 // per-attribute counters match a per-tuple profiled ExecutePlan run counter
 // for counter; realized_cost matches bitwise when the profile starts fresh
 // (EndBatch adds one row-order total per Execute call).
 //
-// Dispatch is a computed-goto-style switch over BatchPlanView::Op: the hot
-// shapes (first-acquisition vs repeat splits, sequential arities 1..4) get
-// their own specialized kernels; kSeqN loops, and kGeneric — residual-query
-// leaves, only produced by the exhaustive planner — falls back to a per-row
-// scalar loop (three-valued range evaluation is inherently per-row).
+// Dispatch is a switch over BatchPlanView::Op: the hot shapes
+// (first-acquisition vs repeat splits, sequential arities 1..4) get their
+// own specialized kernels, and kSeqN loops. kGeneric — a residual-query
+// leaf, which only the exhaustive planner emits, for a query that is not a
+// conjunction — has no kernel: three-valued range evaluation is inherently
+// per-row, so in both modes every row that reaches one leaves the selection
+// and the per-row walk (internal::WalkCompiled) finishes it from the leaf's
+// static entry state — the attributes acquired on the way there, their
+// column values, and the leaf's entry cost (its table entry 0). The walk
+// then adds Cost(a, acquired) for each new acquisition: the table's
+// doubles, in the table's order.
 //
 // When the batch's RowIds are consecutive, the CPU has AVX-512 (F/BW/DQ/VL,
-// probed at runtime), and the cost table fits 16-bit indices, chunks are
-// instead routed through the mask-based engine in exec/batch_masked.h: per
-// plan node a 32-row alive bitmask replaces the selection vector, splits
-// become one 512-bit compare plus two mask ANDs per block, and leaf costs
-// collapse to a single u16 table-index store per row. Same observable
-// results, bit for bit — the selection kernels remain the universal
-// fallback (arbitrary row lists, huge plans, older CPUs).
+// probed at runtime), the cost table fits 16-bit indices, and the plan has
+// no generic leaf, chunks are instead routed through the mask-based engine
+// in exec/batch_masked.h: per plan node a 32-row alive bitmask replaces the
+// selection vector, splits become one 512-bit compare plus two mask ANDs
+// per block, and leaf costs collapse to a single u16 table-index store per
+// row. Same observable results, bit for bit — the selection kernels remain
+// the universal fallback (arbitrary row lists, huge plans, generic leaves,
+// older CPUs).
 //
 // Fault mode (BatchExecOptions::faults): acquisition becomes fallible under
 // the row-keyed fault model of fault/fault.h. The caller passes the
@@ -59,24 +66,21 @@
 // acquisition it can make succeeds at attempt 0, at the normal cost — so it
 // takes the fault-free sweep: the same selection kernels, exact-cost tables
 // and profile counters as outside fault mode. The other rows take the
-// fault-mode sweep and carry an exact running cost from the scalar
-// executor's starting 0.0. At every new acquisition (a first-acquisition
-// split, an is_new leaf step) a row whose bit is set adds the static
-// marginal, exactly the scalar executor's addition. A clear bit only means
-// "take the exact path": the row redraws its attempts through
-// FaultInjector::At(). If an attempt within the policy succeeds — a retry,
-// or a cost spike — the row adds the scalar attempt loop's charges, tallies
-// its retries, and routes on: the value and every counter are a clean
-// row's. A failing acquisition (retries exhausted, a stuck sensor, or any
-// failure under UnknownVerdict / Abort) takes the row out of the selection,
-// and the flat scalar executor finishes it, resumed at that node — or, in a
-// sequential leaf, at that step — with its static entry state: the
-// attributes acquired so far, their column values, and the running cost
-// (internal::WalkCompiled). Residual-query leaves resume every fault-sweep
-// row that reaches them. Both sweeps store costs and verdicts by chunk
-// position, so the row-order cost fold is unchanged. Every outcome on the
-// way was what the per-row oracle draws, so each row's ExecutionResult and
-// profile counters are the oracle's: ExecutePlan over
+// fault-mode sweep and carry an exact running cost from the per-row walk's
+// starting 0.0. At every new acquisition (a first-acquisition split, an
+// is_new leaf step) a row whose bit is set adds the static marginal,
+// exactly the walk's addition. A clear bit only means "take the exact
+// path": the row redraws its attempts through FaultInjector::At(). If an
+// attempt within the policy succeeds — a retry, or a cost spike — the row
+// adds the walk's attempt-loop charges, tallies its retries, and routes on:
+// the value and every counter are a clean row's. A failing acquisition
+// (retries exhausted, a stuck sensor, or any failure under UnknownVerdict /
+// Abort) takes the row out of the selection, and the per-row walk finishes
+// it, resumed at that node — or, in a sequential leaf, at that step — with
+// its static entry state and its running cost. Both sweeps store costs and
+// verdicts by chunk position, so the row-order cost fold is unchanged.
+// Every outcome on the way was what the per-row oracle draws, so each row's
+// ExecutionResult and profile counters are the oracle's: ExecutePlan over
 // FaultyAcquisitionSource with SetRow(row). Verdict bytes then carry Truth
 // values (kUnknown = 2), BatchExecutionStats fills its fault totals, and the
 // exec.* / fault.injected counters are added once per Execute with the
@@ -146,8 +150,7 @@ class ColumnarBatchExecutor {
   /// `verdicts` is non-null it is resized to rows.size() with per-row Truth
   /// bytes in row order (1/0 without faults; passing nullptr skips the
   /// verdict stores entirely). See the file comment for the equivalence
-  /// contracts with scalar ExecuteBatch and, in fault mode, per-row
-  /// ExecutePlan.
+  /// contract with per-row ExecutePlan, in both modes.
   BatchExecutionStats Execute(std::span<const RowId> rows,
                               std::vector<uint8_t>* verdicts = nullptr,
                               const BatchExecOptions& options = {});
@@ -190,22 +193,23 @@ class ColumnarBatchExecutor {
 
   /// Fault mode, for a row whose attempt-0 draw for `attr` is not clean:
   /// if an attempt within the policy succeeds (or the draw was only a cost
-  /// spike), adds the scalar attempt loop's charges for `marginal_cost` to
-  /// the row's running cost, tallies its failed attempts, and returns true
-  /// — the row read its value and routes on. False when the acquisition
-  /// fails; nothing is charged then.
+  /// spike), adds the per-row walk's attempt-loop charges for
+  /// `marginal_cost` to the row's running cost, tallies its failed
+  /// attempts, and returns true — the row read its value and routes on.
+  /// False when the acquisition fails; nothing is charged then.
   bool ChargeAttempts(RowId row, AttrId attr, double marginal_cost,
                       SelIdx pos, BatchExecutionStats* stats);
 
-  /// Fault mode: queues the first `n` positions of div_scratch_ for a
-  /// scalar resume at `slot` — at node entry (step -1) or, in a sequential
-  /// leaf, at acquisition step `step`.
-  void Divert(uint32_t slot, int32_t step, uint32_t n);
+  /// Queues the `n` chunk positions at `pos` for a per-row resume at
+  /// `slot` — at node entry (step -1) or, in a sequential leaf, at
+  /// acquisition step `step`. Their row_cost_ entries hold their cost so far.
+  void Divert(uint32_t slot, int32_t step, const SelIdx* pos, uint32_t n);
 
-  /// Fault mode: finishes every diverted row of the chunk on the scalar
-  /// executor and folds its result into the chunk outputs.
-  template <bool kProfiled>
-  void ResumeDiverted(const RowId* rows, uint8_t* verdicts,
+  /// Finishes every diverted row of the chunk on the per-row walk, reading
+  /// through `source` (RowSource without faults, the row-keyed fault source
+  /// with them), and folds its result into the chunk outputs.
+  template <bool kProfiled, typename Source>
+  void ResumeDiverted(Source& source, const RowId* rows, uint8_t* verdicts,
                       ExecutionProfile* profile, BatchExecutionStats* stats);
 
   template <bool kFirstAcq, bool kProfiled, bool kFaulty>
@@ -218,12 +222,6 @@ class ColumnarBatchExecutor {
                  const uint16_t* sel_in, const RowId* rows, uint8_t* verdicts,
                  ExecutionProfile* profile, BatchExecutionStats* stats);
 
-  template <bool kProfiled, bool kVerdicts>
-  void GenericKernel(const BatchPlanView::Node& node, uint32_t slot,
-                     const uint16_t* sel_in, const RowId* rows,
-                     uint8_t* verdicts, ExecutionProfile* profile,
-                     BatchExecutionStats* stats);
-
   const CompiledPlan& plan_;
   const Dataset& data_;
   const AcquisitionCostModel& cost_model_;
@@ -232,22 +230,23 @@ class ColumnarBatchExecutor {
   /// Exact-cost tables (see file comment). leaf_cost_ holds, per leaf slot,
   /// num_steps + 1 doubles: entry k is the exact total cost of a row that
   /// reached this leaf and executed k acquisition steps, folded in the
-  /// scalar addition order (root-path first-acquisition splits, then leaf
-  /// steps; non-charging steps copy the previous entry — no +0.0 rounding
-  /// hazards). leaf_cost_offset_[slot] indexes the table; ~0u for splits.
+  /// per-row walk's addition order (root-path first-acquisition splits,
+  /// then leaf steps; non-charging steps copy the previous entry — no +0.0
+  /// rounding hazards). leaf_cost_offset_[slot] indexes the table; ~0u for
+  /// splits.
   std::vector<double> leaf_cost_;
   std::vector<uint32_t> leaf_cost_offset_;
   /// The static marginals themselves, per kSplitFirst slot and per is_new
   /// leaf step (indexed like BatchPlanView steps): fault mode adds them
   /// into each row's running cost (row_cost_) as the row acquires, in the
-  /// scalar executor's order.
+  /// per-row walk's order.
   std::vector<double> split_cost_;
   std::vector<double> step_cost_;
 
-  /// Fault-mode state of the current Execute call: the realization and
-  /// policy, the chunk's offset into the realization's rows, and the
-  /// chunk's rows awaiting a scalar resume (slot, leaf step or -1, chunk
-  /// position).
+  /// State of the current Execute call: the fault realization and policy,
+  /// the chunk's offset into the realization's rows, and the chunk's rows
+  /// awaiting a per-row resume (slot, leaf step or -1, chunk position) —
+  /// generic-leaf rows in both modes, failed acquisitions in fault mode.
   const FaultRealization* faults_ = nullptr;
   DegradationPolicy policy_{};
   int max_attempts_ = 1;  ///< attempts per acquisition under policy_
@@ -261,9 +260,6 @@ class ColumnarBatchExecutor {
   std::vector<SelIdx> div_scratch_;  ///< one kernel's diverted positions
   std::vector<SelIdx> clean_sel_;    ///< Route's outputs: the root
   std::vector<SelIdx> fault_sel_;    ///< selections of the two sweeps
-
-  RangeVec full_ranges_;     ///< cached Schema::FullRanges()
-  RangeVec ranges_scratch_;  ///< generic-fallback per-row range vector
 
   /// Selection scratch, reused across chunks and Execute calls. sel_[slot]
   /// holds chunk-local positions; iota_ is the persistent identity
@@ -291,10 +287,10 @@ class ColumnarBatchExecutor {
   uint64_t masked_rows_ = 0;
   uint64_t selection_chunks_ = 0;
 
-  /// Masked-engine eligibility (CPU probe && cost table fits u16 indices)
-  /// and its scratch: per-slot alive masks, leaf working masks, per-row
-  /// executed-step lanes and cost indices, and final verdict masks. See
-  /// exec/batch_masked.h.
+  /// Masked-engine eligibility (CPU probe && cost table fits u16 indices &&
+  /// no generic leaf) and its scratch: per-slot alive masks, leaf working
+  /// masks, per-row executed-step lanes and cost indices, and final verdict
+  /// masks. See exec/batch_masked.h.
   bool masked_eligible_ = false;
   std::vector<uint32_t> mask_slots_;
   std::vector<uint32_t> mask_alive_;

@@ -27,6 +27,10 @@
 // the scalar short-circuit *semantics* are preserved while the work is
 // branch-free.
 //
+// The engine has no generic-leaf fallback: a plan with a residual-query
+// leaf is never masked-eligible (its rows resume on the per-row walk, which
+// only the selection path feeds).
+//
 // This header is plain C++ (no intrinsics) so the executor can include it
 // unconditionally; the implementation lives in batch_masked_avx512.cc,
 // which CMake compiles with AVX-512 flags only when the toolchain supports
@@ -37,7 +41,6 @@
 #define CAQP_EXEC_BATCH_MASKED_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "core/dataset.h"
 #include "exec/exec_profile.h"
@@ -57,9 +60,6 @@ struct MaskedChunkArgs {
   /// executor checks this once at construction.
   const double* leaf_cost = nullptr;
   const uint32_t* leaf_cost_offset = nullptr;
-  /// Generic-leaf fallback state (rare; exhaustive-planner plans only).
-  const RangeVec* full_ranges = nullptr;
-  RangeVec* ranges_scratch = nullptr;
 
   /// Scratch: per-slot alive masks (view->num_slots() * blocks words,
   /// slot-major), one working copy for leaf steps, per-row executed-step
@@ -91,7 +91,7 @@ struct MaskedChunkArgs {
 bool MaskedChunkAvailable();
 
 /// Runs one chunk through the plan. Preconditions: MaskedChunkAvailable(),
-/// consecutive rows, and a <= 65535-entry cost table.
+/// consecutive rows, a <= 65535-entry cost table, and no generic leaf.
 void RunChunkMasked(const MaskedChunkArgs& args);
 
 }  // namespace caqp::internal

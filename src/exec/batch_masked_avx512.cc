@@ -9,7 +9,6 @@
 #include <immintrin.h>
 
 #include "core/predicate.h"
-#include "plan/compiled_plan.h"
 
 namespace caqp::internal {
 
@@ -153,59 +152,6 @@ void VerdictMasked(const MaskedChunkArgs& a, const BatchPlanView::Node& node,
   }
 }
 
-/// Residual-query leaf: inherently per-row (three-valued range semantics),
-/// so iterate the mask bits scalar — textually parallel to the selection
-/// path's GenericKernel.
-void GenericMasked(const MaskedChunkArgs& a, const BatchPlanView::Node& node,
-                   uint32_t slot, const uint32_t* M, uint64_t entered) {
-  if (a.profile != nullptr) a.profile->NodeEvalN(node.plan_index, entered);
-  const Query& query = a.view->residual_query(node);
-  const auto steps = a.view->steps(node);
-  const uint32_t base = a.leaf_cost_offset[slot];
-  const size_t num_attrs = a.data->schema().num_attributes();
-  uint64_t matches = 0;
-  for (uint32_t b = 0; b < a.blocks; ++b) {
-    uint32_t m = M[b];
-    uint32_t vb = 0;
-    while (m != 0) {
-      const uint32_t bit = static_cast<uint32_t>(__builtin_ctz(m));
-      m &= m - 1;
-      const uint32_t pos = 32u * b + bit;
-      const RowId row = a.row_base + pos;
-      *a.ranges_scratch = *a.full_ranges;
-      for (size_t at = 0; at < num_attrs; ++at) {
-        if (node.entry_acquired.Contains(static_cast<AttrId>(at))) {
-          const Value v = a.data->at(row, static_cast<AttrId>(at));
-          (*a.ranges_scratch)[at] = ValueRange{v, v};
-        }
-      }
-      Truth t = query.EvaluateOnRanges(*a.ranges_scratch);
-      uint32_t executed = 0;
-      for (size_t k = 0; k < steps.size(); ++k) {
-        if (t != Truth::kUnknown) break;
-        const BatchPlanView::AcqStep& st = steps[k];
-        executed = static_cast<uint32_t>(k) + 1;
-        if (st.is_new) {
-          ++a.stats->total_acquisitions;
-          a.stats->acquired.Insert(st.attr);
-        }
-        const Value v = a.data->at(row, st.attr);
-        (*a.ranges_scratch)[st.attr] = ValueRange{v, v};
-        t = query.EvaluateOnRanges(*a.ranges_scratch);
-      }
-      CAQP_CHECK(t != Truth::kUnknown);
-      a.cost_idx[pos] = static_cast<uint16_t>(base + executed);
-      if (t == Truth::kTrue) {
-        vb |= 1u << bit;
-        ++matches;
-      }
-    }
-    a.verdict_masks[b] |= vb;
-  }
-  a.stats->matches += matches;
-  if (a.profile != nullptr) a.profile->NodePassN(node.plan_index, matches);
-}
-
 }  // namespace
 
 void RunChunkMasked(const MaskedChunkArgs& a) {
@@ -246,7 +192,7 @@ void RunChunkMasked(const MaskedChunkArgs& a) {
         VerdictMasked(a, node, s, M, entered, node.op == Op::kVerdictTrue);
         break;
       case Op::kGeneric:
-        GenericMasked(a, node, s, M, entered);
+        CAQP_CHECK(false);  // unreachable: generic plans are not eligible
         break;
       default:
         SeqMasked(a, node, s, M, entered);

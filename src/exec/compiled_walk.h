@@ -1,8 +1,10 @@
 // WalkCompiled — the executor's per-tuple walk over a CompiledPlan
-// (internal). Two callers share it: ExecutePlan (exec/executor.cc) enters
-// at the root over any AcquisitionSource, and the columnar fault mode
+// (internal), and the only code in the library that evaluates a plan one
+// row at a time. Two callers share it: ExecutePlan (exec/executor.cc)
+// enters at the root over any AcquisitionSource, and the columnar engine
 // (exec/batch_executor.h) resumes diverted rows mid-plan over its concrete
-// row source, so their acquisitions devirtualize.
+// row source — in both modes the rows that reach a generic leaf, and in
+// fault mode the rows whose acquisition fails.
 
 #ifndef CAQP_EXEC_COMPILED_WALK_H_
 #define CAQP_EXEC_COMPILED_WALK_H_

@@ -120,98 +120,4 @@ ExecutionResult ExecuteCompiledObs(const CompiledPlan& plan,
 
 }  // namespace internal
 
-BatchExecutionStats ExecuteBatch(const CompiledPlan& plan, const Dataset& data,
-                                 std::span<const RowId> rows,
-                                 const AcquisitionCostModel& cost_model,
-                                 std::vector<uint8_t>* verdicts) {
-  CAQP_OBS_SPAN(batch_span, "exec.batch");
-  const Schema& schema = data.schema();
-  // Runtime check in every build mode: the Value scratch below is 64-wide,
-  // and a wider schema would corrupt it silently in release builds. Schema
-  // construction enforces the same bound; this guards hand-built schemas.
-  CAQP_CHECK(schema.num_attributes() <= 64);
-  BatchExecutionStats stats;
-  stats.tuples = rows.size();
-  if (verdicts != nullptr) {
-    verdicts->clear();
-    verdicts->reserve(rows.size());
-  }
-  Value values[64];
-  for (const RowId row : rows) {
-    AttrSet acquired;
-    double cost = 0.0;
-    // Infallible, dedup'd read of attribute `a` for this row.
-    auto acquire = [&](AttrId a) -> Value {
-      if (!acquired.Contains(a)) {
-        cost += cost_model.Cost(a, acquired);
-        acquired.Insert(a);
-        ++stats.total_acquisitions;
-        values[a] = data.at(row, a);
-      }
-      return values[a];
-    };
-
-    uint32_t idx = 0;
-    const CompiledPlan::Node* n = &plan.node(0);
-    while (n->kind == CompiledPlan::Kind::kSplit) {
-      Value v;
-      if (n->first_acquisition()) {
-        cost += cost_model.Cost(n->attr, acquired);
-        acquired.Insert(n->attr);
-        ++stats.total_acquisitions;
-        v = values[n->attr] = data.at(row, n->attr);
-      } else {
-        v = values[n->attr];
-      }
-      idx = (v >= n->split_value) ? n->a : idx + 1;
-      n = &plan.node(idx);
-    }
-
-    bool verdict = false;
-    switch (n->kind) {
-      case CompiledPlan::Kind::kVerdict:
-        verdict = n->verdict();
-        break;
-      case CompiledPlan::Kind::kSequential:
-        verdict = true;
-        for (const Predicate& p : plan.sequence(*n)) {
-          if (!p.Matches(acquire(p.attr))) {
-            verdict = false;
-            break;
-          }
-        }
-        break;
-      case CompiledPlan::Kind::kGeneric: {
-        const Query& query = plan.residual_query(*n);
-        RangeVec ranges = schema.FullRanges();
-        for (size_t a = 0; a < schema.num_attributes(); ++a) {
-          if (acquired.Contains(static_cast<AttrId>(a))) {
-            ranges[a] = ValueRange{values[a], values[a]};
-          }
-        }
-        Truth t = query.EvaluateOnRanges(ranges);
-        for (const AttrId a : plan.acquire_order(*n)) {
-          if (t != Truth::kUnknown) break;
-          const Value v = acquire(a);
-          ranges[a] = ValueRange{v, v};
-          t = query.EvaluateOnRanges(ranges);
-        }
-        CAQP_CHECK(t != Truth::kUnknown);
-        verdict = (t == Truth::kTrue);
-        break;
-      }
-      case CompiledPlan::Kind::kSplit:
-        CAQP_CHECK(false);
-    }
-    stats.total_cost += cost;
-    stats.acquired = stats.acquired.Union(acquired);
-    if (verdict) ++stats.matches;
-    if (verdicts != nullptr) verdicts->push_back(verdict ? 1 : 0);
-  }
-  CAQP_OBS_COUNTER_ADD("exec.tuples", static_cast<uint64_t>(stats.tuples));
-  CAQP_OBS_COUNTER_ADD("exec.acquisitions",
-                       static_cast<uint64_t>(stats.total_acquisitions));
-  return stats;
-}
-
 }  // namespace caqp

@@ -184,8 +184,10 @@ ExecutionResult ExecuteCompiledObs(const CompiledPlan& plan,
 /// The walk iterates over the CompiledPlan node array: no recursion, no
 /// pointer chasing, no per-tuple allocation, and no acquired-set lookups on
 /// the split walk (the compiler precomputed the first-acquisition flags).
-/// This is what motes, the serve layer and EmpiricalPlanCost run; planners'
-/// Plan trees compile once (CompiledPlan::Compile) before they execute.
+/// This is what motes, the serve layer and EmpiricalPlanCost run, and the
+/// reference the columnar engine (exec/batch_executor.h) is tested against;
+/// planners' Plan trees compile once (CompiledPlan::Compile) before they
+/// execute.
 ///
 /// Inline so the common case — no per-tuple trace, instrumentation
 /// runtime-disabled — dispatches straight to the uninstrumented executor
@@ -207,7 +209,9 @@ inline ExecutionResult ExecutePlan(const CompiledPlan& plan,
                                       policy, profile);
 }
 
-/// Aggregate outcome of ExecuteBatch / ColumnarBatchExecutor::Execute.
+/// Aggregate outcome of ColumnarBatchExecutor::Execute over a batch of rows
+/// (exec/batch_executor.h): what per-row ExecutePlan calls over the same
+/// rows would sum to.
 struct BatchExecutionStats {
   size_t tuples = 0;
   size_t matches = 0;            ///< verdicts that came back true
@@ -217,9 +221,9 @@ struct BatchExecutionStats {
   /// reports in its partial ExecutionResult (merge semantics: union).
   AttrSet acquired;
 
-  // Fault-mode totals (ColumnarBatchExecutor with BatchExecOptions::faults;
-  // zero on the infallible paths): sums of the per-row ExecutionResult
-  // fields, and the union of their failed sets.
+  // Fault-mode totals (BatchExecOptions::faults; zero without faults):
+  // sums of the per-row ExecutionResult fields, and the union of their
+  // failed sets.
   size_t total_retries = 0;
   size_t failed_attributes = 0;  ///< sum of per-row failed-set sizes
   AttrSet failed;
@@ -227,18 +231,6 @@ struct BatchExecutionStats {
   size_t unknown = 0;  ///< rows with a kUnknown verdict (aborted included)
   size_t faults_injected = 0;  ///< failed acquisition attempts
 };
-
-/// Executes the plan over the given dataset rows with infallible, dedup'd
-/// acquisition (ground truth straight from the dataset) and reused scratch
-/// across tuples — the scalar row-at-a-time loop, kept as the differential
-/// oracle for the columnar path (exec/batch_executor.h). If `verdicts` is
-/// non-null it is resized to rows.size() with 1/0 per-row verdicts
-/// (uint8_t, not vector<bool>: byte stores keep the batch paths free of
-/// bit-proxy read-modify-write).
-BatchExecutionStats ExecuteBatch(const CompiledPlan& plan, const Dataset& data,
-                                 std::span<const RowId> rows,
-                                 const AcquisitionCostModel& cost_model,
-                                 std::vector<uint8_t>* verdicts = nullptr);
 
 }  // namespace caqp
 

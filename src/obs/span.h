@@ -13,10 +13,11 @@
 // TraceRecorder::RequestScope around each request it handles, which binds
 // the worker thread to (recorder, worker, trace id). Every CAQP_OBS_SPAN
 // hit below that frame — single-flight waits, Planner::BuildPlan,
-// ExecutePlan / ExecuteBatch, Basestation::Disseminate — then records into
-// the bound recorder with the correct parentage. A thread with no binding
-// (every non-serve caller) pays one thread-local load and an untaken branch
-// per span site; with CAQP_OBS_ENABLED=0 the sites compile away entirely.
+// ExecutePlan / ColumnarBatchExecutor::Execute, Basestation::Disseminate —
+// then records into the bound recorder with the correct parentage. A thread
+// with no binding (every non-serve caller) pays one thread-local load and
+// an untaken branch per span site; with CAQP_OBS_ENABLED=0 the sites
+// compile away entirely.
 //
 // Flight recorder: independently of the span buffers (which are sized for
 // whole-run export), each worker keeps a small ring of its most recent span

@@ -26,8 +26,8 @@
 //    into the dispatch alphabet the batch kernels specialize on:
 //    split-on-acquired vs first-acquisition, verdict polarity, sequential
 //    leaves by arity (1..4 get dedicated kernels, kSeqN is the loop
-//    fallback), and kGeneric for residual-query leaves (per-row scalar
-//    fallback in the executor).
+//    fallback), and kGeneric for residual-query leaves (the executor
+//    resumes their rows on the per-row walk).
 //
 // A BatchPlanView is immutable after construction and holds a pointer to
 // the CompiledPlan it was built from; the plan must outlive the view.
@@ -60,7 +60,7 @@ class BatchPlanView {
     kSeq3,            ///< sequential leaf, exactly 3 predicates
     kSeq4,            ///< sequential leaf, exactly 4 predicates
     kSeqN,            ///< sequential leaf, 5+ predicates (loop fallback)
-    kGeneric,         ///< residual-query leaf (per-row scalar fallback)
+    kGeneric,         ///< residual-query leaf (rows resume per row)
   };
 
   /// Number of Op values (kGeneric is last). Sizes per-op counter tables in
@@ -112,10 +112,6 @@ class BatchPlanView {
 
   std::span<const AcqStep> steps(const Node& n) const {
     return {steps_.data() + n.steps, n.num_steps};
-  }
-  /// kGeneric only: the leaf's residual query.
-  const Query& residual_query(const Node& n) const {
-    return plan_->residual_query(plan_->node(n.plan_index));
   }
 
   /// Number of BFS levels (== CompiledPlan depth + 1).

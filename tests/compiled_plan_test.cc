@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "exec/batch_executor.h"
 #include "exec/executor.h"
 #include "fault/fault.h"
 #include "opt/exhaustive.h"
@@ -252,7 +253,7 @@ TEST(CompiledPlanEquivalenceTest, TreeAndFlatAgreeAcrossPlannersAndFaults) {
   }
 }
 
-TEST(CompiledPlanEquivalenceTest, ExecuteBatchMatchesPerTupleExecution) {
+TEST(CompiledPlanEquivalenceTest, ColumnarBatchMatchesPerTupleExecution) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
   const Dataset train = CorrelatedDataset(schema, 300, /*seed=*/5);
@@ -267,7 +268,7 @@ TEST(CompiledPlanEquivalenceTest, ExecuteBatchMatchesPerTupleExecution) {
     for (RowId r = 0; r < test.num_rows(); ++r) rows[r] = r;
     std::vector<uint8_t> verdicts;
     const BatchExecutionStats stats =
-        ExecuteBatch(compiled, test, rows, cm, &verdicts);
+        ColumnarBatchExecutor(compiled, test, cm).Execute(rows, &verdicts);
     ASSERT_EQ(verdicts.size(), rows.size());
     EXPECT_EQ(stats.tuples, rows.size());
 
@@ -282,7 +283,9 @@ TEST(CompiledPlanEquivalenceTest, ExecuteBatchMatchesPerTupleExecution) {
       want_acq += static_cast<size_t>(res.acquisitions);
       if (res.verdict) ++want_matches;
     }
-    EXPECT_DOUBLE_EQ(stats.total_cost, want_cost);
+    // Bitwise: the columnar cost tables replay the walk's additions, and
+    // both sides sum rows in row order.
+    EXPECT_EQ(stats.total_cost, want_cost);
     EXPECT_EQ(stats.total_acquisitions, want_acq);
     EXPECT_EQ(stats.matches, want_matches);
   }

@@ -1,8 +1,8 @@
 // caqp::dist tests: result-merge semantics, row partitioning, the shard
 // health machine, ExecutionResult wire round-trips, and the Coordinator end
 // to end — including the merge-equivalence matrices (N-shard scatter-gather
-// must agree with single-process ExecuteBatch, and under row-level faults
-// with per-row ExecutePlan, for every partitioning), the fault-path tests
+// must agree with single-process per-row ExecutePlan, with and without
+// row-level faults, for every partitioning), the fault-path tests
 // that hold the degradation invariant (no defined verdict is ever wrong)
 // under dead and straggling shards, and the verdict-buffer contract: summed
 // counts equal a recount of the verdicts, a straggler's late writes never
@@ -463,22 +463,30 @@ struct DistFixture {
          << unknown;
 }
 
-/// Checks one distributed response against single-process ExecuteBatch run
-/// with the *same compiled plan* over all rows: row verdicts, match count,
-/// acquisition counts exact; total cost within FP-reassociation tolerance
-/// (shards sum their partitions independently, so cross-shard addition
-/// order differs from the flat row-order fold).
-void ExpectMatchesBatch(const DistFixture& fx, const Query& q,
-                        const Coordinator::Response& resp) {
+/// Checks one distributed response against single-process per-row
+/// ExecutePlan run with the *same compiled plan* over all rows, costs summed
+/// in row order: row verdicts, match count, acquisition counts exact; total
+/// cost within FP-reassociation tolerance (shards sum their partitions
+/// independently, so cross-shard addition order differs from the flat
+/// row-order fold).
+void ExpectMatchesPerRow(const DistFixture& fx, const Query& q,
+                         const Coordinator::Response& resp) {
   ASSERT_TRUE(resp.ok()) << resp.status.ToString();
   ASSERT_NE(resp.plan, nullptr);
   ASSERT_EQ(resp.row_verdicts.size(), fx.data.num_rows());
 
-  std::vector<RowId> all_rows(fx.data.num_rows());
-  for (RowId r = 0; r < fx.data.num_rows(); ++r) all_rows[r] = r;
+  RowSource source(fx.data);
   std::vector<uint8_t> verdicts;
-  const BatchExecutionStats stats =
-      ExecuteBatch(*resp.plan, fx.data, all_rows, fx.cm, &verdicts);
+  BatchExecutionStats stats;
+  for (RowId r = 0; r < fx.data.num_rows(); ++r) {
+    source.SetRow(r);
+    const ExecutionResult res =
+        ExecutePlan(*resp.plan, fx.schema, fx.cm, source);
+    verdicts.push_back(res.verdict ? 1 : 0);
+    stats.matches += res.verdict;
+    stats.total_acquisitions += static_cast<size_t>(res.acquisitions);
+    stats.total_cost += res.cost;
+  }
 
   size_t matches = 0;
   for (RowId r = 0; r < fx.data.num_rows(); ++r) {
@@ -529,7 +537,7 @@ TEST(DistCoordinatorTest, MergeEquivalenceMatrix) {
                      std::to_string(i));
         EXPECT_EQ(resp.shards_ok, spec.num_shards);
         EXPECT_FALSE(resp.degraded());
-        ExpectMatchesBatch(fx, q, resp);
+        ExpectMatchesPerRow(fx, q, resp);
       }
     }
   }
@@ -578,7 +586,7 @@ TEST(DistCoordinatorTest, InvalidateCacheForcesReplan) {
   const Coordinator::Response resp = coord.Execute(q);
   EXPECT_TRUE(resp.planned);
   EXPECT_FALSE(resp.cache_hit);
-  ExpectMatchesBatch(fx, q, resp);
+  ExpectMatchesPerRow(fx, q, resp);
 }
 
 TEST(DistCoordinatorTest, DeadShardDegradesOnlyItsPartition) {
@@ -716,6 +724,55 @@ TEST(DistCoordinatorTest, StragglerTimesOutAndDegrades) {
   EXPECT_TRUE(CountsMatchVerdicts(resp));
 }
 
+/// A plan builder that takes `delay` before every build: a slow planner, as
+/// an unoptimized build or a cold estimator makes one.
+class SlowPlanBuilder : public serve::SharedPlannerBuilder {
+ public:
+  SlowPlanBuilder(const Planner& planner, std::chrono::milliseconds delay)
+      : SharedPlannerBuilder(planner, /*fingerprint=*/21), delay_(delay) {}
+  Plan Build(const Query& query) override {
+    std::this_thread::sleep_for(delay_);
+    return SharedPlannerBuilder::Build(query);
+  }
+
+ private:
+  std::chrono::milliseconds delay_;
+};
+
+TEST(DistCoordinatorTest, SlowPlanBuildDoesNotSpendTheGatherDeadline) {
+  DistFixture fx;
+  Coordinator::Options opts;
+  opts.partition = PartitionSpec::Range(2);
+  // The same margins as StragglerTimesOutAndDegrades: both shards finish
+  // well inside 1 s of scatter even on a single-core runner under
+  // ASan/TSan. Planning alone takes longer than the whole deadline, and
+  // the gather clock must not have started yet.
+  opts.shard_deadline_seconds = 1.0;
+  const Planner& planner = *fx.greedy;
+  Coordinator coord(
+      fx.data, fx.cm,
+      [&planner] {
+        return std::make_unique<SlowPlanBuilder>(
+            planner, std::chrono::milliseconds(1500));
+      },
+      opts);
+  const Query q = fx.MidQuery();
+  const Coordinator::Response resp = coord.Execute(q);
+  EXPECT_TRUE(resp.planned);
+  EXPECT_FALSE(resp.degraded());
+  for (size_t i = 0; i < coord.num_shards(); ++i) {
+    EXPECT_TRUE(resp.shard_status[i].ok())
+        << "shard " << i << ": " << resp.shard_status[i].ToString();
+  }
+  EXPECT_EQ(resp.unknown_rows, 0u);
+  ExpectMatchesPerRow(fx, q, resp);
+
+  const dist::DistReport report = coord.Report();
+  EXPECT_EQ(report.stragglers, 0u);
+  EXPECT_EQ(report.degraded_queries, 0u);
+  for (const auto& shard : report.shards) EXPECT_EQ(shard.timeouts, 0u);
+}
+
 TEST(DistCoordinatorTest, KillAfterScheduleFiresMidStream) {
   DistFixture fx;
   Coordinator::Options opts;
@@ -774,7 +831,7 @@ TEST(DistCoordinatorTest, RejectedReplyLeavesItsRowsUnknown) {
   // The hook corrupts one reply only.
   const Coordinator::Response next = coord.Execute(q);
   EXPECT_FALSE(next.degraded());
-  ExpectMatchesBatch(fx, q, next);
+  ExpectMatchesPerRow(fx, q, next);
 }
 
 TEST(DistCoordinatorTest, RowLevelFaultsDegradeRowsNotShards) {
