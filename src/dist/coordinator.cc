@@ -10,27 +10,9 @@
 #include "dist/merge.h"
 #include "exec/result_serde.h"
 #include "obs/export.h"
-#include "plan/plan_estimates.h"
 #include "plan/plan_serde.h"
 
 namespace caqp::dist {
-
-namespace {
-uint64_t CounterByName(const obs::RegistrySnapshot& snap, const char* name) {
-  for (const auto& c : snap.counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
-
-obs::HistogramSnapshot HistogramByName(const obs::RegistrySnapshot& snap,
-                                       const char* name) {
-  for (const auto& h : snap.histograms) {
-    if (h.name == name) return h.hist;
-  }
-  return obs::HistogramSnapshot{};
-}
-}  // namespace
 
 Coordinator::Coordinator(const Dataset& data,
                          const AcquisitionCostModel& cost_model,
@@ -80,7 +62,6 @@ Coordinator::Coordinator(const Dataset& data,
         &metrics_.shard(i + 1).GetCounter("dist.shard.timeouts"));
 
     ExecutorShard::Options so;
-    so.plan_cache_capacity = options_.shard_plan_cache_capacity;
     so.row_policy = options_.row_policy;
     so.acquisition_faults = options_.acquisition_faults;
     if (const ShardFaultSpec::Entry* fault =
@@ -104,25 +85,6 @@ Coordinator::Coordinator(const Dataset& data,
 
 Coordinator::~Coordinator() = default;  // shards_ drain first (last member)
 
-std::shared_ptr<const CompiledPlan> Coordinator::BuildAndCompile(
-    const Query& query) {
-  // Planning is serialized through the single builder; cache + single-flight
-  // in front of this keep it off the steady-state path entirely.
-  std::lock_guard<std::mutex> lock(builder_mu_);
-  CompiledPlan compiled = CompiledPlan::Compile(builder_->Build(query));
-  if (calibration_ != nullptr) {
-    CondProbEstimator* estimator = builder_->CalibrationEstimator();
-    if (estimator != nullptr) {
-      auto estimates = std::make_shared<PlanEstimates>(
-          EstimatePlan(compiled, *estimator, cost_model_));
-      estimates->estimator_version =
-          estimator_version_.load(std::memory_order_acquire);
-      compiled.AttachEstimates(std::move(estimates));
-    }
-  }
-  return std::make_shared<const CompiledPlan>(std::move(compiled));
-}
-
 Coordinator::Response Coordinator::Execute(const Query& query) {
   const uint64_t seq =
       query_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -136,19 +98,14 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
     root.emplace("dist.query");
   }
 
+  const PlanKey key{QuerySignature(query),
+                    estimator_version_.load(std::memory_order_acquire),
+                    planner_fingerprint_};
   Response r;
   r.trace_id = trace_id;
-  r.query_sig = QuerySignature(query);
-  r.estimator_version = estimator_version_.load(std::memory_order_acquire);
-  if (options_.enable_tracing) {
-    obs::SetRequestPlanContext(r.query_sig, planner_fingerprint_,
-                               r.estimator_version);
-  }
-  const serve::PlanCacheKey key{r.query_sig, r.estimator_version,
-                                planner_fingerprint_};
-  const obs::TraceRecorder::RequestMeta meta{r.query_sig,
-                                             planner_fingerprint_,
-                                             r.estimator_version};
+  r.query_sig = key.query_sig;
+  r.estimator_version = key.estimator_version;
+  if (options_.enable_tracing) obs::SetRequestPlanContext(key);
 
   {
     CAQP_OBS_SPAN(plan_span, "dist.plan");
@@ -157,12 +114,23 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
       r.cache_hit = true;
     } else {
       serve::SingleFlight::Result flight = flight_.Do(key, [&] {
-        auto plan = BuildAndCompile(query);
+        // A leader for this key may have finished between the miss above
+        // and this flight (serve/single_flight.h): re-check before planning.
+        if (auto cached = cache_.Peek(key)) return cached;
+        std::shared_ptr<const CompiledPlan> plan;
+        {
+          // Planning is serialized through the single builder; cache and
+          // single-flight keep it off the steady-state path entirely.
+          std::lock_guard<std::mutex> lock(builder_mu_);
+          plan = serve::CompileForServe(*builder_, builder_->Build(query),
+                                        cost_model_, calibration_ != nullptr,
+                                        key.estimator_version);
+        }
         cache_.Put(key, plan);
+        r.planned = true;
         return plan;
       });
       r.plan = std::move(flight.plan);
-      r.planned = flight.leader;
     }
   }
   cm_.queries->Increment();
@@ -246,7 +214,7 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
         }
         if (options_.enable_tracing) {
           // Incident::worker carries the shard id (slot i + 1).
-          tracer_.DumpFlight(i + 1, trace_id, reason, meta);
+          tracer_.DumpFlight(i + 1, trace_id, reason, key);
         }
         merged = MergeExecutionResults(merged, UnknownShardResult());
         r.unknown_rows += shards_[i]->num_rows();
@@ -357,13 +325,13 @@ obs::CalibrationReport Coordinator::CalibrationSnapshot() const {
 DistReport Coordinator::Report() const {
   DistReport rep;
   const obs::RegistrySnapshot coord = metrics_.shard(0).Snapshot();
-  rep.queries = CounterByName(coord, "dist.queries");
-  rep.degraded_queries = CounterByName(coord, "dist.degraded_queries");
-  rep.stragglers = CounterByName(coord, "dist.stragglers");
-  rep.probes = CounterByName(coord, "dist.probes");
-  rep.planned = CounterByName(coord, "dist.planned");
-  rep.cache_hits = CounterByName(coord, "dist.cache_hits");
-  rep.query_latency = HistogramByName(coord, "dist.query_latency_seconds");
+  rep.queries = coord.CounterByName("dist.queries");
+  rep.degraded_queries = coord.CounterByName("dist.degraded_queries");
+  rep.stragglers = coord.CounterByName("dist.stragglers");
+  rep.probes = coord.CounterByName("dist.probes");
+  rep.planned = coord.CounterByName("dist.planned");
+  rep.cache_hits = coord.CounterByName("dist.cache_hits");
+  rep.query_latency = coord.HistogramByName("dist.query_latency_seconds");
   rep.shards.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     const obs::RegistrySnapshot snap = metrics_.shard(i + 1).Snapshot();
@@ -371,11 +339,11 @@ DistReport Coordinator::Report() const {
     row.shard = i;
     row.state = shard_state(i);
     row.rows = shards_[i]->num_rows();
-    row.requests = CounterByName(snap, "dist.shard.requests");
-    row.failures = CounterByName(snap, "dist.shard.failures");
-    row.timeouts = CounterByName(snap, "dist.shard.timeouts");
-    row.cache_hits = CounterByName(snap, "dist.shard.cache_hits");
-    row.exec_latency = HistogramByName(snap, "dist.shard.exec_seconds");
+    row.requests = snap.CounterByName("dist.shard.requests");
+    row.failures = snap.CounterByName("dist.shard.failures");
+    row.timeouts = snap.CounterByName("dist.shard.timeouts");
+    row.cache_hits = snap.CounterByName("dist.shard.cache_hits");
+    row.exec_latency = snap.HistogramByName("dist.shard.exec_seconds");
     rep.shards.push_back(std::move(row));
   }
   return rep;

@@ -6,8 +6,9 @@
 // one merged ExecutionResult. The flow per query:
 //
 //   Execute -> canonical signature -> coordinator plan cache (serve machinery)
-//           -> miss: single-flight Build + estimate stamping, then
-//              SerializePlan to v0xCA bytes (what a basestation would radio)
+//           -> miss: single-flight Build + serve::CompileForServe (the
+//              estimate stamping QueryService does), then SerializePlan to
+//              v0xCA bytes (what a basestation would radio)
 //           -> scatter: Submit(key, bytes, verdict buffer) to every attempted
 //              shard; each executing shard writes its rows' verdicts into
 //              the shared buffer itself
@@ -99,7 +100,6 @@ class Coordinator {
   struct Options {
     PartitionSpec partition;
     size_t plan_cache_capacity = 1024;
-    size_t shard_plan_cache_capacity = 64;
     /// Gather wait per query, shared across shards (the clock starts at
     /// scatter; each shard future gets the remaining budget). <= 0 waits
     /// forever — a hung shard then hangs the query, so serving setups
@@ -200,6 +200,7 @@ class Coordinator {
   }
 
   DistReport Report() const;
+  const serve::ShardedPlanCache& cache() const { return cache_; }
   const obs::ShardedRegistry& metrics() const { return metrics_; }
   const obs::TraceRecorder& trace_recorder() const { return tracer_; }
 
@@ -229,8 +230,6 @@ class Coordinator {
     obs::Histogram* query_latency = nullptr;
   };
 
-  std::shared_ptr<const CompiledPlan> BuildAndCompile(const Query& query);
-
   const Dataset& data_;
   const AcquisitionCostModel& cost_model_;
   Options options_;
@@ -245,7 +244,7 @@ class Coordinator {
   std::vector<obs::Counter*> shard_timeouts_;
 
   std::unique_ptr<serve::PlanBuilder> builder_;
-  std::mutex builder_mu_;  // serializes Build/estimate stamping
+  std::mutex builder_mu_;  // serializes Build + CompileForServe
   uint64_t planner_fingerprint_ = 0;
   serve::ShardedPlanCache cache_;
   serve::SingleFlight flight_;

@@ -14,6 +14,9 @@ namespace caqp::dist {
 
 namespace {
 
+/// Plans a shard keeps decoded (one LRU, no lock contention: one worker).
+constexpr size_t kPlanCacheCapacity = 64;
+
 /// ParseDecimal (fault/fault.h) for a size, with the directive's error.
 Status ParseSizeT(const std::string& text, size_t* out,
                   size_t max = SIZE_MAX) {
@@ -115,8 +118,8 @@ ExecutorShard::ExecutorShard(size_t shard_id, const Dataset& data,
       rows_(std::move(rows)),
       cost_model_(cost_model),
       options_(std::move(options)),
-      plan_cache_(serve::ShardedPlanCache::Options{
-          options_.plan_cache_capacity, /*shards=*/1}) {
+      plan_cache_(serve::ShardedPlanCache::Options{kPlanCacheCapacity,
+                                                   /*shards=*/1}) {
   if (options_.acquisition_faults.any()) {
     // Faults are keyed by global row id, so a row's faults do not depend on
     // its shard. Its attempt-0 outcomes are drawn here, once, over the rows
@@ -157,9 +160,7 @@ ShardReply ExecutorShard::Handle(const ShardRequest& request,
     // trace instead of forming an orphaned per-worker tree.
     scope.emplace(options_.tracer, options_.trace_worker, parent.trace_id,
                   parent.span_id);
-    obs::SetRequestPlanContext(request.key.query_sig,
-                               request.key.planner_fingerprint,
-                               request.key.estimator_version);
+    obs::SetRequestPlanContext(request.key);
   }
   // Declared directly (not via CAQP_OBS_SPAN) because the reply's trace echo
   // below reads its context; with obs compiled out the span is inert.
@@ -220,13 +221,8 @@ ShardReply ExecutorShard::Handle(const ShardRequest& request,
 
   ExecutionProfile* profile = nullptr;
   if (options_.calibration != nullptr) {
-    profile = options_.calibration->Profile(
-        options_.calibration_shard,
-        obs::CalibrationKey{request.key.query_sig,
-                            request.key.estimator_version,
-                            request.key.planner_fingerprint},
-        plan);
-    if (profile->num_nodes() != plan->NumNodes()) profile = nullptr;
+    profile = options_.calibration->Profile(options_.calibration_shard,
+                                            request.key, plan);
   }
 
   {

@@ -3,10 +3,10 @@
 // A shard owns a disjoint slice of the dataset rows (its "motes"), a single
 // worker thread (serve::ThreadPool of size 1 — requests within a shard are
 // serialized, like a mote network behind one radio), and a per-shard plan
-// cache. The coordinator ships plans as v0xCA wire bytes — exactly what a
-// basestation radios to motes — and the shard decodes them once per
-// (signature, estimator version, planner fingerprint) key, caching the
-// CompiledPlan; the cached path never touches the bytes again.
+// cache of 64 plans. The coordinator ships plans as v0xCA wire bytes —
+// exactly what a basestation radios to motes — and the shard decodes them
+// once per PlanKey (core/plan_key.h), caching the CompiledPlan; the cached
+// path never touches the bytes again.
 //
 // The reply's partial ExecutionResult travels through the result wire format
 // (exec/result_serde.h) even in-process, so the coordinator exercises — and
@@ -85,7 +85,7 @@ struct ShardFaultSpec {
 /// One scatter request: the plan identity, the shared wire bytes, and the
 /// query's verdict buffer.
 struct ShardRequest {
-  serve::PlanCacheKey key;
+  PlanKey key;
   std::shared_ptr<const std::vector<uint8_t>> plan_bytes;
   /// One Truth per dataset row, in dataset row order, shared by every shard
   /// of the query. A shard that executes writes exactly its own rows, before
@@ -112,7 +112,6 @@ struct ShardReply {
 class ExecutorShard {
  public:
   struct Options {
-    size_t plan_cache_capacity = 64;
     DegradationPolicy row_policy{};
     /// Row-level acquisition faults, keyed by global row id (no per-shard
     /// streams: every partitioning sees the same per-row faults).

@@ -7,6 +7,11 @@
 
 namespace caqp {
 
+namespace {
+/// Size of the ack message a mote sends after installing a plan.
+constexpr size_t kAckBytes = 4;
+}  // namespace
+
 void Basestation::CollectHistory(const Dataset& data) {
   CAQP_CHECK(data.schema() == schema_);
   for (RowId r = 0; r < data.num_rows(); ++r) {
@@ -50,7 +55,7 @@ size_t Basestation::Disseminate(const CompiledPlan& plan,
   // bound to a serve request scope.
   CAQP_OBS_SPAN(disseminate_span, "net.disseminate");
   const std::vector<uint8_t> bytes = SerializePlan(plan);
-  const std::vector<uint8_t> ack_msg(opts.ack_bytes, 0xA5);
+  const std::vector<uint8_t> ack_msg(kAckBytes, 0xA5);
   CAQP_OBS_COUNTER_INC("net.base.disseminations");
   CAQP_OBS_GAUGE_SET("net.base.plan_bytes", static_cast<double>(bytes.size()));
   const int max_attempts = opts.max_attempts < 1 ? 1 : opts.max_attempts;

@@ -50,8 +50,6 @@ class Basestation {
     /// it back to the basestation; an unacknowledged install is retried
     /// (plan installation is idempotent, so duplicate deliveries are safe).
     bool require_ack = false;
-    /// Size of the ack message the mote sends after installing.
-    size_t ack_bytes = 4;
     /// Energy charged to the basestation per re-attempt, scaled by the
     /// attempt number (models idle listening during the backoff window).
     double backoff_cost = 0.0;

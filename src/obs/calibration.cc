@@ -56,9 +56,7 @@ CalibrationReport CalibrationReport::DeltaSince(
     const CalibrationReport& prev) const {
   CalibrationReport out;
 
-  std::unordered_map<CalibrationKey, const PlanCalibration*,
-                     CalibrationKeyHash>
-      prev_plans;
+  std::unordered_map<PlanKey, const PlanCalibration*, PlanKeyHash> prev_plans;
   prev_plans.reserve(prev.plans.size());
   for (const PlanCalibration& p : prev.plans) prev_plans[p.key] = &p;
 
@@ -188,19 +186,20 @@ CalibrationAggregator::CalibrationAggregator(size_t num_shards) {
 }
 
 ExecutionProfile* CalibrationAggregator::Profile(
-    size_t worker, const CalibrationKey& key,
+    size_t worker, const PlanKey& key,
     std::shared_ptr<const CompiledPlan> plan) {
+  const size_t num_nodes = plan != nullptr ? plan->NumNodes() : 1;
   Shard& shard = *shards_[worker % shards_.size()];
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.entries.find(key);
   if (it == shard.entries.end()) {
-    const size_t num_nodes = plan != nullptr ? plan->NumNodes() : 1;
     it = shard.entries
              .emplace(key,
                       std::make_unique<Entry>(std::move(plan), num_nodes))
              .first;
   }
-  return &it->second->profile;
+  ExecutionProfile* profile = &it->second->profile;
+  return profile->num_nodes() == num_nodes ? profile : nullptr;
 }
 
 CalibrationReport CalibrationAggregator::Snapshot() const {
@@ -208,7 +207,7 @@ CalibrationReport CalibrationAggregator::Snapshot() const {
     std::shared_ptr<const CompiledPlan> plan;
     ExecutionProfileSnapshot snap;
   };
-  std::unordered_map<CalibrationKey, Merged, CalibrationKeyHash> merged;
+  std::unordered_map<PlanKey, Merged, PlanKeyHash> merged;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (const auto& [key, entry] : shard->entries) {
@@ -278,13 +277,7 @@ CalibrationReport CalibrationAggregator::Snapshot() const {
   // Deterministic output order (unordered_map iteration is not).
   std::sort(report.plans.begin(), report.plans.end(),
             [](const PlanCalibration& a, const PlanCalibration& b) {
-              if (a.key.query_sig != b.key.query_sig) {
-                return a.key.query_sig < b.key.query_sig;
-              }
-              if (a.key.estimator_version != b.key.estimator_version) {
-                return a.key.estimator_version < b.key.estimator_version;
-              }
-              return a.key.planner_fingerprint < b.key.planner_fingerprint;
+              return a.key < b.key;
             });
   for (size_t a = 0; a < attrs.size(); ++a) {
     if (attrs[a].evals == 0 && attrs[a].predicted_evals <= 0) continue;

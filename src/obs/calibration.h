@@ -4,9 +4,9 @@
 // per-node reach/pass/cost under the estimator that built the plan); the
 // executor half observes things (exec/exec_profile.h: per-node
 // eval/pass/unknown counters and realized acquisition cost). This module
-// joins the two per (query signature, estimator version, planner
-// fingerprint) — the same identity the serve plan cache keys on — and folds
-// the join into a CalibrationReport:
+// joins the two per PlanKey (core/plan_key.h) — the same identity the plan
+// caches key on and spans carry — and folds the join into a
+// CalibrationReport:
 //
 //  * per-plan: predicted vs realized mean acquisition cost, and their
 //    difference ("regret": positive means the plan runs more expensive than
@@ -41,6 +41,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/plan_key.h"
 #include "core/types.h"
 #include "exec/exec_profile.h"
 #include "plan/compiled_plan.h"
@@ -51,24 +52,6 @@ namespace caqp {
 class Schema;  // core/schema.h; only names are read here.
 
 namespace obs {
-
-/// Plan identity for calibration purposes — field-for-field the serve plan
-/// cache key (serve/plan_cache.h), so calibration rows join 1:1 against
-/// cache entries and flight-recorder metadata.
-struct CalibrationKey {
-  uint64_t query_sig = 0;
-  uint64_t estimator_version = 0;
-  uint64_t planner_fingerprint = 0;
-
-  bool operator==(const CalibrationKey&) const = default;
-};
-
-struct CalibrationKeyHash {
-  size_t operator()(const CalibrationKey& k) const {
-    size_t h = HashCombine(k.query_sig, k.estimator_version);
-    return HashCombine(h, k.planner_fingerprint);
-  }
-};
 
 /// One plan node's predicted-vs-observed row.
 struct NodeCalibration {
@@ -92,10 +75,9 @@ struct NodeCalibration {
   }
 };
 
-/// Predicted-vs-observed summary for one (signature, estimator version,
-/// planner fingerprint) plan.
+/// Predicted-vs-observed summary for one plan.
 struct PlanCalibration {
-  CalibrationKey key;
+  PlanKey key;
   uint64_t executions = 0;
   uint64_t unknown_executions = 0;
   uint64_t acquisitions = 0;
@@ -211,9 +193,14 @@ class CalibrationAggregator {
   /// The profile for `key` in `worker`'s shard, creating it (sized to the
   /// plan's node count, holding a reference to the plan for report time) on
   /// first sight. The returned pointer is stable for the aggregator's
-  /// lifetime; the caller feeds it to ExecutePlan. One short worker-local
+  /// lifetime; the caller feeds it to the executor. One short worker-local
   /// mutex acquisition per call.
-  ExecutionProfile* Profile(size_t worker, const CalibrationKey& key,
+  ///
+  /// Returns nullptr — execute unprofiled — when the key's profile was
+  /// sized for a plan with a different node count: a racing builder
+  /// produced a structurally different plan for the same key
+  /// (nondeterministic planner), and its per-node rows would misalign.
+  ExecutionProfile* Profile(size_t worker, const PlanKey& key,
                             std::shared_ptr<const CompiledPlan> plan);
 
   /// Cumulative predicted-vs-observed report merged across shards. Safe
@@ -230,9 +217,7 @@ class CalibrationAggregator {
 
   struct alignas(64) Shard {
     mutable std::mutex mu;
-    std::unordered_map<CalibrationKey, std::unique_ptr<Entry>,
-                       CalibrationKeyHash>
-        entries;
+    std::unordered_map<PlanKey, std::unique_ptr<Entry>, PlanKeyHash> entries;
   };
 
   std::vector<std::unique_ptr<Shard>> shards_;

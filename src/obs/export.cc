@@ -205,6 +205,13 @@ void WriteHistogram(JsonWriter& w, const HistogramSnapshot& hist) {
 
 namespace {
 
+/// The trace JSON's spelling of a plan identity.
+void WritePlanContext(JsonWriter& w, const PlanKey& plan) {
+  w.Key("plan_sig").UInt(plan.query_sig);
+  w.Key("planner_fp").UInt(plan.planner_fingerprint);
+  w.Key("estimator_version").UInt(plan.estimator_version);
+}
+
 void WriteTraceEvent(JsonWriter& w, const SpanEvent& ev) {
   w.BeginObject();
   w.Key("name").String(ev.name);
@@ -220,14 +227,9 @@ void WriteTraceEvent(JsonWriter& w, const SpanEvent& ev) {
   w.Key("trace_id").UInt(ev.trace_id);
   w.Key("span_id").UInt(ev.span_id);
   w.Key("parent_id").UInt(ev.parent_id);
-  // Plan identity (0 = unknown at span close), the join key against
-  // calibration reports; omitted when the request never resolved a plan so
-  // non-serve traces stay unchanged.
-  if (ev.plan_sig != 0 || ev.planner_fp != 0 || ev.estimator_version != 0) {
-    w.Key("plan_sig").UInt(ev.plan_sig);
-    w.Key("planner_fp").UInt(ev.planner_fp);
-    w.Key("estimator_version").UInt(ev.estimator_version);
-  }
+  // Plan identity, the join key against calibration reports; omitted while
+  // the request has none (all zero) so non-serve traces stay unchanged.
+  if (ev.plan != PlanKey{}) WritePlanContext(w, ev.plan);
   w.EndObject();
   w.EndObject();
 }
@@ -265,9 +267,7 @@ std::string TraceEventsToJson(const TraceRecorder& recorder,
     w.Key("reason").String(incident.reason);
     w.Key("worker").Int(static_cast<int64_t>(incident.worker));
     w.Key("at_us").Double(static_cast<double>(incident.at_ns) / 1e3);
-    w.Key("plan_sig").UInt(incident.meta.plan_sig);
-    w.Key("planner_fp").UInt(incident.meta.planner_fp);
-    w.Key("estimator_version").UInt(incident.meta.estimator_version);
+    WritePlanContext(w, incident.plan);
     w.Key("events").BeginArray();
     for (const SpanEvent& ev : incident.events) WriteTraceEvent(w, ev);
     w.EndArray();
@@ -399,13 +399,6 @@ std::string RegistryToMarkdown(const MetricsRegistry& registry) {
     }
   }
   return out;
-}
-
-bool AppendJsonLine(const std::string& path, const std::string& json) {
-  std::ofstream out(path, std::ios::app);
-  if (!out) return false;
-  out << json << "\n";
-  return static_cast<bool>(out);
 }
 
 bool WriteFileOrComplain(const std::string& path, const std::string& content) {

@@ -115,10 +115,6 @@ std::string RegistryToJson(const MetricsRegistry& registry);
 /// terminal summaries.
 std::string RegistryToMarkdown(const MetricsRegistry& registry);
 
-/// Appends one line to `path` (creating parent dirs is the caller's job).
-/// Returns false on I/O failure. The line must be a complete JSON value.
-bool AppendJsonLine(const std::string& path, const std::string& json);
-
 /// Overwrites `path` with `content`. Returns false on I/O failure.
 bool WriteFileOrComplain(const std::string& path, const std::string& content);
 

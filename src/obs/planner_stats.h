@@ -1,11 +1,11 @@
-// PlannerStats: a uniform, export-friendly view of what a planner did while
-// building its last plan. Every Planner fills one during BuildPlan (fields
-// irrelevant to a given planner stay zero); harnesses read it through
+// PlannerStats: what a planner did while building its last plan — the one
+// diagnostics record of every build. Planner::BuildPlan hands each build a
+// fresh record, the planner counts straight into it (fields irrelevant to a
+// given planner stay zero), and BuildPlan commits it when the build ends;
+// tests, harnesses and JSON exports read it through
 // Planner::planner_stats() without knowing the concrete planner type.
-//
-// The per-planner Stats structs (ExhaustivePlanner::Stats, ...) remain the
-// primary in-planner bookkeeping; this struct is the cross-planner surface
-// that JSON exports and benches consume.
+// Only RegretPlanner keeps a record of its own, for the regret figures this
+// struct has no field for.
 
 #ifndef CAQP_OBS_PLANNER_STATS_H_
 #define CAQP_OBS_PLANNER_STATS_H_

@@ -1,9 +1,33 @@
 #include "obs/registry.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace caqp {
 namespace obs {
+
+namespace {
+template <typename Entry>
+const Entry* FindByName(const std::vector<Entry>& sorted,
+                        std::string_view name) {
+  auto it = std::lower_bound(
+      sorted.begin(), sorted.end(), name,
+      [](const Entry& e, std::string_view n) { return e.name < n; });
+  return it != sorted.end() && it->name == name ? &*it : nullptr;
+}
+}  // namespace
+
+uint64_t RegistrySnapshot::CounterByName(std::string_view name) const {
+  const CounterValue* c = FindByName(counters, name);
+  return c != nullptr ? c->value : 0;
+}
+
+HistogramSnapshot RegistrySnapshot::HistogramByName(
+    std::string_view name) const {
+  const HistogramValue* h = FindByName(histograms, name);
+  return h != nullptr ? h->hist : HistogramSnapshot{};
+}
 
 Counter& MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -22,6 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/histogram.h"
@@ -70,6 +71,12 @@ struct RegistrySnapshot {
   std::vector<CounterValue> counters;      // sorted by name
   std::vector<GaugeValue> gauges;          // sorted by name
   std::vector<HistogramValue> histograms;  // sorted by name
+
+  /// Counter `name`, or 0 if absent. Both lookups binary-search the
+  /// name-sorted vectors, so they read snapshots as Snapshot() builds them.
+  uint64_t CounterByName(std::string_view name) const;
+  /// Histogram `name`, or an empty snapshot if absent.
+  HistogramSnapshot HistogramByName(std::string_view name) const;
 };
 
 class MetricsRegistry {

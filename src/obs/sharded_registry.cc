@@ -41,29 +41,6 @@ RegistrySnapshot ShardedRegistry::Snapshot() const {
   return out;
 }
 
-uint64_t ShardedRegistry::CounterTotal(const std::string& name) const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    const RegistrySnapshot snap = shard->Snapshot();
-    for (const auto& c : snap.counters) {
-      if (c.name == name) total += c.value;
-    }
-  }
-  return total;
-}
-
-HistogramSnapshot ShardedRegistry::HistogramTotal(
-    const std::string& name) const {
-  HistogramSnapshot total;
-  for (const auto& shard : shards_) {
-    const RegistrySnapshot snap = shard->Snapshot();
-    for (const auto& h : snap.histograms) {
-      if (h.name == name) total.Merge(h.hist);
-    }
-  }
-  return total;
-}
-
 void ShardedRegistry::ResetAll() {
   for (const auto& shard : shards_) shard->ResetAll();
 }

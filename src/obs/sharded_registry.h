@@ -51,13 +51,6 @@ class ShardedRegistry {
   /// Merged view of every shard, per the semantics in the header comment.
   RegistrySnapshot Snapshot() const;
 
-  /// Sum of one counter across all shards (0 if never registered).
-  uint64_t CounterTotal(const std::string& name) const;
-
-  /// Bucket-wise merge of one histogram across all shards (empty snapshot
-  /// if never registered).
-  HistogramSnapshot HistogramTotal(const std::string& name) const;
-
   void ResetAll();
 
  private:

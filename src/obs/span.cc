@@ -38,9 +38,7 @@ TraceRecorder::RequestScope::RequestScope(TraceRecorder* recorder,
   tls.trace_id = trace_id;
   tls.parent = parent_span;
   tls.next_span_id = SpanIdBase(tls.worker);
-  tls.plan_sig = 0;
-  tls.planner_fp = 0;
-  tls.estimator_version = 0;
+  tls.plan = PlanKey{};
 }
 
 TraceRecorder::RequestScope::~RequestScope() {
@@ -69,13 +67,13 @@ void TraceRecorder::Record(size_t worker, const SpanEvent& ev) {
 }
 
 void TraceRecorder::DumpFlight(size_t worker, uint64_t trace_id,
-                               const char* reason, const RequestMeta& meta) {
+                               const char* reason, const PlanKey& plan) {
   Incident incident;
   incident.trace_id = trace_id;
   incident.reason = reason == nullptr ? "" : reason;
   incident.worker = static_cast<uint32_t>(worker % shards_.size());
   incident.at_ns = MonotonicNowNs();
-  incident.meta = meta;
+  incident.plan = plan;
   {
     Shard& shard = *shards_[incident.worker];
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -97,13 +95,11 @@ void TraceRecorder::DumpFlight(size_t worker, uint64_t trace_id,
   incidents_.push_back(std::move(incident));
 }
 
-void TraceRecorder::RecordIncident(uint64_t trace_id, const char* reason,
-                                   const RequestMeta& meta) {
+void TraceRecorder::RecordIncident(uint64_t trace_id, const char* reason) {
   Incident incident;
   incident.trace_id = trace_id;
   incident.reason = reason == nullptr ? "" : reason;
   incident.at_ns = MonotonicNowNs();
-  incident.meta = meta;
   std::lock_guard<std::mutex> lock(incidents_mu_);
   if (incidents_.size() >= options_.max_incidents) {
     incidents_.erase(incidents_.begin());
@@ -157,9 +153,7 @@ void ScopedSpan::Close() {
   ev.span_id = span_id_;
   ev.parent_id = parent_;
   ev.worker = tls.worker;
-  ev.plan_sig = tls.plan_sig;
-  ev.planner_fp = tls.planner_fp;
-  ev.estimator_version = tls.estimator_version;
+  ev.plan = tls.plan;
   tls.recorder->Record(tls.worker, ev);
 }
 
@@ -184,9 +178,7 @@ void internal::RecordSpanBound(const char* name, uint64_t start_ns,
   ev.span_id = tls.next_span_id++;
   ev.parent_id = tls.parent;
   ev.worker = tls.worker;
-  ev.plan_sig = tls.plan_sig;
-  ev.planner_fp = tls.planner_fp;
-  ev.estimator_version = tls.estimator_version;
+  ev.plan = tls.plan;
   tls.recorder->Record(tls.worker, ev);
 }
 

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "core/plan_key.h"
 #include "obs/obs.h"
 
 namespace caqp {
@@ -65,10 +66,10 @@ inline constexpr uint32_t SpanIdBase(uint32_t worker) {
 
 /// One completed span. `name` must point at static storage (string
 /// literals): events are copied around freely and never own the name.
-/// plan_sig / planner_fp / estimator_version are the request's plan
-/// identity (set via SetRequestPlanContext once the serving layer has
-/// resolved which plan a request runs; 0 = not yet known) — the join key
-/// against calibration reports and the serve plan cache.
+/// `plan` is the request's plan identity (set via SetRequestPlanContext
+/// once the serving layer has resolved which plan a request runs; empty =
+/// not yet known) — the join key against calibration reports and the plan
+/// caches.
 struct SpanEvent {
   uint64_t trace_id = 0;
   uint64_t start_ns = 0;  ///< monotonic clock
@@ -77,9 +78,7 @@ struct SpanEvent {
   uint32_t span_id = 0;
   uint32_t parent_id = 0;
   uint32_t worker = 0;
-  uint64_t plan_sig = 0;           ///< canonical query signature
-  uint64_t planner_fp = 0;         ///< PlanBuilder::ConfigFingerprint()
-  uint64_t estimator_version = 0;  ///< serve estimator version at execution
+  PlanKey plan;
 };
 
 /// Monotonic (steady_clock) nanoseconds; the time base of every span tick.
@@ -98,9 +97,7 @@ struct ThreadTraceState {
   uint32_t next_span_id = 1;  ///< per-request span id allocator
   /// Plan identity of the in-flight request (SetRequestPlanContext); every
   /// span and flight-recorder event closed on this thread inherits it.
-  uint64_t plan_sig = 0;
-  uint64_t planner_fp = 0;
-  uint64_t estimator_version = 0;
+  PlanKey plan;
 };
 inline thread_local ThreadTraceState g_thread_trace;
 }  // namespace internal
@@ -109,13 +106,10 @@ inline thread_local ThreadTraceState g_thread_trace;
 /// recorded after this call (including the enclosing request root, which
 /// closes last) and flight-recorder dumps carry it. No-op on unbound
 /// threads. Cleared automatically when the RequestScope ends.
-inline void SetRequestPlanContext(uint64_t plan_sig, uint64_t planner_fp,
-                                  uint64_t estimator_version) {
+inline void SetRequestPlanContext(const PlanKey& plan) {
   auto& tls = internal::g_thread_trace;
   if (tls.recorder == nullptr) return;
-  tls.plan_sig = plan_sig;
-  tls.planner_fp = planner_fp;
-  tls.estimator_version = estimator_version;
+  tls.plan = plan;
 }
 
 /// Collects span events into per-worker buffers plus per-worker flight
@@ -135,27 +129,16 @@ class TraceRecorder {
     size_t max_incidents = 256;
   };
 
-  /// Plan identity attached to an incident so degraded requests can be
-  /// joined against calibration reports (obs/calibration.h) and the serve
-  /// plan cache; all-zero when the request never resolved a plan.
-  /// No default member initializers: this type appears as a defaulted
-  /// reference argument below, and NSDMIs in a nested class may not be used
-  /// before the enclosing class is complete. RequestMeta() value-init
-  /// zeroes all fields.
-  struct RequestMeta {
-    uint64_t plan_sig;
-    uint64_t planner_fp;
-    uint64_t estimator_version;
-  };
-
   /// One flight-recorder dump: the dumping worker's recent span events
-  /// (oldest first) at the moment a request ended degraded.
+  /// (oldest first) at the moment a request ended degraded. `plan` joins
+  /// the incident against calibration reports (obs/calibration.h) and the
+  /// plan caches; empty when the request never resolved a plan.
   struct Incident {
     uint64_t trace_id = 0;
     std::string reason;
     uint32_t worker = 0;
     uint64_t at_ns = 0;
-    RequestMeta meta{};
+    PlanKey plan;
     std::vector<SpanEvent> events;
   };
 
@@ -199,15 +182,15 @@ class TraceRecorder {
   void Record(size_t worker, const SpanEvent& ev);
 
   /// Flight-recorder dump: snapshots `worker`'s ring (oldest first) into
-  /// the incident list. Call when a request ends degraded. `meta` carries
-  /// the request's plan identity when known.
+  /// the incident list. Call when a request ends degraded. `plan` is the
+  /// request's plan identity when known.
   void DumpFlight(size_t worker, uint64_t trace_id, const char* reason,
-                  const RequestMeta& meta = RequestMeta());
+                  const PlanKey& plan = {});
 
-  /// Incident with no span context, for requests rejected before reaching a
-  /// worker (load shedding happens on the submitting thread).
-  void RecordIncident(uint64_t trace_id, const char* reason,
-                      const RequestMeta& meta = RequestMeta());
+  /// Incident with no span context and no plan, for requests rejected
+  /// before reaching a worker (load shedding happens on the submitting
+  /// thread) and service-level events.
+  void RecordIncident(uint64_t trace_id, const char* reason);
 
   /// All buffered events across workers, sorted by start tick.
   std::vector<SpanEvent> Events() const;

@@ -12,6 +12,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr uint32_t kNoNode = 0xffffffffu;
+/// Safety valve: abort if the DP visits more subproblems than this.
+constexpr uint64_t kMaxSubproblems = 20'000'000;
 
 /// True iff every attribute referenced by the query has been acquired
 /// (range narrowed) -- the second base case of Figure 5: all remaining tests
@@ -104,7 +106,9 @@ struct ExhaustivePlanner::BuildContext {
   /// the DP builds stays proportional to the number of distinct subplans.
   std::unordered_map<SplitKey, uint32_t, SplitKeyHash> split_intern;
   uint32_t verdicts[2] = {kNoNode, kNoNode};
-  Stats stats;
+  obs::PlannerStats& stats;
+
+  explicit BuildContext(obs::PlannerStats& s) : stats(s) {}
 
   uint32_t Verdict(bool v) {
     uint32_t& h = verdicts[v ? 1 : 0];
@@ -241,11 +245,11 @@ std::pair<double, uint32_t> ExhaustivePlanner::Solve(const Query& query,
   }
 
   if (auto it = ctx.cache.find(ranges); it != ctx.cache.end()) {
-    ++ctx.stats.cache_hits;
+    ++ctx.stats.memo_hits;
     return {it->second.cost, it->second.node};
   }
-  ++ctx.stats.subproblems_solved;
-  CAQP_CHECK_LE(ctx.stats.subproblems_solved, options_.max_subproblems);
+  ++ctx.stats.memo_misses;
+  CAQP_CHECK_LE(ctx.stats.memo_misses, kMaxSubproblems);
 
   double cmin = kInf;
   uint32_t best = kNoNode;
@@ -269,7 +273,7 @@ std::pair<double, uint32_t> ExhaustivePlanner::Solve(const Query& query,
     const double observe =
         acquired.Contains(attr) ? 0.0 : cost_model_.Cost(attr, acquired);
     if (observe >= cmin) {
-      ++ctx.stats.observe_prunes;
+      ++ctx.stats.bound_prunes;
       continue;
     }
 
@@ -298,7 +302,7 @@ std::pair<double, uint32_t> ExhaustivePlanner::Solve(const Query& query,
       }
       // Exact child costs make abandoning a partially-costed candidate safe.
       if (acc >= cmin) {
-        ++ctx.stats.candidate_abandons;
+        ++ctx.stats.bound_prunes;
         continue;
       }
 
@@ -327,22 +331,11 @@ std::pair<double, uint32_t> ExhaustivePlanner::Solve(const Query& query,
 Plan ExhaustivePlanner::BuildPlanImpl(const Query& query,
                                       obs::PlannerStats& stats) const {
   CAQP_CHECK(query.ValidFor(estimator_.schema()));
-  BuildContext ctx;
+  BuildContext ctx(stats);
   auto [cost, root] = Solve(query, estimator_.schema().FullRanges(), ctx);
   CAQP_CHECK(root != kNoNode);
-  std::unique_ptr<PlanNode> node = ctx.Materialize(root, query);
-  stats.memo_hits = ctx.stats.cache_hits;
-  stats.memo_misses = ctx.stats.subproblems_solved;
-  stats.bound_prunes =
-      ctx.stats.observe_prunes + ctx.stats.candidate_abandons;
-  stats.candidates_tried = ctx.stats.candidates_tried;
   stats.expected_cost = cost;
-  {
-    std::lock_guard<std::mutex> lock(diag_mu_);
-    stats_ = ctx.stats;
-    last_cost_ = cost;
-  }
-  return Plan(std::move(node));
+  return Plan(ctx.Materialize(root, query));
 }
 
 }  // namespace caqp

@@ -41,20 +41,6 @@ class ExhaustivePlanner : public Planner {
   struct Options {
     /// Candidate conditioning split points (SPSF restriction). Required.
     const SplitPointSet* split_points = nullptr;
-    /// Safety valve: abort if the DP visits more subproblems than this.
-    size_t max_subproblems = 20'000'000;
-  };
-
-  struct Stats {
-    size_t subproblems_solved = 0;  ///< memo misses: distinct subproblems
-    size_t cache_hits = 0;          ///< memo hits
-    size_t candidates_tried = 0;    ///< (attribute, split point) pairs costed
-    /// Attributes skipped because their observation cost alone already
-    /// exceeded the best candidate (paper's candidate-level pruning).
-    size_t observe_prunes = 0;
-    /// Candidates abandoned after costing the "<" child because the partial
-    /// sum already exceeded the best candidate.
-    size_t candidate_abandons = 0;
   };
 
   ExhaustivePlanner(CondProbEstimator& estimator,
@@ -66,26 +52,26 @@ class ExhaustivePlanner : public Planner {
   std::string Name() const override { return "Exhaustive"; }
   CondProbEstimator* estimator() const override { return &estimator_; }
 
-  /// Expected cost of the last built plan per the DP (== Equation (3) value
-  /// under the training estimator). See opt/planner.h for when diagnostics
-  /// may be read.
-  double LastPlanCost() const { return last_cost_; }
-  const Stats& stats() const { return stats_; }
-
  protected:
+  /// `stats.expected_cost` is the built plan's expected cost per the DP
+  /// (== its Equation (3) value under the training estimator).
+  /// `stats.bound_prunes` counts both of the paper's candidate-level
+  /// prunes: attributes whose observation cost alone reaches the best
+  /// candidate, and candidates abandoned once their "<" side does.
   Plan BuildPlanImpl(const Query& query,
                      obs::PlannerStats& stats) const override;
 
  private:
   /// Per-build scratch (defined in exhaustive.cc): the DP memo table, the
   /// node arena the recursion builds into, split/verdict interning tables,
-  /// and counters. Lives on the BuildPlan stack so concurrent builds on one
-  /// instance never share mutable state. The DP never allocates PlanNode
-  /// trees: subplans are uint32 handles into the arena, a memo hit returns
-  /// the cached handle itself (O(1), no deep clones), and the winning root
-  /// is materialized into a pointer tree exactly once at the end. Memo-hit
-  /// structural identity therefore holds by construction -- two hits on one
-  /// subproblem yield the same node, not equal copies.
+  /// and the build's PlannerStats. Lives on the BuildPlan stack so
+  /// concurrent builds on one instance never share mutable state. The DP
+  /// never allocates PlanNode trees: subplans are uint32 handles into the
+  /// arena, a memo hit returns the cached handle itself (O(1), no deep
+  /// clones), and the winning root is materialized into a pointer tree
+  /// exactly once at the end. Memo-hit structural identity therefore holds
+  /// by construction -- two hits on one subproblem yield the same node, not
+  /// equal copies.
   struct BuildContext;
 
   /// Solves a subproblem exactly; returns (expected cost, arena handle).
@@ -104,9 +90,6 @@ class ExhaustivePlanner : public Planner {
   const AcquisitionCostModel& cost_model_;
   Options options_;
   OptSeqSolver optseq_;
-  /// Most-recent-build diagnostics, committed under Planner::diag_mu_.
-  mutable Stats stats_;
-  mutable double last_cost_ = 0.0;
 };
 
 }  // namespace caqp

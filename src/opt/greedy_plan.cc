@@ -35,6 +35,9 @@ struct GreedyPlanner::GNode {
 
 namespace {
 
+/// Minimum expected gain for a split to be adopted at all.
+constexpr double kMinGain = 1e-9;
+
 /// Re-indexes a mask distribution onto the predicate subset `keep` (bit k of
 /// the result is predicate keep[k] of the original).
 MaskDistribution ProjectMasks(const MaskDistribution& dist,
@@ -63,7 +66,7 @@ MaskDistribution FromMap(const std::unordered_map<uint64_t, double>& map) {
 }  // namespace
 
 void GreedyPlanner::SolveLeafState(GNode* node, const MaskDistribution& masks,
-                                   Stats& stats) const {
+                                   obs::PlannerStats& stats) const {
   node->masks = masks;
   if (node->determined || node->preds.empty()) {
     node->seq_cost = 0.0;
@@ -124,7 +127,7 @@ size_t GreedyPlanner::LeafBytes(const GNode& node) {
   return PlanSizeBytes(Plan(std::move(leaf)));
 }
 
-void GreedyPlanner::GreedySplit(GNode* node, Stats& stats) const {
+void GreedyPlanner::GreedySplit(GNode* node, obs::PlannerStats& stats) const {
   node->has_split = false;
   if (node->determined || node->preds.empty()) return;
   if (node->masks.total() <= 0) return;  // No training mass: keep the leaf.
@@ -135,7 +138,7 @@ void GreedyPlanner::GreedySplit(GNode* node, Stats& stats) const {
   const double parent_total = node->masks.total();
 
   // A split is only worth keeping if it beats the sequential base plan.
-  double cmin = node->seq_cost - options_.min_gain;
+  double cmin = node->seq_cost - kMinGain;
 
   for (size_t ai = 0; ai < schema.num_attributes(); ++ai) {
     const AttrId attr = static_cast<AttrId>(ai);
@@ -173,7 +176,7 @@ void GreedyPlanner::GreedySplit(GNode* node, Stats& stats) const {
         }
         ++cursor;
       }
-      ++stats.candidates_tried;
+      ++stats.splits_considered;
 
       const double p_lt = lt_total / parent_total;
       const double p_ge = 1.0 - p_lt;
@@ -230,11 +233,10 @@ double GreedyPlanner::SubtreeExpectedCost(const GNode& node) const {
 }
 
 Plan GreedyPlanner::BuildPlanImpl(const Query& query,
-                                  obs::PlannerStats& pstats) const {
+                                  obs::PlannerStats& stats) const {
   const Schema& schema = estimator_.schema();
   CAQP_CHECK(query.ValidFor(schema));
   CAQP_CHECK(query.IsConjunctive());
-  Stats stats;
 
   auto root = std::make_unique<GNode>();
   root->ranges = schema.FullRanges();
@@ -242,9 +244,6 @@ Plan GreedyPlanner::BuildPlanImpl(const Query& query,
 
   const Truth truth = query.EvaluateOnRanges(root->ranges);
   if (truth != Truth::kUnknown) {
-    std::lock_guard<std::mutex> lock(diag_mu_);
-    stats_ = stats;
-    last_cost_ = 0.0;
     return Plan(PlanNode::Verdict(truth == Truth::kTrue));
   }
   root->preds = UndeterminedPredicates(query.predicates(), root->ranges);
@@ -263,14 +262,15 @@ Plan GreedyPlanner::BuildPlanImpl(const Query& query,
   auto maybe_enqueue = [&](GNode* n) {
     if (!n->has_split) return;
     const double gain = n->reach_prob * (n->seq_cost - n->split_cost);
-    if (gain > options_.min_gain) {
+    if (gain > kMinGain) {
       queue.push({gain, n});
-      stats.queue_high_water = std::max(stats.queue_high_water, queue.size());
+      stats.queue_high_water =
+          std::max<uint64_t>(stats.queue_high_water, queue.size());
     }
   };
   maybe_enqueue(root.get());
 
-  while (stats.splits_made < options_.max_splits && !queue.empty()) {
+  while (stats.splits_taken < options_.max_splits && !queue.empty()) {
     const QueueEntry top = queue.top();
     queue.pop();
     GNode* node = top.node;
@@ -302,10 +302,10 @@ Plan GreedyPlanner::BuildPlanImpl(const Query& query,
     }
 
     node->expanded = true;
-    if (stats.splits_made == 0) stats.benefit_first = top.priority;
+    if (stats.splits_taken == 0) stats.benefit_first = top.priority;
     stats.benefit_last = top.priority;
     stats.benefit_total += top.priority;
-    ++stats.splits_made;
+    ++stats.splits_taken;
     for (GNode* child : {node->lt.get(), node->ge.get()}) {
       child->reach_prob = estimator_.ReachProbability(child->ranges);
       GreedySplit(child, stats);
@@ -313,22 +313,7 @@ Plan GreedyPlanner::BuildPlanImpl(const Query& query,
     }
   }
 
-  const double cost = SubtreeExpectedCost(*root);
-  pstats.split_searches = stats.split_searches;
-  pstats.splits_considered = stats.candidates_tried;
-  pstats.splits_taken = stats.splits_made;
-  pstats.queue_high_water = stats.queue_high_water;
-  pstats.expansions_skipped = stats.expansions_skipped;
-  pstats.benefit_first = stats.benefit_first;
-  pstats.benefit_last = stats.benefit_last;
-  pstats.benefit_total = stats.benefit_total;
-  pstats.seq_solves = stats.seq_solves;
-  pstats.expected_cost = cost;
-  {
-    std::lock_guard<std::mutex> lock(diag_mu_);
-    stats_ = stats;
-    last_cost_ = cost;
-  }
+  stats.expected_cost = SubtreeExpectedCost(*root);
   return Plan(Materialize(*root));
 }
 

@@ -43,21 +43,6 @@ class GreedyPlanner : public Planner {
     /// RAM"). Expansions that would push zeta(P) past this are skipped.
     /// 0 disables the bound.
     size_t max_plan_bytes = 0;
-    /// Minimum expected gain for a split to be adopted at all.
-    double min_gain = 1e-9;
-  };
-
-  struct Stats {
-    size_t splits_made = 0;      ///< splits adopted into the plan
-    size_t split_searches = 0;   ///< GREEDYSPLIT invocations
-    size_t candidates_tried = 0; ///< candidate splits costed
-    size_t queue_high_water = 0; ///< max expansion-queue length observed
-    /// Queue pops rejected by the size penalty or the hard byte bound.
-    size_t expansions_skipped = 0;
-    size_t seq_solves = 0;       ///< base sequential-plan solver calls
-    double benefit_first = 0.0;  ///< expected gain of the first expansion
-    double benefit_last = 0.0;   ///< expected gain of the last expansion
-    double benefit_total = 0.0;  ///< summed expected gains of all expansions
   };
 
   GreedyPlanner(CondProbEstimator& estimator,
@@ -72,13 +57,10 @@ class GreedyPlanner : public Planner {
   }
   CondProbEstimator* estimator() const override { return &estimator_; }
 
-  /// The Equation (6)-style expected cost of the last built plan under the
-  /// training estimator. See opt/planner.h for when diagnostics may be read.
-  double LastPlanCost() const { return last_cost_; }
-  const Stats& stats() const { return stats_; }
-
  protected:
   /// Conjunctive queries only (sequential base plans are conjunctive).
+  /// `stats.expected_cost` is the Equation (6)-style expected cost of the
+  /// built plan under the training estimator.
   Plan BuildPlanImpl(const Query& query,
                      obs::PlannerStats& stats) const override;
 
@@ -87,8 +69,8 @@ class GreedyPlanner : public Planner {
 
   /// Fills node->split_* with the locally optimal binary split (Figure 6);
   /// leaves has_split=false if no split strictly improves on the leaf's
-  /// sequential plan. `stats` is the per-build counter block.
-  void GreedySplit(GNode* node, Stats& stats) const;
+  /// sequential plan. `stats` is the build's diagnostics record.
+  void GreedySplit(GNode* node, obs::PlannerStats& stats) const;
 
   /// Child subproblem shell for a candidate split: refined ranges, child
   /// predicate set, projected mask distribution (base plan still unsolved).
@@ -104,7 +86,7 @@ class GreedyPlanner : public Planner {
   /// Solves the sequential base plan for a child subproblem given its
   /// projected mask distribution.
   void SolveLeafState(GNode* node, const MaskDistribution& masks,
-                      Stats& stats) const;
+                      obs::PlannerStats& stats) const;
 
   std::unique_ptr<PlanNode> Materialize(const GNode& node) const;
   double SubtreeExpectedCost(const GNode& node) const;
@@ -112,9 +94,6 @@ class GreedyPlanner : public Planner {
   CondProbEstimator& estimator_;
   const AcquisitionCostModel& cost_model_;
   Options options_;
-  /// Most-recent-build diagnostics, committed under Planner::diag_mu_.
-  mutable Stats stats_;
-  mutable double last_cost_ = 0.0;
 };
 
 }  // namespace caqp

@@ -22,17 +22,19 @@ namespace caqp {
 
 /// Thread-safety contract (caqp::serve shares planner instances):
 ///
-///   BuildPlan is const and keeps all per-build scratch on the stack; the
-///   diagnostic snapshot below is committed under an internal mutex when a
-///   build finishes. One planner instance may therefore run concurrent
-///   BuildPlan calls **iff the CondProbEstimator it references is itself
-///   safe for concurrent use**:
+///   BuildPlan is const. A build keeps its scratch on the stack and counts
+///   into one stack-local obs::PlannerStats, which BuildPlan commits under
+///   an internal mutex when the build finishes. Greedy, Exhaustive and
+///   sequential builds touch no other instance state; RegretPlanner also
+///   commits its regret Stats under that mutex. One planner instance may
+///   therefore run concurrent BuildPlan calls **iff the CondProbEstimator
+///   it references is itself safe for concurrent use**:
 ///     * DatasetEstimator / IndependentEstimator / ChowLiuEstimator —
 ///       immutable after construction with per-call scratch, safe to share
 ///       across threads.
-///   Diagnostics (planner_stats(), per-planner stats(), LastPlanCost())
-///   describe the most recently *completed* build and are unsynchronized on
-///   the read side: read them only while no build is in flight.
+///   Diagnostics (planner_stats(), RegretPlanner::stats()) describe the
+///   most recently *completed* build and are unsynchronized on the read
+///   side: read them only while no build is in flight.
 class Planner {
  public:
   virtual ~Planner() = default;
@@ -51,10 +53,10 @@ class Planner {
     return plan;
   }
 
-  /// Uniform tracing view of the most recent completed BuildPlan call (memo
-  /// hits, prunes, splits considered/taken, ... — see obs/planner_stats.h).
-  /// Fields a planner doesn't track stay zero. See the thread-safety
-  /// contract above.
+  /// Diagnostics of the most recent completed BuildPlan call (memo hits,
+  /// prunes, splits considered/taken, Eq. 3 expected cost, ... — see
+  /// obs/planner_stats.h). Fields a planner doesn't track stay zero. See
+  /// the thread-safety contract above.
   const obs::PlannerStats& planner_stats() const { return planner_stats_; }
 
   /// The estimator this planner builds plans against, or nullptr if the
@@ -65,9 +67,10 @@ class Planner {
   virtual CondProbEstimator* estimator() const { return nullptr; }
 
  protected:
-  /// Builds the plan, filling `stats` (already Reset to this planner's
-  /// name). Implementations must not touch instance state except under
-  /// diag_mu_ at the very end of the build.
+  /// Builds the plan, counting into `stats` (already Reset to this
+  /// planner's name). Implementations touch no instance state; the one
+  /// exception, RegretPlanner, commits the regret figures PlannerStats has
+  /// no field for under diag_mu_ at the very end of the build.
   virtual Plan BuildPlanImpl(const Query& query,
                              obs::PlannerStats& stats) const = 0;
 

@@ -13,6 +13,12 @@ namespace opt {
 
 namespace {
 
+/// Corner-scenario budget per build (see CornerScenarios).
+constexpr size_t kMaxScenarios = 64;
+/// Enumerate all n! orderings while the conjunctive query has at most this
+/// many predicates; above it, only per-scenario greedy orderings.
+constexpr size_t kMaxEnumeratedPredicates = 6;
+
 double Clamp01(double v) { return v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v); }
 
 /// Sequential-plan candidate from predicate indices into `preds`.
@@ -97,10 +103,10 @@ Plan RegretPlanner::BuildPlanImpl(const Query& query,
   }
 
   const std::vector<CostScenario> scenarios =
-      CornerScenarios(box, options_.max_scenarios);
+      CornerScenarios(box, kMaxScenarios);
   std::vector<Plan> candidates =
       RegretCandidatePlans(query, estimator_, cost_model_, scenarios,
-                           &point_plan, options_.max_enumerated_predicates);
+                           &point_plan, kMaxEnumeratedPredicates);
   CAQP_CHECK(!candidates.empty());
 
   // cost[c][s]: candidate c priced at scenario s by the one Eq. 3 walk

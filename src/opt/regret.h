@@ -46,11 +46,6 @@ class RegretPlanner : public Planner {
     /// (overrides `box`). Lets serve workers follow a SharedUncertaintyBox
     /// the drift loop widens at runtime.
     std::function<UncertaintyBox()> box_provider;
-    /// Corner-scenario budget per build (see CornerScenarios).
-    size_t max_scenarios = 64;
-    /// Enumerate all n! orderings while the conjunctive query has at most
-    /// this many predicates; above it, only per-scenario greedy orderings.
-    size_t max_enumerated_predicates = 6;
   };
 
   struct Stats {

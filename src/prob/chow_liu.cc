@@ -7,6 +7,9 @@ namespace caqp {
 
 namespace {
 
+/// Laplace smoothing added to every marginal and pairwise joint cell.
+constexpr double kLaplaceAlpha = 0.5;
+
 /// Smoothed pairwise joint P(X_a, X_b) as a Ka x Kb matrix.
 std::vector<std::vector<double>> PairJoint(const Dataset& data, AttrId a,
                                            AttrId b, double alpha) {
@@ -61,7 +64,7 @@ ChowLiuEstimator::ChowLiuEstimator(const Dataset& data, Options opts)
   // Smoothed node marginals.
   for (size_t a = 0; a < n; ++a) {
     const uint32_t k = schema_.domain_size(static_cast<AttrId>(a));
-    std::vector<double> m(k, opts_.laplace_alpha);
+    std::vector<double> m(k, kLaplaceAlpha);
     for (Value v : data.column(static_cast<AttrId>(a))) m[v] += 1.0;
     double total = 0.0;
     for (double w : m) total += w;
@@ -75,7 +78,7 @@ ChowLiuEstimator::ChowLiuEstimator(const Dataset& data, Options opts)
     for (size_t b = a + 1; b < n; ++b) {
       const double v = MutualInformationOf(
           PairJoint(data, static_cast<AttrId>(a), static_cast<AttrId>(b),
-                    opts_.laplace_alpha));
+                    kLaplaceAlpha));
       mi[a][b] = mi[b][a] = v;
     }
   }
@@ -122,7 +125,7 @@ ChowLiuEstimator::ChowLiuEstimator(const Dataset& data, Options opts)
     }
     const uint32_t kp = schema_.domain_size(node.parent);
     auto joint = PairJoint(data, node.parent, static_cast<AttrId>(a),
-                           opts_.laplace_alpha);
+                           kLaplaceAlpha);
     node.cond.assign(kp, std::vector<double>(k, 0.0));
     for (uint32_t pv = 0; pv < kp; ++pv) {
       double rowsum = 0.0;

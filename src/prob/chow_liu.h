@@ -10,7 +10,8 @@
 // marginals and reach probabilities come from evidence-weighted message
 // passing on the tree. Predicate-mask joints are estimated by exact
 // ancestral sampling from the conditioned tree (deterministic per query:
-// the sampler is reseeded from a hash of the evidence).
+// the sampler is reseeded from a hash of the evidence). Every marginal and
+// pairwise joint cell gets Laplace smoothing alpha = 0.5.
 //
 // Thread-safe after construction: the fitted tree is read-only and each
 // query's sampler state is local to the call, so one instance may serve
@@ -30,8 +31,6 @@ namespace caqp {
 class ChowLiuEstimator : public CondProbEstimator {
  public:
   struct Options {
-    /// Laplace smoothing added to every pairwise joint cell.
-    double laplace_alpha = 0.5;
     /// Samples drawn per PredicateMasks / PerValuePredicateMasks call.
     size_t sample_count = 8192;
     /// Base seed for the per-call deterministic sampler.

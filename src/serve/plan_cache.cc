@@ -18,11 +18,11 @@ ShardedPlanCache::ShardedPlanCache(Options options) : options_(options) {
 }
 
 ShardedPlanCache::Shard& ShardedPlanCache::ShardFor(
-    const PlanCacheKey& key) const {
+    const PlanKey& key) const {
   // The low bits of the key hash pick the map bucket inside a shard; run a
   // full splitmix64 finalizer before picking the shard so the two choices
   // stay independent even for near-sequential signatures.
-  uint64_t x = PlanCacheKeyHash{}(key);
+  uint64_t x = PlanKeyHash{}(key);
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
@@ -30,7 +30,7 @@ ShardedPlanCache::Shard& ShardedPlanCache::ShardFor(
   return *shards_[x % shards_.size()];
 }
 
-std::shared_ptr<const CompiledPlan> ShardedPlanCache::Get(const PlanCacheKey& key) {
+std::shared_ptr<const CompiledPlan> ShardedPlanCache::Get(const PlanKey& key) {
   if (options_.capacity == 0) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     CAQP_OBS_COUNTER_INC("serve.cache.misses");
@@ -51,7 +51,7 @@ std::shared_ptr<const CompiledPlan> ShardedPlanCache::Get(const PlanCacheKey& ke
 }
 
 std::shared_ptr<const CompiledPlan> ShardedPlanCache::Peek(
-    const PlanCacheKey& key) const {
+    const PlanKey& key) const {
   if (options_.capacity == 0) return nullptr;
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -59,7 +59,7 @@ std::shared_ptr<const CompiledPlan> ShardedPlanCache::Peek(
   return it == shard.index.end() ? nullptr : it->second->second;
 }
 
-void ShardedPlanCache::Put(const PlanCacheKey& key,
+void ShardedPlanCache::Put(const PlanKey& key,
                            std::shared_ptr<const CompiledPlan> plan) {
   CAQP_CHECK(plan != nullptr);
   if (options_.capacity == 0) return;

@@ -1,17 +1,8 @@
-// Sharded LRU cache of compiled plans, keyed on
-// (query signature, estimator version, planner-config fingerprint).
-//
-// Key semantics:
-//  * query signature — QuerySignature(query) (core/query_signature.h):
-//    canonicalized, so predicate/conjunct order never causes a miss.
-//  * estimator version — a counter the owning QueryService bumps whenever
-//    the statistics a planner would train on change (estimator refresh,
-//    adaptive replanner adoption). Bumping orphans every cached plan without
-//    touching the cache: old-version keys are simply never asked for again
-//    and age out of the LRU. InvalidateAll() additionally drops them eagerly.
-//  * planner fingerprint — PlanBuilder::ConfigFingerprint(): planner kind +
-//    options + training-data identity, so services with different planner
-//    configs never alias plans.
+// Sharded LRU cache of compiled plans, keyed on PlanKey (core/plan_key.h):
+// query signature, estimator version, planner fingerprint. Bumping the
+// estimator version orphans every cached plan without touching the cache:
+// old-version keys are simply never asked for again and age out of the LRU.
+// InvalidateAll() additionally drops them eagerly.
 //
 // Values are shared_ptr<const CompiledPlan>: a hit hands out a reference to the
 // immutable compiled plan, never a deep copy, and eviction cannot free a
@@ -34,26 +25,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/types.h"
+#include "core/plan_key.h"
 #include "plan/compiled_plan.h"
 
 namespace caqp {
 namespace serve {
-
-struct PlanCacheKey {
-  uint64_t query_sig = 0;
-  uint64_t estimator_version = 0;
-  uint64_t planner_fingerprint = 0;
-
-  bool operator==(const PlanCacheKey&) const = default;
-};
-
-struct PlanCacheKeyHash {
-  size_t operator()(const PlanCacheKey& k) const {
-    size_t h = HashCombine(k.query_sig, k.estimator_version);
-    return HashCombine(h, k.planner_fingerprint);
-  }
-};
 
 class ShardedPlanCache {
  public:
@@ -77,15 +53,15 @@ class ShardedPlanCache {
 
   /// Returns the cached plan and refreshes its LRU position, or nullptr.
   /// Counts one hit or one miss.
-  std::shared_ptr<const CompiledPlan> Get(const PlanCacheKey& key);
+  std::shared_ptr<const CompiledPlan> Get(const PlanKey& key);
 
   /// Get without counting it or touching LRU order: for a caller that has
   /// already counted its lookup and only re-checks before planning.
-  std::shared_ptr<const CompiledPlan> Peek(const PlanCacheKey& key) const;
+  std::shared_ptr<const CompiledPlan> Peek(const PlanKey& key) const;
 
   /// Inserts (or replaces) the plan for `key`, evicting the shard's
   /// least-recently-used entries if over budget.
-  void Put(const PlanCacheKey& key, std::shared_ptr<const CompiledPlan> plan);
+  void Put(const PlanKey& key, std::shared_ptr<const CompiledPlan> plan);
 
   /// Eagerly drops every entry (estimator refresh). Version-bumped keys
   /// would age out anyway; this frees their memory immediately.
@@ -100,16 +76,16 @@ class ShardedPlanCache {
   struct Shard {
     mutable std::mutex mu;
     /// Front = most recently used.
-    std::list<std::pair<PlanCacheKey, std::shared_ptr<const CompiledPlan>>> lru;
-    std::unordered_map<PlanCacheKey,
-                       std::list<std::pair<PlanCacheKey,
+    std::list<std::pair<PlanKey, std::shared_ptr<const CompiledPlan>>> lru;
+    std::unordered_map<PlanKey,
+                       std::list<std::pair<PlanKey,
                                            std::shared_ptr<const CompiledPlan>>>::
                            iterator,
-                       PlanCacheKeyHash>
+                       PlanKeyHash>
         index;
   };
 
-  Shard& ShardFor(const PlanCacheKey& key) const;
+  Shard& ShardFor(const PlanKey& key) const;
 
   Options options_;
   size_t per_shard_capacity_ = 0;

@@ -23,7 +23,43 @@ double NowSeconds() {
 }
 
 size_t NonZero(size_t n) { return n == 0 ? 1 : n; }
+
+/// Independently locked plan-cache shards (serve/plan_cache.h).
+constexpr size_t kCacheShards = 8;
+/// How long after an SLO burn fires Submit sheds at half max_queue_depth.
+constexpr uint64_t kBurnShedWindowNs = 5ull * 1000 * 1000 * 1000;
+/// Widen mode's FromCalibration scale (interval width per unit of drift)
+/// and per-attribute cap on interval half-width (opt/uncertainty.h).
+constexpr double kWidenScale = 1.0;
+constexpr double kWidenCap = 1.0;
 }  // namespace
+
+std::shared_ptr<const CompiledPlan> CompileForServe(
+    PlanBuilder& builder, const Plan& plan,
+    const AcquisitionCostModel& cost_model, bool stamp_estimates,
+    uint64_t estimator_version) {
+  CompiledPlan compiled = CompiledPlan::Compile(plan);
+  CondProbEstimator* estimator =
+      stamp_estimates ? builder.CalibrationEstimator() : nullptr;
+  if (estimator != nullptr) {
+    // Stamp what the planner believed at build time. Same thread as Build,
+    // so an estimator the builder does not share is safe too.
+    auto estimates = std::make_shared<PlanEstimates>(
+        EstimatePlan(compiled, *estimator, cost_model));
+    estimates->estimator_version = estimator_version;
+    opt::UncertaintyBox box;
+    if (builder.PlanningBox(&box) && !box.degenerate()) {
+      // Robust builder: record the box and its interval cost promise so
+      // calibration can score the plan against the range, not just the
+      // point (obs::PlanCalibration::predicted_cost_lo/hi).
+      opt::StampEstimatesWithBox(
+          *estimates, box,
+          opt::ExpectedPlanCostBounds(compiled, *estimator, cost_model, box));
+    }
+    compiled.AttachEstimates(std::move(estimates));
+  }
+  return std::make_shared<const CompiledPlan>(std::move(compiled));
+}
 
 QueryService::QueryService(const Schema& schema,
                            const AcquisitionCostModel& cost_model,
@@ -31,8 +67,7 @@ QueryService::QueryService(const Schema& schema,
     : schema_(schema),
       cost_model_(cost_model),
       options_(options),
-      cache_(ShardedPlanCache::Options{options.cache_capacity,
-                                       options.cache_shards}),
+      cache_(ShardedPlanCache::Options{options.cache_capacity, kCacheShards}),
       metrics_(NonZero(options.num_workers) + 1),
       tracer_(NonZero(options.num_workers) + 1,
               obs::TraceRecorder::Options{
@@ -86,10 +121,8 @@ QueryService::QueryService(const Schema& schema,
                                       ? "slo_burn_latency"
                                       : "slo_burn_availability");
       }
-      if (options_.burn_shed_window_ns > 0) {
-        burn_shed_until_ns_.store(event.at_ns + options_.burn_shed_window_ns,
-                                  std::memory_order_relaxed);
-      }
+      burn_shed_until_ns_.store(event.at_ns + kBurnShedWindowNs,
+                                std::memory_order_relaxed);
       if (user_hook) user_hook(event);
     };
     slo_ = std::make_unique<obs::SloMonitor>(std::move(slo_options));
@@ -145,9 +178,9 @@ std::future<QueryService::Response> QueryService::Submit(
   // One counted cache lookup per request, here on the calling thread. A hit
   // is answered here too: handing it to a worker would cost more than
   // executing it.
-  const PlanCacheKey key{QuerySignature(query),
-                         estimator_version_.load(std::memory_order_acquire),
-                         planner_fingerprint_};
+  const PlanKey key{QuerySignature(query),
+                    estimator_version_.load(std::memory_order_acquire),
+                    planner_fingerprint_};
   if (options_.cache_capacity > 0) {
     std::shared_ptr<const CompiledPlan> plan = cache_.Get(key);
     if (plan != nullptr) {
@@ -172,16 +205,13 @@ std::future<QueryService::Response> QueryService::Submit(
         Handle(worker_id, key, query, tuple, deadline, trace_id, submit_ns);
     if (tracing_on()) {
       // The request span is closed by now, so the flight ring holds the
-      // request's full span history when we dump it. The meta block joins
-      // the incident against plan-cache entries and calibration rows.
-      const obs::TraceRecorder::RequestMeta meta{r.query_sig,
-                                                 planner_fingerprint_,
-                                                 r.estimator_version};
+      // request's full span history when we dump it. The key joins the
+      // incident against plan-cache entries and calibration rows.
       if (r.status.code() == StatusCode::kDeadlineExceeded) {
-        tracer_.DumpFlight(worker_id, trace_id, "deadline_exceeded", meta);
+        tracer_.DumpFlight(worker_id, trace_id, "deadline_exceeded", key);
       } else if (r.fallback) {
         tracer_.DumpFlight(worker_id, trace_id, "planner_timeout_fallback",
-                           meta);
+                           key);
       }
     }
     Finish(r);
@@ -213,7 +243,7 @@ void QueryService::Finish(const Response& r) {
 }
 
 QueryService::Response QueryService::AnswerHit(
-    const PlanCacheKey& key, std::shared_ptr<const CompiledPlan> plan,
+    const PlanKey& key, std::shared_ptr<const CompiledPlan> plan,
     const Tuple& tuple, uint64_t trace_id, double start, uint64_t submit_ns) {
   const size_t slot = submitter_slot();
   worker_metrics_[slot].requests->Increment();
@@ -224,8 +254,7 @@ QueryService::Response QueryService::AnswerHit(
   if (tracing_on()) {
     scope.emplace(&tracer_, slot, trace_id);
     root.emplace("request", submit_ns);
-    obs::SetRequestPlanContext(key.query_sig, planner_fingerprint_,
-                               key.estimator_version);
+    obs::SetRequestPlanContext(key);
     obs::RecordSpan("plan", submit_ns, obs::MonotonicNowNs());
   }
   Response r;
@@ -234,12 +263,12 @@ QueryService::Response QueryService::AnswerHit(
   r.estimator_version = key.estimator_version;
   r.cache_hit = true;
   r.plan = std::move(plan);
-  Execute(slot, tuple, start, r);
+  Execute(slot, key, tuple, start, r);
   return r;
 }
 
 QueryService::Response QueryService::Handle(size_t worker_id,
-                                            const PlanCacheKey& key,
+                                            const PlanKey& key,
                                             const Query& query,
                                             const Tuple& tuple,
                                             double deadline, uint64_t trace_id,
@@ -255,6 +284,9 @@ QueryService::Response QueryService::Handle(size_t worker_id,
   std::optional<obs::ScopedSpan> root;
   if (tracing_on()) {
     scope.emplace(&tracer_, worker_id, trace_id);
+    // Every span this request records carries the calibration join key
+    // (obs/span.h).
+    obs::SetRequestPlanContext(key);
     root.emplace("request", submit_ns);
     // The queue span ended the moment this worker picked the request up.
     obs::RecordSpan("queue", submit_ns, obs::MonotonicNowNs());
@@ -271,19 +303,17 @@ QueryService::Response QueryService::Handle(size_t worker_id,
   }
   r.query_sig = key.query_sig;
   r.estimator_version = key.estimator_version;
-  if (tracing_on()) {
-    // Every span this request records from here on carries the calibration
-    // join key (obs/span.h).
-    obs::SetRequestPlanContext(r.query_sig, planner_fingerprint_,
-                               r.estimator_version);
-  }
   PlanBuilder& builder = *builders_[worker_id];
+  const auto compile = [&](const Plan& plan) {
+    return CompileForServe(builder, plan, cost_model_,
+                           calibration_ != nullptr, key.estimator_version);
+  };
 
   {
     CAQP_OBS_SPAN(plan_span, "plan");
     if (options_.cache_capacity == 0) {
       // Plan-per-query baseline: no cache, no deduplication.
-      r.plan = CompileForServe(builder, builder.Build(query));
+      r.plan = compile(builder.Build(query));
       r.planned = true;
     } else {
       // Submit already counted this request's miss.
@@ -300,7 +330,7 @@ QueryService::Response QueryService::Handle(size_t worker_id,
             // Compile once at insert time: every cached-path execution
             // after this runs the flat IR with zero PlanNode clones or
             // copies.
-            auto plan = CompileForServe(builder, builder.Build(query));
+            auto plan = compile(builder.Build(query));
             cache_.Put(key, plan);
             built = true;
             return plan;
@@ -313,7 +343,7 @@ QueryService::Response QueryService::Handle(size_t worker_id,
         // finishes.
         wm.planner_timeouts->Increment();
         CAQP_OBS_SPAN(fallback_span, "plan.build_fallback");
-        r.plan = CompileForServe(builder, builder.BuildFallback(query));
+        r.plan = compile(builder.BuildFallback(query));
         r.fallback = true;
       } else {
         r.plan = std::move(flight.plan);
@@ -321,12 +351,12 @@ QueryService::Response QueryService::Handle(size_t worker_id,
       }
     }
   }
-  Execute(worker_id, tuple, start, r);
+  Execute(worker_id, key, tuple, start, r);
   return r;
 }
 
-void QueryService::Execute(size_t slot, const Tuple& tuple, double start,
-                           Response& r) {
+void QueryService::Execute(size_t slot, const PlanKey& key,
+                           const Tuple& tuple, double start, Response& r) {
   WorkerMetrics& wm = worker_metrics_[slot];
   if (r.cache_hit) wm.cache_hits->Increment();
   if (r.planned) wm.planned->Increment();
@@ -337,16 +367,7 @@ void QueryService::Execute(size_t slot, const Tuple& tuple, double start,
     // Fallback plans are transient (never cached) and can differ in shape
     // from the keyed plan, so they are excluded from calibration rather
     // than corrupting the per-node rows of the real plan under this key.
-    profile = calibration_->Profile(
-        slot,
-        obs::CalibrationKey{r.query_sig, r.estimator_version,
-                            planner_fingerprint_},
-        r.plan);
-    if (profile->num_nodes() != r.plan->NumNodes()) {
-      // A racing builder produced a structurally different plan for the
-      // same key (nondeterministic planner); per-node rows would misalign.
-      profile = nullptr;
-    }
+    profile = calibration_->Profile(slot, key, r.plan);
   }
   TupleSource source(tuple);
   r.exec = ExecutePlan(*r.plan, schema_, cost_model_, source,
@@ -356,34 +377,6 @@ void QueryService::Execute(size_t slot, const Tuple& tuple, double start,
   if (r.ok()) wm.ok->Increment();
   // Lock-free slot-local histogram: completions share no global mutex.
   wm.latency->Record(r.latency_seconds);
-}
-
-std::shared_ptr<const CompiledPlan> QueryService::CompileForServe(
-    PlanBuilder& builder, Plan plan) const {
-  CompiledPlan compiled = CompiledPlan::Compile(plan);
-  if (calibration_ != nullptr) {
-    CondProbEstimator* estimator = builder.CalibrationEstimator();
-    if (estimator != nullptr) {
-      // Stamp what the planner believed at build time. Same worker thread
-      // as Build, so an estimator the builder does not share is safe too.
-      auto estimates = std::make_shared<PlanEstimates>(
-          EstimatePlan(compiled, *estimator, cost_model_));
-      estimates->estimator_version =
-          estimator_version_.load(std::memory_order_acquire);
-      opt::UncertaintyBox box;
-      if (builder.PlanningBox(&box) && !box.degenerate()) {
-        // Robust builder: record the box and its interval cost promise so
-        // calibration can score the plan against the range, not just the
-        // point (obs::PlanCalibration::predicted_cost_lo/hi).
-        opt::StampEstimatesWithBox(
-            *estimates, box,
-            opt::ExpectedPlanCostBounds(compiled, *estimator, cost_model_,
-                                        box));
-      }
-      compiled.AttachEstimates(std::move(estimates));
-    }
-  }
-  return std::make_shared<const CompiledPlan>(std::move(compiled));
 }
 
 obs::CalibrationReport QueryService::CalibrationSnapshot() const {
@@ -437,8 +430,7 @@ DriftStatus QueryService::CheckDrift() {
       // installed (and pushed via on_widen) before the retrain hook and
       // the invalidation force rebuilds.
       robust_box_.MergeFrom(opt::UncertaintyBox::FromCalibration(
-          status.window, policy.widen_scale, policy.widen_cap,
-          policy.min_window_evals));
+          status.window, kWidenScale, kWidenCap, policy.min_window_evals));
       status.box = robust_box_;
       status.widened = true;
       if (policy.on_widen) policy.on_widen(robust_box_, status.window);
@@ -470,43 +462,25 @@ std::function<void()> QueryService::InvalidationHook() {
 }
 
 ServeReport QueryService::Report() const {
-  const auto counter_in = [](const obs::RegistrySnapshot& snap,
-                             const char* name) -> uint64_t {
-    for (const auto& c : snap.counters) {
-      if (c.name == name) return c.value;
-    }
-    return 0;
+  // ServeReport and WorkerReport share these fields.
+  const auto read = [](const obs::RegistrySnapshot& snap, auto& out) {
+    out.requests = snap.CounterByName("serve.requests");
+    out.ok = snap.CounterByName("serve.ok");
+    out.cache_hits = snap.CounterByName("serve.worker.cache_hits");
+    out.planned = snap.CounterByName("serve.planned");
+    out.fallbacks = snap.CounterByName("serve.fallbacks");
+    out.deadline_exceeded = snap.CounterByName("serve.deadline_exceeded");
+    out.planner_timeouts = snap.CounterByName("serve.planner_timeouts");
+    out.latency = snap.HistogramByName("serve.request_latency_seconds");
   };
-  const obs::RegistrySnapshot snap = metrics_.Snapshot();
   ServeReport rep;
-  rep.requests = counter_in(snap, "serve.requests");
-  rep.ok = counter_in(snap, "serve.ok");
-  rep.cache_hits = counter_in(snap, "serve.worker.cache_hits");
-  rep.planned = counter_in(snap, "serve.planned");
-  rep.fallbacks = counter_in(snap, "serve.fallbacks");
-  rep.deadline_exceeded = counter_in(snap, "serve.deadline_exceeded");
-  rep.planner_timeouts = counter_in(snap, "serve.planner_timeouts");
+  read(metrics_.Snapshot(), rep);
   rep.shed = shed_.load(std::memory_order_relaxed);
   rep.pending = pending_.load(std::memory_order_relaxed);
-  for (const auto& h : snap.histograms) {
-    if (h.name == "serve.request_latency_seconds") rep.latency = h.hist;
-  }
-  rep.workers.reserve(metrics_.num_shards());
-  for (size_t i = 0; i < metrics_.num_shards(); ++i) {
-    const obs::RegistrySnapshot ws = metrics_.shard(i).Snapshot();
-    WorkerReport w;
-    w.worker = i;
-    w.requests = counter_in(ws, "serve.requests");
-    w.ok = counter_in(ws, "serve.ok");
-    w.cache_hits = counter_in(ws, "serve.worker.cache_hits");
-    w.planned = counter_in(ws, "serve.planned");
-    w.fallbacks = counter_in(ws, "serve.fallbacks");
-    w.deadline_exceeded = counter_in(ws, "serve.deadline_exceeded");
-    w.planner_timeouts = counter_in(ws, "serve.planner_timeouts");
-    for (const auto& h : ws.histograms) {
-      if (h.name == "serve.request_latency_seconds") w.latency = h.hist;
-    }
-    rep.workers.push_back(std::move(w));
+  rep.workers.resize(metrics_.num_shards());
+  for (size_t i = 0; i < rep.workers.size(); ++i) {
+    rep.workers[i].worker = i;
+    read(metrics_.shard(i).Snapshot(), rep.workers[i]);
   }
   return rep;
 }

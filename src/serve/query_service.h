@@ -42,16 +42,16 @@
 // planner-timeout fallback) dump the worker's flight-recorder ring for
 // postmortems. Export both with obs::TraceEventsToJson(trace_recorder()).
 //
-// Plan-quality calibration (this PR): with Options::enable_calibration,
-// freshly compiled plans get predicted per-node selectivity/cost side
-// tables stamped from the builder's estimator (plan/plan_estimates.h), and
-// every execution feeds per-node observed counters into a per-worker
-// obs::CalibrationAggregator keyed by (query signature, estimator version,
-// planner fingerprint) — the plan-cache key, so calibration rows join
-// exactly against cached plans, span events, and flight-recorder
-// incidents. CalibrationSnapshot() merges the shards into a report with
-// per-plan regret (realized minus predicted cost) and per-attribute drift
-// scores. CheckDrift() compares consecutive snapshot windows against
+// Plan-quality calibration: with Options::enable_calibration, freshly
+// compiled plans get predicted per-node selectivity/cost side tables
+// stamped from the builder's estimator (plan/plan_estimates.h), and every
+// execution feeds per-node observed counters into a per-worker
+// obs::CalibrationAggregator keyed by the request's PlanKey
+// (core/plan_key.h) — the plan-cache key, so calibration rows join exactly
+// against cached plans, span events, and flight-recorder incidents.
+// CalibrationSnapshot() merges the shards into a report with per-plan
+// regret (realized minus predicted cost) and per-attribute drift scores.
+// CheckDrift() compares consecutive snapshot windows against
 // Options::drift and, when the drift score stays over threshold for K
 // windows, bumps the estimator version (InvalidateCache), forcing
 // replanning under whatever beliefs the builders now hold.
@@ -127,6 +127,18 @@ class PlanBuilder {
 
 using PlanBuilderFactory = std::function<std::unique_ptr<PlanBuilder>()>;
 
+/// Compiles a plan `builder` just built, for serving. With
+/// `stamp_estimates` (calibration on) and a builder that exposes an
+/// estimator, also stamps the predicted side tables (plan/plan_estimates.h)
+/// under `estimator_version`, plus the builder's uncertainty box and its
+/// interval cost when it plans robustly. Call on the thread that ran Build.
+/// Every plan QueryService and dist::Coordinator serve goes through here,
+/// so every executed plan carries the same metadata.
+std::shared_ptr<const CompiledPlan> CompileForServe(
+    PlanBuilder& builder, const Plan& plan,
+    const AcquisitionCostModel& cost_model, bool stamp_estimates,
+    uint64_t estimator_version);
+
 /// Bundle over a shared const Planner (requires a thread-safe estimator —
 /// see opt/planner.h). The planner must outlive the service.
 class SharedPlannerBuilder : public PlanBuilder {
@@ -173,7 +185,8 @@ struct DriftPolicy {
   // --- "Widen, don't just invalidate" mode (opt/uncertainty.h) -----------
   /// When true, a firing window additionally converts its per-attribute
   /// *signed* drift into a directional UncertaintyBox
-  /// (UncertaintyBox::FromCalibration) and merges it into the service's
+  /// (UncertaintyBox::FromCalibration, scale 1 and cap 1: the interval
+  /// spans exactly the observed drift) and merges it into the service's
   /// installed box, so robust builders replan hedged against the move that
   /// was just observed instead of re-trusting the same point estimates.
   /// Once a box is installed, the firing decision itself switches to
@@ -182,10 +195,6 @@ struct DriftPolicy {
   /// residual gap it has already hedged (the loop converges in one
   /// invalidation for a one-off shift).
   bool widen_on_drift = false;
-  /// Interval width per unit of drift (FromCalibration's scale).
-  double widen_scale = 1.0;
-  /// Per-attribute cap on interval half-width (FromCalibration's cap).
-  double widen_cap = 1.0;
   /// Invoked (before on_drift) with the post-merge installed box and the
   /// firing window — the hook that pushes the box to whatever
   /// SharedUncertaintyBox the per-worker robust builders read.
@@ -265,7 +274,6 @@ class QueryService {
     /// every request plans for itself (the plan-per-query baseline that
     /// bench_serve compares against).
     size_t cache_capacity = 1024;
-    size_t cache_shards = 8;
     /// Deadline applied to requests submitted without an explicit one.
     /// <= 0 means no deadline. A cache miss whose deadline has already
     /// passed when a worker picks it up is answered kDeadlineExceeded
@@ -297,15 +305,13 @@ class QueryService {
     /// Multi-window SLO burn-rate monitoring (obs/slo.h): every completed
     /// request records availability (status OK and a defined verdict) and
     /// latency. A burn firing bumps serve.slo_burns, records an "slo_burn"
-    /// flight-recorder incident (when tracing), arms burn shedding (below),
-    /// and then invokes slo.on_burn if set.
+    /// flight-recorder incident (when tracing), arms burn shedding, and
+    /// then invokes slo.on_burn if set. Burn shedding: for 5 s after a burn
+    /// fires, Submit sheds at HALF max_queue_depth — backing off admission
+    /// while the error budget is burning instead of waiting for the queue
+    /// to saturate (inert when max_queue_depth == 0).
     bool enable_slo = false;
     obs::SloMonitor::Options slo;
-    /// For this long after a burn fires, Submit sheds at HALF
-    /// max_queue_depth — backing off admission while the error budget is
-    /// burning instead of waiting for the queue to saturate. 0 disables
-    /// burn shedding (and it is inert anyway when max_queue_depth == 0).
-    uint64_t burn_shed_window_ns = 5ull * 1000 * 1000 * 1000;
     /// Stamp predicted side tables on compiled plans and collect per-node
     /// observed counters into CalibrationSnapshot(). Off by default; when
     /// on, the per-execution counter cost still rides the global
@@ -441,31 +447,25 @@ class QueryService {
 
   /// Cache hit, on the calling thread: execute and record in the
   /// submitter slot.
-  Response AnswerHit(const PlanCacheKey& key,
+  Response AnswerHit(const PlanKey& key,
                      std::shared_ptr<const CompiledPlan> plan,
                      const Tuple& tuple, uint64_t trace_id, double start,
                      uint64_t submit_ns);
 
   /// Cache miss, on a worker: deadline check, single-flight planning, then
   /// Execute.
-  Response Handle(size_t worker_id, const PlanCacheKey& key,
+  Response Handle(size_t worker_id, const PlanKey& key,
                   const Query& query, const Tuple& tuple, double deadline,
                   uint64_t trace_id, uint64_t submit_ns);
 
   /// Runs r.plan over the tuple and records the request's outcome in
-  /// `slot`'s metrics and calibration shard.
-  void Execute(size_t slot, const Tuple& tuple, double start, Response& r);
+  /// `slot`'s metrics and calibration shard, under `key`.
+  void Execute(size_t slot, const PlanKey& key, const Tuple& tuple,
+               double start, Response& r);
 
   /// SLO accounting and the pending-count release, for every admitted
   /// request once its response is final.
   void Finish(const Response& r);
-
-  /// Compile + (when calibration is on and the builder exposes an
-  /// estimator) stamp predicted side tables. All three plan-producing
-  /// sites in Handle go through here so every executed plan carries the
-  /// same metadata.
-  std::shared_ptr<const CompiledPlan> CompileForServe(PlanBuilder& builder,
-                                                      Plan plan) const;
 
   bool tracing_on() const { return options_.enable_tracing; }
 

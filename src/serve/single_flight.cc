@@ -9,7 +9,7 @@
 namespace caqp {
 namespace serve {
 
-SingleFlight::Result SingleFlight::Do(const PlanCacheKey& key,
+SingleFlight::Result SingleFlight::Do(const PlanKey& key,
                                       const BuildFn& build,
                                       double follower_wait_seconds) {
   std::shared_ptr<Flight> flight;

@@ -48,7 +48,7 @@ class SingleFlight {
   /// waiting after the timeout returns {nullptr, false, timed_out=true} so
   /// the caller can degrade (e.g. serve a cheap fallback plan). A leader is
   /// never preempted — it owns the build and always runs it to completion.
-  Result Do(const PlanCacheKey& key, const BuildFn& build,
+  Result Do(const PlanKey& key, const BuildFn& build,
             double follower_wait_seconds = -1.0);
 
   /// Keys currently being planned (for metrics/tests).
@@ -61,7 +61,7 @@ class SingleFlight {
   };
 
   mutable std::mutex mu_;
-  std::unordered_map<PlanCacheKey, std::shared_ptr<Flight>, PlanCacheKeyHash>
+  std::unordered_map<PlanKey, std::shared_ptr<Flight>, PlanKeyHash>
       flights_;  // guarded by mu_
 };
 

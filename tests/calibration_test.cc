@@ -147,7 +147,7 @@ TEST(CalibrationProfileTest, ZeroEvalNodesReportNoObservation) {
 
   obs::CalibrationAggregator agg(1);
   ExecutionProfile* profile = agg.Profile(
-      0, obs::CalibrationKey{1, 0, 7},
+      0, PlanKey{1, 0, 7},
       std::make_shared<const CompiledPlan>(OneSplitPlan()));
   for (int i = 0; i < 10; ++i) {
     const Tuple t = {3, 0, 0, 0};  // attr0 = 3 >= 2: always the ge child
@@ -192,7 +192,7 @@ TEST(CalibrationProfileTest, AllUnknownVerdictsUnderTotalFaultInjection) {
 
   obs::CalibrationAggregator agg(1);
   ExecutionProfile* profile =
-      agg.Profile(0, obs::CalibrationKey{2, 0, 7}, shared);
+      agg.Profile(0, PlanKey{2, 0, 7}, shared);
   for (int i = 0; i < 25; ++i) {
     const Tuple t = tk.ds.GetTuple(static_cast<RowId>(i));
     TupleSource base(t);
@@ -269,7 +269,7 @@ TEST(CalibrationProfileTest, ProfileIgnoredWhenObsDisabled) {
 TEST(CalibrationAggregatorTest, MergesTheSameKeyAcrossShards) {
   auto shared = std::make_shared<const CompiledPlan>(OneSplitPlan());
   obs::CalibrationAggregator agg(2);
-  const obs::CalibrationKey key{9, 1, 7};
+  const PlanKey key{9, 1, 7};
   ExecutionProfile* p0 = agg.Profile(0, key, shared);
   ExecutionProfile* p1 = agg.Profile(1, key, shared);
   ASSERT_NE(p0, p1);  // distinct shards, distinct profiles
@@ -299,11 +299,11 @@ TEST(CalibrationAggregatorTest, MergesTheSameKeyAcrossShards) {
 TEST(CalibrationAggregatorTest, DistinctKeysStayDistinct) {
   auto shared = std::make_shared<const CompiledPlan>(OneSplitPlan());
   obs::CalibrationAggregator agg(1);
-  ExecutionProfile* v0 = agg.Profile(0, obs::CalibrationKey{9, 0, 7}, shared);
-  ExecutionProfile* v1 = agg.Profile(0, obs::CalibrationKey{9, 1, 7}, shared);
+  ExecutionProfile* v0 = agg.Profile(0, PlanKey{9, 0, 7}, shared);
+  ExecutionProfile* v1 = agg.Profile(0, PlanKey{9, 1, 7}, shared);
   ASSERT_NE(v0, v1);  // version bump = new row
   // Same key resolves to the same stable profile.
-  EXPECT_EQ(agg.Profile(0, obs::CalibrationKey{9, 0, 7}, shared), v0);
+  EXPECT_EQ(agg.Profile(0, PlanKey{9, 0, 7}, shared), v0);
   v0->EndExecution(1.0, 0, false);
   v1->EndExecution(2.0, 0, false);
   v1->EndExecution(2.0, 0, false);
@@ -321,7 +321,7 @@ TEST(CalibrationAggregatorTest, DistinctKeysStayDistinct) {
 TEST(CalibrationAggregatorTest, DeltaSinceYieldsTheWindow) {
   auto shared = std::make_shared<const CompiledPlan>(OneSplitPlan());
   obs::CalibrationAggregator agg(1);
-  ExecutionProfile* p = agg.Profile(0, obs::CalibrationKey{5, 0, 7}, shared);
+  ExecutionProfile* p = agg.Profile(0, PlanKey{5, 0, 7}, shared);
 
   p->NodeEval(0);
   p->NodePass(0);
@@ -356,7 +356,7 @@ TEST(CalibrationAggregatorTest, DeltaSinceYieldsTheWindow) {
 TEST(CalibrationAggregatorTest, DeltaSinceEmptyBaselineIsCumulative) {
   auto shared = std::make_shared<const CompiledPlan>(OneSplitPlan());
   obs::CalibrationAggregator agg(1);
-  ExecutionProfile* p = agg.Profile(0, obs::CalibrationKey{5, 0, 7}, shared);
+  ExecutionProfile* p = agg.Profile(0, PlanKey{5, 0, 7}, shared);
   p->NodeEval(0);
   p->NodePass(0);
   p->PredEval(0, true);
@@ -384,7 +384,7 @@ TEST(CalibrationAggregatorTest, DeltaSinceEmptyBaselineIsCumulative) {
 TEST(CalibrationAggregatorTest, DeltaSinceKeepsVersionBumpMidWindow) {
   auto shared = std::make_shared<const CompiledPlan>(OneSplitPlan());
   obs::CalibrationAggregator agg(1);
-  ExecutionProfile* v0 = agg.Profile(0, obs::CalibrationKey{5, 0, 7}, shared);
+  ExecutionProfile* v0 = agg.Profile(0, PlanKey{5, 0, 7}, shared);
   v0->PredEval(0, true);
   v0->EndExecution(2.0, 1, false);
   const obs::CalibrationReport first = agg.Snapshot();
@@ -394,7 +394,7 @@ TEST(CalibrationAggregatorTest, DeltaSinceKeepsVersionBumpMidWindow) {
   // in the same window.
   v0->PredEval(0, false);
   v0->EndExecution(4.0, 1, false);
-  ExecutionProfile* v1 = agg.Profile(0, obs::CalibrationKey{5, 1, 7}, shared);
+  ExecutionProfile* v1 = agg.Profile(0, PlanKey{5, 1, 7}, shared);
   v1->PredEval(0, true);
   v1->PredEval(0, true);
   v1->EndExecution(3.0, 1, false);
@@ -419,7 +419,7 @@ TEST(CalibrationAggregatorTest, DeltaSinceKeepsVersionBumpMidWindow) {
 TEST(CalibrationAggregatorTest, CostBoundsSurfaceInJsonOnlyWhenStamped) {
   obs::CalibrationReport report;
   obs::PlanCalibration pc;
-  pc.key = obs::CalibrationKey{1, 0, 2};
+  pc.key = PlanKey{1, 0, 2};
   pc.executions = 1;
   pc.has_estimates = true;
   pc.predicted_cost = 5.0;
@@ -470,7 +470,11 @@ TEST(CalibrationAggregatorTest, ReportSerializesToJson) {
   const Schema schema = SmallSchema();
   auto shared = std::make_shared<const CompiledPlan>(OneSplitPlan());
   obs::CalibrationAggregator agg(1);
-  ExecutionProfile* p = agg.Profile(0, obs::CalibrationKey{5, 0, 7}, shared);
+  ExecutionProfile* p = agg.Profile(
+      0,
+      PlanKey{/*query_sig=*/5, /*estimator_version=*/3,
+              /*planner_fingerprint=*/7},
+      shared);
   p->NodeEval(0);
   p->NodePass(0);
   p->PredEval(0, true);
@@ -484,6 +488,10 @@ TEST(CalibrationAggregatorTest, ReportSerializesToJson) {
   EXPECT_NE(json.find("\"max_drift\""), std::string::npos);
   EXPECT_NE(json.find("\"regret\""), std::string::npos);
   EXPECT_NE(json.find("\"cheap0\""), std::string::npos);  // schema names
+  // The plan's key under the calibration JSON's names and order.
+  EXPECT_NE(json.find("\"query_sig\":5,\"estimator_version\":3,"
+                      "\"planner_fingerprint\":7"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -515,7 +523,7 @@ TEST(CalibrationAggregatorTest, ConcurrentProfilesAndSnapshots) {
       for (int i = 0; i < kPerWorker; ++i) {
         // Two interleaved keys per worker exercise map resolution under
         // concurrent Snapshot.
-        const obs::CalibrationKey key{static_cast<uint64_t>(i % 2), 0, 7};
+        const PlanKey key{static_cast<uint64_t>(i % 2), 0, 7};
         ExecutionProfile* p = agg.Profile(w, key, shared);
         const CompiledPlan& plan = *shared;
         const Tuple t = {static_cast<Value>(i % 4), 0, 0, 0};

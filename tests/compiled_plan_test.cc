@@ -385,13 +385,13 @@ TEST(CompiledPlanArenaTest, ExhaustiveRebuildsAreByteIdentical) {
   const Query query = Query::Conjunction(
       {Predicate(0, 1, 2), Predicate(2, 1, 3), Predicate(3, 0, 2)});
   const Plan first = planner.BuildPlan(query);
-  const double first_cost = planner.LastPlanCost();
+  const double first_cost = planner.planner_stats().expected_cost;
   const Plan second = planner.BuildPlan(query);
   // Handle-based memoization is deterministic: same query, same memo
   // decisions, same materialized tree.
   EXPECT_EQ(SerializePlan(first), SerializePlan(second));
-  EXPECT_DOUBLE_EQ(planner.LastPlanCost(), first_cost);
-  EXPECT_GT(planner.stats().cache_hits, 0u);
+  EXPECT_DOUBLE_EQ(planner.planner_stats().expected_cost, first_cost);
+  EXPECT_GT(planner.planner_stats().memo_hits, 0u);
   EXPECT_EQ(CountVerdictMismatches(CompiledPlan::Compile(first), query,
                                    schema),
             0u);

@@ -17,9 +17,11 @@
 #include <cmath>
 #include <memory>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/query_signature.h"
 #include "dist/coordinator.h"
 #include "dist/health.h"
 #include "dist/merge.h"
@@ -572,6 +574,76 @@ TEST(DistCoordinatorTest, PlanCacheAndSingleFlightAreUsed) {
   EXPECT_EQ(report.cache_hits, 2u);
 }
 
+/// Counts Build() calls across every bundle of one coordinator.
+class CountingPlanBuilder : public serve::SharedPlannerBuilder {
+ public:
+  CountingPlanBuilder(const Planner& planner, std::atomic<size_t>& builds)
+      : SharedPlannerBuilder(planner, /*fingerprint=*/21), builds_(builds) {}
+  Plan Build(const Query& query) override {
+    builds_.fetch_add(1);
+    return SharedPlannerBuilder::Build(query);
+  }
+
+ private:
+  std::atomic<size_t>& builds_;
+};
+
+// Client threads race on cold queries: cache + single-flight (with the
+// leader's cache re-check) build each distinct query exactly once, and only
+// the request that built a plan reports `planned`.
+TEST(DistCoordinatorTest, ConcurrentColdQueriesBuildEachQueryOnce) {
+  DistFixture fx;
+  std::vector<Query> queries;
+  for (AttrId a = 0; a < fx.schema.num_attributes(); ++a) {
+    for (Value lo = 0; lo + 1u < fx.schema.domain_size(a); ++lo) {
+      queries.push_back(Query::Conjunction(
+          {Predicate(a, lo, static_cast<Value>(lo + 1))}));
+    }
+  }
+  for (Value lo = 0; lo < 3; ++lo) {
+    for (Value lo2 = 0; lo2 < 3; ++lo2) {
+      queries.push_back(Query::Conjunction(
+          {Predicate(0, lo, static_cast<Value>(lo + 1)),
+           Predicate(2, lo2, static_cast<Value>(lo2 + 1)),
+           Predicate(3, 1, 3)}));
+    }
+  }
+  std::unordered_set<uint64_t> distinct;
+  for (const Query& q : queries) distinct.insert(QuerySignature(q));
+  ASSERT_EQ(distinct.size(), queries.size());
+
+  Coordinator::Options opts;
+  opts.partition = PartitionSpec::Hash(2);
+  std::atomic<size_t> builds{0};
+  const Planner& planner = *fx.greedy;
+  Coordinator coord(
+      fx.data, fx.cm,
+      [&planner, &builds] {
+        return std::make_unique<CountingPlanBuilder>(planner, builds);
+      },
+      opts);
+
+  constexpr size_t kClients = 6;
+  std::atomic<size_t> planned{0};
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kClients) std::this_thread::yield();
+      for (const Query& q : queries) {
+        if (coord.Execute(q).planned) planned.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(builds.load(), queries.size());
+  EXPECT_EQ(planned.load(), queries.size());
+  EXPECT_EQ(coord.Report().planned, queries.size());
+  EXPECT_EQ(coord.Report().queries, kClients * queries.size());
+}
+
 TEST(DistCoordinatorTest, InvalidateCacheForcesReplan) {
   DistFixture fx;
   Coordinator::Options opts;
@@ -945,13 +1017,21 @@ TEST(DistCoordinatorTest, MergeEquivalenceUnderFaults) {
   EXPECT_GT(unknown_total, 0u);  // the profiles really degrade rows
 }
 
+// A dead shard's flight incident lands in its worker slot and carries the
+// query's PlanKey, the one the coordinator's plan cache, every coordinator
+// and shard span, and the merged calibration row carry too. The version (3)
+// differs from the fingerprint (21), so a swapped pair fails.
 TEST(DistCoordinatorTest, TracingCapturesShardIncidents) {
   DistFixture fx;
   Coordinator::Options opts;
   opts.partition = PartitionSpec::Hash(3);
   opts.enable_tracing = true;
+  opts.enable_calibration = true;
   Coordinator coord = fx.MakeCoordinator(opts);
+  for (int i = 0; i < 3; ++i) coord.InvalidateCache();
   const Query q = fx.MidQuery();
+  const PlanKey want{QuerySignature(q), /*estimator_version=*/3,
+                     /*planner_fingerprint=*/21};
   coord.Execute(q);
 
   const size_t victim = 1;
@@ -961,17 +1041,28 @@ TEST(DistCoordinatorTest, TracingCapturesShardIncidents) {
 
   const std::vector<obs::TraceRecorder::Incident> incidents =
       coord.trace_recorder().Incidents();
-  ASSERT_FALSE(incidents.empty());
-  bool found = false;
-  for (const obs::TraceRecorder::Incident& inc : incidents) {
-    if (inc.trace_id != resp.trace_id) continue;
-    // Worker slot i+1 carries shard i.
-    EXPECT_EQ(inc.worker, victim + 1);
-    EXPECT_EQ(inc.reason, "shard_unavailable");
-    EXPECT_EQ(inc.meta.plan_sig, resp.query_sig);
-    found = true;
+  ASSERT_EQ(incidents.size(), 1u);
+  const obs::TraceRecorder::Incident& inc = incidents[0];
+  EXPECT_EQ(inc.trace_id, resp.trace_id);
+  // Worker slot i+1 carries shard i.
+  EXPECT_EQ(inc.worker, victim + 1);
+  EXPECT_EQ(inc.reason, "shard_unavailable");
+  EXPECT_TRUE(inc.plan == want);
+  for (const obs::SpanEvent& ev : inc.events) {
+    EXPECT_TRUE(ev.plan == want) << ev.name;
   }
-  EXPECT_TRUE(found) << "no incident recorded for the dead shard's trace";
+
+  EXPECT_EQ(coord.cache().Peek(want), resp.plan);
+  const std::vector<obs::SpanEvent> events = coord.trace_recorder().Events();
+  if (CAQP_OBS_ENABLED) {
+    EXPECT_FALSE(events.empty());
+  }
+  for (const obs::SpanEvent& ev : events) {
+    EXPECT_TRUE(ev.plan == want) << ev.name;
+  }
+  const obs::CalibrationReport cal = coord.CalibrationSnapshot();
+  ASSERT_EQ(cal.plans.size(), 1u);
+  EXPECT_TRUE(cal.plans[0].key == want);
 }
 
 TEST(DistCoordinatorTest, CalibrationAggregatesAcrossShards) {

@@ -68,7 +68,7 @@ TEST(ExhaustiveTest, Figure2MotivatingExample) {
 
   // The paper's sequential cost is 1.5; the conditional plan that branches
   // on time costs 1 + P(first predicate passes | branch) = 1.1.
-  EXPECT_NEAR(planner.LastPlanCost(), 1.1, 1e-9);
+  EXPECT_NEAR(planner.planner_stats().expected_cost, 1.1, 1e-9);
   const EmpiricalCostResult emp =
       EmpiricalPlanCost(plan, fx.data, fx.query, cm);
   EXPECT_NEAR(emp.mean_cost, 1.1, 1e-9);
@@ -92,7 +92,7 @@ TEST(ExhaustiveTest, ReportedCostMatchesEquation3) {
     const Query q = testing_util::RandomConjunctiveQuery(schema, rng, 2);
     const Plan plan = planner.BuildPlan(q);
     const double eq3 = ExpectedPlanCost(plan, est, cm);
-    ASSERT_NEAR(planner.LastPlanCost(), eq3, 1e-9)
+    ASSERT_NEAR(planner.planner_stats().expected_cost, eq3, 1e-9)
         << q.ToString(schema);
     // And equals the empirical training cost (Equation (4)).
     const EmpiricalCostResult emp = EmpiricalPlanCost(plan, ds, q, cm);
@@ -176,7 +176,8 @@ TEST(ExhaustiveTest, RestrictedSpsfNeverBeatsUnrestricted) {
     ExhaustivePlanner pb(est, cm, ob);
     const Plan plan_all = pa.BuildPlan(q);
     const Plan plan_one = pb.BuildPlan(q);
-    ASSERT_LE(pa.LastPlanCost(), pb.LastPlanCost() + 1e-9);
+    ASSERT_LE(pa.planner_stats().expected_cost,
+              pb.planner_stats().expected_cost + 1e-9);
     // Both remain correct.
     ASSERT_EQ(testing_util::CountVerdictMismatches(plan_one, q, schema), 0u);
   }
@@ -193,9 +194,9 @@ TEST(ExhaustiveTest, CacheIsExercised) {
   ExhaustivePlanner planner(est, cm, opts);
   const Query q = Query::Conjunction({Predicate(2, 1, 2), Predicate(3, 1, 3)});
   (void)planner.BuildPlan(q);
-  EXPECT_GT(planner.stats().subproblems_solved, 0u);
-  EXPECT_GT(planner.stats().cache_hits, 0u);
-  EXPECT_GT(planner.stats().candidates_tried, 0u);
+  EXPECT_GT(planner.planner_stats().memo_misses, 0u);
+  EXPECT_GT(planner.planner_stats().memo_hits, 0u);
+  EXPECT_GT(planner.planner_stats().candidates_tried, 0u);
 }
 
 TEST(ExhaustiveTest, TrivialQueryDeterminedAtRoot) {
@@ -213,7 +214,7 @@ TEST(ExhaustiveTest, TrivialQueryDeterminedAtRoot) {
   const Plan plan = planner.BuildPlan(Query::Conjunction({Predicate(0, 0, 3)}));
   ASSERT_EQ(plan.root().kind, PlanNode::Kind::kVerdict);
   EXPECT_TRUE(plan.root().verdict);
-  EXPECT_EQ(planner.LastPlanCost(), 0.0);
+  EXPECT_EQ(planner.planner_stats().expected_cost, 0.0);
 }
 
 TEST(ExhaustiveTest, ExploitsSensorBoardSharing) {
@@ -243,7 +244,8 @@ TEST(ExhaustiveTest, ExploitsSensorBoardSharing) {
   const double flat_under_board =
       EmpiricalPlanCost(flat_plan, ds, q, board_cm).mean_cost;
   EXPECT_LE(board_cost, flat_under_board + 1e-9);
-  EXPECT_NEAR(board_planner.LastPlanCost(), board_cost, 1e-9);
+  EXPECT_NEAR(board_planner.planner_stats().expected_cost, board_cost,
+              1e-9);
   EXPECT_EQ(testing_util::CountVerdictMismatches(board_plan, q, schema), 0u);
 }
 
@@ -320,7 +322,7 @@ TEST_P(ExhaustiveBruteForceTest, MatchesOptimalAdaptiveStrategy) {
   std::iota(all_rows.begin(), all_rows.end(), RowId{0});
   const double brute =
       BruteForceAdaptiveCost(ds, q, schema.FullRanges(), all_rows);
-  EXPECT_NEAR(planner.LastPlanCost(), brute, 1e-9);
+  EXPECT_NEAR(planner.planner_stats().expected_cost, brute, 1e-9);
   EXPECT_EQ(testing_util::CountVerdictMismatches(plan, q, schema), 0u);
 }
 

@@ -262,8 +262,8 @@ TEST_P(DnfSweepTest, ExhaustiveCorrectOnRandomDisjunctions) {
     ASSERT_EQ(testing_util::CountVerdictMismatches(plan, q, schema), 0u)
         << q.ToString(schema);
     // The DP's reported cost is consistent with Equation (3).
-    ASSERT_NEAR(planner.LastPlanCost(), ExpectedPlanCost(plan, est, cm),
-                1e-9);
+    ASSERT_NEAR(planner.planner_stats().expected_cost,
+                ExpectedPlanCost(plan, est, cm), 1e-9);
   }
 }
 

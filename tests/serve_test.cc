@@ -32,7 +32,6 @@
 namespace caqp {
 namespace {
 
-using serve::PlanCacheKey;
 using serve::QueryService;
 using serve::ServeReport;
 using serve::ShardedPlanCache;
@@ -124,13 +123,13 @@ std::shared_ptr<const CompiledPlan> LeafPlan(bool verdict) {
 
 TEST(ServePlanCacheTest, HitAndMiss) {
   ShardedPlanCache cache({/*capacity=*/8, /*shards=*/2});
-  const PlanCacheKey key{1, 0, 0};
+  const PlanKey key{1, 0, 0};
   EXPECT_EQ(cache.Get(key), nullptr);
   auto plan = LeafPlan(true);
   cache.Put(key, plan);
   EXPECT_EQ(cache.Get(key), plan);
-  EXPECT_EQ(cache.Get(PlanCacheKey{1, 1, 0}), nullptr);  // version differs
-  EXPECT_EQ(cache.Get(PlanCacheKey{1, 0, 1}), nullptr);  // config differs
+  EXPECT_EQ(cache.Get(PlanKey{1, 1, 0}), nullptr);  // version differs
+  EXPECT_EQ(cache.Get(PlanKey{1, 0, 1}), nullptr);  // config differs
   const ShardedPlanCache::Stats s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 3u);
@@ -285,7 +284,7 @@ TEST(ServeThreadPoolTest, DestructionDuringIdleSpinDrainsAndJoins) {
 
 TEST(ServeSingleFlightTest, ConcurrentSameKeyBuildsOnce) {
   SingleFlight flight;
-  const PlanCacheKey key{42, 0, 0};
+  const PlanKey key{42, 0, 0};
   std::atomic<int> builds{0};
   std::atomic<int> leaders{0};
   constexpr int kThreads = 8;
@@ -328,7 +327,7 @@ TEST(ServeSingleFlightTest, DistinctKeysBuildIndependently) {
   std::vector<std::thread> threads;
   for (uint64_t k = 0; k < 4; ++k) {
     threads.emplace_back([&, k] {
-      flight.Do(PlanCacheKey{k, 0, 0}, [&] {
+      flight.Do(PlanKey{k, 0, 0}, [&] {
         builds.fetch_add(1);
         return LeafPlan(true);
       });
@@ -688,7 +687,7 @@ TEST(ServeStressTest, SingleFlightUnderContention) {
   for (size_t i = 0; i < kThreads; ++i) {
     threads.emplace_back([&] {
       for (uint64_t round = 0; round < kRounds; ++round) {
-        SingleFlight::Result r = flight.Do(PlanCacheKey{round, 0, 0}, [&] {
+        SingleFlight::Result r = flight.Do(PlanKey{round, 0, 0}, [&] {
           builds.fetch_add(1);
           std::this_thread::yield();
           return LeafPlan(true);
@@ -1012,10 +1011,66 @@ TEST(ServeObsTest, CacheHitSpansJoinUnderTheirRequestRoot) {
     for (const obs::SpanEvent& ev : trace->events) {
       // Recorded in the submitter slot, carrying the plan's cache key.
       EXPECT_EQ(ev.worker, service.num_workers());
-      EXPECT_EQ(ev.plan_sig, QuerySignature(q));
+      EXPECT_EQ(ev.plan.query_sig, QuerySignature(q));
       EXPECT_NE(std::string_view(ev.name), "queue");
     }
   }
+}
+
+// One traced, calibrated query carries one PlanKey into the plan cache,
+// every span event, a flight incident and its calibration row. The version
+// (3) differs from the fingerprint (7), so a swapped pair fails.
+TEST(ServeObsTest, OneKeyInCacheSpansIncidentAndCalibration) {
+  ServiceFixture fx;
+  QueryService::Options opts;
+  opts.num_workers = 2;
+  opts.cache_capacity = 64;
+  opts.enable_tracing = true;
+  opts.enable_calibration = true;
+  QueryService service(
+      fx.schema, fx.cm,
+      [&fx] {
+        return std::make_unique<CountingBuilder>(fx.estimator, fx.cm,
+                                                 fx.splits, fx.solver,
+                                                 fx.builds);
+      },
+      opts);
+  for (int i = 0; i < 3; ++i) service.InvalidateCache();
+  const Query q = fx.MidQuery();
+  const PlanKey want{QuerySignature(q), /*estimator_version=*/3,
+                     /*planner_fingerprint=*/7};
+
+  // A miss whose deadline passes before a worker picks it up dumps a
+  // flight incident; the same query then plans, executes and hits.
+  const QueryService::Response late =
+      service.SubmitAndWait(q, fx.data.GetTuple(0), /*deadline=*/1e-9);
+  ASSERT_EQ(late.status.code(), StatusCode::kDeadlineExceeded);
+  const QueryService::Response miss =
+      service.SubmitAndWait(q, fx.data.GetTuple(1));
+  ASSERT_TRUE(miss.planned);
+  ASSERT_TRUE(service.SubmitAndWait(q, fx.data.GetTuple(2)).cache_hit);
+
+  EXPECT_EQ(service.cache().Peek(want), miss.plan);
+  const std::vector<obs::SpanEvent> events = service.trace_recorder().Events();
+  // request + queue (late miss); request, queue, plan, plan.build_leader,
+  // planner.build, exec (planned miss); request, plan, exec (hit).
+  EXPECT_GE(events.size(), 11u);
+  for (const obs::SpanEvent& ev : events) {
+    EXPECT_TRUE(ev.plan == want) << ev.name;
+  }
+  const std::vector<obs::TraceRecorder::Incident> incidents =
+      service.trace_recorder().Incidents();
+  ASSERT_EQ(incidents.size(), 1u);
+  EXPECT_EQ(incidents[0].trace_id, late.trace_id);
+  EXPECT_TRUE(incidents[0].plan == want);
+  EXPECT_FALSE(incidents[0].events.empty());
+  for (const obs::SpanEvent& ev : incidents[0].events) {
+    EXPECT_TRUE(ev.plan == want) << ev.name;
+  }
+  const obs::CalibrationReport cal = service.CalibrationSnapshot();
+  ASSERT_EQ(cal.plans.size(), 1u);
+  EXPECT_TRUE(cal.plans[0].key == want);
+  EXPECT_EQ(cal.plans[0].executions, 2u);
 }
 
 TEST(ServeObsTest, TracingOffRecordsNothing) {

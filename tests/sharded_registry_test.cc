@@ -19,9 +19,12 @@ TEST(ShardedRegistryTest, CountersSumAcrossShards) {
   reg.shard(1).GetCounter("hits").Add(7);
   reg.shard(2).GetCounter("misses").Add(2);
 
-  EXPECT_EQ(reg.CounterTotal("hits"), 12u);
-  EXPECT_EQ(reg.CounterTotal("misses"), 2u);
-  EXPECT_EQ(reg.CounterTotal("never_registered"), 0u);
+  EXPECT_EQ(reg.Snapshot().CounterByName("hits"), 12u);
+  EXPECT_EQ(reg.Snapshot().CounterByName("misses"), 2u);
+  EXPECT_EQ(reg.Snapshot().CounterByName("never_registered"), 0u);
+  // Absent names that sort before and between registered ones.
+  EXPECT_EQ(reg.Snapshot().CounterByName("a"), 0u);
+  EXPECT_EQ(reg.Snapshot().CounterByName("hitz"), 0u);
 
   const RegistrySnapshot snap = reg.Snapshot();
   ASSERT_EQ(snap.counters.size(), 2u);
@@ -52,7 +55,7 @@ TEST(ShardedRegistryTest, HistogramsMergeBucketwise) {
     (i % 2 ? a : b).Record(v);
     reference.Record(v);
   }
-  const HistogramSnapshot merged = reg.HistogramTotal("lat");
+  const HistogramSnapshot merged = reg.Snapshot().HistogramByName("lat");
   const HistogramSnapshot expected = reference.Snapshot();
   EXPECT_EQ(merged.count, expected.count);
   EXPECT_DOUBLE_EQ(merged.sum, expected.sum);
@@ -61,7 +64,7 @@ TEST(ShardedRegistryTest, HistogramsMergeBucketwise) {
   EXPECT_EQ(merged.buckets, expected.buckets);
   EXPECT_DOUBLE_EQ(merged.p99(), expected.p99());
 
-  EXPECT_EQ(reg.HistogramTotal("never_registered").count, 0u);
+  EXPECT_EQ(reg.Snapshot().HistogramByName("never_registered").count, 0u);
 
   const RegistrySnapshot snap = reg.Snapshot();
   ASSERT_EQ(snap.histograms.size(), 1u);
@@ -72,7 +75,7 @@ TEST(ShardedRegistryTest, ZeroShardsClampsToOne) {
   ShardedRegistry reg(0);
   EXPECT_EQ(reg.num_shards(), 1u);
   reg.shard(5).GetCounter("c").Increment();  // worker index wraps
-  EXPECT_EQ(reg.CounterTotal("c"), 1u);
+  EXPECT_EQ(reg.Snapshot().CounterByName("c"), 1u);
 }
 
 TEST(ShardedRegistryTest, ResetAllZeroesEveryShard) {
@@ -80,8 +83,8 @@ TEST(ShardedRegistryTest, ResetAllZeroesEveryShard) {
   reg.shard(0).GetCounter("c").Add(4);
   reg.shard(1).GetHistogram("h").Record(0.5);
   reg.ResetAll();
-  EXPECT_EQ(reg.CounterTotal("c"), 0u);
-  EXPECT_EQ(reg.HistogramTotal("h").count, 0u);
+  EXPECT_EQ(reg.Snapshot().CounterByName("c"), 0u);
+  EXPECT_EQ(reg.Snapshot().HistogramByName("h").count, 0u);
 }
 
 TEST(ShardedRegistryTest, ConcurrentShardWritersWithSnapshotReader) {
@@ -111,8 +114,8 @@ TEST(ShardedRegistryTest, ConcurrentShardWritersWithSnapshotReader) {
   for (std::thread& t : workers) t.join();
   stop.store(true, std::memory_order_relaxed);
   reader.join();
-  EXPECT_EQ(reg.CounterTotal("ops"), kShards * kPerWorker);
-  EXPECT_EQ(reg.HistogramTotal("lat").count, kShards * kPerWorker);
+  EXPECT_EQ(reg.Snapshot().CounterByName("ops"), kShards * kPerWorker);
+  EXPECT_EQ(reg.Snapshot().HistogramByName("lat").count, kShards * kPerWorker);
 }
 
 }  // namespace

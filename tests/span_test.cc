@@ -266,12 +266,15 @@ TEST(FlightRecorderTest, RecordIncidentCarriesNoEvents) {
 TEST(FlightRecorderTest, TraceEventsJsonContainsSpansAndIncidents) {
   TraceRecorder recorder(2);
   const uint64_t trace_id = recorder.NewTraceId();
+  const PlanKey plan{/*query_sig=*/11, /*estimator_version=*/22,
+                     /*planner_fingerprint=*/33};
   {
     TraceRecorder::RequestScope scope(&recorder, 1, trace_id);
     ScopedSpan root("request");
+    SetRequestPlanContext(plan);
     { ScopedSpan child("plan"); }
   }
-  recorder.DumpFlight(1, trace_id, "deadline_exceeded");
+  recorder.DumpFlight(1, trace_id, "deadline_exceeded", plan);
 
   const std::string json = TraceEventsToJson(recorder);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -286,6 +289,17 @@ TEST(FlightRecorderTest, TraceEventsJsonContainsSpansAndIncidents) {
   EXPECT_NE(json.find("\"caqpFlightRecorder\""), std::string::npos);
   EXPECT_NE(json.find("\"deadline_exceeded\""), std::string::npos);
   EXPECT_NE(json.find("\"caqpDroppedSpanEvents\""), std::string::npos);
+  // Plan context under its trace keys, on both spans, the incident, and
+  // the incident's two ring events.
+  const std::string triple =
+      "\"plan_sig\":11,\"planner_fp\":33,\"estimator_version\":22";
+  size_t found = 0;
+  for (size_t at = json.find(triple); at != std::string::npos;
+       at = json.find(triple, at + 1)) {
+    ++found;
+  }
+  EXPECT_EQ(found, 5u);
+  EXPECT_EQ(json.find("\"planner_fp\":22"), std::string::npos);
 }
 
 #else  // !CAQP_OBS_ENABLED

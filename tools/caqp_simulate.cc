@@ -201,7 +201,7 @@ obs::CalibrationReport CalibrateLocally(
         std::make_shared<PlanEstimates>(EstimatePlan(compiled, estimator, cm)));
     auto shared = std::make_shared<const CompiledPlan>(std::move(compiled));
     ExecutionProfile* profile = agg.Profile(
-        0, obs::CalibrationKey{sig, 0, /*planner_fingerprint=*/i}, shared);
+        0, PlanKey{sig, 0, /*planner_fingerprint=*/i}, shared);
     // Columnar replay: per-node counters land under the same CompiledPlan
     // node indices as a per-tuple profiled ExecutePlan loop would record.
     std::vector<RowId> rows(test.num_rows());
