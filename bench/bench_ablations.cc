@@ -29,15 +29,16 @@ using namespace caqp::bench;
 
 namespace {
 
-Plan BuildWith(CondProbEstimator& est, const AcquisitionCostModel& cm,
-               const SplitPointSet& splits, const SequentialSolver& solver,
-               const Query& q, size_t max_splits) {
+CompiledPlan BuildWith(CondProbEstimator& est, const AcquisitionCostModel& cm,
+                       const SplitPointSet& splits,
+                       const SequentialSolver& solver, const Query& q,
+                       size_t max_splits) {
   GreedyPlanner::Options opts;
   opts.split_points = &splits;
   opts.seq_solver = &solver;
   opts.max_splits = max_splits;
   GreedyPlanner planner(est, cm, opts);
-  return planner.BuildPlan(q);
+  return CompiledPlan::Compile(planner.BuildPlan(q));
 }
 
 }  // namespace
@@ -113,7 +114,7 @@ int main(int argc, char** argv) {
       gopts.max_splits = 12;
       gopts.size_penalty_alpha = alpha;
       GreedyPlanner planner(est, cm, gopts);
-      const Plan plan = planner.BuildPlan(q);
+      const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
       const double cost = EmpiricalPlanCost(plan, test, q, cm).mean_cost;
       std::printf("%10.2f %10zu %12zu %12.1f\n", alpha, plan.NumSplits(),
                   PlanSizeBytes(plan), cost);
@@ -149,7 +150,7 @@ int main(int argc, char** argv) {
          {std::pair<const char*, const SequentialSolver*>{"OptSeq", &optseq},
           {"GreedySeq", &greedyseq}}) {
       const auto t0 = std::chrono::steady_clock::now();
-      const Plan plan = BuildWith(est, cm, splits, *solver, q, 5);
+      const CompiledPlan plan = BuildWith(est, cm, splits, *solver, q, 5);
       const auto t1 = std::chrono::steady_clock::now();
       const double ms =
           std::chrono::duration<double, std::milli>(t1 - t0).count();

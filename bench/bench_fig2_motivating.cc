@@ -56,16 +56,18 @@ int main(int argc, char** argv) {
   eopts.split_points = &splits;
   ExhaustivePlanner exhaustive(est, cm, eopts);
 
-  const Plan p_naive = naive.BuildPlan(query);
-  const Plan p_corr = corrseq.BuildPlan(query);
-  const Plan p_cond = exhaustive.BuildPlan(query);
+  const CompiledPlan p_naive = CompiledPlan::Compile(naive.BuildPlan(query));
+  const CompiledPlan p_corr = CompiledPlan::Compile(corrseq.BuildPlan(query));
+  const CompiledPlan p_cond =
+      CompiledPlan::Compile(exhaustive.BuildPlan(query));
 
   std::printf("\nConditional plan found:\n%s\n",
               PrintPlan(p_cond, schema).c_str());
 
   std::vector<std::string> rows;
   std::printf("%-22s %14s  (paper)\n", "plan", "expected cost");
-  auto report = [&](const char* name, const Plan& p, const char* paper) {
+  auto report = [&](const char* name, const CompiledPlan& p,
+                    const char* paper) {
     const double c = EmpiricalPlanCost(p, data, query, cm).mean_cost;
     std::printf("%-22s %14.3f  %s\n", name, c, paper);
     rows.push_back(std::string(name) + "," + std::to_string(c));

@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
   GreedyPlanner heuristic(est, cm, gopts);
   NaivePlanner naive(est, cm);
 
-  const Plan plan = heuristic.BuildPlan(query);
-  const Plan p_naive = naive.BuildPlan(query);
+  const CompiledPlan plan = CompiledPlan::Compile(heuristic.BuildPlan(query));
+  const CompiledPlan p_naive = CompiledPlan::Compile(naive.BuildPlan(query));
   std::printf("conditional plan (%s):\n%s\n", PlanSummary(plan).c_str(),
               PrintPlan(plan, schema).c_str());
 

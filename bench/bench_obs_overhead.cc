@@ -325,10 +325,9 @@ int main(int argc, char** argv) {
   opts.seq_solver = &solver;
   opts.max_splits = 4;
   GreedyPlanner planner(est, cm, opts);
-  const Plan plan = planner.BuildPlan(query);
-  const CompiledPlan flat = CompiledPlan::Compile(plan);
+  const CompiledPlan flat = CompiledPlan::Compile(planner.BuildPlan(query));
   std::printf("plan: %zu splits (%zu flat nodes); %zu tuples x 8 attrs\n",
-              plan.NumSplits(), flat.NumNodes(), data.num_rows());
+              flat.NumSplits(), flat.NumNodes(), data.num_rows());
 
   std::vector<Tuple> rows;
   rows.reserve(data.num_rows());

@@ -247,7 +247,7 @@ size_t RunRound(Config& c, bool warm_up) {
     const Plan plan = c.planner->BuildPlan(queries[i]);
     const double ns =
         std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
-    std::vector<uint8_t> bytes = SerializePlan(plan);
+    std::vector<uint8_t> bytes = SerializePlan(CompiledPlan::Compile(plan));
     if (warm_up) {
       for (const uint8_t b : bytes) {
         c.plan_digest = (c.plan_digest ^ b) * 1099511628211ULL;

@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
     const CompiledPlan regret_c = CompiledPlan::Compile(regret_plan);
 
     if (bc.name == "point") {
-      bar_identity = SerializePlan(regret_plan) == SerializePlan(exhaustive_plan) &&
+      bar_identity = SerializePlan(regret_c) == SerializePlan(exhaustive_c) &&
                      regret_planner.LastWorstCaseRegret() == 0.0;
     }
 

@@ -72,12 +72,14 @@ int main() {
   GreedyPlanner heuristic(estimator, decompression, gopts);
   NaivePlanner naive(estimator, decompression);
 
-  const Plan p_heur = heuristic.BuildPlan(query);
+  const CompiledPlan p_heur =
+      CompiledPlan::Compile(heuristic.BuildPlan(query));
   std::printf("conditional plan (%s):\n%s\n", PlanSummary(p_heur).c_str(),
               ExplainPlan(p_heur, estimator, decompression).c_str());
 
   const auto r_naive =
-      EmpiricalPlanCost(naive.BuildPlan(query), test, query, decompression);
+      EmpiricalPlanCost(CompiledPlan::Compile(naive.BuildPlan(query)), test,
+                        query, decompression);
   const auto r_heur = EmpiricalPlanCost(p_heur, test, query, decompression);
   std::printf("mean decompression cost per row: naive=%.1f conditional=%.1f "
               "(%.2fx less work)\n",

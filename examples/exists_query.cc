@@ -61,14 +61,15 @@ int main() {
   ExhaustivePlanner::Options opts;
   opts.split_points = &splits;
   ExhaustivePlanner planner(estimator, cost_model, opts);
-  const Plan plan = planner.BuildPlan(query);
+  const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(query));
 
   std::printf("Conditional plan (%s):\n%s\n", PlanSummary(plan).c_str(),
               PrintPlan(plan, schema).c_str());
 
   // Baseline: acquire every referenced attribute until resolution, in
   // schema order, with no conditioning.
-  Plan baseline(PlanNode::Generic(query, query.ReferencedAttributes()));
+  const CompiledPlan baseline = CompiledPlan::Compile(
+      *PlanNode::Generic(query, query.ReferencedAttributes()));
 
   const auto r_plan = EmpiricalPlanCost(plan, test, query, cost_model);
   const auto r_base = EmpiricalPlanCost(baseline, test, query, cost_model);

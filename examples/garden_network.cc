@@ -21,7 +21,7 @@ namespace {
 
 /// Runs one dissemination + continuous-query round and returns total mote
 /// acquisition energy.
-double RunNetwork(const Plan& plan, const Schema& schema,
+double RunNetwork(const CompiledPlan& plan, const Schema& schema,
                   const AcquisitionCostModel& cm, const Dataset& live,
                   size_t epochs) {
   Radio radio(Radio::Options{.cost_per_byte = 0.05});
@@ -86,14 +86,15 @@ int main() {
   GreedySeqSolver greedyseq;
 
   NaivePlanner naive(estimator, cost_model);
-  const Plan p_naive = naive.BuildPlan(query);
+  const CompiledPlan p_naive = CompiledPlan::Compile(naive.BuildPlan(query));
 
   GreedyPlanner::Options gopts;
   gopts.split_points = &splits;
   gopts.seq_solver = &greedyseq;
   gopts.max_splits = 5;
   GreedyPlanner heuristic(estimator, cost_model, gopts);
-  const Plan p_heur = heuristic.BuildPlan(query);
+  const CompiledPlan p_heur =
+      CompiledPlan::Compile(heuristic.BuildPlan(query));
 
   const size_t epochs = 4000;
   std::printf("Naive plan over %zu epochs:\n", epochs);

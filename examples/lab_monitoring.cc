@@ -48,9 +48,10 @@ int main() {
   gopts.max_splits = 5;
   GreedyPlanner heuristic(estimator, cost_model, gopts);
 
-  const Plan p_naive = naive.BuildPlan(query);
-  const Plan p_corr = corrseq.BuildPlan(query);
-  const Plan p_heur = heuristic.BuildPlan(query);
+  const CompiledPlan p_naive = CompiledPlan::Compile(naive.BuildPlan(query));
+  const CompiledPlan p_corr = CompiledPlan::Compile(corrseq.BuildPlan(query));
+  const CompiledPlan p_heur =
+      CompiledPlan::Compile(heuristic.BuildPlan(query));
 
   std::printf("Heuristic-5 conditional plan (%s):\n%s\n",
               PlanSummary(p_heur).c_str(), PrintPlan(p_heur, schema).c_str());
@@ -58,7 +59,7 @@ int main() {
   std::printf("%-12s %14s %14s %10s\n", "planner", "train cost", "test cost",
               "errors");
   for (const auto& [name, plan] :
-       {std::pair<const char*, const Plan*>{"Naive", &p_naive},
+       {std::pair<const char*, const CompiledPlan*>{"Naive", &p_naive},
         {"CorrSeq", &p_corr},
         {"Heuristic-5", &p_heur}}) {
     const auto tr = EmpiricalPlanCost(*plan, train, query, cost_model);

@@ -2,7 +2,9 @@
 //
 // 1. Build (or load) a discretized historical dataset.
 // 2. Wrap it in a DatasetEstimator.
-// 3. Ask a planner for a plan for your query.
+// 3. Ask a planner for a plan for your query, and compile it once: every
+//    API after planning (printing, costing, execution, serialization)
+//    takes the compiled flat form.
 // 4. Execute the plan over new tuples, paying acquisition costs lazily.
 // 5. Optionally observe the run: planner stats and an execution trace.
 //
@@ -52,8 +54,10 @@ int main() {
       {Predicate(temp, 1, 1), Predicate(light, 1, 1)});  // hot AND dark
 
   // --- 3. Plans: traditional vs conditional ------------------------------
+  // Planners build Plan trees; compile each one for everything downstream.
   NaivePlanner naive(estimator, cost_model);
-  const Plan naive_plan = naive.BuildPlan(query);
+  const CompiledPlan naive_plan =
+      CompiledPlan::Compile(naive.BuildPlan(query));
 
   const SplitPointSet splits = SplitPointSet::AllPoints(schema);
   OptSeqSolver optseq;
@@ -62,7 +66,8 @@ int main() {
   opts.seq_solver = &optseq;
   opts.max_splits = 3;
   GreedyPlanner greedy(estimator, cost_model, opts);
-  const Plan cond_plan = greedy.BuildPlan(query);
+  const CompiledPlan cond_plan =
+      CompiledPlan::Compile(greedy.BuildPlan(query));
 
   std::printf("Query: %s\n\n", query.ToString(schema).c_str());
   std::printf("Naive sequential plan:\n%s\n",
@@ -77,13 +82,11 @@ int main() {
   std::printf("expected cost: naive=%.3f conditional=%.3f (%.1f%% saved)\n",
               c_naive, c_cond, 100.0 * (1.0 - c_cond / c_naive));
 
-  // Execute over a fresh tuple. Planners build trees; the executor runs the
-  // flat compiled form, so compile once and reuse it for every tuple.
-  const CompiledPlan compiled = CompiledPlan::Compile(cond_plan);
+  // Execute over a fresh tuple; the compiled plan is reused for every tuple.
   Tuple tonight = {0, 0, 1};  // night, not hot, dark
   TupleSource source(tonight);
   const ExecutionResult res =
-      ExecutePlan(compiled, schema, cost_model, source);
+      ExecutePlan(cond_plan, schema, cost_model, source);
   std::printf("tonight's tuple: verdict=%s, paid %.1f cost units, %d reads\n",
               res.verdict ? "PASS" : "FAIL", res.cost, res.acquisitions);
 
@@ -98,7 +101,7 @@ int main() {
   // single tuple (tools/caqp_plan --trace-out streams these as JSONL).
   ExecutionTrace trace;
   TupleSource traced_source(tonight);
-  (void)ExecutePlan(compiled, schema, cost_model, traced_source, &trace);
+  (void)ExecutePlan(cond_plan, schema, cost_model, traced_source, &trace);
   std::printf("trace:");
   for (const TraceAcquisition& a : trace.acquisitions()) {
     std::printf(" %s=%u(+%.1f)", schema.name(a.attr).c_str(), a.value,

@@ -73,7 +73,8 @@ int main() {
   gopts.max_splits = 6;
   GreedyPlanner heuristic(estimator, latency, gopts);
 
-  const Plan p_heur = heuristic.BuildPlan(query);
+  const CompiledPlan p_heur =
+      CompiledPlan::Compile(heuristic.BuildPlan(query));
   std::printf("Conditional screening plan (%s):\n%s\n",
               PlanSummary(p_heur).c_str(), PrintPlan(p_heur, schema).c_str());
 
@@ -82,7 +83,7 @@ int main() {
        {std::pair<const char*, CompiledPlan>{
             "Naive", CompiledPlan::Compile(naive.BuildPlan(query))},
         {"CorrSeq", CompiledPlan::Compile(corrseq.BuildPlan(query))},
-        {"Heuristic-6", CompiledPlan::Compile(p_heur)}}) {
+        {"Heuristic-6", p_heur}}) {
     const auto res = EmpiricalPlanCost(plan, test, query, latency);
     std::printf("%-12s %18.1f\n", name, res.mean_cost);
   }

@@ -123,8 +123,7 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
           // single-flight keep it off the steady-state path entirely.
           std::lock_guard<std::mutex> lock(builder_mu_);
           plan = serve::CompileForServe(*builder_, builder_->Build(query),
-                                        cost_model_, calibration_ != nullptr,
-                                        key.estimator_version);
+                                        cost_model_, calibration_ != nullptr);
         }
         cache_.Put(key, plan);
         r.planned = true;

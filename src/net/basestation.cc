@@ -19,9 +19,11 @@ void Basestation::CollectHistory(const Dataset& data) {
   }
 }
 
-Plan Basestation::TrainPlan(const Query& query, const SplitPointSet& splits,
-                            const SequentialSolver& solver, size_t max_splits,
-                            double size_penalty_alpha) {
+CompiledPlan Basestation::TrainPlan(const Query& query,
+                                    const SplitPointSet& splits,
+                                    const SequentialSolver& solver,
+                                    size_t max_splits,
+                                    double size_penalty_alpha) {
   CAQP_CHECK_GT(history_.num_rows(), 0u);
   DatasetEstimator estimator(history_);
   GreedyPlanner::Options opts;
@@ -30,22 +32,12 @@ Plan Basestation::TrainPlan(const Query& query, const SplitPointSet& splits,
   opts.max_splits = max_splits;
   opts.size_penalty_alpha = size_penalty_alpha;
   GreedyPlanner planner(estimator, cost_model_, opts);
-  return planner.BuildPlan(query);
+  return CompiledPlan::Compile(planner.BuildPlan(query));
 }
 
 size_t Basestation::Disseminate(const CompiledPlan& plan,
                                 std::vector<Mote*>& motes) {
   return Disseminate(plan, motes, DisseminateOptions{});
-}
-
-size_t Basestation::Disseminate(const Plan& plan, std::vector<Mote*>& motes) {
-  return Disseminate(CompiledPlan::Compile(plan), motes,
-                     DisseminateOptions{});
-}
-
-size_t Basestation::Disseminate(const Plan& plan, std::vector<Mote*>& motes,
-                                const DisseminateOptions& opts) {
-  return Disseminate(CompiledPlan::Compile(plan), motes, opts);
 }
 
 size_t Basestation::Disseminate(const CompiledPlan& plan,

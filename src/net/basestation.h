@@ -1,7 +1,7 @@
 // Basestation: the well-provisioned node of Figure 4. Collects historical
-// tuples, trains conditional plans with the greedy planner, serializes and
-// disseminates them over the radio, and aggregates per-epoch results and
-// energy statistics for a continuous query.
+// tuples, trains conditional plans with the greedy planner and compiles
+// them, serializes and disseminates the CompiledPlan over the radio, and
+// aggregates per-epoch results and energy statistics for a continuous query.
 
 #ifndef CAQP_NET_BASESTATION_H_
 #define CAQP_NET_BASESTATION_H_
@@ -31,17 +31,16 @@ class Basestation {
   void CollectHistory(const Dataset& data);
   const Dataset& history() const { return history_; }
 
-  /// Trains a conditional plan for `query` from the collected history.
-  Plan TrainPlan(const Query& query, const SplitPointSet& splits,
-                 const SequentialSolver& solver, size_t max_splits,
-                 double size_penalty_alpha = 0.0);
+  /// Trains a conditional plan for `query` from the collected history and
+  /// returns it compiled, the form Disseminate ships.
+  CompiledPlan TrainPlan(const Query& query, const SplitPointSet& splits,
+                         const SequentialSolver& solver, size_t max_splits,
+                         double size_penalty_alpha = 0.0);
 
   /// Serializes `plan` and transmits it to every mote; returns how many
   /// motes installed it successfully (radio loss/corruption and energy
-  /// exhaustion can all prevent installation). The compiled form serializes
-  /// without any tree walk or clone; the tree form compiles once first.
+  /// exhaustion can all prevent installation).
   size_t Disseminate(const CompiledPlan& plan, std::vector<Mote*>& motes);
-  size_t Disseminate(const Plan& plan, std::vector<Mote*>& motes);
 
   struct DisseminateOptions {
     /// Total plan transmissions attempted per mote, including the first.
@@ -60,8 +59,6 @@ class Basestation {
   /// number of motes whose install was confirmed. Retransmissions are
   /// counted on the `net.retransmissions` counter.
   size_t Disseminate(const CompiledPlan& plan, std::vector<Mote*>& motes,
-                     const DisseminateOptions& opts);
-  size_t Disseminate(const Plan& plan, std::vector<Mote*>& motes,
                      const DisseminateOptions& opts);
 
   struct EpochReport {

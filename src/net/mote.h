@@ -15,7 +15,6 @@
 #include "fault/fault.h"
 #include "net/energy.h"
 #include "plan/compiled_plan.h"
-#include "plan/plan.h"
 #include "plan/plan_serde.h"
 
 namespace caqp {
@@ -40,9 +39,6 @@ class Mote {
 
   /// Installs a plan directly (tests / local simulation).
   void InstallPlan(CompiledPlan plan) { plan_ = std::move(plan); }
-  void InstallPlan(const Plan& plan) {
-    plan_ = CompiledPlan::Compile(plan);
-  }
 
   bool has_plan() const { return plan_.has_value(); }
 

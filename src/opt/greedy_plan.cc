@@ -121,10 +121,10 @@ std::unique_ptr<GreedyPlanner::GNode> GreedyPlanner::MakeChildShell(
 }
 
 size_t GreedyPlanner::LeafBytes(const GNode& node) {
-  std::unique_ptr<PlanNode> leaf =
+  const std::unique_ptr<PlanNode> leaf =
       node.determined ? PlanNode::Verdict(node.verdict)
                       : PlanNode::Sequential(node.seq_order);
-  return PlanSizeBytes(Plan(std::move(leaf)));
+  return PlanSizeBytes(CompiledPlan::Compile(*leaf));
 }
 
 void GreedyPlanner::GreedySplit(GNode* node, obs::PlannerStats& stats) const {
@@ -292,7 +292,8 @@ Plan GreedyPlanner::BuildPlanImpl(const Query& query,
         continue;  // The saving does not cover shipping the bigger plan.
       }
       if (options_.max_plan_bytes > 0) {
-        const size_t current = PlanSizeBytes(Plan(Materialize(*root)));
+        const size_t current =
+            PlanSizeBytes(CompiledPlan::Compile(*Materialize(*root)));
         if (current + static_cast<size_t>(std::max(0.0, delta)) >
             options_.max_plan_bytes) {
           ++stats.expansions_skipped;

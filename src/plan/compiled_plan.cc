@@ -1,7 +1,6 @@
 #include "plan/compiled_plan.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace caqp {
 
@@ -120,28 +119,5 @@ bool CompiledPlan::VerdictFor(const Tuple& t) const {
   CAQP_CHECK(false);
   return false;
 }
-
-std::unique_ptr<PlanNode> CompiledPlan::ToTreeNode(uint32_t i) const {
-  const Node& n = nodes_[i];
-  switch (n.kind) {
-    case Kind::kVerdict:
-      return PlanNode::Verdict(n.verdict());
-    case Kind::kSequential: {
-      const std::span<const Predicate> seq = sequence(n);
-      return PlanNode::Sequential({seq.begin(), seq.end()});
-    }
-    case Kind::kGeneric: {
-      const std::span<const AttrId> order = acquire_order(n);
-      return PlanNode::Generic(residual_query(n), {order.begin(), order.end()});
-    }
-    case Kind::kSplit:
-      return PlanNode::Split(n.attr, n.split_value, ToTreeNode(i + 1),
-                             ToTreeNode(n.a));
-  }
-  CAQP_CHECK(false);
-  return nullptr;
-}
-
-Plan CompiledPlan::ToTree() const { return Plan(ToTreeNode(0)); }
 
 }  // namespace caqp

@@ -2,11 +2,14 @@
 //
 // Planners build Plan trees (plan/plan.h): unique_ptr nodes are convenient
 // to construct and rewrite. Everything downstream of planning — the per-tuple
-// executor, serialization, the serve cache, mote dissemination — wants the
-// opposite trade-off: a compact, pointer-free layout that walks by index,
-// fits in a few cache lines, and can be shared across threads without
-// cloning. CompiledPlan is that form, mirroring how production engines lower
-// a logical plan into a flat executable program.
+// executor, costing, printing, verification, serialization, the serve cache,
+// mote dissemination — wants the opposite trade-off: a compact, pointer-free
+// layout that walks by index, fits in a few cache lines, and can be shared
+// across threads without cloning. CompiledPlan is that form, mirroring how
+// production engines lower a logical plan into a flat executable program.
+// It is the only form those APIs take: Compile is the one way in from a
+// tree, and there is no way back (the wire decoder builds a CompiledPlan
+// directly).
 //
 // Layout
 //   * nodes_ is the preorder flattening of the tree with the root at index
@@ -103,14 +106,10 @@ class CompiledPlan {
   size_t NumSplits() const { return num_splits_; }
   size_t Depth() const { return depth_; }
 
-  /// True iff the plan's verdict equals query.Matches(t) for this tuple
-  /// (same contract as Plan::VerdictFor; infallible acquisition).
+  /// The verdict the plan reaches for tuple `t` under infallible
+  /// acquisition; a correct plan returns query.Matches(t). The plan
+  /// verifiers (plan/plan_verify.h) compare the two over whole domains.
   bool VerdictFor(const Tuple& t) const;
-
-  /// Reconstructs the pointer-tree form. Used by the deserialization compat
-  /// shim and by tooling that still edits trees; round-trips exactly:
-  /// Compile(p.ToTree()) is structurally identical to p.
-  Plan ToTree() const;
 
   /// Attaches the planner's predicted per-node selectivity/cost side tables
   /// (plan/plan_estimates.h). Estimates are advisory metadata: they never
@@ -138,7 +137,6 @@ class CompiledPlan {
 
   uint32_t AppendSubtree(const PlanNode& n);
   size_t DepthOf(uint32_t i) const;
-  std::unique_ptr<PlanNode> ToTreeNode(uint32_t i) const;
   /// Recomputes attrs_/num_splits_/depth_/first-acquisition flags from the
   /// node array (deserialization builds the arrays directly).
   void FinishFromNodes();

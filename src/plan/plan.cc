@@ -1,7 +1,5 @@
 #include "plan/plan.h"
 
-#include <algorithm>
-
 #include "obs/obs.h"
 #include "obs/registry.h"
 
@@ -60,51 +58,6 @@ std::unique_ptr<PlanNode> PlanNode::Clone() const {
   if (lt) n->lt = lt->Clone();
   if (ge) n->ge = ge->Clone();
   return n;
-}
-
-namespace {
-
-size_t CountNodes(const PlanNode& n) {
-  if (n.kind != PlanNode::Kind::kSplit) return 1;
-  return 1 + CountNodes(*n.lt) + CountNodes(*n.ge);
-}
-
-size_t CountSplits(const PlanNode& n) {
-  if (n.kind != PlanNode::Kind::kSplit) return 0;
-  return 1 + CountSplits(*n.lt) + CountSplits(*n.ge);
-}
-
-size_t NodeDepth(const PlanNode& n) {
-  if (n.kind != PlanNode::Kind::kSplit) return 0;
-  return 1 + std::max(NodeDepth(*n.lt), NodeDepth(*n.ge));
-}
-
-}  // namespace
-
-size_t Plan::NumNodes() const { return CountNodes(*root_); }
-size_t Plan::NumSplits() const { return CountSplits(*root_); }
-size_t Plan::Depth() const { return NodeDepth(*root_); }
-
-bool Plan::VerdictFor(const Tuple& t) const {
-  const PlanNode* n = root_.get();
-  while (n->kind == PlanNode::Kind::kSplit) {
-    n = (t[n->attr] >= n->split_value) ? n->ge.get() : n->lt.get();
-  }
-  switch (n->kind) {
-    case PlanNode::Kind::kVerdict:
-      return n->verdict;
-    case PlanNode::Kind::kSequential:
-      for (const Predicate& p : n->sequence) {
-        if (!p.Matches(t)) return false;
-      }
-      return true;
-    case PlanNode::Kind::kGeneric:
-      return n->residual_query.Matches(t);
-    case PlanNode::Kind::kSplit:
-      break;
-  }
-  CAQP_CHECK(false);
-  return false;
 }
 
 }  // namespace caqp

@@ -20,6 +20,12 @@
 //
 // A purely sequential plan (Naive / OptSeq / GreedySeq output) is a plan
 // whose root is a Sequential leaf.
+//
+// The tree is the planners' construction form only. A built plan is lowered
+// once, by CompiledPlan::Compile (plan/compiled_plan.h) or
+// serve::CompileForServe, and every API downstream of planning -- costing,
+// printing, verification, serialization, execution, dissemination -- takes
+// the CompiledPlan.
 
 #ifndef CAQP_PLAN_PLAN_H_
 #define CAQP_PLAN_PLAN_H_
@@ -72,7 +78,7 @@ struct PlanNode {
   std::unique_ptr<PlanNode> Clone() const;
 };
 
-/// An executable conditional plan. Owns its node tree.
+/// A conditional plan as a planner builds it. Owns its node tree.
 class Plan {
  public:
   Plan() : root_(PlanNode::Verdict(false)) {}
@@ -92,17 +98,6 @@ class Plan {
   Plan Clone() const { return Plan(root_->Clone()); }
 
   const PlanNode& root() const { return *root_; }
-
-  /// Total node count (splits + leaves).
-  size_t NumNodes() const;
-  /// Interior (split) node count; GreedyPlan's MAXSIZE bounds this.
-  size_t NumSplits() const;
-  /// Longest root-to-leaf path length in edges.
-  size_t Depth() const;
-
-  /// True iff the plan's verdict equals query.Matches(t) for this tuple.
-  /// (The executor computes verdicts; this is a convenience for tests.)
-  bool VerdictFor(const Tuple& t) const;
 
  private:
   std::unique_ptr<PlanNode> root_;

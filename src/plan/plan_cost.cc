@@ -191,24 +191,12 @@ double ExpectedPlanCost(const CompiledPlan& plan, CondProbEstimator& estimator,
   return walk.Cost(0, estimator.schema().FullRanges(), 1.0);
 }
 
-double ExpectedPlanCost(const Plan& plan, CondProbEstimator& estimator,
-                        const AcquisitionCostModel& cost_model) {
-  return ExpectedPlanCost(CompiledPlan::Compile(plan), estimator, cost_model);
-}
-
 double ExpectedSubplanCost(const CompiledPlan& plan, uint32_t index,
                            const RangeVec& ranges,
                            CondProbEstimator& estimator,
                            const AcquisitionCostModel& cost_model) {
   CostWalk walk(plan, estimator, cost_model, kPointScenario);
   return walk.Cost(index, ranges, 1.0);
-}
-
-double ExpectedSubplanCost(const PlanNode& node, const RangeVec& ranges,
-                           CondProbEstimator& estimator,
-                           const AcquisitionCostModel& cost_model) {
-  return ExpectedSubplanCost(CompiledPlan::Compile(node), 0, ranges, estimator,
-                             cost_model);
 }
 
 PlanEstimates EstimatePlan(const CompiledPlan& plan,
@@ -243,14 +231,6 @@ EmpiricalCostResult EmpiricalPlanCost(const CompiledPlan& plan,
     res.mean_acquisitions = static_cast<double>(total_acq) / res.tuples;
   }
   return res;
-}
-
-EmpiricalCostResult EmpiricalPlanCost(const Plan& plan, const Dataset& data,
-                                      const Query& query,
-                                      const AcquisitionCostModel& cost_model,
-                                      TraceSink* trace) {
-  return EmpiricalPlanCost(CompiledPlan::Compile(plan), data, query,
-                           cost_model, trace);
 }
 
 }  // namespace caqp

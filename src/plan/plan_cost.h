@@ -16,9 +16,8 @@
 //    Each row runs through the executor itself (ExecutePlan over a
 //    RowSource), so the empirical cost is what execution charges.
 //
-// Both costs run over the CompiledPlan flat form; the Plan/PlanNode entry
-// points compile once and delegate, so the arithmetic (and hence the
-// floating-point result) is identical whichever form the caller holds.
+// Both costs take the CompiledPlan flat form only; a planner's Plan tree is
+// compiled first (CompiledPlan::Compile).
 
 #ifndef CAQP_PLAN_PLAN_COST_H_
 #define CAQP_PLAN_PLAN_COST_H_
@@ -30,7 +29,6 @@
 #include "obs/trace.h"
 #include "opt/cost_model.h"
 #include "plan/compiled_plan.h"
-#include "plan/plan.h"
 #include "plan/plan_estimates.h"
 #include "prob/estimator.h"
 
@@ -62,9 +60,6 @@ struct CostScenario {
 double ExpectedPlanCost(const CompiledPlan& plan, CondProbEstimator& estimator,
                         const AcquisitionCostModel& cost_model,
                         const CostScenario& scenario = CostScenario{});
-/// Tree convenience form: compiles once, then costs the flat form.
-double ExpectedPlanCost(const Plan& plan, CondProbEstimator& estimator,
-                        const AcquisitionCostModel& cost_model);
 
 /// Expected completion cost of the subtree rooted at `index`, conditioned on
 /// the plan having reached it with the attribute ranges implied by the splits
@@ -72,10 +67,6 @@ double ExpectedPlanCost(const Plan& plan, CondProbEstimator& estimator,
 /// schema.FullRanges(), ...). Used by the EXPLAIN printer.
 double ExpectedSubplanCost(const CompiledPlan& plan, uint32_t index,
                            const RangeVec& ranges,
-                           CondProbEstimator& estimator,
-                           const AcquisitionCostModel& cost_model);
-/// Tree convenience form: compiles the subtree at `node`, then costs it.
-double ExpectedSubplanCost(const PlanNode& node, const RangeVec& ranges,
                            CondProbEstimator& estimator,
                            const AcquisitionCostModel& cost_model);
 
@@ -94,11 +85,6 @@ struct EmpiricalCostResult {
 /// acquisition histograms).
 EmpiricalCostResult EmpiricalPlanCost(const CompiledPlan& plan,
                                       const Dataset& data, const Query& query,
-                                      const AcquisitionCostModel& cost_model,
-                                      TraceSink* trace = nullptr);
-/// Tree convenience form: compiles once, then runs the flat form.
-EmpiricalCostResult EmpiricalPlanCost(const Plan& plan, const Dataset& data,
-                                      const Query& query,
                                       const AcquisitionCostModel& cost_model,
                                       TraceSink* trace = nullptr);
 

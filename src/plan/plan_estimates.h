@@ -63,9 +63,6 @@ struct PlanEstimates {
   std::array<double, kEstimateMaxAttrs> attr_pass_rate{};
   /// Expected acquisition cost per tuple (== ExpectedPlanCost, bit for bit).
   double expected_cost = 0.0;
-  /// Version of the estimator that produced these numbers (the serve layer's
-  /// estimator-version counter; 0 outside serve).
-  uint64_t estimator_version = 0;
 
   // --- Robust-planning stamp (opt/uncertainty.h) -------------------------
   // When the plan was built (or costed) under an uncertainty box, the box

@@ -68,10 +68,6 @@ std::string PrintPlan(const CompiledPlan& plan, const Schema& schema) {
   return out;
 }
 
-std::string PrintPlan(const Plan& plan, const Schema& schema) {
-  return PrintPlan(CompiledPlan::Compile(plan), schema);
-}
-
 namespace {
 
 void ExplainNode(const CompiledPlan& plan, uint32_t index,
@@ -151,21 +147,12 @@ std::string ExplainPlan(const CompiledPlan& plan, CondProbEstimator& estimator,
   return out;
 }
 
-std::string ExplainPlan(const Plan& plan, CondProbEstimator& estimator,
-                        const AcquisitionCostModel& cost_model) {
-  return ExplainPlan(CompiledPlan::Compile(plan), estimator, cost_model);
-}
-
 std::string PlanSummary(const CompiledPlan& plan) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "splits=%zu depth=%zu size=%zuB",
                 static_cast<size_t>(plan.NumSplits()),
                 static_cast<size_t>(plan.Depth()), PlanSizeBytes(plan));
   return buf;
-}
-
-std::string PlanSummary(const Plan& plan) {
-  return PlanSummary(CompiledPlan::Compile(plan));
 }
 
 std::string DumpCompiledPlan(const CompiledPlan& plan, const Schema& schema) {

@@ -153,8 +153,6 @@ size_t PlanSizeBytes(const CompiledPlan& plan) {
   return SerializePlan(plan).size();
 }
 
-size_t PlanSizeBytes(const Plan& plan) { return SerializePlan(plan).size(); }
-
 Result<CompiledPlan> DeserializeCompiledPlan(
     const std::vector<uint8_t>& bytes, const Schema& schema) {
   if (bytes.empty()) return Status::DataLoss("empty plan bytes");
@@ -247,13 +245,6 @@ Result<CompiledPlan> DeserializeCompiledPlan(
     return Status::DataLoss("decoded plan fails well-formedness checks");
   }
   return plan;
-}
-
-Result<Plan> DeserializePlan(const std::vector<uint8_t>& bytes,
-                             const Schema& schema) {
-  Result<CompiledPlan> compiled = DeserializeCompiledPlan(bytes, schema);
-  if (!compiled.ok()) return compiled.status();
-  return compiled->ToTree();
 }
 
 }  // namespace caqp

@@ -32,23 +32,19 @@ inline constexpr uint8_t kPlanWireFormatVersion = 0xCA;
 
 /// Encodes a compiled plan. Varint-based: a typical split costs 4-6 bytes.
 std::vector<uint8_t> SerializePlan(const CompiledPlan& plan);
-/// Tree convenience form: compiles, then serializes the flat form.
+/// Tree form: compiles, then serializes the flat form. Kept only for the
+/// end-to-end benchmark (perfbench/), which still calls it; library code
+/// and tests serialize a CompiledPlan.
 std::vector<uint8_t> SerializePlan(const Plan& plan);
 
 /// zeta(P): the serialized size in bytes.
 size_t PlanSizeBytes(const CompiledPlan& plan);
-size_t PlanSizeBytes(const Plan& plan);
 
 /// Decodes and validates a plan against `schema`. Fails on truncated input,
 /// out-of-domain attributes or values, malformed preorder topology,
 /// trailing garbage, or a leading byte other than kPlanWireFormatVersion.
 Result<CompiledPlan> DeserializeCompiledPlan(const std::vector<uint8_t>& bytes,
                                              const Schema& schema);
-
-/// Compat shim for callers that still edit trees: DeserializeCompiledPlan,
-/// then reconstruct the pointer-tree form.
-Result<Plan> DeserializePlan(const std::vector<uint8_t>& bytes,
-                             const Schema& schema);
 
 }  // namespace caqp
 

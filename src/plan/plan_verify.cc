@@ -44,14 +44,6 @@ PlanVerificationResult VerifyPlanExhaustive(const CompiledPlan& plan,
   return res;
 }
 
-PlanVerificationResult VerifyPlanExhaustive(const Plan& plan,
-                                            const Query& query,
-                                            const Schema& schema,
-                                            uint64_t max_tuples) {
-  return VerifyPlanExhaustive(CompiledPlan::Compile(plan), query, schema,
-                              max_tuples);
-}
-
 PlanVerificationResult VerifyPlanSampled(const CompiledPlan& plan,
                                          const Query& query,
                                          const Schema& schema,
@@ -75,59 +67,9 @@ PlanVerificationResult VerifyPlanSampled(const CompiledPlan& plan,
   return res;
 }
 
-PlanVerificationResult VerifyPlanSampled(const Plan& plan, const Query& query,
-                                         const Schema& schema,
-                                         uint64_t samples, uint64_t seed) {
-  return VerifyPlanSampled(CompiledPlan::Compile(plan), query, schema, samples,
-                           seed);
-}
-
-namespace {
-
-bool NodeWellFormed(const PlanNode& n, const Schema& schema) {
-  switch (n.kind) {
-    case PlanNode::Kind::kSplit:
-      if (n.attr >= schema.num_attributes()) return false;
-      if (n.split_value < 1 || n.split_value >= schema.domain_size(n.attr)) {
-        return false;
-      }
-      if (!n.lt || !n.ge) return false;
-      return NodeWellFormed(*n.lt, schema) && NodeWellFormed(*n.ge, schema);
-    case PlanNode::Kind::kVerdict:
-      return true;
-    case PlanNode::Kind::kSequential:
-      for (const Predicate& p : n.sequence) {
-        if (p.attr >= schema.num_attributes()) return false;
-        if (p.lo > p.hi || p.hi >= schema.domain_size(p.attr)) return false;
-      }
-      return true;
-    case PlanNode::Kind::kGeneric: {
-      if (!n.residual_query.ValidFor(schema)) return false;
-      AttrSet in_order;
-      for (AttrId a : n.acquire_order) {
-        if (a >= schema.num_attributes()) return false;
-        in_order.Insert(a);
-      }
-      // Every referenced attribute must be acquirable, or the executor
-      // could stall with an unresolved query.
-      for (AttrId a : n.residual_query.ReferencedAttributes()) {
-        if (!in_order.Contains(a)) return false;
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-bool PlanIsWellFormed(const Plan& plan, const Schema& schema) {
-  return NodeWellFormed(plan.root(), schema);
-}
-
 bool PlanIsWellFormed(const CompiledPlan& plan, const Schema& schema) {
-  // Same field-level checks as the tree walk, over the flat node array (the
-  // preorder topology itself is validated by construction / deserialization).
+  // Field-level checks over the flat node array (the preorder topology
+  // itself is validated by construction / deserialization).
   for (uint32_t i = 0; i < plan.NumNodes(); ++i) {
     const CompiledPlan::Node& n = plan.node(i);
     switch (n.kind) {
@@ -154,6 +96,8 @@ bool PlanIsWellFormed(const CompiledPlan& plan, const Schema& schema) {
           if (a >= schema.num_attributes()) return false;
           in_order.Insert(a);
         }
+        // Every referenced attribute must be acquirable, or the executor
+        // could stall with an unresolved query.
         for (AttrId a : query.ReferencedAttributes()) {
           if (!in_order.Contains(a)) return false;
         }

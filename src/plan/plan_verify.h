@@ -14,7 +14,6 @@
 #include "core/query.h"
 #include "core/schema.h"
 #include "plan/compiled_plan.h"
-#include "plan/plan.h"
 
 namespace caqp {
 
@@ -35,11 +34,6 @@ PlanVerificationResult VerifyPlanExhaustive(const CompiledPlan& plan,
                                             const Query& query,
                                             const Schema& schema,
                                             uint64_t max_tuples = 10'000'000);
-/// Tree convenience form: compiles once, then verifies the flat form.
-PlanVerificationResult VerifyPlanExhaustive(const Plan& plan,
-                                            const Query& query,
-                                            const Schema& schema,
-                                            uint64_t max_tuples = 10'000'000);
 
 /// Randomized verification: checks `samples` uniformly random tuples.
 /// Misses nothing with probability growing in the sample count; suited to
@@ -48,15 +42,10 @@ PlanVerificationResult VerifyPlanSampled(const CompiledPlan& plan,
                                          const Query& query,
                                          const Schema& schema,
                                          uint64_t samples, uint64_t seed = 1);
-/// Tree convenience form: compiles once, then verifies the flat form.
-PlanVerificationResult VerifyPlanSampled(const Plan& plan, const Query& query,
-                                         const Schema& schema,
-                                         uint64_t samples, uint64_t seed = 1);
 
 /// Structural well-formedness: split values within domains, attributes
 /// within schema, sequential/generic leaves reference valid predicates.
 /// Deserialization already enforces this; exposed for plans built in-process.
-bool PlanIsWellFormed(const Plan& plan, const Schema& schema);
 bool PlanIsWellFormed(const CompiledPlan& plan, const Schema& schema);
 
 }  // namespace caqp

@@ -36,8 +36,7 @@ constexpr double kWidenCap = 1.0;
 
 std::shared_ptr<const CompiledPlan> CompileForServe(
     PlanBuilder& builder, const Plan& plan,
-    const AcquisitionCostModel& cost_model, bool stamp_estimates,
-    uint64_t estimator_version) {
+    const AcquisitionCostModel& cost_model, bool stamp_estimates) {
   CompiledPlan compiled = CompiledPlan::Compile(plan);
   CondProbEstimator* estimator =
       stamp_estimates ? builder.CalibrationEstimator() : nullptr;
@@ -46,7 +45,6 @@ std::shared_ptr<const CompiledPlan> CompileForServe(
     // so an estimator the builder does not share is safe too.
     auto estimates = std::make_shared<PlanEstimates>(
         EstimatePlan(compiled, *estimator, cost_model));
-    estimates->estimator_version = estimator_version;
     opt::UncertaintyBox box;
     if (builder.PlanningBox(&box) && !box.degenerate()) {
       // Robust builder: record the box and its interval cost promise so
@@ -305,8 +303,7 @@ QueryService::Response QueryService::Handle(size_t worker_id,
   r.estimator_version = key.estimator_version;
   PlanBuilder& builder = *builders_[worker_id];
   const auto compile = [&](const Plan& plan) {
-    return CompileForServe(builder, plan, cost_model_,
-                           calibration_ != nullptr, key.estimator_version);
+    return CompileForServe(builder, plan, cost_model_, calibration_ != nullptr);
   };
 
   {

@@ -129,15 +129,14 @@ using PlanBuilderFactory = std::function<std::unique_ptr<PlanBuilder>()>;
 
 /// Compiles a plan `builder` just built, for serving. With
 /// `stamp_estimates` (calibration on) and a builder that exposes an
-/// estimator, also stamps the predicted side tables (plan/plan_estimates.h)
-/// under `estimator_version`, plus the builder's uncertainty box and its
-/// interval cost when it plans robustly. Call on the thread that ran Build.
+/// estimator, also stamps the predicted side tables (plan/plan_estimates.h),
+/// plus the builder's uncertainty box and its interval cost when it plans
+/// robustly. Call on the thread that ran Build.
 /// Every plan QueryService and dist::Coordinator serve goes through here,
 /// so every executed plan carries the same metadata.
 std::shared_ptr<const CompiledPlan> CompileForServe(
     PlanBuilder& builder, const Plan& plan,
-    const AcquisitionCostModel& cost_model, bool stamp_estimates,
-    uint64_t estimator_version);
+    const AcquisitionCostModel& cost_model, bool stamp_estimates);
 
 /// Bundle over a shared const Planner (requires a thread-safe estimator —
 /// see opt/planner.h). The planner must outlive the service.

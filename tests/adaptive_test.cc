@@ -121,7 +121,8 @@ TEST(AdaptiveTest, WindowEvictsStaleRegime) {
   gopts.seq_solver = &fx.optseq;
   gopts.max_splits = 4;
   GreedyPlanner reference(est, fx.cm, gopts);
-  const Plan ref_plan = reference.BuildPlan(fx.query);
+  const CompiledPlan ref_plan =
+      CompiledPlan::Compile(reference.BuildPlan(fx.query));
 
   const double adapted = EmpiricalPlanCost(planner.plan(), fresh, fx.query,
                                            fx.cm).mean_cost;

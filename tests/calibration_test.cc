@@ -71,7 +71,7 @@ TEST(CalibrationEstimateTest, ExpectedCostMatchesExpectedPlanCost) {
     ASSERT_EQ(pe.nodes.size(), plan.NumNodes());
     // EstimatePlan is the ExpectedPlanCost walk, so the totals agree bit
     // for bit.
-    EXPECT_EQ(pe.expected_cost, ExpectedPlanCost(plan.ToTree(), tk.est, tk.cm))
+    EXPECT_EQ(pe.expected_cost, ExpectedPlanCost(plan, tk.est, tk.cm))
         << q.ToString(tk.schema);
     // The per-node decomposition re-sums to the total.
     double resum = 0.0;

@@ -1,4 +1,4 @@
-// CompiledPlan: flat layout invariants, tree<->flat round-trips, and the
+// CompiledPlan: flat layout invariants, wire round-trips, and the
 // central property of the IR refactor -- executing the compiled form is
 // observationally identical (verdict3, cost, acquisitions, retries, failure
 // sets) to walking the pointer tree (the reference walk in test_util.h),
@@ -6,12 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "exec/batch_executor.h"
+#include "exec/batch_masked.h"
 #include "exec/executor.h"
 #include "fault/fault.h"
+#include "obs/obs.h"
+#include "obs/registry.h"
 #include "opt/exhaustive.h"
 #include "opt/greedy_plan.h"
 #include "opt/greedyseq.h"
@@ -117,18 +124,6 @@ TEST(CompiledPlanTest, GenericLeafSideTables) {
   EXPECT_EQ(order[2], 1);
   EXPECT_TRUE(p.residual_query(n) == q);
   EXPECT_EQ(CountVerdictMismatches(p, q, SmallSchema()), 0u);
-}
-
-TEST(CompiledPlanTest, ToTreeRoundTripsStructurally) {
-  const Schema schema = SmallSchema();
-  const Plan tree = SampleTree();
-  const CompiledPlan p = CompiledPlan::Compile(tree);
-  const Plan back = p.ToTree();
-  // Byte-identical serialization == structural identity.
-  EXPECT_EQ(SerializePlan(back), SerializePlan(tree));
-  EXPECT_EQ(PrintPlan(p, schema), PrintPlan(back, schema));
-  const CompiledPlan again = CompiledPlan::Compile(back);
-  EXPECT_EQ(SerializePlan(again), SerializePlan(p));
 }
 
 TEST(CompiledPlanTest, DefaultPlanRejectsEverything) {
@@ -291,26 +286,18 @@ TEST(CompiledPlanEquivalenceTest, ColumnarBatchMatchesPerTupleExecution) {
   }
 }
 
-TEST(CompiledPlanEquivalenceTest, CostersAgreeOnTreeAndFlat) {
+TEST(CompiledPlanEquivalenceTest, EveryPlannerDecidesTheQuery) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
   const Dataset train = CorrelatedDataset(schema, 500, /*seed=*/9);
-  DatasetEstimator estimator(train);
   Rng rng(4);
   const Query query = RandomConjunctiveQuery(schema, rng);
 
   for (const auto& [planner, plan] : PlansForQuery(query, train, cm)) {
     SCOPED_TRACE(planner);
     const CompiledPlan compiled = CompiledPlan::Compile(plan);
-    EXPECT_DOUBLE_EQ(ExpectedPlanCost(plan, estimator, cm),
-                     ExpectedPlanCost(compiled, estimator, cm));
-    const EmpiricalCostResult tree_emp =
-        EmpiricalPlanCost(plan, train, query, cm);
-    const EmpiricalCostResult flat_emp =
-        EmpiricalPlanCost(compiled, train, query, cm);
-    EXPECT_DOUBLE_EQ(tree_emp.total_cost, flat_emp.total_cost);
-    EXPECT_EQ(tree_emp.verdict_errors, flat_emp.verdict_errors);
-    EXPECT_EQ(tree_emp.verdict_errors, 0u);
+    EXPECT_EQ(EmpiricalPlanCost(compiled, train, query, cm).verdict_errors,
+              0u);
   }
 }
 
@@ -369,6 +356,90 @@ TEST(CompiledPlanSerdeTest, TopologyCorruptionIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
+// Envelope edge: attribute id 63 with the full Value domain
+// ---------------------------------------------------------------------------
+
+TEST(CompiledPlanEdgeTest, Attribute63WithFullValueDomain) {
+  // 64 attributes (the AttrSet width); the last one spans every Value, so
+  // the plan splits at 65535 and its predicates reach hi = 65535.
+  Schema schema;
+  for (int a = 0; a < 63; ++a) {
+    schema.AddAttribute(std::string("a").append(std::to_string(a)), 4, 1.0 + a);
+  }
+  const AttrId last = schema.AddAttribute("wide", 65536, 40.0);
+  ASSERT_EQ(last, 63);
+  const Query query = Query::Conjunction(
+      {Predicate(0, 1, 1), Predicate(last, 100, 65535)});
+  const CompiledPlan plan = CompiledPlan::Compile(*PlanNode::Split(
+      last, 65535,
+      PlanNode::Sequential({Predicate(0, 1, 1), Predicate(last, 100, 65534)}),
+      PlanNode::Sequential(
+          {Predicate(0, 1, 1), Predicate(last, 65535, 65535)})));
+  EXPECT_EQ(plan.attrs().bits, (uint64_t{1} << 63) | 1u);
+  EXPECT_TRUE(PlanIsWellFormed(plan, schema));
+
+  const std::vector<uint8_t> bytes = SerializePlan(plan);
+  const Result<CompiledPlan> back = DeserializeCompiledPlan(bytes, schema);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(SerializePlan(*back), bytes);
+  EXPECT_TRUE(PlanIsWellFormed(*back, schema));
+  EXPECT_EQ(back->attrs().bits, plan.attrs().bits);
+  EXPECT_TRUE(VerifyPlanSampled(*back, query, schema, 2000).correct);
+
+  // Rows crowd the wide attribute's edges: 0, the predicate's lower bound,
+  // and the top of the domain on both sides of the split.
+  Rng rng(63);
+  Dataset data(schema);
+  Tuple t(schema.num_attributes());
+  const Value edges[] = {0, 1, 99, 100, 65533, 65534, 65535};
+  for (int r = 0; r < 1000; ++r) {
+    for (AttrId a = 0; a < 63; ++a) {
+      t[a] = static_cast<Value>(rng.UniformInt(0, 3));
+    }
+    t[last] = rng.Bernoulli(0.7)
+                  ? edges[rng.UniformInt(0, std::size(edges) - 1)]
+                  : static_cast<Value>(rng.UniformInt(0, 65535));
+    data.Append(t);
+  }
+  PerAttributeCostModel cm(schema);
+
+  std::vector<RowId> consecutive(data.num_rows());
+  for (RowId r = 0; r < consecutive.size(); ++r) consecutive[r] = r;
+  std::vector<RowId> permuted = consecutive;
+  std::mt19937 shuffle(63u);
+  std::shuffle(permuted.begin(), permuted.end(), shuffle);
+
+  obs::SetEnabled(true);
+  const obs::Counter& masked_chunks =
+      obs::DefaultRegistry().GetCounter("exec.batch.masked_chunks");
+  for (const std::vector<RowId>* rows : {&consecutive, &permuted}) {
+    SCOPED_TRACE(rows == &consecutive ? "consecutive" : "permuted");
+    // Per-row oracle, summed in the batch's row order.
+    std::vector<uint8_t> want_verdicts;
+    double want_cost = 0.0;
+    RowSource source(data);
+    for (RowId r : *rows) {
+      source.SetRow(r);
+      const ExecutionResult res = ExecutePlan(*back, schema, cm, source);
+      EXPECT_EQ(res.verdict, query.Matches(data.GetTuple(r))) << "row " << r;
+      want_verdicts.push_back(static_cast<uint8_t>(res.verdict3));
+      want_cost += res.cost;
+    }
+    const uint64_t masked_before = masked_chunks.value();
+    std::vector<uint8_t> verdicts;
+    const BatchExecutionStats stats =
+        ColumnarBatchExecutor(*back, data, cm).Execute(*rows, &verdicts);
+    EXPECT_EQ(verdicts, want_verdicts);
+    EXPECT_EQ(stats.total_cost, want_cost);  // bitwise
+    // Consecutive rows take the masked engine where the CPU has it; the
+    // permuted list always takes the selection kernels.
+    if (CAQP_OBS_ENABLED && internal::MaskedChunkAvailable()) {
+      EXPECT_EQ(masked_chunks.value() > masked_before, rows == &consecutive);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Exhaustive planner arena
 // ---------------------------------------------------------------------------
 
@@ -384,17 +455,15 @@ TEST(CompiledPlanArenaTest, ExhaustiveRebuildsAreByteIdentical) {
 
   const Query query = Query::Conjunction(
       {Predicate(0, 1, 2), Predicate(2, 1, 3), Predicate(3, 0, 2)});
-  const Plan first = planner.BuildPlan(query);
+  const CompiledPlan first = CompiledPlan::Compile(planner.BuildPlan(query));
   const double first_cost = planner.planner_stats().expected_cost;
-  const Plan second = planner.BuildPlan(query);
+  const CompiledPlan second = CompiledPlan::Compile(planner.BuildPlan(query));
   // Handle-based memoization is deterministic: same query, same memo
   // decisions, same materialized tree.
   EXPECT_EQ(SerializePlan(first), SerializePlan(second));
   EXPECT_DOUBLE_EQ(planner.planner_stats().expected_cost, first_cost);
   EXPECT_GT(planner.planner_stats().memo_hits, 0u);
-  EXPECT_EQ(CountVerdictMismatches(CompiledPlan::Compile(first), query,
-                                   schema),
-            0u);
+  EXPECT_EQ(CountVerdictMismatches(first, query, schema), 0u);
 }
 
 }  // namespace

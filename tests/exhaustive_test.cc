@@ -64,7 +64,8 @@ TEST(ExhaustiveTest, Figure2MotivatingExample) {
   ExhaustivePlanner::Options opts;
   opts.split_points = &splits;
   ExhaustivePlanner planner(est, cm, opts);
-  const Plan plan = planner.BuildPlan(fx.query);
+  const CompiledPlan plan =
+      CompiledPlan::Compile(planner.BuildPlan(fx.query));
 
   // The paper's sequential cost is 1.5; the conditional plan that branches
   // on time costs 1 + P(first predicate passes | branch) = 1.1.
@@ -74,7 +75,7 @@ TEST(ExhaustiveTest, Figure2MotivatingExample) {
   EXPECT_NEAR(emp.mean_cost, 1.1, 1e-9);
   EXPECT_EQ(emp.verdict_errors, 0u);
   // The plan conditions on the free time attribute at the root.
-  ASSERT_EQ(plan.root().kind, PlanNode::Kind::kSplit);
+  ASSERT_EQ(plan.root().kind, CompiledPlan::Kind::kSplit);
   EXPECT_EQ(plan.root().attr, 0);
 }
 
@@ -90,7 +91,7 @@ TEST(ExhaustiveTest, ReportedCostMatchesEquation3) {
   Rng rng(22);
   for (int iter = 0; iter < 8; ++iter) {
     const Query q = testing_util::RandomConjunctiveQuery(schema, rng, 2);
-    const Plan plan = planner.BuildPlan(q);
+    const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
     const double eq3 = ExpectedPlanCost(plan, est, cm);
     ASSERT_NEAR(planner.planner_stats().expected_cost, eq3, 1e-9)
         << q.ToString(schema);
@@ -113,7 +114,7 @@ TEST(ExhaustiveTest, VerdictsCorrectOverFullDomain) {
   Rng rng(24);
   for (int iter = 0; iter < 8; ++iter) {
     const Query q = testing_util::RandomConjunctiveQuery(schema, rng);
-    const Plan plan = planner.BuildPlan(q);
+    const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
     // Correct even on tuples never seen in training.
     EXPECT_EQ(testing_util::CountVerdictMismatches(plan, q, schema), 0u);
   }
@@ -133,8 +134,8 @@ TEST(ExhaustiveTest, NeverWorseThanOptSeqOnTraining) {
   Rng rng(26);
   for (int iter = 0; iter < 8; ++iter) {
     const Query q = testing_util::RandomConjunctiveQuery(schema, rng);
-    const Plan pe = planner.BuildPlan(q);
-    const Plan ps = seq.BuildPlan(q);
+    const CompiledPlan pe = CompiledPlan::Compile(planner.BuildPlan(q));
+    const CompiledPlan ps = CompiledPlan::Compile(seq.BuildPlan(q));
     const double ce = EmpiricalPlanCost(pe, ds, q, cm).mean_cost;
     const double cs = EmpiricalPlanCost(ps, ds, q, cm).mean_cost;
     ASSERT_LE(ce, cs + 1e-9) << q.ToString(schema);
@@ -152,7 +153,7 @@ TEST(ExhaustiveTest, SupportsDisjunctiveQueries) {
   ExhaustivePlanner planner(est, cm, opts);
   Query q = Query::Disjunction(
       {{Predicate(2, 3, 3), Predicate(0, 0, 1)}, {Predicate(3, 0, 1)}});
-  const Plan plan = planner.BuildPlan(q);
+  const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
   EXPECT_EQ(testing_util::CountVerdictMismatches(plan, q, schema), 0u);
   const EmpiricalCostResult emp = EmpiricalPlanCost(plan, ds, q, cm);
   EXPECT_EQ(emp.verdict_errors, 0u);
@@ -174,8 +175,8 @@ TEST(ExhaustiveTest, RestrictedSpsfNeverBeatsUnrestricted) {
     ExhaustivePlanner::Options ob;
     ob.split_points = &one;
     ExhaustivePlanner pb(est, cm, ob);
-    const Plan plan_all = pa.BuildPlan(q);
-    const Plan plan_one = pb.BuildPlan(q);
+    const CompiledPlan plan_all = CompiledPlan::Compile(pa.BuildPlan(q));
+    const CompiledPlan plan_one = CompiledPlan::Compile(pb.BuildPlan(q));
     ASSERT_LE(pa.planner_stats().expected_cost,
               pb.planner_stats().expected_cost + 1e-9);
     // Both remain correct.
@@ -211,9 +212,10 @@ TEST(ExhaustiveTest, TrivialQueryDeterminedAtRoot) {
   opts.split_points = &splits;
   ExhaustivePlanner planner(est, cm, opts);
   // Predicate spans the whole domain: always true.
-  const Plan plan = planner.BuildPlan(Query::Conjunction({Predicate(0, 0, 3)}));
-  ASSERT_EQ(plan.root().kind, PlanNode::Kind::kVerdict);
-  EXPECT_TRUE(plan.root().verdict);
+  const CompiledPlan plan = CompiledPlan::Compile(
+      planner.BuildPlan(Query::Conjunction({Predicate(0, 0, 3)})));
+  ASSERT_EQ(plan.root().kind, CompiledPlan::Kind::kVerdict);
+  EXPECT_TRUE(plan.root().verdict());
   EXPECT_EQ(planner.planner_stats().expected_cost, 0.0);
 }
 
@@ -237,8 +239,10 @@ TEST(ExhaustiveTest, ExploitsSensorBoardSharing) {
   ExhaustivePlanner board_planner(est, board_cm, opts);
   ExhaustivePlanner flat_planner(est, flat_cm, opts);
 
-  const Plan board_plan = board_planner.BuildPlan(q);
-  const Plan flat_plan = flat_planner.BuildPlan(q);
+  const CompiledPlan board_plan =
+      CompiledPlan::Compile(board_planner.BuildPlan(q));
+  const CompiledPlan flat_plan =
+      CompiledPlan::Compile(flat_planner.BuildPlan(q));
   const double board_cost =
       EmpiricalPlanCost(board_plan, ds, q, board_cm).mean_cost;
   const double flat_under_board =
@@ -316,7 +320,7 @@ TEST_P(ExhaustiveBruteForceTest, MatchesOptimalAdaptiveStrategy) {
   ExhaustivePlanner::Options opts;
   opts.split_points = &splits;
   ExhaustivePlanner planner(est, cm, opts);
-  const Plan plan = planner.BuildPlan(q);
+  const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
 
   std::vector<RowId> all_rows(ds.num_rows());
   std::iota(all_rows.begin(), all_rows.end(), RowId{0});

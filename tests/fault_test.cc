@@ -761,7 +761,8 @@ void RunGardenSim(uint64_t fault_seed, SimOutcome* out) {
       {Predicate(attrs.temperature[0], 8, 11), Predicate(attrs.humidity[1], 6, 11)});
   const SplitPointSet splits = SplitPointSet::AllPoints(schema);
   GreedySeqSolver solver;
-  const Plan plan = base.TrainPlan(q, splits, solver, /*max_splits=*/3);
+  const CompiledPlan plan =
+      base.TrainPlan(q, splits, solver, /*max_splits=*/3);
 
   FaultSpec spec;
   spec.transient = 0.1;

@@ -51,8 +51,8 @@ TEST(GreedyPlanTest, ZeroSplitsEqualsSequentialBase) {
   Rng rng(42);
   for (int iter = 0; iter < 10; ++iter) {
     const Query q = testing_util::RandomConjunctiveQuery(tk.schema, rng);
-    const Plan pg = g0.BuildPlan(q);
-    const Plan ps = seq.BuildPlan(q);
+    const CompiledPlan pg = CompiledPlan::Compile(g0.BuildPlan(q));
+    const CompiledPlan ps = CompiledPlan::Compile(seq.BuildPlan(q));
     EXPECT_EQ(pg.NumSplits(), 0u);
     EXPECT_NEAR(EmpiricalPlanCost(pg, tk.ds, q, tk.cm).mean_cost,
                 EmpiricalPlanCost(ps, tk.ds, q, tk.cm).mean_cost, 1e-9);
@@ -65,7 +65,7 @@ TEST(GreedyPlanTest, RespectsMaxSplits) {
   for (size_t k : {0u, 1u, 2u, 5u, 10u}) {
     GreedyPlanner planner = tk.Planner(k);
     const Query q = testing_util::RandomConjunctiveQuery(tk.schema, rng);
-    const Plan plan = planner.BuildPlan(q);
+    const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
     EXPECT_LE(plan.NumSplits(), k);
   }
 }
@@ -78,7 +78,7 @@ TEST(GreedyPlanTest, TrainingCostMonotoneInSplitBudget) {
     double prev = std::numeric_limits<double>::infinity();
     for (size_t k : {0u, 1u, 2u, 4u, 8u}) {
       GreedyPlanner planner = tk.Planner(k);
-      const Plan plan = planner.BuildPlan(q);
+      const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
       const double cost = EmpiricalPlanCost(plan, tk.ds, q, tk.cm).mean_cost;
       ASSERT_LE(cost, prev + 1e-9)
           << "k=" << k << " query=" << q.ToString(tk.schema);
@@ -97,12 +97,12 @@ TEST(GreedyPlanTest, NeverWorseThanBaseNeverBetterThanExhaustive) {
   for (int iter = 0; iter < 6; ++iter) {
     const Query q = testing_util::RandomConjunctiveQuery(tk.schema, rng, 2);
     GreedyPlanner heuristic = tk.Planner(10);
-    const double ch =
-        EmpiricalPlanCost(heuristic.BuildPlan(q), tk.ds, q, tk.cm).mean_cost;
-    const double cs =
-        EmpiricalPlanCost(seq.BuildPlan(q), tk.ds, q, tk.cm).mean_cost;
-    const double ce =
-        EmpiricalPlanCost(exhaustive.BuildPlan(q), tk.ds, q, tk.cm).mean_cost;
+    const CompiledPlan ph = CompiledPlan::Compile(heuristic.BuildPlan(q));
+    const CompiledPlan ps = CompiledPlan::Compile(seq.BuildPlan(q));
+    const CompiledPlan pe = CompiledPlan::Compile(exhaustive.BuildPlan(q));
+    const double ch = EmpiricalPlanCost(ph, tk.ds, q, tk.cm).mean_cost;
+    const double cs = EmpiricalPlanCost(ps, tk.ds, q, tk.cm).mean_cost;
+    const double ce = EmpiricalPlanCost(pe, tk.ds, q, tk.cm).mean_cost;
     ASSERT_LE(ch, cs + 1e-9);
     ASSERT_GE(ch, ce - 1e-9);
   }
@@ -114,7 +114,7 @@ TEST(GreedyPlanTest, VerdictsCorrectEverywhere) {
   GreedyPlanner planner = tk.Planner(6);
   for (int iter = 0; iter < 12; ++iter) {
     const Query q = testing_util::RandomConjunctiveQuery(tk.schema, rng);
-    const Plan plan = planner.BuildPlan(q);
+    const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
     ASSERT_EQ(testing_util::CountVerdictMismatches(plan, q, tk.schema), 0u)
         << q.ToString(tk.schema);
   }
@@ -126,7 +126,7 @@ TEST(GreedyPlanTest, ReportedCostMatchesEquation3) {
   GreedyPlanner planner = tk.Planner(5);
   for (int iter = 0; iter < 8; ++iter) {
     const Query q = testing_util::RandomConjunctiveQuery(tk.schema, rng);
-    const Plan plan = planner.BuildPlan(q);
+    const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
     const double eq3 = ExpectedPlanCost(plan, tk.est, tk.cm);
     ASSERT_NEAR(planner.planner_stats().expected_cost, eq3, 1e-6)
         << q.ToString(tk.schema);
@@ -163,14 +163,14 @@ TEST(GreedyPlanTest, ExploitsCheapCorrelatedAttribute) {
   SequentialPlanner seq(est, cm, optseq, "OptSeq");
   const Query q =
       Query::Conjunction({Predicate(1, 1, 1), Predicate(2, 1, 1)});
-  const Plan pg = planner.BuildPlan(q);
-  const Plan ps = seq.BuildPlan(q);
+  const CompiledPlan pg = CompiledPlan::Compile(planner.BuildPlan(q));
+  const CompiledPlan ps = CompiledPlan::Compile(seq.BuildPlan(q));
   const double cg = EmpiricalPlanCost(pg, ds, q, cm).mean_cost;
   const double cs = EmpiricalPlanCost(ps, ds, q, cm).mean_cost;
   EXPECT_GT(pg.NumSplits(), 0u);
   // Sequential ~75 units; conditional ~56 units.
   EXPECT_LT(cg, cs * 0.85);
-  ASSERT_EQ(pg.root().kind, PlanNode::Kind::kSplit);
+  ASSERT_EQ(pg.root().kind, CompiledPlan::Kind::kSplit);
   EXPECT_EQ(pg.root().attr, 0);  // conditions on the cheap attribute
 }
 
@@ -180,13 +180,13 @@ TEST(GreedyPlanTest, SizePenaltyShrinksPlans) {
       Query::Conjunction({Predicate(2, 3, 3), Predicate(3, 3, 4)});
   GreedyPlanner free = tk.Planner(10, /*alpha=*/0.0);
   GreedyPlanner taxed = tk.Planner(10, /*alpha=*/50.0);
-  const Plan p_free = free.BuildPlan(q);
-  const Plan p_taxed = taxed.BuildPlan(q);
+  const CompiledPlan p_free = CompiledPlan::Compile(free.BuildPlan(q));
+  const CompiledPlan p_taxed = CompiledPlan::Compile(taxed.BuildPlan(q));
   EXPECT_LE(p_taxed.NumSplits(), p_free.NumSplits());
   EXPECT_LE(PlanSizeBytes(p_taxed), PlanSizeBytes(p_free));
   // An enormous alpha suppresses all splits.
   GreedyPlanner prohibitive = tk.Planner(10, /*alpha=*/1e9);
-  EXPECT_EQ(prohibitive.BuildPlan(q).NumSplits(), 0u);
+  EXPECT_EQ(CompiledPlan::Compile(prohibitive.BuildPlan(q)).NumSplits(), 0u);
 }
 
 TEST(GreedyPlanTest, HardByteBoundRespected) {
@@ -198,19 +198,20 @@ TEST(GreedyPlanTest, HardByteBoundRespected) {
   opts.seq_solver = &tk.optseq;
   opts.max_splits = 12;
   GreedyPlanner unbounded(tk.est, tk.cm, opts);
-  const Plan big = unbounded.BuildPlan(q);
+  const CompiledPlan big = CompiledPlan::Compile(unbounded.BuildPlan(q));
 
   for (const size_t budget : {24u, 48u, 96u}) {
     opts.max_plan_bytes = budget;
     GreedyPlanner bounded(tk.est, tk.cm, opts);
-    const Plan plan = bounded.BuildPlan(q);
+    const CompiledPlan plan = CompiledPlan::Compile(bounded.BuildPlan(q));
     EXPECT_LE(PlanSizeBytes(plan), budget) << "budget " << budget;
     EXPECT_EQ(testing_util::CountVerdictMismatches(plan, q, tk.schema), 0u);
   }
   // A generous budget changes nothing.
   opts.max_plan_bytes = 100000;
   GreedyPlanner roomy(tk.est, tk.cm, opts);
-  EXPECT_EQ(PlanSizeBytes(roomy.BuildPlan(q)), PlanSizeBytes(big));
+  EXPECT_EQ(PlanSizeBytes(CompiledPlan::Compile(roomy.BuildPlan(q))),
+            PlanSizeBytes(big));
 }
 
 TEST(GreedyPlanTest, GreedySeqBaseAlsoWorks) {
@@ -224,7 +225,7 @@ TEST(GreedyPlanTest, GreedySeqBaseAlsoWorks) {
   Rng rng(56);
   for (int iter = 0; iter < 8; ++iter) {
     const Query q = testing_util::RandomConjunctiveQuery(tk.schema, rng);
-    const Plan plan = planner.BuildPlan(q);
+    const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
     ASSERT_EQ(testing_util::CountVerdictMismatches(plan, q, tk.schema), 0u);
   }
 }
@@ -239,10 +240,10 @@ TEST(GreedyPlanTest, DeterminedQueryShortCircuits) {
   Toolkit tk(58);
   GreedyPlanner planner = tk.Planner(5);
   // Whole-domain predicate: always true.
-  const Plan plan =
-      planner.BuildPlan(Query::Conjunction({Predicate(0, 0, 3)}));
-  ASSERT_EQ(plan.root().kind, PlanNode::Kind::kVerdict);
-  EXPECT_TRUE(plan.root().verdict);
+  const CompiledPlan plan = CompiledPlan::Compile(
+      planner.BuildPlan(Query::Conjunction({Predicate(0, 0, 3)})));
+  ASSERT_EQ(plan.root().kind, CompiledPlan::Kind::kVerdict);
+  EXPECT_TRUE(plan.root().verdict());
 }
 
 TEST(GreedyPlanTest, StatsArepopulated) {
@@ -260,8 +261,8 @@ TEST(GreedyPlanTest, SerializedPlanExecutesIdentically) {
   GreedyPlanner planner = tk.Planner(5);
   const Query q =
       Query::Conjunction({Predicate(2, 1, 2), Predicate(3, 2, 4)});
-  const Plan plan = planner.BuildPlan(q);
-  auto back = DeserializePlan(SerializePlan(plan), tk.schema);
+  const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
+  auto back = DeserializeCompiledPlan(SerializePlan(plan), tk.schema);
   ASSERT_TRUE(back.ok());
   const auto a = EmpiricalPlanCost(plan, tk.ds, q, tk.cm);
   const auto b = EmpiricalPlanCost(*back, tk.ds, q, tk.cm);

@@ -60,15 +60,16 @@ TEST_P(PlannerSweepTest, AllPlannersCorrectAndOrdered) {
     const Query q = testing_util::RandomConjunctiveQuery(schema, rng, 3);
 
     GreedyPlanner h0 = greedy(0), h1 = greedy(1), h10 = greedy(10);
-    const Plan p_naive = naive.BuildPlan(q);
-    const Plan p_corr = corrseq.BuildPlan(q);
-    const Plan p_h0 = h0.BuildPlan(q);
-    const Plan p_h1 = h1.BuildPlan(q);
-    const Plan p_h10 = h10.BuildPlan(q);
-    const Plan p_ex = exhaustive.BuildPlan(q);
+    const CompiledPlan p_naive = CompiledPlan::Compile(naive.BuildPlan(q));
+    const CompiledPlan p_corr = CompiledPlan::Compile(corrseq.BuildPlan(q));
+    const CompiledPlan p_h0 = CompiledPlan::Compile(h0.BuildPlan(q));
+    const CompiledPlan p_h1 = CompiledPlan::Compile(h1.BuildPlan(q));
+    const CompiledPlan p_h10 = CompiledPlan::Compile(h10.BuildPlan(q));
+    const CompiledPlan p_ex = CompiledPlan::Compile(exhaustive.BuildPlan(q));
 
-    const Plan* plans[] = {&p_naive, &p_corr, &p_h0, &p_h1, &p_h10, &p_ex};
-    for (const Plan* p : plans) {
+    const CompiledPlan* plans[] = {&p_naive, &p_corr, &p_h0, &p_h1, &p_h10,
+                                   &p_ex};
+    for (const CompiledPlan* p : plans) {
       ASSERT_EQ(testing_util::CountVerdictMismatches(*p, q, schema), 0u)
           << q.ToString(schema);
     }
@@ -115,7 +116,7 @@ TEST_P(EstimatorPlugTest, PlannersRunOnEveryEstimator) {
     opts.seq_solver = &optseq;
     opts.max_splits = 3;
     GreedyPlanner planner(*est, cm, opts);
-    const Plan plan = planner.BuildPlan(q);
+    const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
     ASSERT_EQ(testing_util::CountVerdictMismatches(plan, q, schema), 0u);
   }
 }
@@ -144,8 +145,8 @@ TEST(IntegrationTest, HeuristicGeneralizesOnSyntheticHoldout) {
   gopts.max_splits = 5;
   GreedyPlanner heuristic(est, cm, gopts);
 
-  const Plan p_naive = naive.BuildPlan(q);
-  const Plan p_h = heuristic.BuildPlan(q);
+  const CompiledPlan p_naive = CompiledPlan::Compile(naive.BuildPlan(q));
+  const CompiledPlan p_h = CompiledPlan::Compile(heuristic.BuildPlan(q));
   const auto r_naive = EmpiricalPlanCost(p_naive, test, q, cm);
   const auto r_h = EmpiricalPlanCost(p_h, test, q, cm);
   EXPECT_EQ(r_naive.verdict_errors, 0u);
@@ -182,10 +183,10 @@ TEST(IntegrationTest, ChowLiuHelpsWhenTrainingDataIsTiny) {
     gopts.seq_solver = &greedyseq;
     gopts.max_splits = 5;
     GreedyPlanner planner(est, cm, gopts);
-    return planner.BuildPlan(q);
+    return CompiledPlan::Compile(planner.BuildPlan(q));
   };
-  const Plan p_direct = build(direct);
-  const Plan p_smooth = build(smooth);
+  const CompiledPlan p_direct = build(direct);
+  const CompiledPlan p_smooth = build(smooth);
   const auto r_direct = EmpiricalPlanCost(p_direct, test, q, cm);
   const auto r_smooth = EmpiricalPlanCost(p_smooth, test, q, cm);
   EXPECT_EQ(r_direct.verdict_errors, 0u);
@@ -210,7 +211,7 @@ TEST(IntegrationTest, BoardCostModelChangesPlans) {
       Query::Conjunction({Predicate(2, 2, 3), Predicate(3, 0, 2)});
 
   SequentialPlanner board_aware(est, board_cm, optseq, "board");
-  const Plan p = board_aware.BuildPlan(q);
+  const CompiledPlan p = CompiledPlan::Compile(board_aware.BuildPlan(q));
   const auto under_board = EmpiricalPlanCost(p, ds, q, board_cm);
   const auto under_flat = EmpiricalPlanCost(p, ds, q, flat_cm);
   // Board charges at least the flat cost.
@@ -258,7 +259,7 @@ TEST_P(DnfSweepTest, ExhaustiveCorrectOnRandomDisjunctions) {
     }
     const Query q = Query::Disjunction(conjuncts);
     if (!q.ValidFor(schema)) continue;
-    const Plan plan = planner.BuildPlan(q);
+    const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
     ASSERT_EQ(testing_util::CountVerdictMismatches(plan, q, schema), 0u)
         << q.ToString(schema);
     // The DP's reported cost is consistent with Equation (3).
@@ -296,7 +297,7 @@ TEST(IntegrationTest, ExhaustiveHandlesExistentialNetworkQuery) {
   ExhaustivePlanner planner(est, cm, opts);
   Query q = Query::Disjunction({{Predicate(1, 1, 1), Predicate(2, 1, 1)},
                                 {Predicate(3, 1, 1), Predicate(4, 1, 1)}});
-  const Plan plan = planner.BuildPlan(q);
+  const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
   EXPECT_EQ(testing_util::CountVerdictMismatches(plan, q, schema), 0u);
   const auto res = EmpiricalPlanCost(plan, ds, q, cm);
   EXPECT_EQ(res.verdict_errors, 0u);

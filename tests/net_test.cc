@@ -150,7 +150,7 @@ TEST(MoteTest, RejectsCorruptPlanKeepsOld) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
   Mote mote(1, schema, cm, [](size_t, AttrId) { return Value{0}; });
-  Plan good(PlanNode::Verdict(true));
+  const CompiledPlan good = CompiledPlan::Compile(*PlanNode::Verdict(true));
   ASSERT_TRUE(mote.ReceivePlanBytes(SerializePlan(good)).ok());
   EXPECT_TRUE(mote.has_plan());
   // Corrupt bytes: rejected, old plan still active.
@@ -174,7 +174,8 @@ TEST(MoteTest, EnergyBudgetStopsExecution) {
   // Each epoch costs cost(2) = 50; budget allows exactly two epochs.
   Mote mote(1, schema, cm, [](size_t, AttrId) { return Value{1}; },
             /*energy_budget=*/100.0);
-  mote.InstallPlan(Plan(PlanNode::Sequential({Predicate(2, 0, 0)})));
+  mote.InstallPlan(
+      CompiledPlan::Compile(*PlanNode::Sequential({Predicate(2, 0, 0)})));
   EXPECT_TRUE(mote.RunEpoch(0).has_value());
   EXPECT_TRUE(mote.RunEpoch(1).has_value());
   EXPECT_FALSE(mote.RunEpoch(2).has_value());  // browned out
@@ -187,7 +188,8 @@ TEST(MoteTest, SamplerDrivesVerdicts) {
   Mote mote(1, schema, cm, [](size_t epoch, AttrId) {
     return static_cast<Value>(epoch % 2);
   });
-  mote.InstallPlan(Plan(PlanNode::Sequential({Predicate(0, 1, 1)})));
+  mote.InstallPlan(
+      CompiledPlan::Compile(*PlanNode::Sequential({Predicate(0, 1, 1)})));
   EXPECT_FALSE(mote.RunEpoch(0)->verdict);
   EXPECT_TRUE(mote.RunEpoch(1)->verdict);
 }
@@ -205,7 +207,7 @@ TEST(BasestationTest, EndToEndTrainDisseminateRun) {
       Query::Conjunction({Predicate(2, 3, 3), Predicate(3, 3, 4)});
   const SplitPointSet splits = SplitPointSet::AllPoints(schema);
   OptSeqSolver optseq;
-  const Plan plan = base.TrainPlan(q, splits, optseq, /*max_splits=*/4);
+  const CompiledPlan plan = base.TrainPlan(q, splits, optseq, /*max_splits=*/4);
 
   // Motes replay held-out rows.
   const Dataset test = CorrelatedDataset(schema, 64, 62, 0.2);
@@ -245,7 +247,7 @@ TEST(BasestationTest, CorruptRadioRejectsBrokenPlans) {
   const Query q = Query::Conjunction({Predicate(2, 1, 2), Predicate(3, 0, 2)});
   const SplitPointSet splits = SplitPointSet::AllPoints(schema);
   OptSeqSolver optseq;
-  const Plan plan = base.TrainPlan(q, splits, optseq, 3);
+  const CompiledPlan plan = base.TrainPlan(q, splits, optseq, 3);
 
   std::vector<std::unique_ptr<Mote>> motes;
   std::vector<Mote*> ptrs;
@@ -277,7 +279,8 @@ TEST(BasestationTest, LimitQueryStopsEarly) {
   for (int m = 0; m < 8; ++m) {
     motes.push_back(std::make_unique<Mote>(
         m, schema, cm, [](size_t, AttrId) { return Value{1}; }));
-    motes.back()->InstallPlan(Plan(PlanNode::Sequential({Predicate(0, 1, 1)})));
+    motes.back()->InstallPlan(
+        CompiledPlan::Compile(*PlanNode::Sequential({Predicate(0, 1, 1)})));
     mote_ptrs.push_back(motes.back().get());
   }
   const auto res = base.RunLimitQuery(mote_ptrs, /*limit=*/3,
@@ -295,7 +298,8 @@ TEST(BasestationTest, LimitQueryExhaustsEpochsWhenScarce) {
   Basestation base(schema, cm, radio);
   // Never matches.
   Mote mote(0, schema, cm, [](size_t, AttrId) { return Value{0}; });
-  mote.InstallPlan(Plan(PlanNode::Sequential({Predicate(0, 1, 1)})));
+  mote.InstallPlan(
+      CompiledPlan::Compile(*PlanNode::Sequential({Predicate(0, 1, 1)})));
   std::vector<Mote*> ptrs = {&mote};
   const auto res = base.RunLimitQuery(ptrs, 1, /*max_epochs=*/5);
   EXPECT_EQ(res.matches, 0u);
@@ -313,7 +317,7 @@ TEST(BasestationTest, LossyRadioInstallsFewerPlans) {
   const Query q = Query::Conjunction({Predicate(2, 1, 2)});
   const SplitPointSet splits = SplitPointSet::AllPoints(schema);
   OptSeqSolver optseq;
-  const Plan plan = base.TrainPlan(q, splits, optseq, 2);
+  const CompiledPlan plan = base.TrainPlan(q, splits, optseq, 2);
 
   std::vector<std::unique_ptr<Mote>> motes;
   std::vector<Mote*> mote_ptrs;
@@ -330,7 +334,8 @@ TEST(BasestationTest, LossyRadioInstallsFewerPlans) {
 TEST(BasestationTest, AckRetransmissionConfirmsMoreInstalls) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
-  const Plan plan(PlanNode::Sequential({Predicate(0, 1, 2)}));
+  const CompiledPlan plan =
+      CompiledPlan::Compile(*PlanNode::Sequential({Predicate(0, 1, 2)}));
 
   auto run = [&](int max_attempts) {
     Radio radio(Radio::Options{
@@ -361,7 +366,8 @@ TEST(BasestationTest, AckRetransmissionConfirmsMoreInstalls) {
 TEST(BasestationTest, RetransmissionBackoffChargesTheBasestation) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
-  const Plan plan(PlanNode::Sequential({Predicate(0, 1, 2)}));
+  const CompiledPlan plan =
+      CompiledPlan::Compile(*PlanNode::Sequential({Predicate(0, 1, 2)}));
   Radio radio(Radio::Options{
       .cost_per_byte = 0.0, .drop_probability = 0.7, .seed = 5});
   Basestation base(schema, cm, radio);
@@ -384,7 +390,8 @@ TEST(BasestationTest, EpochReportCountsDegradedAndBrownedOutMotes) {
   PerAttributeCostModel cm(schema);
   Radio radio(Radio::Options{.cost_per_byte = 0.0});
   Basestation base(schema, cm, radio);
-  const Plan plan(PlanNode::Sequential({Predicate(0, 1, 3)}));
+  const CompiledPlan plan =
+      CompiledPlan::Compile(*PlanNode::Sequential({Predicate(0, 1, 3)}));
 
   // Mote 0: healthy and always matching. Mote 1: every acquisition fails
   // (unknown verdicts). Mote 2: energy for roughly one epoch, then browns
@@ -427,7 +434,8 @@ TEST(BasestationTest, UnreachableMotesAreCounted) {
   Radio radio(Radio::Options{.cost_per_byte = 0.0, .drop_probability = 1.0});
   Basestation base(schema, cm, radio);
   Mote mote(0, schema, cm, [](size_t, AttrId) { return Value{1}; });
-  mote.InstallPlan(Plan(PlanNode::Sequential({Predicate(0, 1, 3)})));
+  mote.InstallPlan(
+      CompiledPlan::Compile(*PlanNode::Sequential({Predicate(0, 1, 3)})));
   std::vector<Mote*> ptrs = {&mote};
   const auto reports = base.RunContinuousQuery(ptrs, /*epochs=*/2);
   for (const auto& rep : reports) {

@@ -70,7 +70,8 @@ TEST_P(ExpectedEqualsEmpiricalTest, Identity) {
   PerAttributeCostModel cm(schema);
   for (int iter = 0; iter < 10; ++iter) {
     const Query q = testing_util::RandomConjunctiveQuery(schema, rng);
-    Plan plan(RandomCorrectPlan(schema, q, schema.FullRanges(), rng, 3));
+    const CompiledPlan plan = CompiledPlan::Compile(
+        *RandomCorrectPlan(schema, q, schema.FullRanges(), rng, 3));
     const double analytic = ExpectedPlanCost(plan, est, cm);
     const EmpiricalCostResult emp = EmpiricalPlanCost(plan, ds, q, cm);
     ASSERT_NEAR(analytic, emp.mean_cost, 1e-9)
@@ -91,7 +92,8 @@ TEST(ExpectedEqualsEmpiricalBoardTest, HoldsUnderSensorBoardCosts) {
   SensorBoardCostModel cm(schema, {-1, -1, 0, 0}, {25.0});
   for (int iter = 0; iter < 10; ++iter) {
     const Query q = testing_util::RandomConjunctiveQuery(schema, rng);
-    Plan plan(RandomCorrectPlan(schema, q, schema.FullRanges(), rng, 3));
+    const CompiledPlan plan = CompiledPlan::Compile(
+        *RandomCorrectPlan(schema, q, schema.FullRanges(), rng, 3));
     const double analytic = ExpectedPlanCost(plan, est, cm);
     const EmpiricalCostResult emp = EmpiricalPlanCost(plan, ds, q, cm);
     ASSERT_NEAR(analytic, emp.mean_cost, 1e-9);
@@ -105,7 +107,7 @@ TEST(EmpiricalCostTest, ChargesEachAttributeOncePerTuple) {
                                PlanNode::Verdict(true));
   auto root = PlanNode::Split(0, 1, PlanNode::Verdict(false),
                               std::move(inner));
-  Plan plan(std::move(root));
+  const CompiledPlan plan = CompiledPlan::Compile(*root);
   Dataset ds(schema);
   ds.Append({3, 0, 0, 0});
   PerAttributeCostModel cm(schema);
@@ -118,7 +120,8 @@ TEST(EmpiricalCostTest, ChargesEachAttributeOncePerTuple) {
 TEST(EmpiricalCostTest, SequentialShortCircuits) {
   const Schema schema = SmallSchema();
   // cheap0 (cost 1) first, exp1 (cost 80) second.
-  Plan plan(PlanNode::Sequential({Predicate(0, 3, 3), Predicate(3, 0, 0)}));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      *PlanNode::Sequential({Predicate(0, 3, 3), Predicate(3, 0, 0)}));
   Dataset ds(schema);
   ds.Append({0, 0, 0, 0});  // fails first predicate: cost 1
   ds.Append({3, 0, 0, 0});  // passes first, evaluates second: cost 81
@@ -132,7 +135,8 @@ TEST(EmpiricalCostTest, SequentialShortCircuits) {
 
 TEST(EmpiricalCostTest, DetectsWrongVerdicts) {
   const Schema schema = SmallSchema();
-  Plan always_true(PlanNode::Verdict(true));
+  const CompiledPlan always_true =
+      CompiledPlan::Compile(*PlanNode::Verdict(true));
   Dataset ds(schema);
   ds.Append({0, 0, 0, 0});
   ds.Append({1, 0, 0, 0});
@@ -238,7 +242,7 @@ TEST(ExpectedCostTest, VerdictLeafIsFree) {
   const Dataset ds = UniformDataset(schema, 100, 5);
   DatasetEstimator est(ds);
   PerAttributeCostModel cm(schema);
-  Plan p(PlanNode::Verdict(true));
+  const CompiledPlan p = CompiledPlan::Compile(*PlanNode::Verdict(true));
   EXPECT_DOUBLE_EQ(ExpectedPlanCost(p, est, cm), 0.0);
 }
 
@@ -254,7 +258,8 @@ TEST(ExpectedCostTest, SequentialLeafUsesConditionalProbabilities) {
   for (int i = 0; i < 70; ++i) ds.Append({0, 0});
   DatasetEstimator est(ds);
   PerAttributeCostModel cm(schema);
-  Plan p(PlanNode::Sequential({Predicate(0, 1, 1), Predicate(1, 1, 1)}));
+  const CompiledPlan p = CompiledPlan::Compile(
+      *PlanNode::Sequential({Predicate(0, 1, 1), Predicate(1, 1, 1)}));
   // cost = 10 + P(a=1) * 100 = 10 + 30.
   EXPECT_NEAR(ExpectedPlanCost(p, est, cm), 40.0, 1e-9);
 }
@@ -272,7 +277,7 @@ TEST(ExpectedCostTest, GenericLeafCostsAcquireUntilResolved) {
   DatasetEstimator est(ds);
   PerAttributeCostModel cm(schema);
   Query q = Query::Disjunction({{Predicate(0, 1, 1)}, {Predicate(1, 1, 1)}});
-  Plan p(PlanNode::Generic(q, {0, 1}));
+  const CompiledPlan p = CompiledPlan::Compile(*PlanNode::Generic(q, {0, 1}));
   // cost = 5 + P(a=0) * 50 = 5 + 25.
   EXPECT_NEAR(ExpectedPlanCost(p, est, cm), 30.0, 1e-9);
   const EmpiricalCostResult emp = EmpiricalPlanCost(p, ds, q, cm);

@@ -1,9 +1,11 @@
-// Plan structure, verdict semantics, serialization roundtrips and
-// corruption handling, and the pretty printer.
+// Plan structure (built as a tree, checked on its compiled form), verdict
+// semantics, serialization roundtrips and corruption handling, and the
+// pretty printer.
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "plan/compiled_plan.h"
 #include "plan/plan.h"
 #include "plan/plan_printer.h"
 #include "plan/plan_serde.h"
@@ -14,28 +16,30 @@ namespace {
 
 using testing_util::SmallSchema;
 
-Plan SamplePlan() {
+Plan SampleTree() {
   // if exp0 >= 2: eval [cheap0 in [1,2]] else: FAIL
   auto seq = PlanNode::Sequential({Predicate(0, 1, 2)});
   auto root = PlanNode::Split(2, 2, PlanNode::Verdict(false), std::move(seq));
   return Plan(std::move(root));
 }
 
+CompiledPlan SamplePlan() { return CompiledPlan::Compile(SampleTree()); }
+
 TEST(PlanTest, CountsAndDepth) {
-  const Plan p = SamplePlan();
+  const CompiledPlan p = SamplePlan();
   EXPECT_EQ(p.NumSplits(), 1u);
   EXPECT_EQ(p.NumNodes(), 3u);
   EXPECT_EQ(p.Depth(), 1u);
 }
 
 TEST(PlanTest, DefaultPlanRejectsEverything) {
-  Plan p;
+  const CompiledPlan p = CompiledPlan::Compile(Plan());
   EXPECT_FALSE(p.VerdictFor({0, 0, 0, 0}));
   EXPECT_EQ(p.NumSplits(), 0u);
 }
 
 TEST(PlanTest, VerdictForFollowsSplits) {
-  const Plan p = SamplePlan();
+  const CompiledPlan p = SamplePlan();
   // exp0 (attr 2) < 2 -> FAIL regardless.
   EXPECT_FALSE(p.VerdictFor({1, 0, 1, 0}));
   // exp0 >= 2 -> sequential leaf on cheap0 in [1,2].
@@ -44,17 +48,20 @@ TEST(PlanTest, VerdictForFollowsSplits) {
 }
 
 TEST(PlanTest, CloneIsDeep) {
-  const Plan p = SamplePlan();
+  const Plan p = SampleTree();
   const Plan copy = p.Clone();  // explicit deep clone; copy ctor is deleted
-  EXPECT_EQ(copy.NumNodes(), p.NumNodes());
   EXPECT_NE(&copy.root(), &p.root());
-  EXPECT_TRUE(copy.VerdictFor({1, 0, 2, 0}));
+  EXPECT_NE(copy.root().ge.get(), p.root().ge.get());
+  const CompiledPlan compiled = CompiledPlan::Compile(copy);
+  EXPECT_EQ(compiled.NumNodes(), 3u);
+  EXPECT_TRUE(compiled.VerdictFor({1, 0, 2, 0}));
 }
 
 TEST(PlanTest, GenericLeafVerdict) {
   Query q = Query::Disjunction(
       {{Predicate(0, 3, 3)}, {Predicate(2, 0, 0), Predicate(1, 0, 1)}});
-  Plan p(PlanNode::Generic(q, {0, 2, 1}));
+  const CompiledPlan p =
+      CompiledPlan::Compile(*PlanNode::Generic(q, {0, 2, 1}));
   EXPECT_TRUE(p.VerdictFor({3, 5, 3, 0}));   // first disjunct
   EXPECT_TRUE(p.VerdictFor({0, 1, 0, 0}));   // second disjunct
   EXPECT_FALSE(p.VerdictFor({0, 5, 0, 0}));  // neither
@@ -62,20 +69,20 @@ TEST(PlanTest, GenericLeafVerdict) {
 
 TEST(PlanSerdeTest, RoundtripSequentialLeaf) {
   const Schema schema = SmallSchema();
-  Plan p(PlanNode::Sequential(
+  const CompiledPlan p = CompiledPlan::Compile(*PlanNode::Sequential(
       {Predicate(2, 1, 2), Predicate(0, 0, 1, /*neg=*/true)}));
   const auto bytes = SerializePlan(p);
-  auto back = DeserializePlan(bytes, schema);
+  auto back = DeserializeCompiledPlan(bytes, schema);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->root().kind, PlanNode::Kind::kSequential);
-  ASSERT_EQ(back->root().sequence.size(), 2u);
-  EXPECT_EQ(back->root().sequence[1], Predicate(0, 0, 1, true));
+  EXPECT_EQ(back->root().kind, CompiledPlan::Kind::kSequential);
+  ASSERT_EQ(back->sequence(back->root()).size(), 2u);
+  EXPECT_EQ(back->sequence(back->root())[1], Predicate(0, 0, 1, true));
 }
 
 TEST(PlanSerdeTest, RoundtripSplitTree) {
   const Schema schema = SmallSchema();
-  const Plan p = SamplePlan();
-  auto back = DeserializePlan(SerializePlan(p), schema);
+  const CompiledPlan p = SamplePlan();
+  auto back = DeserializeCompiledPlan(SerializePlan(p), schema);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->NumSplits(), 1u);
   // Behavioral equality over the full domain.
@@ -93,16 +100,19 @@ TEST(PlanSerdeTest, RoundtripGenericLeaf) {
   const Schema schema = SmallSchema();
   Query q = Query::Disjunction(
       {{Predicate(0, 1, 2)}, {Predicate(3, 0, 0), Predicate(2, 3, 3)}});
-  Plan p(PlanNode::Generic(q, {0, 3, 2}));
-  auto back = DeserializePlan(SerializePlan(p), schema);
+  const CompiledPlan p =
+      CompiledPlan::Compile(*PlanNode::Generic(q, {0, 3, 2}));
+  auto back = DeserializeCompiledPlan(SerializePlan(p), schema);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->root().kind, PlanNode::Kind::kGeneric);
-  EXPECT_EQ(back->root().acquire_order, (std::vector<AttrId>{0, 3, 2}));
-  EXPECT_EQ(back->root().residual_query.conjuncts().size(), 2u);
+  EXPECT_EQ(back->root().kind, CompiledPlan::Kind::kGeneric);
+  const std::span<const AttrId> order = back->acquire_order(back->root());
+  EXPECT_EQ(std::vector<AttrId>(order.begin(), order.end()),
+            (std::vector<AttrId>{0, 3, 2}));
+  EXPECT_EQ(back->residual_query(back->root()).conjuncts().size(), 2u);
 }
 
 TEST(PlanSerdeTest, SizeIsCompact) {
-  const Plan p = SamplePlan();
+  const CompiledPlan p = SamplePlan();
   // Flat encoding: version + node count + split (kind/attr/value/ge-index)
   // + verdict leaf (2) + seq leaf (2 + 4 per predicate).
   EXPECT_LE(PlanSizeBytes(p), 16u);
@@ -112,7 +122,7 @@ TEST(PlanSerdeTest, RejectsTrailingGarbage) {
   const Schema schema = SmallSchema();
   auto bytes = SerializePlan(SamplePlan());
   bytes.push_back(0x7);
-  EXPECT_EQ(DeserializePlan(bytes, schema).status().code(),
+  EXPECT_EQ(DeserializeCompiledPlan(bytes, schema).status().code(),
             StatusCode::kDataLoss);
 }
 
@@ -121,25 +131,27 @@ TEST(PlanSerdeTest, RejectsTruncation) {
   auto bytes = SerializePlan(SamplePlan());
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     std::vector<uint8_t> trunc(bytes.begin(), bytes.begin() + cut);
-    EXPECT_FALSE(DeserializePlan(trunc, schema).ok()) << "cut=" << cut;
+    EXPECT_FALSE(DeserializeCompiledPlan(trunc, schema).ok())
+        << "cut=" << cut;
   }
 }
 
 TEST(PlanSerdeTest, RejectsOutOfSchemaAttr) {
-  Plan p(PlanNode::Sequential({Predicate(3, 0, 1)}));
+  const CompiledPlan p =
+      CompiledPlan::Compile(*PlanNode::Sequential({Predicate(3, 0, 1)}));
   auto bytes = SerializePlan(p);
   Schema tiny;
   tiny.AddAttribute("only", 4, 1.0);
-  EXPECT_FALSE(DeserializePlan(bytes, tiny).ok());
+  EXPECT_FALSE(DeserializeCompiledPlan(bytes, tiny).ok());
 }
 
 TEST(PlanSerdeTest, RejectsOutOfDomainSplitValue) {
-  Plan p(PlanNode::Split(0, 3, PlanNode::Verdict(false),
-                         PlanNode::Verdict(true)));
+  const CompiledPlan p = CompiledPlan::Compile(*PlanNode::Split(
+      0, 3, PlanNode::Verdict(false), PlanNode::Verdict(true)));
   auto bytes = SerializePlan(p);
   Schema binary;
   binary.AddAttribute("a", 2, 1.0);  // split at 3 is out of domain 2
-  EXPECT_FALSE(DeserializePlan(bytes, binary).ok());
+  EXPECT_FALSE(DeserializeCompiledPlan(bytes, binary).ok());
 }
 
 TEST(PlanSerdeTest, RandomBitFlipsNeverCrash) {
@@ -152,7 +164,7 @@ TEST(PlanSerdeTest, RandomBitFlipsNeverCrash) {
         static_cast<size_t>(rng.UniformInt(0, corrupted.size() - 1));
     corrupted[pos] ^= static_cast<uint8_t>(1u << rng.UniformInt(0, 7));
     // Must either parse to a valid plan or fail cleanly; never crash.
-    auto result = DeserializePlan(corrupted, schema);
+    auto result = DeserializeCompiledPlan(corrupted, schema);
     if (result.ok()) {
       EXPECT_GE(result->NumNodes(), 1u);
     }

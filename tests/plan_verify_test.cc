@@ -19,7 +19,8 @@ using testing_util::SmallSchema;
 TEST(PlanVerifyTest, CorrectPlanPassesExhaustiveCheck) {
   const Schema schema = SmallSchema();
   const Query q = Query::Conjunction({Predicate(0, 1, 2), Predicate(2, 0, 1)});
-  Plan plan(PlanNode::Sequential({Predicate(0, 1, 2), Predicate(2, 0, 1)}));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      *PlanNode::Sequential({Predicate(0, 1, 2), Predicate(2, 0, 1)}));
   const auto res = VerifyPlanExhaustive(plan, q, schema);
   EXPECT_TRUE(res.correct);
   EXPECT_EQ(res.tuples_checked, 4u * 6 * 4 * 5);  // full domain product
@@ -29,7 +30,8 @@ TEST(PlanVerifyTest, CorrectPlanPassesExhaustiveCheck) {
 TEST(PlanVerifyTest, WrongPlanYieldsCounterexample) {
   const Schema schema = SmallSchema();
   const Query q = Query::Conjunction({Predicate(0, 1, 2)});
-  Plan always_true(PlanNode::Verdict(true));
+  const CompiledPlan always_true =
+      CompiledPlan::Compile(*PlanNode::Verdict(true));
   const auto res = VerifyPlanExhaustive(always_true, q, schema);
   ASSERT_FALSE(res.correct);
   ASSERT_TRUE(res.counterexample.has_value());
@@ -41,7 +43,8 @@ TEST(PlanVerifyTest, WrongPlanYieldsCounterexample) {
 TEST(PlanVerifyTest, SampledFindsGrossErrors) {
   const Schema schema = SmallSchema();
   const Query q = Query::Conjunction({Predicate(0, 0, 0)});  // rarely true
-  Plan always_true(PlanNode::Verdict(true));
+  const CompiledPlan always_true =
+      CompiledPlan::Compile(*PlanNode::Verdict(true));
   const auto res = VerifyPlanSampled(always_true, q, schema, 500, 3);
   EXPECT_FALSE(res.correct);
 }
@@ -49,7 +52,8 @@ TEST(PlanVerifyTest, SampledFindsGrossErrors) {
 TEST(PlanVerifyTest, SampledPassesCorrectPlan) {
   const Schema schema = SmallSchema();
   const Query q = Query::Conjunction({Predicate(3, 1, 3)});
-  Plan plan(PlanNode::Sequential({Predicate(3, 1, 3)}));
+  const CompiledPlan plan =
+      CompiledPlan::Compile(*PlanNode::Sequential({Predicate(3, 1, 3)}));
   const auto res = VerifyPlanSampled(plan, q, schema, 2000, 4);
   EXPECT_TRUE(res.correct);
   EXPECT_EQ(res.tuples_checked, 2000u);
@@ -70,7 +74,7 @@ TEST(PlanVerifyTest, PlannerOutputAlwaysVerifies) {
   Rng rng(72);
   for (int i = 0; i < 10; ++i) {
     const Query q = testing_util::RandomConjunctiveQuery(schema, rng);
-    const Plan plan = planner.BuildPlan(q);
+    const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
     EXPECT_TRUE(PlanIsWellFormed(plan, schema));
     EXPECT_TRUE(VerifyPlanExhaustive(plan, q, schema).correct);
   }
@@ -78,8 +82,8 @@ TEST(PlanVerifyTest, PlannerOutputAlwaysVerifies) {
 
 TEST(PlanWellFormedTest, RejectsBadSplitValue) {
   const Schema schema = SmallSchema();
-  Plan p(PlanNode::Split(0, 3, PlanNode::Verdict(false),
-                         PlanNode::Verdict(true)));
+  const CompiledPlan p = CompiledPlan::Compile(*PlanNode::Split(
+      0, 3, PlanNode::Verdict(false), PlanNode::Verdict(true)));
   EXPECT_TRUE(PlanIsWellFormed(p, schema));  // 3 < domain 4: fine
   Schema binary;
   binary.AddAttribute("b", 2, 1.0);
@@ -89,16 +93,19 @@ TEST(PlanWellFormedTest, RejectsBadSplitValue) {
 TEST(PlanWellFormedTest, RejectsOutOfSchemaSequential) {
   Schema binary;
   binary.AddAttribute("b", 2, 1.0);
-  Plan p(PlanNode::Sequential({Predicate(1, 0, 1)}));
+  const CompiledPlan p =
+      CompiledPlan::Compile(*PlanNode::Sequential({Predicate(1, 0, 1)}));
   EXPECT_FALSE(PlanIsWellFormed(p, binary));
 }
 
 TEST(PlanWellFormedTest, GenericMustCoverReferencedAttrs) {
   const Schema schema = SmallSchema();
   Query q = Query::Disjunction({{Predicate(0, 1, 1)}, {Predicate(2, 0, 0)}});
-  Plan covered(PlanNode::Generic(q, {0, 2}));
+  const CompiledPlan covered =
+      CompiledPlan::Compile(*PlanNode::Generic(q, {0, 2}));
   EXPECT_TRUE(PlanIsWellFormed(covered, schema));
-  Plan uncovered(PlanNode::Generic(q, {0}));
+  const CompiledPlan uncovered =
+      CompiledPlan::Compile(*PlanNode::Generic(q, {0}));
   EXPECT_FALSE(PlanIsWellFormed(uncovered, schema));
 }
 
@@ -116,7 +123,7 @@ TEST(ExplainPlanTest, AnnotationsAreConsistent) {
   GreedyPlanner planner(est, cm, opts);
   const Query q =
       Query::Conjunction({Predicate(2, 2, 3), Predicate(3, 1, 3)});
-  const Plan plan = planner.BuildPlan(q);
+  const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
   const std::string text = ExplainPlan(plan, est, cm);
   // Root reach is 1.000 and the root cost annotation matches Eq. (3).
   EXPECT_NE(text.find("reach=1.000"), std::string::npos);
@@ -131,9 +138,10 @@ TEST(ExpectedSubplanCostTest, RootEqualsFullPlanCost) {
   const Dataset ds = CorrelatedDataset(schema, 300, 74);
   DatasetEstimator est(ds);
   PerAttributeCostModel cm(schema);
-  Plan plan(PlanNode::Sequential({Predicate(2, 1, 2), Predicate(0, 0, 1)}));
+  const CompiledPlan plan = CompiledPlan::Compile(
+      *PlanNode::Sequential({Predicate(2, 1, 2), Predicate(0, 0, 1)}));
   EXPECT_DOUBLE_EQ(
-      ExpectedSubplanCost(plan.root(), schema.FullRanges(), est, cm),
+      ExpectedSubplanCost(plan, 0, schema.FullRanges(), est, cm),
       ExpectedPlanCost(plan, est, cm));
 }
 

@@ -324,8 +324,8 @@ TEST(RegretPlannerTest, DegenerateBoxReproducesPointPlanBitIdentically) {
   const RegretPlanner regret(fx.est, fx.cm, std::move(opts));
 
   const Query q = TwoPredQuery();
-  const Plan point = fx.planner.BuildPlan(q);
-  const Plan robust = regret.BuildPlan(q);
+  const CompiledPlan point = CompiledPlan::Compile(fx.planner.BuildPlan(q));
+  const CompiledPlan robust = CompiledPlan::Compile(regret.BuildPlan(q));
   EXPECT_EQ(SerializePlan(robust), SerializePlan(point));
   EXPECT_TRUE(regret.stats().degenerate_fallback);
   EXPECT_DOUBLE_EQ(regret.LastWorstCaseRegret(), 0.0);
@@ -339,20 +339,19 @@ TEST(RegretPlannerTest, PicksRobustOrderingUnderDirectionalBox) {
   const RegretPlanner regret(fx.est, fx.cm, std::move(opts));
 
   const Query q = TwoPredQuery();
-  const Plan point = fx.planner.BuildPlan(q);
-  const Plan robust = regret.BuildPlan(q);
+  const CompiledPlan point = CompiledPlan::Compile(fx.planner.BuildPlan(q));
+  const CompiledPlan robust = CompiledPlan::Compile(regret.BuildPlan(q));
 
   // Corner costs (equal attribute costs, conditional probs from regime A):
   //   a0-first: 5.5 nominal, 9.75 when a0 shifts up   -> max regret 4.5
   //   a1-first: 9.5 nominal (regret 4.0), 5.25 shifted -> max regret 4.0
   // Minmax regret therefore abandons the point plan for a1-first.
   EXPECT_NE(SerializePlan(robust), SerializePlan(point));
-  const CompiledPlan compiled = CompiledPlan::Compile(robust);
-  EXPECT_NEAR(ExpectedPlanCost(compiled, fx.est, fx.cm), 9.5, 1e-9);
+  EXPECT_NEAR(ExpectedPlanCost(robust, fx.est, fx.cm), 9.5, 1e-9);
   CostScenario shifted;
   shifted.shift[0] = 0.85;
   shifted.shift[1] = -0.85;
-  EXPECT_NEAR(ExpectedPlanCost(compiled, fx.est, fx.cm, shifted), 5.25, 1e-9);
+  EXPECT_NEAR(ExpectedPlanCost(robust, fx.est, fx.cm, shifted), 5.25, 1e-9);
 
   const RegretPlanner::Stats& st = regret.stats();
   EXPECT_FALSE(st.degenerate_fallback);
@@ -374,14 +373,15 @@ TEST(RegretPlannerTest, BoxProviderOverridesStaticBox) {
   const RegretPlanner regret(fx.est, fx.cm, std::move(opts));
 
   const Query q = TwoPredQuery();
+  const auto wire = [&q](const Planner& planner) {
+    return SerializePlan(CompiledPlan::Compile(planner.BuildPlan(q)));
+  };
   // ...but the provider currently says "point": fall back verbatim.
-  EXPECT_EQ(SerializePlan(regret.BuildPlan(q)),
-            SerializePlan(fx.planner.BuildPlan(q)));
+  EXPECT_EQ(wire(regret), wire(fx.planner));
   EXPECT_TRUE(regret.stats().degenerate_fallback);
   // Widen the shared box at runtime: the next build plans robustly.
   shared->Widen(ShiftBox());
-  EXPECT_NE(SerializePlan(regret.BuildPlan(q)),
-            SerializePlan(fx.planner.BuildPlan(q)));
+  EXPECT_NE(wire(regret), wire(fx.planner));
   EXPECT_FALSE(regret.stats().degenerate_fallback);
 }
 
@@ -401,8 +401,9 @@ TEST(RegretPlannerTest, NonConjunctiveQueryFallsBackToPointPlanner) {
 
   const Query dnf = Query::Disjunction(
       {{Predicate(0, 0, 0)}, {Predicate(1, 0, 8)}});
-  const Plan robust = regret.BuildPlan(dnf);
-  EXPECT_EQ(SerializePlan(robust), SerializePlan(exhaustive.BuildPlan(dnf)));
+  const CompiledPlan robust = CompiledPlan::Compile(regret.BuildPlan(dnf));
+  EXPECT_EQ(SerializePlan(robust),
+            SerializePlan(CompiledPlan::Compile(exhaustive.BuildPlan(dnf))));
   EXPECT_EQ(regret.stats().candidates, 1u);
 }
 

@@ -206,14 +206,14 @@ TEST(NaivePlannerTest, OrdersByCostOverDropProbability) {
   PerAttributeCostModel cm(schema);
   NaivePlanner planner(est, cm);
   Query q = Query::Conjunction({Predicate(0, 0, 8), Predicate(1, 0, 0)});
-  Plan plan = planner.BuildPlan(q);
-  ASSERT_EQ(plan.root().kind, PlanNode::Kind::kSequential);
-  EXPECT_EQ(plan.root().sequence[0].attr, 0);  // cheap first by rank
+  const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
+  ASSERT_EQ(plan.root().kind, CompiledPlan::Kind::kSequential);
+  EXPECT_EQ(plan.sequence(plan.root())[0].attr, 0);  // cheap first by rank
   // With exp made selective enough, it would flip:
   Query q2 = Query::Conjunction({Predicate(0, 0, 8), Predicate(1, 9, 9)});
   // rank(exp) = 100/(1-0.1)=111 still > 10: cheap stays first.
-  Plan plan2 = planner.BuildPlan(q2);
-  EXPECT_EQ(plan2.root().sequence[0].attr, 0);
+  const CompiledPlan plan2 = CompiledPlan::Compile(planner.BuildPlan(q2));
+  EXPECT_EQ(plan2.sequence(plan2.root())[0].attr, 0);
 }
 
 TEST(NaivePlannerTest, VerdictsAlwaysCorrect) {
@@ -225,7 +225,7 @@ TEST(NaivePlannerTest, VerdictsAlwaysCorrect) {
   Rng rng(10);
   for (int iter = 0; iter < 20; ++iter) {
     const Query q = testing_util::RandomConjunctiveQuery(schema, rng);
-    const Plan plan = planner.BuildPlan(q);
+    const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
     EXPECT_EQ(testing_util::CountVerdictMismatches(plan, q, schema), 0u);
   }
 }
@@ -242,8 +242,8 @@ TEST(SequentialPlannerTest, CorrSeqBeatsNaiveOnCorrelatedTraining) {
   double naive_total = 0, corr_total = 0;
   for (int iter = 0; iter < 25; ++iter) {
     const Query q = testing_util::RandomConjunctiveQuery(schema, rng);
-    const Plan pn = naive.BuildPlan(q);
-    const Plan pc = corrseq.BuildPlan(q);
+    const CompiledPlan pn = CompiledPlan::Compile(naive.BuildPlan(q));
+    const CompiledPlan pc = CompiledPlan::Compile(corrseq.BuildPlan(q));
     naive_total += EmpiricalPlanCost(pn, ds, q, cm).mean_cost;
     corr_total += EmpiricalPlanCost(pc, ds, q, cm).mean_cost;
   }

@@ -1,7 +1,7 @@
 // Deterministic byte-mutation fuzzing of the plan wire format: plans arrive
-// over a lossy, corrupting radio, so DeserializePlan must reject or safely
-// accept ANY mutation of a valid encoding — never crash, never install a
-// malformed plan. Run under ASan in scripts/check.sh to catch OOB reads the
+// over a lossy, corrupting radio, so DeserializeCompiledPlan must reject or
+// safely accept ANY mutation of a valid encoding — never crash, never install
+// a malformed plan. Run under ASan in scripts/check.sh to catch OOB reads the
 // Status paths might hide.
 
 #include <gtest/gtest.h>
@@ -55,19 +55,18 @@ std::vector<uint8_t> Mutate(const std::vector<uint8_t>& bytes, Rng& rng) {
 }
 
 /// A small corpus of structurally diverse valid plans.
-std::vector<Plan> BuildCorpus(const Schema& schema) {
-  std::vector<Plan> corpus;
-  corpus.emplace_back(PlanNode::Verdict(true));
-  corpus.emplace_back(PlanNode::Sequential(
-      {Predicate(0, 1, 2), Predicate(2, 0, 1), Predicate(3, 2, 4, true)}));
-  corpus.emplace_back(PlanNode::Split(
-      0, 2,
-      PlanNode::Sequential({Predicate(2, 1, 3)}),
+std::vector<CompiledPlan> BuildCorpus(const Schema& schema) {
+  std::vector<CompiledPlan> corpus;
+  corpus.push_back(CompiledPlan::Compile(*PlanNode::Verdict(true)));
+  corpus.push_back(CompiledPlan::Compile(*PlanNode::Sequential(
+      {Predicate(0, 1, 2), Predicate(2, 0, 1), Predicate(3, 2, 4, true)})));
+  corpus.push_back(CompiledPlan::Compile(*PlanNode::Split(
+      0, 2, PlanNode::Sequential({Predicate(2, 1, 3)}),
       PlanNode::Split(1, 3, PlanNode::Verdict(false),
-                      PlanNode::Sequential({Predicate(3, 0, 2)}))));
+                      PlanNode::Sequential({Predicate(3, 0, 2)})))));
   const Query q =
       Query::Conjunction({Predicate(1, 1, 4), Predicate(2, 0, 2)});
-  corpus.emplace_back(PlanNode::Generic(q, {1, 2}));
+  corpus.push_back(CompiledPlan::Compile(*PlanNode::Generic(q, {1, 2})));
   (void)schema;
   return corpus;
 }
@@ -75,12 +74,12 @@ std::vector<Plan> BuildCorpus(const Schema& schema) {
 TEST(SerdeFuzzTest, MutatedPlanBytesNeverCrashOrInstallMalformedPlans) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
-  const std::vector<Plan> corpus = BuildCorpus(schema);
+  const std::vector<CompiledPlan> corpus = BuildCorpus(schema);
 
   size_t accepted = 0, rejected = 0;
   for (uint64_t seed = 1; seed <= 64; ++seed) {
     Rng rng(seed);
-    for (const Plan& plan : corpus) {
+    for (const CompiledPlan& plan : corpus) {
       const std::vector<uint8_t> bytes = SerializePlan(plan);
       for (int round = 0; round < 40; ++round) {
         const std::vector<uint8_t> mutated = Mutate(bytes, rng);
@@ -110,7 +109,8 @@ TEST(SerdeFuzzTest, RejectedBytesKeepThePreviousPlan) {
   const Schema schema = SmallSchema();
   PerAttributeCostModel cm(schema);
   Mote mote(0, schema, cm, [](size_t, AttrId) { return Value{1}; });
-  const Plan good(PlanNode::Sequential({Predicate(0, 1, 1)}));
+  const CompiledPlan good =
+      CompiledPlan::Compile(*PlanNode::Sequential({Predicate(0, 1, 1)}));
   ASSERT_TRUE(mote.ReceivePlanBytes(SerializePlan(good)).ok());
 
   Rng rng(5);
@@ -132,8 +132,8 @@ TEST(SerdeFuzzTest, RejectedBytesKeepThePreviousPlan) {
 }
 
 TEST(SerdeFuzzTest, FlatBytesCarryVersionTag) {
-  const std::vector<Plan> corpus = BuildCorpus(SmallSchema());
-  for (const Plan& plan : corpus) {
+  const std::vector<CompiledPlan> corpus = BuildCorpus(SmallSchema());
+  for (const CompiledPlan& plan : corpus) {
     const std::vector<uint8_t> bytes = SerializePlan(plan);
     ASSERT_FALSE(bytes.empty());
     EXPECT_EQ(bytes[0], kPlanWireFormatVersion);
@@ -142,8 +142,8 @@ TEST(SerdeFuzzTest, FlatBytesCarryVersionTag) {
 
 TEST(SerdeFuzzTest, UnknownVersionBytesAreRejected) {
   const Schema schema = SmallSchema();
-  const std::vector<Plan> corpus = BuildCorpus(schema);
-  for (const Plan& plan : corpus) {
+  const std::vector<CompiledPlan> corpus = BuildCorpus(schema);
+  for (const CompiledPlan& plan : corpus) {
     std::vector<uint8_t> bytes = SerializePlan(plan);
     // Any leading byte other than 0xCA is a format error.
     bytes[0] = 0x77;
@@ -368,10 +368,10 @@ TEST(SerdeFuzzResultTest, MutatedTraceBytesNeverCrashOrBreakInvariants) {
 
 TEST(SerdeFuzzTest, EmptyAndTinyInputsAreRejected) {
   const Schema schema = SmallSchema();
-  EXPECT_FALSE(DeserializePlan({}, schema).ok());
+  EXPECT_FALSE(DeserializeCompiledPlan({}, schema).ok());
   for (int b = 0; b < 256; ++b) {
     const std::vector<uint8_t> one = {static_cast<uint8_t>(b)};
-    const Result<Plan> r = DeserializePlan(one, schema);
+    const Result<CompiledPlan> r = DeserializeCompiledPlan(one, schema);
     if (r.ok()) {
       EXPECT_TRUE(PlanIsWellFormed(*r, schema));
     }

@@ -12,6 +12,7 @@
 #include "core/dataset.h"
 #include "core/query.h"
 #include "exec/executor.h"
+#include "plan/compiled_plan.h"
 #include "plan/plan.h"
 #include "prob/estimator.h"
 #include "prob/subproblem.h"
@@ -191,9 +192,9 @@ inline Query RandomConjunctiveQuery(const Schema& schema, Rng& rng,
 
 /// Enumerates every tuple of the (small!) schema and checks that the plan's
 /// verdict matches the query everywhere. Returns the number of mismatches.
-template <typename PlanT>
-size_t CountVerdictMismatches(const PlanT& plan, const Query& query,
-                              const Schema& schema) {
+inline size_t CountVerdictMismatches(const CompiledPlan& plan,
+                                     const Query& query,
+                                     const Schema& schema) {
   size_t mismatches = 0;
   Tuple t(schema.num_attributes(), 0);
   // Odometer enumeration.

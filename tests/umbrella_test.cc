@@ -35,7 +35,7 @@ TEST(UmbrellaTest, QuickstartFlowWorks) {
   opts.seq_solver = &base;
   opts.max_splits = 3;
   GreedyPlanner planner(estimator, costs, opts);
-  const Plan plan = planner.BuildPlan(query);
+  const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(query));
 
   EXPECT_TRUE(PlanIsWellFormed(plan, schema));
   EXPECT_TRUE(VerifyPlanExhaustive(plan, query, schema).correct);

@@ -282,24 +282,24 @@ int main(int argc, char** argv) {
           : static_cast<const SequentialSolver&>(greedyseq);
 
   NaivePlanner naive(estimator, cost_model);
-  Plan plan;
+  Plan tree;
   if (planner_name == "naive") {
-    plan = naive.BuildPlan(query);
+    tree = naive.BuildPlan(query);
   } else if (planner_name == "corrseq") {
     SequentialPlanner planner(estimator, cost_model, base, "CorrSeq");
-    plan = planner.BuildPlan(query);
+    tree = planner.BuildPlan(query);
   } else if (planner_name == "heuristic") {
     GreedyPlanner::Options opts;
     opts.split_points = &splits;
     opts.seq_solver = &base;
     opts.max_splits = max_splits;
     GreedyPlanner planner(estimator, cost_model, opts);
-    plan = planner.BuildPlan(query);
+    tree = planner.BuildPlan(query);
   } else if (planner_name == "exhaustive") {
     ExhaustivePlanner::Options opts;
     opts.split_points = &splits;
     ExhaustivePlanner planner(estimator, cost_model, opts);
-    plan = planner.BuildPlan(query);
+    tree = planner.BuildPlan(query);
   } else if (planner_name == "regret") {
     // Minmax regret over a symmetric +-eps box around the point estimates;
     // the heuristic plan is the point planner (candidate 0 + degenerate-box
@@ -313,7 +313,7 @@ int main(int argc, char** argv) {
     ropts.point_planner = &point;
     ropts.box = opt::UncertaintyBox::Uniform(uncertainty_eps);
     opt::RegretPlanner planner(estimator, cost_model, std::move(ropts));
-    plan = planner.BuildPlan(query);
+    tree = planner.BuildPlan(query);
     if (planner.stats().degenerate_fallback) {
       std::printf("regret: degenerate box (eps=%.3f), point plan kept\n",
                   uncertainty_eps);
@@ -328,10 +328,10 @@ int main(int argc, char** argv) {
   } else {
     Die("unknown --planner " + planner_name);
   }
+  const CompiledPlan plan = CompiledPlan::Compile(tree);
 
   if (emit == "flat") {
-    const CompiledPlan compiled = CompiledPlan::Compile(plan);
-    std::printf("%s\n", DumpCompiledPlan(compiled, schema).c_str());
+    std::printf("%s\n", DumpCompiledPlan(plan, schema).c_str());
   } else {
     std::printf("plan (%s):\n%s\n", PlanSummary(plan).c_str(),
                 explain ? ExplainPlan(plan, estimator, cost_model).c_str()
@@ -339,7 +339,8 @@ int main(int argc, char** argv) {
   }
 
   // --- Costs --------------------------------------------------------------
-  const Plan naive_plan = naive.BuildPlan(query);
+  const CompiledPlan naive_plan =
+      CompiledPlan::Compile(naive.BuildPlan(query));
   const auto r_train = EmpiricalPlanCost(plan, train, query, cost_model);
 
   // The test pass optionally streams a JSONL trace: one line per tuple,

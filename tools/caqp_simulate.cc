@@ -124,9 +124,9 @@ std::pair<Dataset, Query> MakeScenario(const Config& cfg) {
 
 /// Runs dissemination + query for one plan; prints and returns total mote
 /// energy (acquisition + radio).
-double RunOnce(const char* label, const Plan& plan, const Schema& schema,
-               const AcquisitionCostModel& cm, const Dataset& live,
-               const Config& cfg) {
+double RunOnce(const char* label, const CompiledPlan& plan,
+               const Schema& schema, const AcquisitionCostModel& cm,
+               const Dataset& live, const Config& cfg) {
   Radio radio(Radio::Options{.cost_per_byte = 0.05,
                              .drop_probability = cfg.drop_prob});
   Basestation base(schema, cm, radio);
@@ -190,13 +190,13 @@ double RunOnce(const char* label, const Plan& plan, const Schema& schema,
 /// Train and test come from the same trace, so large drift here means the
 /// estimator itself is miscalibrated, not that the distribution moved.
 obs::CalibrationReport CalibrateLocally(
-    const std::vector<std::pair<const char*, const Plan*>>& plans,
+    const std::vector<std::pair<const char*, const CompiledPlan*>>& plans,
     const Query& query, const Schema& schema, const AcquisitionCostModel& cm,
     CondProbEstimator& estimator, const Dataset& test) {
   obs::CalibrationAggregator agg(1);
   const uint64_t sig = QuerySignature(query);
   for (size_t i = 0; i < plans.size(); ++i) {
-    CompiledPlan compiled = CompiledPlan::Compile(*plans[i].second);
+    CompiledPlan compiled = *plans[i].second;
     compiled.AttachEstimates(
         std::make_shared<PlanEstimates>(EstimatePlan(compiled, estimator, cm)));
     auto shared = std::make_shared<const CompiledPlan>(std::move(compiled));
@@ -308,14 +308,16 @@ int main(int argc, char** argv) {
   GreedySeqSolver greedyseq;
 
   NaivePlanner naive(estimator, cost_model);
-  const Plan p_naive = naive.BuildPlan(query);
+  const CompiledPlan p_naive =
+      CompiledPlan::Compile(naive.BuildPlan(query));
 
   GreedyPlanner::Options gopts;
   gopts.split_points = &splits;
   gopts.seq_solver = &greedyseq;
   gopts.max_splits = cfg.max_splits;
   GreedyPlanner heuristic(estimator, cost_model, gopts);
-  const Plan p_heur = heuristic.BuildPlan(query);
+  const CompiledPlan p_heur =
+      CompiledPlan::Compile(heuristic.BuildPlan(query));
 
   const double e_naive =
       RunOnce("naive", p_naive, schema, cost_model, test, cfg);
