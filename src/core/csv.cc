@@ -91,9 +91,9 @@ Result<Dataset> DatasetFromCsv(const CsvTable& table,
     if (it == table.column_names.end()) {
       return Status::NotFound("CSV column '" + spec.name + "' not found");
     }
-    if (spec.bins < 2) {
+    if (spec.bins < 2 || spec.bins > 65536) {
       return Status::InvalidArgument("column '" + spec.name +
-                                     "': bins must be >= 2");
+                                     "': bins must be in [2, 65536]");
     }
     col_idx.push_back(static_cast<size_t>(it - table.column_names.begin()));
     schema.AddAttribute(spec.name, spec.bins, spec.cost);

@@ -5,6 +5,7 @@ namespace caqp {
 Schema::Schema(std::vector<AttributeSpec> attrs) : attrs_(std::move(attrs)) {
   for (const AttributeSpec& a : attrs_) {
     CAQP_CHECK_GE(a.domain_size, 2u);
+    CAQP_CHECK_LE(a.domain_size, 65536u);  // values are 16-bit
     CAQP_CHECK_GE(a.cost, 0.0);
   }
   // AttrSet (prob/subproblem.h) packs attribute sets into 64 bits.
@@ -14,6 +15,7 @@ Schema::Schema(std::vector<AttributeSpec> attrs) : attrs_(std::move(attrs)) {
 AttrId Schema::AddAttribute(const std::string& name, uint32_t domain_size,
                             double cost) {
   CAQP_CHECK_GE(domain_size, 2u);
+  CAQP_CHECK_LE(domain_size, 65536u);  // values are 16-bit
   CAQP_CHECK_GE(cost, 0.0);
   CAQP_CHECK_LT(attrs_.size(), 64u);
   attrs_.emplace_back(name, domain_size, cost);

@@ -38,7 +38,8 @@ class Schema {
   explicit Schema(std::vector<AttributeSpec> attrs);
 
   /// Appends an attribute; returns its id. Domain size must be >= 2 (a
-  /// 1-value attribute carries no information and breaks split enumeration).
+  /// 1-value attribute carries no information and breaks split enumeration)
+  /// and <= 65536 (values are 16-bit).
   AttrId AddAttribute(const std::string& name, uint32_t domain_size,
                       double cost);
 

@@ -24,9 +24,8 @@ Coordinator::Coordinator(const Dataset& data,
       metrics_(options_.partition.num_shards + 1),
       tracer_(options_.partition.num_shards + 1,
               obs::TraceRecorder::Options{
-                  /*max_events_per_worker=*/options_.max_span_events_per_worker,
-                  /*flight_capacity=*/options_.flight_capacity,
-                  /*max_incidents=*/options_.max_incidents}),
+                  .max_events_per_worker = options_.max_span_events_per_worker,
+              }),
       cache_(serve::ShardedPlanCache::Options{options_.plan_cache_capacity,
                                               /*shards=*/8}) {
   const size_t n = options_.partition.num_shards;
@@ -155,9 +154,9 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
   // plan above are not the shards' time.
   const uint64_t scatter_ns = obs::MonotonicNowNs();
   {
-    // Declared directly (not via CAQP_OBS_SPAN): its context is the parent
-    // every shard span joins under. Inert when obs is compiled out or the
-    // request is untraced — shards then receive span_id 0 (no parent).
+    // Its context is the parent every shard span joins under. Inert when
+    // obs is disabled or the request is untraced — shards then receive
+    // span_id 0 (no parent).
     obs::ScopedSpan scatter_span("dist.scatter");
     obs::SpanContext parent = scatter_span.context();
     parent.trace_id = trace_id;  // propagate even when spans are inactive

@@ -116,14 +116,12 @@ class Coordinator {
     ShardFaultSpec shard_faults{};
     ShardHealth::Policy health{};
     bool enable_tracing = false;
-    /// TraceRecorder sizing — one buffer + one flight ring per worker slot
-    /// (slot 0 = coordinator, i + 1 = shard i). A SpanEvent is 72 bytes, so
-    /// per slot this budgets roughly
-    /// (max_span_events_per_worker + flight_capacity) * 72 bytes; incidents
-    /// add flight_capacity * 72 bytes each, capped at max_incidents.
+    /// TraceRecorder sizing — one buffer + one flight ring (TraceRecorder's
+    /// default 128 entries) per worker slot (slot 0 = coordinator, i + 1 =
+    /// shard i). A SpanEvent is 72 bytes, so per slot this budgets roughly
+    /// (max_span_events_per_worker + 128) * 72 bytes; incidents add
+    /// 128 * 72 bytes each, capped at the default 8192.
     size_t max_span_events_per_worker = size_t{1} << 15;
-    size_t flight_capacity = 128;
-    size_t max_incidents = 8192;
     bool enable_calibration = false;
   };
 

@@ -162,8 +162,7 @@ ShardReply ExecutorShard::Handle(const ShardRequest& request,
                   parent.span_id);
     obs::SetRequestPlanContext(request.key);
   }
-  // Declared directly (not via CAQP_OBS_SPAN) because the reply's trace echo
-  // below reads its context; with obs compiled out the span is inert.
+  // The reply's trace echo below reads this span's context.
   obs::ScopedSpan handle_span("shard.handle");
 
   if (options_.delay_seconds > 0.0) {
@@ -232,11 +231,10 @@ ShardReply ExecutorShard::Handle(const ShardRequest& request,
     // = exists-a-match, costs/acquisitions sum, acquired unions. In fault
     // mode the stats also carry the Unknown/aborted rows, retries and the
     // failed union, and the row-order cost sum still matches the per-row
-    // merge bitwise. Profiling rides the obs switch like the scalar
-    // ExecutePlan path.
+    // merge bitwise.
     ColumnarBatchExecutor exec(*plan, data_, cost_model_);
     BatchExecOptions batch_options;
-    batch_options.profile = obs::Enabled() ? profile : nullptr;
+    batch_options.profile = profile;
     batch_options.faults = faults_.get();
     batch_options.policy = options_.row_policy;
     const BatchExecutionStats stats =

@@ -678,7 +678,8 @@ BatchExecutionStats ColumnarBatchExecutor::Execute(
   size_t chunk = options.chunk_size == 0 ? rows.size() : options.chunk_size;
   chunk = std::min(chunk, kMaxChunk);  // SelIdx is 16-bit
   EnsureScratch(std::min(chunk, rows.size()), options.faults != nullptr);
-  ExecutionProfile* profile = options.profile;
+  // Profiling rides the obs switch, as in ExecutePlan.
+  ExecutionProfile* profile = obs::Enabled() ? options.profile : nullptr;
   faults_ = options.faults;
   policy_ = options.policy;
   max_attempts_ = policy_.mode == DegradationPolicy::Mode::kRetry
@@ -754,7 +755,6 @@ BatchExecutionStats ColumnarBatchExecutor::Execute(
                            static_cast<uint64_t>(stats.faults_injected));
     }
   }
-#if CAQP_OBS_ENABLED
   if (obs::Enabled()) {
     // The CAQP_OBS_COUNTER_ADD macro caches one Counter& per call site, so
     // it cannot loop over per-op names; resolve the whole table once.
@@ -785,7 +785,6 @@ BatchExecutionStats ColumnarBatchExecutor::Execute(
       counters.selection_chunks->Add(selection_chunks_);
     }
   }
-#endif
   // Reset the scratch either way: tallies accumulated while obs is disabled
   // are dropped, not deferred, so enabling obs mid-run starts clean.
   kernel_rows_.fill(0);

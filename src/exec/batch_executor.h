@@ -120,10 +120,8 @@ struct BatchExecOptions {
   /// transparent: results are identical for every chunk size.
   size_t chunk_size = 1024;
   /// Optional calibration profile; counters are recorded under CompiledPlan
-  /// node indices exactly like the per-tuple profiled path. Unlike
-  /// ExecutePlan the batch path does not gate profiling on obs::Enabled() —
-  /// passing a profile here is already an explicit opt-in (dist::shard
-  /// applies the obs gate itself to mirror scalar serving).
+  /// node indices exactly like the per-tuple profiled path. Ignored while
+  /// obs::Enabled() is false, as in ExecutePlan.
   ExecutionProfile* profile = nullptr;
   /// Fault mode (see file comment) when non-null: the realization drawn
   /// over exactly the span Execute receives (same data() and size();

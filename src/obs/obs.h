@@ -1,14 +1,9 @@
 // caqp::obs — observability switchboard.
 //
 // Instrumentation across the library (planner tracing, executor traces,
-// network counters) is toggleable at two levels:
-//
-//  * Compile time: the CMake option CAQP_ENABLE_OBS (default ON) defines
-//    CAQP_OBS_ENABLED to 1/0. When 0 every CAQP_OBS_* macro below compiles
-//    to nothing, so hot paths carry zero instrumentation cost.
-//  * Run time: obs::SetEnabled(false) turns the macros into a single
-//    relaxed atomic load + untaken branch (verified < 5% ExecutePlan
-//    overhead by bench/bench_obs_overhead.cc).
+// network counters) has one off switch: obs::SetEnabled(false) turns the
+// macros into a single relaxed atomic load + untaken branch (verified < 5%
+// ExecutePlan overhead by bench/bench_obs_overhead.cc).
 //
 // The macros funnel into the process-wide DefaultRegistry() (registry.h).
 // Each macro caches its metric pointer in a function-local static, so the
@@ -19,10 +14,6 @@
 
 #include <atomic>
 #include <cstdint>
-
-#ifndef CAQP_OBS_ENABLED
-#define CAQP_OBS_ENABLED 1
-#endif
 
 namespace caqp {
 namespace obs {
@@ -45,8 +36,6 @@ inline void SetEnabled(bool on) {
 
 }  // namespace obs
 }  // namespace caqp
-
-#if CAQP_OBS_ENABLED
 
 // These macros require registry.h to be included by the instrumented file.
 // The Enabled() test comes first so the disabled path is one relaxed load
@@ -81,27 +70,5 @@ inline void SetEnabled(bool on) {
       caqp_obs_h.Record(v);                                              \
     }                                                                    \
   } while (0)
-
-#else  // !CAQP_OBS_ENABLED
-
-// sizeof() keeps the operands syntactically used (no -Wunused warnings for
-// values computed only for instrumentation) without evaluating them.
-#define CAQP_OBS_COUNTER_ADD(name, n) \
-  do {                                \
-    (void)sizeof(n);                  \
-  } while (0)
-#define CAQP_OBS_COUNTER_INC(name) \
-  do {                             \
-  } while (0)
-#define CAQP_OBS_GAUGE_SET(name, v) \
-  do {                              \
-    (void)sizeof(v);                \
-  } while (0)
-#define CAQP_OBS_HIST_RECORD(name, v) \
-  do {                                \
-    (void)sizeof(v);                  \
-  } while (0)
-
-#endif  // CAQP_OBS_ENABLED
 
 #endif  // CAQP_OBS_OBS_H_

@@ -16,8 +16,7 @@
 // ExecutePlan / ColumnarBatchExecutor::Execute, Basestation::Disseminate —
 // then records into the bound recorder with the correct parentage. A thread
 // with no binding (every non-serve caller) pays one thread-local load and
-// an untaken branch per span site; with CAQP_OBS_ENABLED=0 the sites
-// compile away entirely.
+// an untaken branch per span site.
 //
 // Flight recorder: independently of the span buffers (which are sized for
 // whole-run export), each worker keeps a small ring of its most recent span
@@ -126,7 +125,7 @@ class TraceRecorder {
     /// Flight-recorder ring entries per worker.
     size_t flight_capacity = 128;
     /// Oldest incidents are discarded beyond this many.
-    size_t max_incidents = 256;
+    size_t max_incidents = 8192;
   };
 
   /// One flight-recorder dump: the dumping worker's recent span events
@@ -227,26 +226,18 @@ class TraceRecorder {
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name) : name_(name) {
-#if CAQP_OBS_ENABLED
     if (internal::g_thread_trace.recorder != nullptr) Open(0);
-#endif
   }
 
   /// `start_ns` overrides the span start (0 = now) — used for spans that
   /// logically began on another thread, e.g. the request root measured from
   /// submission time.
   ScopedSpan(const char* name, uint64_t start_ns) : name_(name) {
-#if CAQP_OBS_ENABLED
     if (internal::g_thread_trace.recorder != nullptr) Open(start_ns);
-#else
-    (void)start_ns;
-#endif
   }
 
   ~ScopedSpan() {
-#if CAQP_OBS_ENABLED
     if (active_) Close();
-#endif
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -274,15 +265,9 @@ void RecordSpanBound(const char* name, uint64_t start_ns, uint64_t end_ns);
 /// Records an already-closed span [start_ns, end_ns] as a child of the
 /// innermost open span on the bound thread. No-op when unbound/disabled.
 inline void RecordSpan(const char* name, uint64_t start_ns, uint64_t end_ns) {
-#if CAQP_OBS_ENABLED
   if (internal::g_thread_trace.recorder != nullptr) {
     internal::RecordSpanBound(name, start_ns, end_ns);
   }
-#else
-  (void)name;
-  (void)start_ns;
-  (void)end_ns;
-#endif
 }
 
 /// True iff the calling thread is inside a RequestScope.
@@ -293,12 +278,7 @@ inline bool TracingBound() {
 }  // namespace obs
 }  // namespace caqp
 
-// Statement macro for instrumenting a scope; compiles away entirely when
-// the obs subsystem is compiled out.
-#if CAQP_OBS_ENABLED
+// Statement macro for instrumenting a scope.
 #define CAQP_OBS_SPAN(var, name) ::caqp::obs::ScopedSpan var(name)
-#else
-#define CAQP_OBS_SPAN(var, name)
-#endif
 
 #endif  // CAQP_OBS_SPAN_H_

@@ -5,6 +5,8 @@
 #include <unordered_map>
 
 #include "opt/greedyseq.h"
+#include "plan/compiled_plan.h"
+#include "plan/plan_cost.h"
 
 namespace caqp {
 
@@ -35,31 +37,6 @@ std::vector<AttrId> GenericAcquireOrder(const Query& query,
     return schema.cost(a) < schema.cost(b);
   });
   return order;
-}
-
-/// Expected cost of a generic acquire-and-test leaf under the estimator:
-/// acquire attributes in order, charging marginal costs, stopping when
-/// three-valued evaluation resolves the query.
-double GenericLeafCost(const Query& query, const std::vector<AttrId>& order,
-                       size_t k, const RangeVec& ranges,
-                       CondProbEstimator& est,
-                       const AcquisitionCostModel& cm) {
-  if (query.EvaluateOnRanges(ranges) != Truth::kUnknown) return 0.0;
-  if (k >= order.size()) return 0.0;
-  const AttrId attr = order[k];
-  const AttrSet acquired = AcquiredAttrs(est.schema(), ranges);
-  double cost = acquired.Contains(attr) ? 0.0 : cm.Cost(attr, acquired);
-  const Histogram h = est.Marginal(ranges, attr);
-  if (h.total() <= 0) return 0.0;
-  for (Value v = ranges[attr].lo; v <= ranges[attr].hi; ++v) {
-    const double p = h.Count(v) / h.total();
-    if (p > 0) {
-      cost += p * GenericLeafCost(query, order, k + 1,
-                                  Refined(ranges, attr, ValueRange{v, v}),
-                                  est, cm);
-    }
-  }
-  return cost;
 }
 
 /// DP-internal plan node: PlanNode's payload with uint32 child handles into
@@ -224,8 +201,11 @@ std::pair<double, uint32_t> ExhaustivePlanner::CompletionLeaf(
     return {leaf.expected_cost, ctx.Absorb(*leaf.leaf)};
   }
   std::vector<AttrId> order = GenericAcquireOrder(query, estimator_.schema());
-  const double cost = GenericLeafCost(query, order, 0, ranges, estimator_,
-                                      cost_model_);
+  // Priced by the Eq. 3 walk over a one-leaf plan.
+  const CompiledPlan leaf =
+      CompiledPlan::Compile(*PlanNode::Generic(query, order));
+  const double cost =
+      ExpectedSubplanCost(leaf, 0, ranges, estimator_, cost_model_);
   return {cost, ctx.Generic(std::move(order))};
 }
 

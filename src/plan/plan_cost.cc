@@ -152,11 +152,11 @@ class CostWalk {
     double cost = acquired.Contains(attr) ? 0.0 : Charge(attr, acquired);
     const Histogram h = est_.Marginal(ranges, attr);
     if (h.total() <= 0) return 0.0;
-    for (Value v = ranges[attr].lo; v <= ranges[attr].hi; ++v) {
+    for (uint32_t v = ranges[attr].lo; v <= ranges[attr].hi; ++v) {
       const double p = h.Count(v) / h.total();
       if (p > 0) {
-        cost += p * GenericCost(node, k + 1,
-                                Refined(ranges, attr, ValueRange{v, v}));
+        const ValueRange point{static_cast<Value>(v), static_cast<Value>(v)};
+        cost += p * GenericCost(node, k + 1, Refined(ranges, attr, point));
       }
     }
     return cost;

@@ -33,10 +33,14 @@ PlanVerificationResult VerifyPlanExhaustive(const CompiledPlan& plan,
       res.counterexample = t;
       return res;
     }
-    // Odometer increment over the domain product.
+    // Odometer increment over the domain product. The digit is tested
+    // before it is stored, so a 65536-value domain cannot wrap it.
     size_t a = 0;
     for (; a < t.size(); ++a) {
-      if (++t[a] < schema.domain_size(static_cast<AttrId>(a))) break;
+      if (t[a] + 1u < schema.domain_size(static_cast<AttrId>(a))) {
+        ++t[a];
+        break;
+      }
       t[a] = 0;
     }
     if (a == t.size()) break;

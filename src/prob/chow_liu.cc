@@ -147,12 +147,12 @@ std::vector<std::vector<double>> ChowLiuEstimator::EvidenceWeights(
     const Node& node = nodes_[a];
     const uint32_t k = schema_.domain_size(a);
     w[a].assign(k, 0.0);
-    for (Value v = given[a].lo; v <= given[a].hi; ++v) {
+    for (uint32_t v = given[a].lo; v <= given[a].hi; ++v) {
       double prod = 1.0;
       for (AttrId c : node.children) {
         const Node& child = nodes_[c];
         double sum = 0.0;
-        for (Value u = given[c].lo; u <= given[c].hi; ++u) {
+        for (uint32_t u = given[c].lo; u <= given[c].hi; ++u) {
           sum += child.cond[v][u] * w[c][u];
         }
         prod *= sum;
@@ -189,7 +189,7 @@ Histogram ChowLiuEstimator::Marginal(const RangeVec& given, AttrId attr) {
     const uint32_t k = schema_.domain_size(a);
     std::vector<double> cur(k, 0.0);
     const AttrId down = (i > 0) ? path[i - 1] : kInvalidAttr;
-    for (Value v = given[a].lo; v <= given[a].hi; ++v) {
+    for (uint32_t v = given[a].lo; v <= given[a].hi; ++v) {
       double base;
       if (na.parent == kInvalidAttr) {
         base = na.marginal[v];
@@ -197,7 +197,7 @@ Histogram ChowLiuEstimator::Marginal(const RangeVec& given, AttrId attr) {
         // Combine with the incoming pi over the parent's values.
         base = 0.0;
         const AttrId p = na.parent;
-        for (Value pv = given[p].lo; pv <= given[p].hi; ++pv) {
+        for (uint32_t pv = given[p].lo; pv <= given[p].hi; ++pv) {
           base += pi[pv] * na.cond[pv][v];
         }
       }
@@ -206,7 +206,7 @@ Histogram ChowLiuEstimator::Marginal(const RangeVec& given, AttrId attr) {
       for (AttrId c : na.children) {
         if (c == down) continue;
         double sum = 0.0;
-        for (Value u = given[c].lo; u <= given[c].hi; ++u) {
+        for (uint32_t u = given[c].lo; u <= given[c].hi; ++u) {
           sum += nodes_[c].cond[v][u] * w[c][u];
         }
         prod *= sum;
@@ -219,7 +219,7 @@ Histogram ChowLiuEstimator::Marginal(const RangeVec& given, AttrId attr) {
   // At the last path step (a == attr, down == kInvalidAttr) no child was
   // skipped, so pi[v] already equals P(X_attr = v, evidence) in full.
   Histogram h(schema_.domain_size(attr));
-  for (Value v = given[attr].lo; v <= given[attr].hi; ++v) {
+  for (uint32_t v = given[attr].lo; v <= given[attr].hi; ++v) {
     if (pi[v] > 0) h.Add(v, pi[v]);
   }
   return h;
@@ -230,7 +230,7 @@ double ChowLiuEstimator::ReachProbability(const RangeVec& given) {
   const auto w = EvidenceWeights(given);
   const AttrId root = topo_order_[0];
   double p = 0.0;
-  for (Value v = given[root].lo; v <= given[root].hi; ++v) {
+  for (uint32_t v = given[root].lo; v <= given[root].hi; ++v) {
     p += nodes_[root].marginal[v] * w[root][v];
   }
   return p;
@@ -245,7 +245,7 @@ Tuple ChowLiuEstimator::SampleConditioned(
     // Unnormalized posterior over values of a given the sampled parent.
     double total = 0.0;
     std::vector<double> mass(given[a].Width(), 0.0);
-    for (Value v = given[a].lo; v <= given[a].hi; ++v) {
+    for (uint32_t v = given[a].lo; v <= given[a].hi; ++v) {
       const double prior = (node.parent == kInvalidAttr)
                                ? node.marginal[v]
                                : node.cond[t[node.parent]][v];
@@ -260,7 +260,7 @@ Tuple ChowLiuEstimator::SampleConditioned(
     }
     double u = rng.Uniform(0.0, total);
     Value chosen = given[a].hi;
-    for (Value v = given[a].lo; v <= given[a].hi; ++v) {
+    for (uint32_t v = given[a].lo; v <= given[a].hi; ++v) {
       u -= mass[v - given[a].lo];
       if (u <= 0) {
         chosen = v;

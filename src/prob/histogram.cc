@@ -9,7 +9,7 @@ namespace caqp {
 double Histogram::RangeCount(const ValueRange& r) const {
   CAQP_DCHECK(r.hi < counts_.size());
   double sum = 0.0;
-  for (Value v = r.lo; v <= r.hi; ++v) sum += counts_[v];
+  for (uint32_t v = r.lo; v <= r.hi; ++v) sum += counts_[v];
   return sum;
 }
 
@@ -69,13 +69,6 @@ double MaskDistribution::MassAllTrue(uint64_t subset) const {
   return sum;
 }
 
-double MaskDistribution::ProbTrueGiven(int bit, uint64_t given_true,
-                                       double fallback) const {
-  const double denom = MassAllTrue(given_true);
-  if (denom <= 0) return fallback;
-  return MassAllTrue(given_true | (uint64_t{1} << bit)) / denom;
-}
-
 MaskDistribution MaskDistribution::ConditionTrue(int bit) const {
   MaskDistribution out;
   const uint64_t b = uint64_t{1} << bit;
@@ -98,11 +91,6 @@ MaskDistribution MaskDistribution::Subtract(const MaskDistribution& other) const
   }
   out.Aggregate();
   return out;
-}
-
-void MaskDistribution::Merge(const MaskDistribution& other) {
-  for (const auto& [mask, w] : other.entries_) Add(mask, w);
-  Aggregate();
 }
 
 }  // namespace caqp

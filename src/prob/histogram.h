@@ -81,11 +81,6 @@ class MaskDistribution {
   /// Total weight of outcomes where every predicate in `subset` is true.
   double MassAllTrue(uint64_t subset) const;
 
-  /// P(predicate `bit` true | all predicates in `given_true` true).
-  /// Returns fallback if the conditioning event has zero mass.
-  double ProbTrueGiven(int bit, uint64_t given_true,
-                       double fallback = 0.5) const;
-
   /// Removes outcomes where predicate `bit` is false and drops that bit's
   /// conditioning (keeps the bit in place); used by greedy sequential
   /// planning which conditions on chosen predicates being satisfied.
@@ -94,9 +89,6 @@ class MaskDistribution {
   /// this - other, entry-wise by mask; used for the incremental ">= split"
   /// side of a split-point sweep (Section 5.2's Eq. (7) analogue).
   MaskDistribution Subtract(const MaskDistribution& other) const;
-
-  /// Merges another distribution into this one (weights add).
-  void Merge(const MaskDistribution& other);
 
  private:
   std::vector<std::pair<uint64_t, double>> entries_;

@@ -18,7 +18,7 @@ Histogram IndependentEstimator::Marginal(const RangeVec& given, AttrId attr) {
   // conditioning on this attribute's own range truncates the marginal.
   Histogram out(schema_.domain_size(attr));
   const Histogram& m = marginals_[attr];
-  for (Value v = given[attr].lo; v <= given[attr].hi; ++v) {
+  for (uint32_t v = given[attr].lo; v <= given[attr].hi; ++v) {
     if (m.Count(v) > 0) out.Add(v, m.Count(v));
   }
   return out;
@@ -68,8 +68,9 @@ std::vector<MaskDistribution> IndependentEstimator::PerValuePredicateMasks(
   std::vector<MaskDistribution> out;
   out.reserve(range.Width());
   const Histogram h = Marginal(given, attr);
-  for (Value v = range.lo; v <= range.hi; ++v) {
-    RangeVec point = Refined(given, attr, ValueRange{v, v});
+  for (uint32_t v = range.lo; v <= range.hi; ++v) {
+    const Value value = static_cast<Value>(v);
+    RangeVec point = Refined(given, attr, ValueRange{value, value});
     MaskDistribution d = PredicateMasks(point, preds);
     // Scale by P(X_attr == v | given) so prefix unions over values form the
     // conditional "< x" distributions exactly as with counting.

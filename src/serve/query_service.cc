@@ -69,9 +69,8 @@ QueryService::QueryService(const Schema& schema,
       metrics_(NonZero(options.num_workers) + 1),
       tracer_(NonZero(options.num_workers) + 1,
               obs::TraceRecorder::Options{
-                  /*max_events_per_worker=*/options.max_span_events_per_worker,
-                  /*flight_capacity=*/options.flight_capacity,
-                  /*max_incidents=*/options.max_incidents}) {
+                  .max_events_per_worker = options.max_span_events_per_worker,
+              }) {
   options_.num_workers = NonZero(options_.num_workers);
   builders_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {

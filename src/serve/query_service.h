@@ -292,15 +292,11 @@ class QueryService {
     /// Off by default: tracing buffers whole-run span events.
     bool enable_tracing = false;
     /// Span-ring entries per worker (see obs/span.h). A SpanEvent is 72
-    /// bytes, so each worker's tracing footprint is roughly
-    /// (max_span_events_per_worker + flight_capacity) * 72 bytes, plus up
-    /// to max_incidents * flight_capacity * 72 bytes of retained incident
-    /// dumps process-wide.
+    /// bytes, so with TraceRecorder's default 128-entry flight ring each
+    /// worker's tracing footprint is roughly
+    /// (max_span_events_per_worker + 128) * 72 bytes, plus up to its
+    /// default 8192 retained incidents * 128 * 72 bytes process-wide.
     size_t max_span_events_per_worker = size_t{1} << 15;
-    /// Flight-recorder ring entries per worker (see obs/span.h).
-    size_t flight_capacity = 128;
-    /// Max flight-recorder incidents retained across all workers.
-    size_t max_incidents = 8192;
     /// Multi-window SLO burn-rate monitoring (obs/slo.h): every completed
     /// request records availability (status OK and a defined verdict) and
     /// latency. A burn firing bumps serve.slo_burns, records an "slo_burn"

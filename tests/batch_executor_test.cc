@@ -433,7 +433,6 @@ void ExpectProfileMatchesPerTuple(const CompiledPlan& compiled,
 
 TEST(BatchExecProfileTest, CountersMatchPerTupleProfiledRun) {
   obs::SetEnabled(true);
-  if (!obs::Enabled()) GTEST_SKIP() << "obs compiled out";
 
   GardenDataOptions gopts;
   gopts.num_motes = 3;
@@ -487,10 +486,6 @@ TEST(BatchExecProfileTest, CountersMatchPerTupleProfiledRun) {
 
 TEST(BatchExecMaskedTest, GenericLeavesKeepPlansOffTheMaskedEngine) {
   obs::SetEnabled(true);
-  // The kernel counters are compiled out with the obs macros.
-  if (!CAQP_OBS_ENABLED || !obs::Enabled()) {
-    GTEST_SKIP() << "obs compiled out";
-  }
   const Schema schema = testing_util::SmallSchema();
   const Dataset data = testing_util::CorrelatedDataset(schema, 2000, 11);
   const auto [train, test] = data.SplitFraction(0.5);
@@ -783,7 +778,6 @@ TEST(BatchExecFaultTest, ExhaustiveGenericLeavesMatchPerRowOracle) {
 
 TEST(BatchExecFaultTest, ProfileAndObsCountersMatchPerRowPath) {
   obs::SetEnabled(true);
-  if (!obs::Enabled()) GTEST_SKIP() << "obs compiled out";
   GardenDataOptions gopts;
   gopts.num_motes = 3;
   gopts.epochs = 1500;

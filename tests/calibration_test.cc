@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/batch_executor.h"
 #include "exec/exec_profile.h"
 #include "exec/executor.h"
 #include "fault/fault.h"
@@ -244,21 +245,28 @@ TEST(CalibrationProfileTest, SingleTuplePlanCounts) {
 }
 
 TEST(CalibrationProfileTest, ProfileIgnoredWhenObsDisabled) {
-  // The disabled path must not touch the profile at all (this is what keeps
-  // bench_obs_overhead's <5% bar honest).
+  // The disabled path of both engines must not touch the profile at all
+  // (this is what keeps bench_obs_overhead's <5% bar honest).
   const Schema schema = SmallSchema();
   const PerAttributeCostModel cm(schema);
   const CompiledPlan plan = OneSplitPlan();
   ExecutionProfile profile(plan.NumNodes());
+  const Dataset data = CorrelatedDataset(schema, 64, /*seed=*/5);
+  std::vector<RowId> rows(data.num_rows());
+  for (RowId r = 0; r < rows.size(); ++r) rows[r] = r;
 
   obs::SetEnabled(false);
   const Tuple t = {3, 0, 0, 0};
   TupleSource source(t);
   ExecutePlan(plan, schema, cm, source, nullptr, {}, &profile);
+  BatchExecOptions batch_options;
+  batch_options.profile = &profile;
+  ColumnarBatchExecutor(plan, data, cm).Execute(rows, nullptr, batch_options);
   obs::SetEnabled(true);
 
   const ExecutionProfileSnapshot snap = profile.Snapshot();
   EXPECT_EQ(snap.executions, 0u);
+  EXPECT_EQ(snap.acquisitions, 0u);
   EXPECT_EQ(snap.nodes[0].evals, 0u);
 }
 

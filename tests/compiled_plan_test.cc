@@ -36,7 +36,6 @@ namespace caqp {
 namespace {
 
 using testing_util::CorrelatedDataset;
-using testing_util::CountVerdictMismatches;
 using testing_util::ExecuteTreeReference;
 using testing_util::RandomConjunctiveQuery;
 using testing_util::SmallSchema;
@@ -123,7 +122,10 @@ TEST(CompiledPlanTest, GenericLeafSideTables) {
   EXPECT_EQ(order[1], 2);
   EXPECT_EQ(order[2], 1);
   EXPECT_TRUE(p.residual_query(n) == q);
-  EXPECT_EQ(CountVerdictMismatches(p, q, SmallSchema()), 0u);
+  const PlanVerificationResult verified =
+      VerifyPlanExhaustive(p, q, SmallSchema());
+  EXPECT_TRUE(verified.correct)
+      << "counterexample " << testing::PrintToString(verified.counterexample);
 }
 
 TEST(CompiledPlanTest, DefaultPlanRejectsEverything) {
@@ -325,7 +327,10 @@ TEST(CompiledPlanSerdeTest, FlatRoundTripIsByteIdentical) {
     EXPECT_EQ(back->NumSplits(), compiled.NumSplits());
     EXPECT_EQ(back->Depth(), compiled.Depth());
     EXPECT_EQ(back->attrs().bits, compiled.attrs().bits);
-    EXPECT_EQ(CountVerdictMismatches(*back, query, schema), 0u);
+    const PlanVerificationResult verified =
+        VerifyPlanExhaustive(*back, query, schema);
+    EXPECT_TRUE(verified.correct)
+        << "counterexample " << testing::PrintToString(verified.counterexample);
   }
 }
 
@@ -433,7 +438,7 @@ TEST(CompiledPlanEdgeTest, Attribute63WithFullValueDomain) {
     EXPECT_EQ(stats.total_cost, want_cost);  // bitwise
     // Consecutive rows take the masked engine where the CPU has it; the
     // permuted list always takes the selection kernels.
-    if (CAQP_OBS_ENABLED && internal::MaskedChunkAvailable()) {
+    if (internal::MaskedChunkAvailable()) {
       EXPECT_EQ(masked_chunks.value() > masked_before, rows == &consecutive);
     }
   }
@@ -463,7 +468,10 @@ TEST(CompiledPlanArenaTest, ExhaustiveRebuildsAreByteIdentical) {
   EXPECT_EQ(SerializePlan(first), SerializePlan(second));
   EXPECT_DOUBLE_EQ(planner.planner_stats().expected_cost, first_cost);
   EXPECT_GT(planner.planner_stats().memo_hits, 0u);
-  EXPECT_EQ(CountVerdictMismatches(first, query, schema), 0u);
+  const PlanVerificationResult verified =
+      VerifyPlanExhaustive(first, query, schema);
+  EXPECT_TRUE(verified.correct)
+      << "counterexample " << testing::PrintToString(verified.counterexample);
 }
 
 }  // namespace

@@ -1054,9 +1054,7 @@ TEST(DistCoordinatorTest, TracingCapturesShardIncidents) {
 
   EXPECT_EQ(coord.cache().Peek(want), resp.plan);
   const std::vector<obs::SpanEvent> events = coord.trace_recorder().Events();
-  if (CAQP_OBS_ENABLED) {
-    EXPECT_FALSE(events.empty());
-  }
+  EXPECT_FALSE(events.empty());
   for (const obs::SpanEvent& ev : events) {
     EXPECT_TRUE(ev.plan == want) << ev.name;
   }

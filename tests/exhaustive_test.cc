@@ -8,6 +8,7 @@
 #include "opt/exhaustive.h"
 #include "opt/greedyseq.h"
 #include "plan/plan_cost.h"
+#include "plan/plan_verify.h"
 #include "prob/dataset_estimator.h"
 #include "test_util.h"
 
@@ -116,7 +117,10 @@ TEST(ExhaustiveTest, VerdictsCorrectOverFullDomain) {
     const Query q = testing_util::RandomConjunctiveQuery(schema, rng);
     const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
     // Correct even on tuples never seen in training.
-    EXPECT_EQ(testing_util::CountVerdictMismatches(plan, q, schema), 0u);
+    const PlanVerificationResult verified =
+        VerifyPlanExhaustive(plan, q, schema);
+    EXPECT_TRUE(verified.correct)
+        << "counterexample " << testing::PrintToString(verified.counterexample);
   }
 }
 
@@ -154,7 +158,9 @@ TEST(ExhaustiveTest, SupportsDisjunctiveQueries) {
   Query q = Query::Disjunction(
       {{Predicate(2, 3, 3), Predicate(0, 0, 1)}, {Predicate(3, 0, 1)}});
   const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
-  EXPECT_EQ(testing_util::CountVerdictMismatches(plan, q, schema), 0u);
+  const PlanVerificationResult verified = VerifyPlanExhaustive(plan, q, schema);
+  EXPECT_TRUE(verified.correct)
+      << "counterexample " << testing::PrintToString(verified.counterexample);
   const EmpiricalCostResult emp = EmpiricalPlanCost(plan, ds, q, cm);
   EXPECT_EQ(emp.verdict_errors, 0u);
 }
@@ -180,7 +186,10 @@ TEST(ExhaustiveTest, RestrictedSpsfNeverBeatsUnrestricted) {
     ASSERT_LE(pa.planner_stats().expected_cost,
               pb.planner_stats().expected_cost + 1e-9);
     // Both remain correct.
-    ASSERT_EQ(testing_util::CountVerdictMismatches(plan_one, q, schema), 0u);
+    const PlanVerificationResult verified =
+        VerifyPlanExhaustive(plan_one, q, schema);
+    ASSERT_TRUE(verified.correct)
+        << "counterexample " << testing::PrintToString(verified.counterexample);
   }
 }
 
@@ -250,7 +259,10 @@ TEST(ExhaustiveTest, ExploitsSensorBoardSharing) {
   EXPECT_LE(board_cost, flat_under_board + 1e-9);
   EXPECT_NEAR(board_planner.planner_stats().expected_cost, board_cost,
               1e-9);
-  EXPECT_EQ(testing_util::CountVerdictMismatches(board_plan, q, schema), 0u);
+  const PlanVerificationResult verified =
+      VerifyPlanExhaustive(board_plan, q, schema);
+  EXPECT_TRUE(verified.correct)
+      << "counterexample " << testing::PrintToString(verified.counterexample);
 }
 
 // ---------------------------------------------------------------------
@@ -327,7 +339,9 @@ TEST_P(ExhaustiveBruteForceTest, MatchesOptimalAdaptiveStrategy) {
   const double brute =
       BruteForceAdaptiveCost(ds, q, schema.FullRanges(), all_rows);
   EXPECT_NEAR(planner.planner_stats().expected_cost, brute, 1e-9);
-  EXPECT_EQ(testing_util::CountVerdictMismatches(plan, q, schema), 0u);
+  const PlanVerificationResult verified = VerifyPlanExhaustive(plan, q, schema);
+  EXPECT_TRUE(verified.correct)
+      << "counterexample " << testing::PrintToString(verified.counterexample);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExhaustiveBruteForceTest,

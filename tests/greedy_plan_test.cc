@@ -10,6 +10,7 @@
 #include "opt/greedyseq.h"
 #include "opt/optseq.h"
 #include "plan/plan_cost.h"
+#include "plan/plan_verify.h"
 #include "plan/plan_serde.h"
 #include "prob/dataset_estimator.h"
 #include "test_util.h"
@@ -115,8 +116,11 @@ TEST(GreedyPlanTest, VerdictsCorrectEverywhere) {
   for (int iter = 0; iter < 12; ++iter) {
     const Query q = testing_util::RandomConjunctiveQuery(tk.schema, rng);
     const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
-    ASSERT_EQ(testing_util::CountVerdictMismatches(plan, q, tk.schema), 0u)
-        << q.ToString(tk.schema);
+    const PlanVerificationResult verified =
+        VerifyPlanExhaustive(plan, q, tk.schema);
+    ASSERT_TRUE(verified.correct)
+        << q.ToString(tk.schema) << " counterexample "
+        << testing::PrintToString(verified.counterexample);
   }
 }
 
@@ -205,7 +209,10 @@ TEST(GreedyPlanTest, HardByteBoundRespected) {
     GreedyPlanner bounded(tk.est, tk.cm, opts);
     const CompiledPlan plan = CompiledPlan::Compile(bounded.BuildPlan(q));
     EXPECT_LE(PlanSizeBytes(plan), budget) << "budget " << budget;
-    EXPECT_EQ(testing_util::CountVerdictMismatches(plan, q, tk.schema), 0u);
+    const PlanVerificationResult verified =
+        VerifyPlanExhaustive(plan, q, tk.schema);
+    EXPECT_TRUE(verified.correct)
+        << "counterexample " << testing::PrintToString(verified.counterexample);
   }
   // A generous budget changes nothing.
   opts.max_plan_bytes = 100000;
@@ -226,7 +233,10 @@ TEST(GreedyPlanTest, GreedySeqBaseAlsoWorks) {
   for (int iter = 0; iter < 8; ++iter) {
     const Query q = testing_util::RandomConjunctiveQuery(tk.schema, rng);
     const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
-    ASSERT_EQ(testing_util::CountVerdictMismatches(plan, q, tk.schema), 0u);
+    const PlanVerificationResult verified =
+        VerifyPlanExhaustive(plan, q, tk.schema);
+    ASSERT_TRUE(verified.correct)
+        << "counterexample " << testing::PrintToString(verified.counterexample);
   }
 }
 

@@ -76,21 +76,6 @@ TEST(MaskDistributionTest, MassAllTrue) {
   EXPECT_DOUBLE_EQ(d.MassAllTrue(0b11), 2.0);
 }
 
-TEST(MaskDistributionTest, ProbTrueGiven) {
-  MaskDistribution d;
-  d.Add(0b11, 2.0);
-  d.Add(0b01, 2.0);
-  d.Add(0b00, 4.0);
-  d.Aggregate();
-  // P(bit1 | bit0) = 2 / 4.
-  EXPECT_DOUBLE_EQ(d.ProbTrueGiven(1, 0b01), 0.5);
-  // P(bit0) = 4 / 8.
-  EXPECT_DOUBLE_EQ(d.ProbTrueGiven(0, 0), 0.5);
-  // Conditioning on an impossible event falls back.
-  MaskDistribution empty;
-  EXPECT_DOUBLE_EQ(empty.ProbTrueGiven(0, 0, 0.25), 0.25);
-}
-
 TEST(MaskDistributionTest, ConditionTrue) {
   MaskDistribution d;
   d.Add(0b11, 2.0);
@@ -126,18 +111,6 @@ TEST(MaskDistributionTest, SubtractDropsZeroedEntries) {
   MaskDistribution rest = all.Subtract(part);
   EXPECT_EQ(rest.entries().size(), 1u);
   EXPECT_NEAR(rest.total(), 1.0, 1e-9);
-}
-
-TEST(MaskDistributionTest, MergeAddsWeights) {
-  MaskDistribution a, b;
-  a.Add(0b1, 1.0);
-  a.Aggregate();
-  b.Add(0b1, 2.0);
-  b.Add(0b0, 3.0);
-  b.Aggregate();
-  a.Merge(b);
-  EXPECT_DOUBLE_EQ(a.total(), 6.0);
-  EXPECT_DOUBLE_EQ(a.MassAllTrue(0b1), 3.0);
 }
 
 TEST(PredicateMaskTest, BuildsBitmaskFromTuple) {

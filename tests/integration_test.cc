@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/csv.h"
 #include "data/synthetic_gen.h"
 #include "opt/exhaustive.h"
 #include "opt/greedy_plan.h"
@@ -20,6 +21,7 @@
 #include "opt/naive.h"
 #include "opt/optseq.h"
 #include "plan/plan_cost.h"
+#include "plan/plan_verify.h"
 #include "prob/chow_liu.h"
 #include "prob/dataset_estimator.h"
 #include "prob/independent_estimator.h"
@@ -70,8 +72,11 @@ TEST_P(PlannerSweepTest, AllPlannersCorrectAndOrdered) {
     const CompiledPlan* plans[] = {&p_naive, &p_corr, &p_h0, &p_h1, &p_h10,
                                    &p_ex};
     for (const CompiledPlan* p : plans) {
-      ASSERT_EQ(testing_util::CountVerdictMismatches(*p, q, schema), 0u)
-          << q.ToString(schema);
+      const PlanVerificationResult verified =
+          VerifyPlanExhaustive(*p, q, schema);
+      ASSERT_TRUE(verified.correct)
+          << q.ToString(schema) << " counterexample "
+          << testing::PrintToString(verified.counterexample);
     }
 
     const double c_naive = EmpiricalPlanCost(p_naive, ds, q, cm).mean_cost;
@@ -117,7 +122,10 @@ TEST_P(EstimatorPlugTest, PlannersRunOnEveryEstimator) {
     opts.max_splits = 3;
     GreedyPlanner planner(*est, cm, opts);
     const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
-    ASSERT_EQ(testing_util::CountVerdictMismatches(plan, q, schema), 0u);
+    const PlanVerificationResult verified =
+        VerifyPlanExhaustive(plan, q, schema);
+    ASSERT_TRUE(verified.correct)
+        << "counterexample " << testing::PrintToString(verified.counterexample);
   }
 }
 
@@ -260,8 +268,11 @@ TEST_P(DnfSweepTest, ExhaustiveCorrectOnRandomDisjunctions) {
     const Query q = Query::Disjunction(conjuncts);
     if (!q.ValidFor(schema)) continue;
     const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
-    ASSERT_EQ(testing_util::CountVerdictMismatches(plan, q, schema), 0u)
-        << q.ToString(schema);
+    const PlanVerificationResult verified =
+        VerifyPlanExhaustive(plan, q, schema);
+    ASSERT_TRUE(verified.correct)
+        << q.ToString(schema) << " counterexample "
+        << testing::PrintToString(verified.counterexample);
     // The DP's reported cost is consistent with Equation (3).
     ASSERT_NEAR(planner.planner_stats().expected_cost,
                 ExpectedPlanCost(plan, est, cm), 1e-9);
@@ -298,10 +309,83 @@ TEST(IntegrationTest, ExhaustiveHandlesExistentialNetworkQuery) {
   Query q = Query::Disjunction({{Predicate(1, 1, 1), Predicate(2, 1, 1)},
                                 {Predicate(3, 1, 1), Predicate(4, 1, 1)}});
   const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
-  EXPECT_EQ(testing_util::CountVerdictMismatches(plan, q, schema), 0u);
+  const PlanVerificationResult verified = VerifyPlanExhaustive(plan, q, schema);
+  EXPECT_TRUE(verified.correct)
+      << "counterexample " << testing::PrintToString(verified.counterexample);
   const auto res = EmpiricalPlanCost(plan, ds, q, cm);
   EXPECT_EQ(res.verdict_errors, 0u);
   EXPECT_GT(res.mean_cost, 0.0);
+}
+
+TEST(IntegrationTest, FullSixteenBitDomainEndToEnd) {
+  // One attribute spans the whole 16-bit Value range, so every loop over a
+  // value range reaches hi == 65535 and must stop there instead of wrapping.
+  CsvTable table;
+  table.column_names = {"wide", "narrow"};
+  Rng rng(16);
+  for (int i = 0; i < 300; ++i) {
+    const int wide = i == 0 ? 0 : i == 1 ? 65535 : rng.UniformInt(0, 65535);
+    const int narrow = wide >= 60000 ? 2 : rng.UniformInt(0, 1);
+    table.rows.push_back({static_cast<double>(wide),
+                          static_cast<double>(narrow)});
+  }
+  EXPECT_EQ(DatasetFromCsv(table, {{"wide", 65537, 5.0}, {"narrow", 3, 1.0}})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  const Result<Dataset> loaded =
+      DatasetFromCsv(table, {{"wide", 65536, 5.0}, {"narrow", 3, 1.0}});
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Dataset& data = *loaded;
+  const Schema& schema = data.schema();
+  ASSERT_EQ(schema.domain_size(0), 65536u);
+
+  Histogram wide(65536);
+  for (Value v : data.column(0)) wide.Add(v);
+  EXPECT_DOUBLE_EQ(wide.RangeCount({0, 65535}), 300.0);
+  EXPECT_DOUBLE_EQ(wide.RangeCount({65535, 65535}), wide.Count(65535));
+
+  RangeVec top = schema.FullRanges();
+  top[0] = {65000, 65535};
+  const std::vector<Predicate> preds = {Predicate(0, 60000, 65535),
+                                        Predicate(1, 2, 2)};
+  IndependentEstimator independent(data);
+  ChowLiuEstimator::Options copts;
+  copts.sample_count = 32;
+  ChowLiuEstimator chow_liu(data, copts);
+  for (CondProbEstimator* est :
+       std::initializer_list<CondProbEstimator*>{&independent, &chow_liu}) {
+    EXPECT_GT(est->Marginal(schema.FullRanges(), 0).total(), 0.0);
+    const Histogram h = est->Marginal(top, 0);
+    EXPECT_GT(h.total(), 0.0);
+    EXPECT_DOUBLE_EQ(h.RangeCount({0, 64999}), 0.0);
+    EXPECT_GT(est->ReachProbability(top), 0.0);
+    EXPECT_GT(est->PredicateMasks(schema.FullRanges(), preds).total(), 0.0);
+    EXPECT_EQ(est->PerValuePredicateMasks(top, 0, preds).size(), 536u);
+  }
+
+  // Wide first: the generic leaf walks every value of the full range.
+  DatasetEstimator est(data);
+  PerAttributeCostModel cm(schema);
+  const Query q =
+      Query::Disjunction({{Predicate(0, 60000, 65535)},
+                          {Predicate(1, 1, 1), Predicate(0, 0, 999)}});
+  const CompiledPlan leaf =
+      CompiledPlan::Compile(*PlanNode::Generic(q, {0, 1}));
+  EXPECT_NEAR(ExpectedPlanCost(leaf, est, cm),
+              EmpiricalPlanCost(leaf, data, q, cm).mean_cost, 1e-9);
+
+  const SplitPointSet splits = SplitPointSet::EquiSpaced(schema, {3, 2});
+  ExhaustivePlanner::Options xopts;
+  xopts.split_points = &splits;
+  ExhaustivePlanner planner(est, cm, xopts);
+  const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
+  EXPECT_NEAR(planner.planner_stats().expected_cost,
+              ExpectedPlanCost(plan, est, cm), 1e-9);
+  const PlanVerificationResult verified = VerifyPlanExhaustive(plan, q, schema);
+  EXPECT_TRUE(verified.correct)
+      << "counterexample " << testing::PrintToString(verified.counterexample);
+  EXPECT_EQ(verified.tuples_checked, 65536u * 3u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "opt/optseq.h"
 #include "opt/planner.h"
 #include "plan/plan_cost.h"
+#include "plan/plan_verify.h"
 #include "prob/dataset_estimator.h"
 #include "test_util.h"
 
@@ -226,7 +227,10 @@ TEST(NaivePlannerTest, VerdictsAlwaysCorrect) {
   for (int iter = 0; iter < 20; ++iter) {
     const Query q = testing_util::RandomConjunctiveQuery(schema, rng);
     const CompiledPlan plan = CompiledPlan::Compile(planner.BuildPlan(q));
-    EXPECT_EQ(testing_util::CountVerdictMismatches(plan, q, schema), 0u);
+    const PlanVerificationResult verified =
+        VerifyPlanExhaustive(plan, q, schema);
+    EXPECT_TRUE(verified.correct)
+        << "counterexample " << testing::PrintToString(verified.counterexample);
   }
 }
 

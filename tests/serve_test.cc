@@ -896,8 +896,6 @@ TEST(ServeRobustnessTest, PlannerTimeoutFollowerServesFallback) {
 // Observability v2: request spans, flight recorder, ServeReport
 // ---------------------------------------------------------------------------
 
-#if CAQP_OBS_ENABLED
-
 TEST(ServeObsTest, TracingRecordsNestedRequestSpans) {
   ServiceFixture fx;
   QueryService::Options opts;
@@ -1176,8 +1174,6 @@ TEST(ServeObsTest, PlannerTimeoutFallbackDumpsFlightRecorder) {
   EXPECT_EQ(incidents[0].reason, "planner_timeout_fallback");
   EXPECT_FALSE(incidents[0].events.empty());
 }
-
-#endif  // CAQP_OBS_ENABLED
 
 }  // namespace
 }  // namespace caqp

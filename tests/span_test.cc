@@ -18,8 +18,6 @@ namespace caqp {
 namespace obs {
 namespace {
 
-#if CAQP_OBS_ENABLED
-
 const SpanEvent* FindByName(const std::vector<SpanEvent>& events,
                             std::string_view name) {
   for (const SpanEvent& ev : events) {
@@ -301,18 +299,6 @@ TEST(FlightRecorderTest, TraceEventsJsonContainsSpansAndIncidents) {
   EXPECT_EQ(found, 5u);
   EXPECT_EQ(json.find("\"planner_fp\":22"), std::string::npos);
 }
-
-#else  // !CAQP_OBS_ENABLED
-
-TEST(SpanTest, CompiledOutSpansAreInert) {
-  TraceRecorder recorder(1);
-  TraceRecorder::RequestScope scope(&recorder, 0, recorder.NewTraceId());
-  ScopedSpan span("noop");
-  EXPECT_FALSE(span.active());
-  EXPECT_TRUE(recorder.Events().empty());
-}
-
-#endif  // CAQP_OBS_ENABLED
 
 }  // namespace
 }  // namespace obs

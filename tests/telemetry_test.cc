@@ -667,8 +667,6 @@ struct TelemetryDistFixture {
 };
 
 TEST(TelemetryDistTraceTest, EveryShardSpanJoinsUnderTheRequestSpan) {
-  // Asserts spans and counters that -DCAQP_ENABLE_OBS=OFF compiles out.
-  if (!CAQP_OBS_ENABLED) GTEST_SKIP() << "obs compiled out";
   TelemetryDistFixture fx;
   dist::Coordinator::Options opts;
   opts.partition = dist::PartitionSpec::Hash(4);
@@ -708,8 +706,6 @@ TEST(TelemetryDistTraceTest, EveryShardSpanJoinsUnderTheRequestSpan) {
 // ---------------------------------------------------------------------------
 
 TEST(TelemetryFlapTest, CalibrationAndTracesSurviveConcurrentShardFlapping) {
-  // Asserts spans and counters that -DCAQP_ENABLE_OBS=OFF compiles out.
-  if (!CAQP_OBS_ENABLED) GTEST_SKIP() << "obs compiled out";
   TelemetryDistFixture fx;
   dist::Coordinator::Options opts;
   opts.partition = dist::PartitionSpec::Hash(4);
@@ -831,8 +827,6 @@ uint64_t CounterIn(const RegistrySnapshot& snap, const std::string& name) {
 }
 
 TEST(TelemetryKernelCountersTest, BatchExecutionFeedsPerOpRowCounters) {
-  // Asserts spans and counters that -DCAQP_ENABLE_OBS=OFF compiles out.
-  if (!CAQP_OBS_ENABLED) GTEST_SKIP() << "obs compiled out";
   const bool was_enabled = obs::Enabled();
   obs::SetEnabled(true);
   TelemetryDistFixture fx;

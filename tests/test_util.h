@@ -190,26 +190,6 @@ inline Query RandomConjunctiveQuery(const Schema& schema, Rng& rng,
   return Query::Conjunction(std::move(preds));
 }
 
-/// Enumerates every tuple of the (small!) schema and checks that the plan's
-/// verdict matches the query everywhere. Returns the number of mismatches.
-inline size_t CountVerdictMismatches(const CompiledPlan& plan,
-                                     const Query& query,
-                                     const Schema& schema) {
-  size_t mismatches = 0;
-  Tuple t(schema.num_attributes(), 0);
-  // Odometer enumeration.
-  while (true) {
-    if (plan.VerdictFor(t) != query.Matches(t)) ++mismatches;
-    size_t a = 0;
-    for (; a < t.size(); ++a) {
-      if (++t[a] < schema.domain_size(static_cast<AttrId>(a))) break;
-      t[a] = 0;
-    }
-    if (a == t.size()) break;
-  }
-  return mismatches;
-}
-
 /// Reference executor for the flat walk (src/exec/compiled_walk.h), which
 /// must match it field for field: a pointer walk down a Plan tree with the
 /// same acquisition, retry, charging and three-valued degradation

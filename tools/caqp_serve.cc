@@ -145,11 +145,9 @@ struct Config {
   /// Keep the process (and the exposer) alive this long after the replay
   /// finishes, so external scrapers get a stable target.
   double metrics_linger_ms = 0.0;
-  /// Flight-recorder sizing (see serve::QueryService::Options /
+  /// Span-ring sizing (see serve::QueryService::Options /
   /// dist::Coordinator::Options for the memory-cost arithmetic).
   size_t span_buffer = size_t{1} << 15;
-  size_t flight_capacity = 128;
-  size_t max_incidents = 8192;
   /// SLO burn-rate monitoring (serve mode): enabled by --slo-latency-ms.
   double slo_latency_ms = 0.0;
   double slo_availability_target = 0.999;
@@ -248,10 +246,6 @@ void PrintHelp() {
       "                        (dist mode) as JSON\n"
       "  --span-buffer N       span-ring entries per worker (default 32768;\n"
       "                        ~72 bytes each)\n"
-      "  --flight-capacity N   flight-recorder ring entries per worker\n"
-      "                        (default 128)\n"
-      "  --max-incidents N     retained flight-recorder incidents\n"
-      "                        (default 8192)\n"
       "\n"
       "slo (serve mode)\n"
       "  --slo-latency-ms T    enable burn-rate SLO monitoring with this\n"
@@ -486,8 +480,6 @@ int RunDist(const Config& cfg, const Dataset& train, const Dataset& test,
   dopts.enable_tracing = !cfg.trace_out.empty();
   dopts.enable_calibration = cfg.calibration_on();
   dopts.max_span_events_per_worker = cfg.span_buffer;
-  dopts.flight_capacity = cfg.flight_capacity;
-  dopts.max_incidents = cfg.max_incidents;
   if (!cfg.shard_fault_profile.empty()) {
     const Result<dist::ShardFaultSpec> faults =
         dist::ShardFaultSpec::Parse(cfg.shard_fault_profile);
@@ -709,10 +701,6 @@ int main(int argc, char** argv) {
       cfg.metrics_linger_ms = std::strtod(next().c_str(), nullptr);
     } else if (arg == "--span-buffer") {
       cfg.span_buffer = next_num();
-    } else if (arg == "--flight-capacity") {
-      cfg.flight_capacity = next_num();
-    } else if (arg == "--max-incidents") {
-      cfg.max_incidents = next_num();
     } else if (arg == "--slo-latency-ms") {
       cfg.slo_latency_ms = std::strtod(next().c_str(), nullptr);
     } else if (arg == "--slo-availability-target") {
@@ -799,8 +787,6 @@ int main(int argc, char** argv) {
   sopts.enable_tracing = !cfg.trace_out.empty();
   sopts.enable_calibration = cfg.calibration_on();
   sopts.max_span_events_per_worker = cfg.span_buffer;
-  sopts.flight_capacity = cfg.flight_capacity;
-  sopts.max_incidents = cfg.max_incidents;
   if (cfg.slo_latency_ms > 0.0) {
     sopts.enable_slo = true;
     sopts.slo.latency_threshold_seconds = cfg.slo_latency_ms / 1000.0;
