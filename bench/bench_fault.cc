@@ -77,12 +77,11 @@ struct RunStats {
   size_t retries = 0;
   size_t aborted = 0;
   double cost = 0.0;
-  uint64_t injected = 0;
 };
 
-/// Executes `plan` over every test tuple with faults at `transient_rate`,
-/// using one injector for the whole pass (faults accumulate across epochs,
-/// as they would on a live mote).
+/// Executes `plan` over every test tuple with faults at `transient_rate`.
+/// Draws are keyed by row, so every policy sees the same fault at the same
+/// row and attribute.
 RunStats RunPass(const CompiledPlan& plan, const Schema& schema,
                  const AcquisitionCostModel& cm, const Query& query,
                  const Dataset& test, double transient_rate,
@@ -90,7 +89,7 @@ RunStats RunPass(const CompiledPlan& plan, const Schema& schema,
   FaultSpec spec;
   spec.transient = transient_rate;
   spec.seed = kFaultSeed;
-  FaultInjector injector(spec);
+  const FaultInjector injector(spec);
 
   RunStats out;
   const size_t rows = std::min<size_t>(kMaxTuples, test.num_rows());
@@ -98,6 +97,7 @@ RunStats RunPass(const CompiledPlan& plan, const Schema& schema,
     const Tuple tuple = test.GetTuple(static_cast<RowId>(row));
     TupleSource base(tuple);
     FaultyAcquisitionSource source(base, injector);
+    source.SetRow(static_cast<RowId>(row));
     const ExecutionResult res =
         ExecutePlan(plan, schema, cm, source, /*trace=*/nullptr, policy);
     ++out.tuples;
@@ -109,7 +109,6 @@ RunStats RunPass(const CompiledPlan& plan, const Schema& schema,
       out.mismatches += res.verdict != query.Matches(tuple);
     }
   }
-  out.injected = injector.injected();
   return out;
 }
 
@@ -141,7 +140,7 @@ ColumnarBar TimeColumnarUnderFaults(const CompiledPlan& plan,
   for (RowId r = 0; r < rows; ++r) ids[r] = r;
 
   RowSource base(test);
-  FaultInjector injector(spec);
+  const FaultInjector injector(spec);
   FaultyAcquisitionSource source(base, injector);
   const auto build_start = std::chrono::steady_clock::now();
   const FaultRealization faults(FaultInjector(spec), ids,

@@ -6,8 +6,8 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "exec/metrics.h"
 #include "lab_config.h"
+#include "metrics.h"
 #include "opt/greedy_plan.h"
 #include "opt/naive.h"
 #include "opt/optseq.h"

@@ -14,7 +14,7 @@
 #include "bench_util.h"
 #include "data/garden_gen.h"
 #include "data/workload.h"
-#include "exec/metrics.h"
+#include "metrics.h"
 #include "opt/greedy_plan.h"
 #include "opt/greedyseq.h"
 #include "opt/naive.h"

@@ -17,7 +17,6 @@
 #include "core/query.h"        // IWYU pragma: export
 #include "core/schema.h"       // IWYU pragma: export
 #include "exec/executor.h"     // IWYU pragma: export
-#include "exec/metrics.h"      // IWYU pragma: export
 #include "fault/fault.h"       // IWYU pragma: export
 #include "obs/export.h"        // IWYU pragma: export
 #include "obs/obs.h"           // IWYU pragma: export

@@ -41,7 +41,7 @@ Result<Dataset> DeserializeDataset(const std::vector<uint8_t>& bytes) {
 
   uint64_t num_attrs;
   CAQP_RETURN_IF_ERROR(r.GetVarint(&num_attrs));
-  if (num_attrs == 0 || num_attrs > 64) {
+  if (num_attrs == 0 || num_attrs > kMaxAttributes) {
     return Status::DataLoss("attribute count out of range");
   }
   Schema schema;

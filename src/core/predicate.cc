@@ -9,12 +9,9 @@ uint64_t Predicate::Hash() const {
   // near-identical predicates (adjacent bounds, negation flips) land far
   // apart. The packing is injective, so distinct predicates never collide
   // before mixing.
-  uint64_t x = (uint64_t{attr} << 33) | (uint64_t{lo} << 17) |
-               (uint64_t{hi} << 1) | (negated ? 1u : 0u);
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+  const uint64_t x = (uint64_t{attr} << 33) | (uint64_t{lo} << 17) |
+                     (uint64_t{hi} << 1) | (negated ? 1u : 0u);
+  return Mix64(x + kGoldenGamma);
 }
 
 Truth Predicate::EvaluateOnRange(const ValueRange& range) const {

@@ -8,8 +8,7 @@ Schema::Schema(std::vector<AttributeSpec> attrs) : attrs_(std::move(attrs)) {
     CAQP_CHECK_LE(a.domain_size, 65536u);  // values are 16-bit
     CAQP_CHECK_GE(a.cost, 0.0);
   }
-  // AttrSet (prob/subproblem.h) packs attribute sets into 64 bits.
-  CAQP_CHECK_LE(attrs_.size(), 64u);
+  CAQP_CHECK_LE(attrs_.size(), kMaxAttributes);
 }
 
 AttrId Schema::AddAttribute(const std::string& name, uint32_t domain_size,
@@ -17,7 +16,7 @@ AttrId Schema::AddAttribute(const std::string& name, uint32_t domain_size,
   CAQP_CHECK_GE(domain_size, 2u);
   CAQP_CHECK_LE(domain_size, 65536u);  // values are 16-bit
   CAQP_CHECK_GE(cost, 0.0);
-  CAQP_CHECK_LT(attrs_.size(), 64u);
+  CAQP_CHECK_LT(attrs_.size(), kMaxAttributes);
   attrs_.emplace_back(name, domain_size, cost);
   return static_cast<AttrId>(attrs_.size() - 1);
 }

@@ -27,6 +27,10 @@ using Value = uint16_t;
 /// Sentinel for "no attribute".
 inline constexpr AttrId kInvalidAttr = static_cast<AttrId>(-1);
 
+/// Schemas hold at most this many attributes: an AttrSet (prob/subproblem.h)
+/// is one 64-bit word, and per-attribute tables and scratch are sized to it.
+inline constexpr size_t kMaxAttributes = 64;
+
 /// A fully-materialized tuple: one Value per schema attribute. During
 /// *execution* values are acquired lazily; Tuple is the ground truth a
 /// simulator or dataset holds.
@@ -67,10 +71,24 @@ inline Truth TruthNot(Truth a) {
   return a == Truth::kTrue ? Truth::kFalse : Truth::kTrue;
 }
 
+/// The 64-bit golden-ratio constant, 2^64 / phi: splitmix64's increment.
+inline constexpr uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
+
 /// 64-bit FNV-1a style combine, used for hashing subproblem range vectors.
 inline size_t HashCombine(size_t seed, size_t v) {
-  // Boost-style mix with a 64-bit golden-ratio constant.
-  return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
+  // Boost-style mix with the golden-ratio constant.
+  return seed ^ (v + kGoldenGamma + (seed << 6) + (seed >> 2));
+}
+
+/// splitmix64's finalizer: a full-avalanche bijection on 64-bit words.
+/// Mix64(x + kGoldenGamma) is one splitmix64 step, which hashes row ids
+/// onto shards, plan keys onto cache shards and predicates into query
+/// signatures; the fault model keys its per-row draws with it
+/// (fault/fault.h). All of these are pinned bit for bit by tests.
+inline constexpr uint64_t Mix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
 }
 
 /// Hash of a subproblem range vector (cache key for the DP in Figure 5).

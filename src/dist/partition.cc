@@ -4,16 +4,6 @@
 
 namespace caqp::dist {
 
-namespace {
-// splitmix64 finalizer: full-avalanche mix of the row id with the seed.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-}  // namespace
-
 Result<PartitionSpec::Scheme> PartitionSpec::ParseScheme(
     const std::string& text) {
   if (text == "hash") return Scheme::kHash;
@@ -41,7 +31,8 @@ size_t ShardForRow(const PartitionSpec& spec, size_t num_rows, RowId row) {
       return row / block;
     }
     case PartitionSpec::Scheme::kHash:
-      return Mix64(row ^ spec.hash_seed) % spec.num_shards;
+      // One splitmix64 step: full-avalanche mix of the row id with the seed.
+      return Mix64((row ^ spec.hash_seed) + kGoldenGamma) % spec.num_shards;
   }
   return 0;
 }

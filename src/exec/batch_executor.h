@@ -77,17 +77,20 @@
 // (retries exhausted, a stuck sensor, or any failure under UnknownVerdict /
 // Abort) takes the row out of the selection, and the per-row walk finishes
 // it, resumed at that node — or, in a sequential leaf, at that step — with
-// its static entry state and its running cost. Both sweeps store costs and
-// verdicts by chunk position, so the row-order cost fold is unchanged.
-// Every outcome on the way was what the per-row oracle draws, so each row's
-// ExecutionResult and profile counters are the oracle's: ExecutePlan over
-// FaultyAcquisitionSource with SetRow(row). Verdict bytes then carry Truth
-// values (kUnknown = 2), BatchExecutionStats fills its fault totals, and the
-// exec.* / fault.injected counters are added once per Execute with the
-// per-row path's totals. Fault mode always runs the selection kernels: the
-// masked engine stays fault-free, and the fault-free kernels compile
-// exactly as before (kFaulty is a template parameter; a sweep only takes
-// its root selection as an argument).
+// its static entry state and its running cost, reading through a
+// FaultyAcquisitionSource over a RowSource, both set to the row. Both
+// sweeps store costs and verdicts by chunk position, so the row-order cost
+// fold is unchanged. Every outcome on the way was what the per-row oracle
+// draws, so each row's ExecutionResult and profile counters are the
+// oracle's: ExecutePlan over FaultyAcquisitionSource with SetRow(row).
+// Verdict bytes then carry Truth values (kUnknown = 2), BatchExecutionStats
+// fills its fault totals, and the exec.* counters are added once per
+// Execute with the per-row path's totals. So is fault.injected, except for
+// the resumed rows' failures, which their source counts as they happen.
+// Fault mode always runs the selection kernels: the masked engine stays
+// fault-free, and the fault-free kernels compile exactly as before (kFaulty
+// is a template parameter; a sweep only takes its root selection as an
+// argument).
 //
 // Thread safety: one ColumnarBatchExecutor is single-threaded scratch
 // (selection buffers are reused across chunks and calls); build one per
@@ -135,7 +138,7 @@ class ColumnarBatchExecutor {
  public:
   /// Builds the level-decomposed view and precomputes the exact-cost
   /// tables. `plan`, `data`, and `cost_model` must outlive the executor.
-  /// Aborts if the schema exceeds 64 attributes (the AttrSet / value-scratch
+  /// Aborts if the schema exceeds kMaxAttributes (the AttrSet / value-scratch
   /// bound, checked here at runtime in all build modes).
   ColumnarBatchExecutor(const CompiledPlan& plan, const Dataset& data,
                         const AcquisitionCostModel& cost_model);
@@ -204,11 +207,13 @@ class ColumnarBatchExecutor {
   void Divert(uint32_t slot, int32_t step, const SelIdx* pos, uint32_t n);
 
   /// Finishes every diverted row of the chunk on the per-row walk, reading
-  /// through `source` (RowSource without faults, the row-keyed fault source
-  /// with them), and folds its result into the chunk outputs.
+  /// through `source` — `base` itself without faults, a
+  /// FaultyAcquisitionSource over `base` with them; both are set to each
+  /// row — and folds its result into the chunk outputs.
   template <bool kProfiled, typename Source>
-  void ResumeDiverted(Source& source, const RowId* rows, uint8_t* verdicts,
-                      ExecutionProfile* profile, BatchExecutionStats* stats);
+  void ResumeDiverted(RowSource& base, Source& source, const RowId* rows,
+                      uint8_t* verdicts, ExecutionProfile* profile,
+                      BatchExecutionStats* stats);
 
   template <bool kFirstAcq, bool kProfiled, bool kFaulty>
   void SplitKernel(const BatchPlanView::Node& node, uint32_t slot,
@@ -246,6 +251,9 @@ class ColumnarBatchExecutor {
   /// awaiting a per-row resume (slot, leaf step or -1, chunk position) —
   /// generic-leaf rows in both modes, failed acquisitions in fault mode.
   const FaultRealization* faults_ = nullptr;
+  /// Failed attempts of resumed rows, which their source already added to
+  /// the fault.injected counter.
+  size_t resumed_faults_ = 0;
   DegradationPolicy policy_{};
   int max_attempts_ = 1;  ///< attempts per acquisition under policy_
   size_t chunk_off_ = 0;

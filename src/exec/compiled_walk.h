@@ -1,10 +1,11 @@
 // WalkCompiled — the executor's per-tuple walk over a CompiledPlan
 // (internal), and the only code in the library that evaluates a plan one
-// row at a time. Two callers share it: ExecutePlan (exec/executor.cc)
-// enters at the root over any AcquisitionSource, and the columnar engine
-// (exec/batch_executor.h) resumes diverted rows mid-plan over its concrete
-// row source — in both modes the rows that reach a generic leaf, and in
-// fault mode the rows whose acquisition fails.
+// row at a time. Two callers share it: ExecutePlan (exec/executor.cc) —
+// and through its uninstrumented instantiation the plan verifiers
+// (plan/plan_verify.h) — enters at the root over any AcquisitionSource, and
+// the columnar engine (exec/batch_executor.h) resumes diverted rows mid-plan
+// over its concrete row source — in both modes the rows that reach a
+// generic leaf, and in fault mode the rows whose acquisition fails.
 
 #ifndef CAQP_EXEC_COMPILED_WALK_H_
 #define CAQP_EXEC_COMPILED_WALK_H_
@@ -16,19 +17,20 @@
 
 namespace caqp::internal {
 
-// The per-tuple walk, entered at node `idx` with `out` and `values` (64
-// slots, valid where out.acquired has the bit set) holding the state a
-// tuple has on entering that node — empty at the root. With leaf_step = k
-// >= 0 the walk instead resumes inside sequential leaf `idx` just before its
-// conjunct k: every earlier conjunct passed, and the leaf's NodeEval and
-// their PredEvals are already counted. The rest of the walk is exactly what
-// a root entry would do from there, so a resumed result is the root-entry
-// result bit for bit. Kept textually parallel to the tree-walk reference in
-// tests/test_util.h (ExecuteTreeReference) on purpose: the two must stay
-// semantically identical (the tree<->flat equivalence property test in
-// tests/compiled_plan_test.cc enforces it across planners, workloads, and
-// fault profiles). Always inlined, so ExecuteCompiledImpl's root entry
-// (idx 0, leaf_step -1) compiles to the same code as a root-only walk.
+// The per-tuple walk, entered at node `idx` with `out` and `values`
+// (kMaxAttributes slots, valid where out.acquired has the bit set) holding
+// the state a tuple has on entering that node — empty at the root. With
+// leaf_step = k >= 0 the walk instead resumes inside sequential leaf `idx`
+// just before its conjunct k: every earlier conjunct passed, and the leaf's
+// NodeEval and their PredEvals are already counted. The rest of the walk is
+// exactly what a root entry would do from there, so a resumed result is the
+// root-entry result bit for bit. Kept textually parallel to the tree-walk
+// reference in tests/test_util.h (ExecuteTreeReference) on purpose: the two
+// must stay semantically identical (the tree<->flat equivalence property
+// test in tests/compiled_plan_test.cc enforces it across planners,
+// workloads, and fault profiles). Always inlined, so ExecuteCompiledImpl's
+// root entry (idx 0, leaf_step -1) compiles to the same code as a root-only
+// walk.
 template <bool kTraced, bool kProfiled, typename Source = AcquisitionSource>
 __attribute__((always_inline)) inline void WalkCompiled(
     const CompiledPlan& plan, const Schema& schema,

@@ -51,8 +51,8 @@ struct ExecutionProfileSnapshot {
   };
 
   std::vector<NodeCounts> nodes;
-  std::array<uint64_t, 64> attr_evals{};
-  std::array<uint64_t, 64> attr_passes{};
+  std::array<uint64_t, kMaxAttributes> attr_evals{};
+  std::array<uint64_t, kMaxAttributes> attr_passes{};
   uint64_t executions = 0;
   uint64_t unknown_executions = 0;
   uint64_t acquisitions = 0;
@@ -137,8 +137,8 @@ class ExecutionProfile {
   };
 
   std::vector<NodeCounters> nodes_;
-  std::array<std::atomic<uint64_t>, 64> attr_evals_{};
-  std::array<std::atomic<uint64_t>, 64> attr_passes_{};
+  std::array<std::atomic<uint64_t>, kMaxAttributes> attr_evals_{};
+  std::array<std::atomic<uint64_t>, kMaxAttributes> attr_passes_{};
   std::atomic<uint64_t> executions_{0};
   std::atomic<uint64_t> unknown_executions_{0};
   std::atomic<uint64_t> acquisitions_{0};

@@ -51,11 +51,11 @@ __attribute__((aligned(64))) ExecutionResult ExecuteCompiledImpl(
     TraceSink* trace, const DegradationPolicy& policy,
     ExecutionProfile* profile) {
   ExecutionResult out;
-  // AttrSet bounds schemas to 64 attributes library-wide, so a fixed scratch
+  // Schemas hold at most kMaxAttributes attributes, so a fixed scratch
   // buffer holds the acquired values; valid where out.acquired has the bit
   // set.
-  CAQP_DCHECK(schema.num_attributes() <= 64);
-  Value values[64];
+  CAQP_DCHECK(schema.num_attributes() <= kMaxAttributes);
+  Value values[kMaxAttributes];
   WalkCompiled<kTraced, kProfiled>(plan, schema, cost_model, source, trace,
                                    policy, profile, 0, -1, values, out);
   if constexpr (kTraced) trace->OnVerdict(out.verdict, out.cost);

@@ -171,15 +171,15 @@ FaultInjector::FaultInjector(const FaultSpec& spec) : spec_(spec) {
   }
   const uint64_t stuck_below = DrawThreshold(spec.stuck);
   spike_below_ = DrawThreshold(spec.spike);
-  for (size_t a = 0; a < kMaxAttrs; ++a) {
+  for (size_t a = 0; a < kMaxAttributes; ++a) {
     const AttrId attr = static_cast<AttrId>(a);
     // Mixing decorrelates adjacent attributes (and adjacent spec seeds).
-    attr_key_[a] = Mix(spec.seed + kGolden * (a + 1));
+    attr_key_[a] = Mix64(spec.seed + kGoldenGamma * (a + 1));
     key0_[a][kFailDraw] = AttemptKey(attr_key_[a], 0, kFailDraw);
     key0_[a][kSpikeDraw] = AttemptKey(attr_key_[a], 0, kSpikeDraw);
     fail_below_[a] = DrawThreshold(spec.TransientFor(attr));
     // The stuck draw hashes the key itself, which no attempt key does.
-    if ((Mix(attr_key_[a]) >> 11) < stuck_below) stuck_ |= uint64_t{1} << a;
+    if ((Mix64(attr_key_[a]) >> 11) < stuck_below) stuck_ |= uint64_t{1} << a;
   }
 }
 
@@ -191,7 +191,7 @@ FaultRealization::FaultRealization(const FaultInjector& injector,
       num_attributes_(num_attributes),
       words_per_attr_((rows.size() + 63) / 64),
       words_(num_attributes * words_per_attr_, 0) {
-  CAQP_CHECK(num_attributes <= 64);
+  CAQP_CHECK(num_attributes <= kMaxAttributes);
   for (size_t a = 0; a < num_attributes; ++a) {
     const FaultInjector::CleanTest test =
         injector.CleanTestFor(static_cast<AttrId>(a));
@@ -207,14 +207,17 @@ FaultRealization::FaultRealization(const FaultInjector& injector,
   }
 }
 
-FaultInjector::Outcome FaultInjector::NextAttempt(AttrId attr) {
-  CAQP_CHECK(attr < kMaxAttrs);
-  const Outcome out = At(row_, attr, attempts_[attr]++);
-  if (out.fail) {
+AcquiredValue FaultyAcquisitionSource::Acquire(AttrId attr) {
+  CAQP_CHECK(attr < kMaxAttributes);
+  const FaultInjector::Outcome o = injector_.At(row_, attr, attempts_[attr]++);
+  if (o.fail) {
     ++injected_;
     CAQP_OBS_COUNTER_INC("fault.injected");
+    return AcquiredValue::Failure(o.permanent);
   }
-  return out;
+  AcquiredValue v = base_.Acquire(attr);
+  v.cost_multiplier *= o.cost_multiplier;
+  return v;
 }
 
 }  // namespace caqp

@@ -88,12 +88,11 @@ struct FaultSpec {
 
 /// Turns a FaultSpec into reproducible per-attempt fault decisions.
 ///
-/// At() is the model: a const, thread-safe pure function of (seed, row,
-/// attribute, attempt). NextAttempt() is the stateful convenience the
-/// per-tuple executor consumes through FaultyAcquisitionSource: it draws
-/// At(row, attr, k) for the current row (SetRow) with a per-attribute
-/// attempt counter k. Only NextAttempt/SetRow/Reset mutate; use one injector
-/// per thread for those, or share one for At().
+/// At() is the model: a pure function of (seed, row, attribute, attempt).
+/// Every member is const and the injector holds no per-row state, so one
+/// instance can be shared across threads. The per-row attempt counters
+/// live in FaultyAcquisitionSource, which the per-tuple executor reads
+/// through.
 class FaultInjector {
  public:
   /// Aborts unless every rate is finite and in [0,1] and spike_multiplier
@@ -112,7 +111,7 @@ class FaultInjector {
   /// dataset row `row`. Stuck attributes fail permanently; otherwise a
   /// transient-failure draw, and on success an independent spike draw.
   Outcome At(RowId row, AttrId attr, uint32_t attempt) const {
-    CAQP_DCHECK(attr < kMaxAttrs);
+    CAQP_DCHECK(attr < kMaxAttributes);
     Outcome o;
     if ((stuck_ >> attr) & 1) {
       o.fail = true;
@@ -153,61 +152,23 @@ class FaultInjector {
     }
   };
   CleanTest CleanTestFor(AttrId attr) const {
-    CAQP_DCHECK(attr < kMaxAttrs);
+    CAQP_DCHECK(attr < kMaxAttributes);
     return CleanTest{((stuck_ >> attr) & 1) != 0, key0_[attr][kFailDraw],
                      fail_below_[attr], key0_[attr][kSpikeDraw],
                      spike_below_};
   }
 
-  /// Selects the row later NextAttempt calls draw for and restarts every
-  /// attribute's attempt counter.
-  void SetRow(RowId row) {
-    row_ = row;
-    attempts_.fill(0);
-  }
-
-  /// Decides the next attempt for `attr` on the current row:
-  /// At(row, attr, k), where k counts this attribute's NextAttempt calls
-  /// since the last SetRow/Reset. Emits the `fault.injected` counter on
-  /// failure.
-  Outcome NextAttempt(AttrId attr);
-
-  /// True when `attr` is permanently stuck under this spec.
-  bool IsStuck(AttrId attr) const {
-    return attr < kMaxAttrs && ((stuck_ >> attr) & 1);
-  }
-
-  /// Faults injected (failed NextAttempt calls) since construction or
-  /// Reset(). At() is pure and counts nothing.
-  uint64_t injected() const { return injected_; }
-
-  /// Back to row 0 with every attempt counter and injected() at zero; the
-  /// injector then replays exactly the same decision sequence.
-  void Reset() {
-    SetRow(0);
-    injected_ = 0;
-  }
-
   const FaultSpec& spec() const { return spec_; }
 
  private:
-  /// AttrSet bounds schemas to 64 attributes library-wide.
-  static constexpr size_t kMaxAttrs = 64;
-  static constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
   static constexpr int kFailDraw = 0;
   static constexpr int kSpikeDraw = 1;
 
-  /// splitmix64 finalizer (full avalanche).
-  static uint64_t Mix(uint64_t z) {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
   /// Key of the splitmix64 stream over rows that decides draw `kind` of
   /// attempt `attempt` for the attribute keyed `attr_key`.
   static uint64_t AttemptKey(uint64_t attr_key, uint32_t attempt, int kind) {
-    return Mix(attr_key +
-               kGolden * (2 * static_cast<uint64_t>(attempt) + kind + 1));
+    const uint64_t step = 2 * static_cast<uint64_t>(attempt) + kind + 1;
+    return Mix64(attr_key + kGoldenGamma * step);
   }
   /// AttemptKey for `attr`, with attempt 0's keys cached.
   uint64_t StreamKey(AttrId attr, uint32_t attempt, int kind) const {
@@ -217,19 +178,15 @@ class FaultInjector {
   /// Uniform 53-bit draw for `row` from stream `key`; compared against a
   /// threshold ceil(p * 2^53), so p = 0 never and p = 1 always fires.
   static uint64_t Draw(uint64_t key, RowId row) {
-    return Mix(key + kGolden * (static_cast<uint64_t>(row) + 1)) >> 11;
+    return Mix64(key + kGoldenGamma * (static_cast<uint64_t>(row) + 1)) >> 11;
   }
 
   FaultSpec spec_;
-  std::array<uint64_t, kMaxAttrs> attr_key_{};  ///< per-(seed, attr) key
-  std::array<std::array<uint64_t, 2>, kMaxAttrs> key0_{};
-  std::array<uint64_t, kMaxAttrs> fail_below_{};  ///< transient thresholds
+  std::array<uint64_t, kMaxAttributes> attr_key_{};  ///< per-(seed, attr) key
+  std::array<std::array<uint64_t, 2>, kMaxAttributes> key0_{};
+  std::array<uint64_t, kMaxAttributes> fail_below_{};  ///< transient thresholds
   uint64_t spike_below_ = 0;
   uint64_t stuck_ = 0;  ///< bit a set: attribute a is stuck
-
-  RowId row_ = 0;  ///< NextAttempt state
-  std::array<uint32_t, kMaxAttrs> attempts_{};
-  uint64_t injected_ = 0;
 };
 
 /// The attempt-0 fault realization of one row list: one clean bit per
@@ -251,8 +208,8 @@ class FaultInjector {
 /// its positions mean nothing over any other span.
 class FaultRealization {
  public:
-  /// Draws the bits of attributes 0..num_attributes-1 (at most 64) for every
-  /// row of `rows`.
+  /// Draws the bits of attributes 0..num_attributes-1 (at most
+  /// kMaxAttributes) for every row of `rows`.
   FaultRealization(const FaultInjector& injector, std::span<const RowId> rows,
                    size_t num_attributes);
 
@@ -299,27 +256,42 @@ class FaultRealization {
 /// Decorator that injects faults in front of any AcquisitionSource. The
 /// underlying source is only consulted for attempts the injector lets
 /// through, so recorded datasets and live samplers need no fault awareness.
-class FaultyAcquisitionSource : public AcquisitionSource {
+///
+/// The source owns the per-row draw state the injector does not: the row,
+/// one attempt counter per attribute and a tally of failed attempts. Its
+/// k-th Acquire(a) since SetRow(row) is At(row, a, k), so a row's faults do
+/// not depend on which rows ran before it. Point the base source at the
+/// same row. Without SetRow every attempt draws for row 0 with counters
+/// that never restart. Single-threaded; give each thread its own source
+/// over one shared injector.
+class FaultyAcquisitionSource final : public AcquisitionSource {
  public:
-  FaultyAcquisitionSource(AcquisitionSource& base, FaultInjector& injector)
+  FaultyAcquisitionSource(AcquisitionSource& base,
+                          const FaultInjector& injector)
       : base_(base), injector_(injector) {}
+  /// The source keeps a reference: a temporary injector would dangle.
+  FaultyAcquisitionSource(AcquisitionSource&, FaultInjector&&) = delete;
 
-  /// Row-keyed mode: later attempts draw for dataset row `row` (point the
-  /// base source at the same row). Without it every attempt draws for row
-  /// 0, with attempt counters that never restart — a single long stream.
-  void SetRow(RowId row) { injector_.SetRow(row); }
-
-  AcquiredValue Acquire(AttrId attr) override {
-    const FaultInjector::Outcome o = injector_.NextAttempt(attr);
-    if (o.fail) return AcquiredValue::Failure(o.permanent);
-    AcquiredValue v = base_.Acquire(attr);
-    v.cost_multiplier *= o.cost_multiplier;
-    return v;
+  /// Later attempts draw for dataset row `row`, each attribute from
+  /// attempt 0 again.
+  void SetRow(RowId row) {
+    row_ = row;
+    attempts_.fill(0);
   }
+
+  /// Draws At(row, attr, k) for the k-th attempt at `attr` on this row;
+  /// a failure adds one to injected() and to the `fault.injected` counter.
+  AcquiredValue Acquire(AttrId attr) override;
+
+  /// Failed attempts since construction, over every row.
+  uint64_t injected() const { return injected_; }
 
  private:
   AcquisitionSource& base_;
-  FaultInjector& injector_;
+  const FaultInjector& injector_;
+  RowId row_ = 0;
+  std::array<uint32_t, kMaxAttributes> attempts_{};
+  uint64_t injected_ = 0;
 };
 
 }  // namespace caqp

@@ -34,6 +34,7 @@ std::optional<ExecutionResult> Mote::RunEpoch(size_t epoch) {
   ExecutionResult res;
   if (fault_ != nullptr) {
     FaultyAcquisitionSource source(base, *fault_);
+    source.SetRow(static_cast<RowId>(epoch));
     res = ExecutePlan(*plan_, schema_, cost_model_, source, nullptr, policy_);
   } else {
     res = ExecutePlan(*plan_, schema_, cost_model_, base, nullptr, policy_);

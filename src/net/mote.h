@@ -55,8 +55,11 @@ class Mote {
 
   /// Routes every acquisition through `injector` (non-owning; nullptr
   /// disables injection). The sampler stays the ground truth: it is only
-  /// consulted for attempts the injector lets through.
-  void SetFaultInjector(FaultInjector* injector) { fault_ = injector; }
+  /// consulted for attempts the injector lets through. Draws are keyed by
+  /// epoch: attempt k at attribute a in epoch e is injector->At(e, a, k),
+  /// whatever ran in earlier epochs. Motes sharing one injector therefore
+  /// fail together; give each mote its own seed to make them independent.
+  void SetFaultInjector(const FaultInjector* injector) { fault_ = injector; }
 
   /// Policy the executor uses when an acquisition fails on this mote.
   void SetDegradationPolicy(const DegradationPolicy& policy) {
@@ -78,7 +81,7 @@ class Mote {
   Sampler sampler_;
   EnergyMeter energy_;
   std::optional<CompiledPlan> plan_;
-  FaultInjector* fault_ = nullptr;
+  const FaultInjector* fault_ = nullptr;
   DegradationPolicy policy_;
   size_t brownouts_ = 0;
 };

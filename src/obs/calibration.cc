@@ -218,7 +218,7 @@ CalibrationReport CalibrationAggregator::Snapshot() const {
   }
 
   CalibrationReport report;
-  std::array<AttrCalibration, 64> attrs{};
+  std::array<AttrCalibration, kMaxAttributes> attrs{};
   for (auto& [key, m] : merged) {
     const PlanEstimates* est =
         m.plan != nullptr ? m.plan->estimates() : nullptr;

@@ -24,7 +24,7 @@ double Clamp01(double v) { return Clamp(v, 0.0, 1.0); }
 UncertaintyBox UncertaintyBox::Uniform(double eps) {
   UncertaintyBox box;
   eps = Clamp01(eps);
-  for (size_t a = 0; a < kEstimateMaxAttrs; ++a) {
+  for (size_t a = 0; a < kMaxAttributes; ++a) {
     box.shift_lo[a] = -eps;
     box.shift_hi[a] = eps;
   }
@@ -38,7 +38,7 @@ UncertaintyBox UncertaintyBox::FromCalibration(
   cap = Clamp01(cap);
   for (const obs::AttrCalibration& a : report.attrs) {
     if (a.attr == kInvalidAttr ||
-        static_cast<size_t>(a.attr) >= kEstimateMaxAttrs) {
+        static_cast<size_t>(a.attr) >= kMaxAttributes) {
       continue;
     }
     if (a.evals < min_evals) continue;
@@ -57,7 +57,7 @@ UncertaintyBox UncertaintyBox::FromFaultSpec(const FaultSpec& spec, double eps,
                                              double max_rate) {
   UncertaintyBox box;
   max_rate = Clamp(max_rate, 0.0, 0.99);
-  for (size_t a = 0; a < kEstimateMaxAttrs; ++a) {
+  for (size_t a = 0; a < kMaxAttributes; ++a) {
     const double r = spec.TransientFor(static_cast<AttrId>(a));
     if (r <= 0.0 && eps <= 0.0) continue;
     box.fault_lo[a] = Clamp(r - eps, 0.0, max_rate);
@@ -67,7 +67,7 @@ UncertaintyBox UncertaintyBox::FromFaultSpec(const FaultSpec& spec, double eps,
 }
 
 void UncertaintyBox::MergeFrom(const UncertaintyBox& other) {
-  for (size_t a = 0; a < kEstimateMaxAttrs; ++a) {
+  for (size_t a = 0; a < kMaxAttributes; ++a) {
     shift_lo[a] = std::min(shift_lo[a], other.shift_lo[a]);
     shift_hi[a] = std::max(shift_hi[a], other.shift_hi[a]);
     fault_lo[a] = std::min(fault_lo[a], other.fault_lo[a]);
@@ -77,14 +77,14 @@ void UncertaintyBox::MergeFrom(const UncertaintyBox& other) {
 
 double UncertaintyBox::max_width() const {
   double w = 0.0;
-  for (size_t a = 0; a < kEstimateMaxAttrs; ++a) {
+  for (size_t a = 0; a < kMaxAttributes; ++a) {
     w = std::max(w, std::max(shift_width(a), fault_width(a)));
   }
   return w;
 }
 
 bool UncertaintyBox::degenerate(double tol) const {
-  for (size_t a = 0; a < kEstimateMaxAttrs; ++a) {
+  for (size_t a = 0; a < kMaxAttributes; ++a) {
     if (std::abs(shift_lo[a]) > tol || std::abs(shift_hi[a]) > tol) {
       return false;
     }
@@ -100,7 +100,7 @@ bool UncertaintyBox::degenerate(double tol) const {
 std::string UncertaintyBox::ToString() const {
   std::ostringstream out;
   bool any = false;
-  for (size_t a = 0; a < kEstimateMaxAttrs; ++a) {
+  for (size_t a = 0; a < kMaxAttributes; ++a) {
     const bool has_shift = shift_lo[a] != 0.0 || shift_hi[a] != 0.0;
     const bool has_fault = fault_lo[a] != 0.0 || fault_hi[a] != 0.0;
     if (!has_shift && !has_fault) continue;
@@ -123,14 +123,14 @@ std::vector<CostScenario> CornerScenarios(const UncertaintyBox& box,
   // standard corner coupling; shift-lo/fault-hi mixed corners are covered
   // well enough by the per-attribute flips for regret ranking).
   std::vector<size_t> dims;
-  for (size_t a = 0; a < kEstimateMaxAttrs; ++a) {
+  for (size_t a = 0; a < kMaxAttributes; ++a) {
     if (box.shift_width(a) > kTol || box.fault_width(a) > kTol) {
       dims.push_back(a);
     }
   }
 
   CostScenario nominal;
-  for (size_t a = 0; a < kEstimateMaxAttrs; ++a) {
+  for (size_t a = 0; a < kMaxAttributes; ++a) {
     nominal.shift[a] = Clamp(0.0, box.shift_lo[a], box.shift_hi[a]);
     nominal.fault[a] = box.fault_lo[a];
   }
@@ -207,7 +207,7 @@ void StampEstimatesWithBox(PlanEstimates& estimates, const UncertaintyBox& box,
   estimates.has_cost_bounds = true;
   estimates.cost_lo = bounds.lo;
   estimates.cost_hi = bounds.hi;
-  for (size_t a = 0; a < kEstimateMaxAttrs; ++a) {
+  for (size_t a = 0; a < kMaxAttributes; ++a) {
     estimates.box_shift_lo[a] = box.shift_lo[a];
     estimates.box_shift_hi[a] = box.shift_hi[a];
   }

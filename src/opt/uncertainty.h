@@ -67,18 +67,18 @@ struct CalibrationReport;  // obs/calibration.h
 namespace opt {
 
 /// Per-attribute belief intervals. Attribute indexing matches PlanEstimates'
-/// rate tables (schemas are capped at kEstimateMaxAttrs = 64 attributes).
+/// rate tables (schemas are capped at kMaxAttributes = 64 attributes).
 /// The default-constructed box is degenerate (all intervals are the point
 /// {0} / {0}): planning under it is planning on the point estimates.
 struct UncertaintyBox {
   /// Additive pass-probability shift interval per attribute;
   /// shift_lo[a] <= 0 <= shift_hi[a] need NOT hold (directional boxes from
   /// calibration span [0, drift]), but lo <= hi always does.
-  std::array<double, kEstimateMaxAttrs> shift_lo{};
-  std::array<double, kEstimateMaxAttrs> shift_hi{};
+  std::array<double, kMaxAttributes> shift_lo{};
+  std::array<double, kMaxAttributes> shift_hi{};
   /// Transient-fault-rate interval per attribute, in [0, 1).
-  std::array<double, kEstimateMaxAttrs> fault_lo{};
-  std::array<double, kEstimateMaxAttrs> fault_hi{};
+  std::array<double, kMaxAttributes> fault_lo{};
+  std::array<double, kMaxAttributes> fault_hi{};
 
   /// Symmetric +-eps pass-probability uncertainty on every attribute (the
   /// --uncertainty=eps knob). eps is clamped to [0, 1].

@@ -97,27 +97,4 @@ size_t CompiledPlan::DepthOf(uint32_t i) const {
   return 1 + std::max(DepthOf(i + 1), DepthOf(n.a));
 }
 
-bool CompiledPlan::VerdictFor(const Tuple& t) const {
-  uint32_t i = 0;
-  while (nodes_[i].kind == Kind::kSplit) {
-    i = (t[nodes_[i].attr] >= nodes_[i].split_value) ? nodes_[i].a : i + 1;
-  }
-  const Node& n = nodes_[i];
-  switch (n.kind) {
-    case Kind::kVerdict:
-      return n.verdict();
-    case Kind::kSequential:
-      for (const Predicate& p : sequence(n)) {
-        if (!p.Matches(t)) return false;
-      }
-      return true;
-    case Kind::kGeneric:
-      return residual_query(n).Matches(t);
-    case Kind::kSplit:
-      break;
-  }
-  CAQP_CHECK(false);
-  return false;
-}
-
 }  // namespace caqp

@@ -106,11 +106,6 @@ class CompiledPlan {
   size_t NumSplits() const { return num_splits_; }
   size_t Depth() const { return depth_; }
 
-  /// The verdict the plan reaches for tuple `t` under infallible
-  /// acquisition; a correct plan returns query.Matches(t). The plan
-  /// verifiers (plan/plan_verify.h) compare the two over whole domains.
-  bool VerdictFor(const Tuple& t) const;
-
   /// Attaches the planner's predicted per-node selectivity/cost side tables
   /// (plan/plan_estimates.h). Estimates are advisory metadata: they never
   /// affect execution, are not serialized, and must be attached before the

@@ -44,8 +44,8 @@ namespace caqp {
 ///    1/(1 - f), the expected attempts under retry-until-success (f is
 ///    clamped to [0, 0.99], so no scenario divides by zero).
 struct CostScenario {
-  std::array<double, kEstimateMaxAttrs> shift{};
-  std::array<double, kEstimateMaxAttrs> fault{};
+  std::array<double, kMaxAttributes> shift{};
+  std::array<double, kMaxAttributes> fault{};
 };
 
 /// Expected cost per Equation (3): recursive expectation over the branch

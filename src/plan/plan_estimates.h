@@ -44,10 +44,6 @@
 
 namespace caqp {
 
-/// Schemas are capped at 64 attributes (AttrSet is one uint64_t); the
-/// per-attribute rate tables are sized to that cap.
-inline constexpr size_t kEstimateMaxAttrs = 64;
-
 struct NodeEstimate {
   double reach = 0.0;  ///< P(node reached); root = 1
   double pass = -1.0;  ///< P(test passes | reached); -1 = no estimate
@@ -58,9 +54,9 @@ struct PlanEstimates {
   /// One entry per CompiledPlan node, same indexing.
   std::vector<NodeEstimate> nodes;
   /// Expected predicate evaluations of attribute a per tuple.
-  std::array<double, kEstimateMaxAttrs> attr_eval_rate{};
+  std::array<double, kMaxAttributes> attr_eval_rate{};
   /// Expected predicate passes of attribute a per tuple.
-  std::array<double, kEstimateMaxAttrs> attr_pass_rate{};
+  std::array<double, kMaxAttributes> attr_pass_rate{};
   /// Expected acquisition cost per tuple (== ExpectedPlanCost, bit for bit).
   double expected_cost = 0.0;
 
@@ -76,8 +72,8 @@ struct PlanEstimates {
   double cost_hi = 0.0;  ///< max expected cost over the box's corners
   /// The box itself: additive pass-probability shift intervals per
   /// attribute. All-zero (with has_cost_bounds false) means point planning.
-  std::array<double, kEstimateMaxAttrs> box_shift_lo{};
-  std::array<double, kEstimateMaxAttrs> box_shift_hi{};
+  std::array<double, kMaxAttributes> box_shift_lo{};
+  std::array<double, kMaxAttributes> box_shift_hi{};
 };
 
 /// Stamps predicted side tables for `plan` under `estimator`/`cost_model`:

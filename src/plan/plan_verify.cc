@@ -1,11 +1,25 @@
 #include "plan/plan_verify.h"
 
 #include "common/rng.h"
+#include "exec/executor.h"
+#include "opt/cost_model.h"
 #include "prob/subproblem.h"
 
 namespace caqp {
 
 namespace {
+
+/// The verdict the executing walk reaches for `t` under infallible
+/// acquisition. The uninstrumented instantiation keeps verification out of
+/// the exec.* counters.
+bool WalkVerdict(const CompiledPlan& plan, const Schema& schema,
+                 const AcquisitionCostModel& cost_model, const Tuple& t) {
+  TupleSource source(t);
+  return internal::ExecuteCompiledImpl<false, false>(
+             plan, schema, cost_model, source, /*trace=*/nullptr,
+             DegradationPolicy{}, /*profile=*/nullptr)
+      .verdict;
+}
 
 uint64_t DomainProduct(const Schema& schema, uint64_t cap) {
   uint64_t product = 1;
@@ -24,11 +38,12 @@ PlanVerificationResult VerifyPlanExhaustive(const CompiledPlan& plan,
                                             uint64_t max_tuples) {
   CAQP_CHECK(query.ValidFor(schema));
   CAQP_CHECK_LE(DomainProduct(schema, max_tuples), max_tuples);
+  const PerAttributeCostModel cost_model(schema);
   PlanVerificationResult res;
   Tuple t(schema.num_attributes(), 0);
   while (true) {
     ++res.tuples_checked;
-    if (plan.VerdictFor(t) != query.Matches(t)) {
+    if (WalkVerdict(plan, schema, cost_model, t) != query.Matches(t)) {
       res.correct = false;
       res.counterexample = t;
       return res;
@@ -53,6 +68,7 @@ PlanVerificationResult VerifyPlanSampled(const CompiledPlan& plan,
                                          const Schema& schema,
                                          uint64_t samples, uint64_t seed) {
   CAQP_CHECK(query.ValidFor(schema));
+  const PerAttributeCostModel cost_model(schema);
   PlanVerificationResult res;
   Rng rng(seed);
   Tuple t(schema.num_attributes());
@@ -62,7 +78,7 @@ PlanVerificationResult VerifyPlanSampled(const CompiledPlan& plan,
           rng.UniformInt(0, schema.domain_size(static_cast<AttrId>(a)) - 1));
     }
     ++res.tuples_checked;
-    if (plan.VerdictFor(t) != query.Matches(t)) {
+    if (WalkVerdict(plan, schema, cost_model, t) != query.Matches(t)) {
       res.correct = false;
       res.counterexample = t;
       return res;

@@ -26,10 +26,14 @@ struct PlanVerificationResult {
 };
 
 /// Exhaustively enumerates the attribute-domain product and compares the
-/// plan's verdict with the query on every tuple. Intended for small schemas
-/// (the domain product is checked against `max_tuples` and the call aborts
-/// verification -- returning correct=false with no counterexample is never
-/// possible; instead the function CHECKs the budget).
+/// plan's verdict with the query on every tuple. The verdict is the one
+/// ExecutePlan reaches: both verifiers run the executing walk over each
+/// tuple, with infallible acquisition and no instrumentation (the exec.*
+/// counters do not move). Plans must be well formed (PlanIsWellFormed).
+/// Intended for small schemas (the domain product is checked against
+/// `max_tuples` and the call aborts verification -- returning correct=false
+/// with no counterexample is never possible; instead the function CHECKs
+/// the budget).
 PlanVerificationResult VerifyPlanExhaustive(const CompiledPlan& plan,
                                             const Query& query,
                                             const Schema& schema,

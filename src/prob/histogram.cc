@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 namespace caqp {
 
@@ -74,20 +73,6 @@ MaskDistribution MaskDistribution::ConditionTrue(int bit) const {
   const uint64_t b = uint64_t{1} << bit;
   for (const auto& [mask, w] : entries_) {
     if (mask & b) out.Add(mask, w);
-  }
-  out.Aggregate();
-  return out;
-}
-
-MaskDistribution MaskDistribution::Subtract(const MaskDistribution& other) const {
-  std::unordered_map<uint64_t, double> agg;
-  agg.reserve(entries_.size());
-  for (const auto& [mask, w] : entries_) agg[mask] += w;
-  for (const auto& [mask, w] : other.entries_) agg[mask] -= w;
-  MaskDistribution out;
-  for (const auto& [mask, w] : agg) {
-    // Clamp tiny negative residue from floating-point cancellation.
-    if (w > 1e-12) out.Add(mask, w);
   }
   out.Aggregate();
   return out;

@@ -86,10 +86,6 @@ class MaskDistribution {
   /// planning which conditions on chosen predicates being satisfied.
   MaskDistribution ConditionTrue(int bit) const;
 
-  /// this - other, entry-wise by mask; used for the incremental ">= split"
-  /// side of a split-point sweep (Section 5.2's Eq. (7) analogue).
-  MaskDistribution Subtract(const MaskDistribution& other) const;
-
  private:
   std::vector<std::pair<uint64_t, double>> entries_;
   double total_ = 0.0;

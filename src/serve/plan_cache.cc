@@ -22,11 +22,7 @@ ShardedPlanCache::Shard& ShardedPlanCache::ShardFor(
   // The low bits of the key hash pick the map bucket inside a shard; run a
   // full splitmix64 finalizer before picking the shard so the two choices
   // stay independent even for near-sequential signatures.
-  uint64_t x = PlanKeyHash{}(key);
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  x ^= x >> 31;
+  const uint64_t x = Mix64(PlanKeyHash{}(key) + kGoldenGamma);
   return *shards_[x % shards_.size()];
 }
 

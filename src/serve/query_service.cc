@@ -403,7 +403,7 @@ DriftStatus QueryService::CheckDrift() {
     for (const obs::AttrCalibration& a : status.window.attrs) {
       if (a.evals < policy.min_window_evals) continue;
       if (a.attr == kInvalidAttr ||
-          static_cast<size_t>(a.attr) >= kEstimateMaxAttrs) {
+          static_cast<size_t>(a.attr) >= kMaxAttributes) {
         continue;
       }
       const double d = a.signed_drift();

@@ -136,7 +136,7 @@ BatchExecutionStats PerRowOracle(const CompiledPlan& plan, const Dataset& data,
                                  std::vector<uint8_t>* verdicts,
                                  ExecutionProfile* profile = nullptr) {
   RowSource base(data);
-  FaultInjector injector(spec != nullptr ? *spec : FaultSpec{});
+  const FaultInjector injector(spec != nullptr ? *spec : FaultSpec{});
   FaultyAcquisitionSource faulty(base, injector);
   AcquisitionSource& source =
       spec != nullptr ? static_cast<AcquisitionSource&>(faulty) : base;
@@ -159,7 +159,7 @@ BatchExecutionStats PerRowOracle(const CompiledPlan& plan, const Dataset& data,
     want.acquired = want.acquired.Union(r.acquired);
     want.failed = want.failed.Union(r.failed);
   }
-  want.faults_injected = injector.injected();
+  want.faults_injected = faulty.injected();
   return want;
 }
 

@@ -189,7 +189,7 @@ TEST(CalibrationProfileTest, AllUnknownVerdictsUnderTotalFaultInjection) {
 
   FaultSpec spec;
   spec.transient = 1.0;
-  FaultInjector inj(spec);
+  const FaultInjector inj(spec);
 
   obs::CalibrationAggregator agg(1);
   ExecutionProfile* profile =
@@ -198,6 +198,7 @@ TEST(CalibrationProfileTest, AllUnknownVerdictsUnderTotalFaultInjection) {
     const Tuple t = tk.ds.GetTuple(static_cast<RowId>(i));
     TupleSource base(t);
     FaultyAcquisitionSource source(base, inj);
+    source.SetRow(static_cast<RowId>(i));
     const ExecutionResult res =
         ExecutePlan(plan, tk.schema, tk.cm, source, nullptr, {}, profile);
     EXPECT_EQ(res.verdict3, Truth::kUnknown);

@@ -131,7 +131,11 @@ TEST(CompiledPlanTest, GenericLeafSideTables) {
 TEST(CompiledPlanTest, DefaultPlanRejectsEverything) {
   const CompiledPlan p;
   EXPECT_EQ(p.NumNodes(), 1u);
-  EXPECT_FALSE(p.VerdictFor({0, 0, 0, 0}));
+  const Schema schema = SmallSchema();
+  const PerAttributeCostModel cm(schema);
+  const Tuple t = {0, 0, 0, 0};
+  TupleSource source(t);
+  EXPECT_FALSE(ExecutePlan(p, schema, cm, source).verdict);
 }
 
 // ---------------------------------------------------------------------------
@@ -227,18 +231,19 @@ TEST(CompiledPlanEquivalenceTest, TreeAndFlatAgreeAcrossPlannersAndFaults) {
     for (const auto& [planner, plan] : PlansForQuery(query, train, cm)) {
       const CompiledPlan compiled = CompiledPlan::Compile(plan);
       for (const FaultCase& fc : fault_cases) {
-        // Paired injectors with one spec: the determinism contract makes
-        // the k-th attempt for an attribute identical across both runs.
-        FaultInjector tree_inj(fc.spec);
-        FaultInjector flat_inj(fc.spec);
+        // Row-keyed draws from one injector: both walks see attempt k at
+        // an attribute of row r fail or succeed alike.
+        const FaultInjector injector(fc.spec);
         for (RowId r = 0; r < test.num_rows(); ++r) {
           const Tuple t = test.GetTuple(r);
           TupleSource tree_base(t);
-          FaultyAcquisitionSource tree_src(tree_base, tree_inj);
+          FaultyAcquisitionSource tree_src(tree_base, injector);
+          tree_src.SetRow(r);
           const ExecutionResult tree_res =
               ExecuteTreeReference(plan, schema, cm, tree_src, fc.policy);
           TupleSource flat_base(t);
-          FaultyAcquisitionSource flat_src(flat_base, flat_inj);
+          FaultyAcquisitionSource flat_src(flat_base, injector);
+          flat_src.SetRow(r);
           const ExecutionResult flat_res = ExecutePlan(
               compiled, schema, cm, flat_src, nullptr, fc.policy);
           SCOPED_TRACE(std::string(planner) + "/" + fc.name + "/row " +

@@ -247,7 +247,7 @@ TEST(PlanCostWalkTest, ScenarioReachesGenericLeavesOnlyThroughFaults) {
   EXPECT_EQ(pe.nodes[0].pass, -1.0);
   EXPECT_EQ(pe.nodes[0].cost, point);
   EXPECT_EQ(pe.expected_cost, point);
-  for (size_t a = 0; a < kEstimateMaxAttrs; ++a) {
+  for (size_t a = 0; a < kMaxAttributes; ++a) {
     EXPECT_EQ(pe.attr_eval_rate[a], 0.0) << "attr " << a;
     EXPECT_EQ(pe.attr_pass_rate[a], 0.0) << "attr " << a;
   }

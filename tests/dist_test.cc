@@ -982,7 +982,7 @@ TEST(DistCoordinatorTest, MergeEquivalenceUnderFaults) {
           if (oracles.size() <= qi) {
             Oracle o;
             RowSource base(fx.data);
-            FaultInjector injector(faults.value());
+            const FaultInjector injector(faults.value());
             FaultyAcquisitionSource source(base, injector);
             for (RowId r = 0; r < fx.data.num_rows(); ++r) {
               base.SetRow(r);

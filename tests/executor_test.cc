@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "exec/executor.h"
-#include "exec/metrics.h"
 #include "obs/trace.h"
 #include "test_util.h"
 
@@ -162,34 +161,6 @@ TEST(AttrSetTest, BasicOperations) {
   AttrSet o;
   o.Insert(1);
   EXPECT_EQ(s.Union(o).Count(), 2);
-}
-
-TEST(MetricsTest, GainSummary) {
-  const GainStats s = SummarizeGains({2.0, 1.0, 4.0, 3.0});
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-}
-
-TEST(MetricsTest, EmptyGains) {
-  const GainStats s = SummarizeGains({});
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(MetricsTest, CumulativeGainCurveMonotone) {
-  auto curve = CumulativeGainCurve({1.0, 1.5, 2.0, 2.5, 3.0}, 10);
-  ASSERT_EQ(curve.size(), 10u);
-  EXPECT_DOUBLE_EQ(curve.front().second, 1.0);  // all gains >= min
-  for (size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_LE(curve[i].second, curve[i - 1].second + 1e-12);
-  }
-  EXPECT_GT(curve.back().second, 0.0);  // at least one experiment at max
-}
-
-TEST(MetricsTest, FormatRowPads) {
-  const std::string row = FormatRow({"a", "bb"}, {3, 4});
-  EXPECT_EQ(row, "| a   | bb   |");
 }
 
 TEST(ExecutorTraceTest, AcquisitionOrderMatchesPlanTraversal) {

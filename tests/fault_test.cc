@@ -1,9 +1,11 @@
 // Fault-injection tests: FaultSpec parsing, injector determinism, the
 // row-keyed fault model (At() purity, rates, attempt independence, stuck and
-// spike semantics, SetRow), the attempt-0 FaultRealization (bits at word
-// tails and extreme specs, the executor's span check), the
-// FaultyAcquisitionSource decorator, executor degradation policies, and the
-// acceptance-style continuous-query simulation under 10% transient faults.
+// spike semantics, one injector shared across threads), the attempt-0
+// FaultRealization (bits at word tails and extreme specs, the executor's
+// span check), the FaultyAcquisitionSource decorator and its per-row
+// attempt counters (SetRow), executor degradation policies, the mote's
+// epoch-keyed draws, and the acceptance-style continuous-query simulation
+// under 10% transient faults.
 
 #include <gtest/gtest.h>
 
@@ -140,30 +142,36 @@ TEST(FaultInjectorTest, DeterministicForSameSpec) {
   spec.spike = 0.2;
   spec.spike_multiplier = 2.0;
   spec.seed = 42;
-  FaultInjector a(spec), b(spec);
+  const FaultInjector a(spec), b(spec);
+  const Tuple t(5, 1);
+  TupleSource base(t);
+  FaultyAcquisitionSource sa(base, a), sb(base, b);
   for (int i = 0; i < 500; ++i) {
     const AttrId attr = static_cast<AttrId>(i % 5);
-    const FaultInjector::Outcome oa = a.NextAttempt(attr);
-    const FaultInjector::Outcome ob = b.NextAttempt(attr);
-    EXPECT_EQ(oa.fail, ob.fail);
-    EXPECT_EQ(oa.permanent, ob.permanent);
-    EXPECT_DOUBLE_EQ(oa.cost_multiplier, ob.cost_multiplier);
+    const AcquiredValue va = sa.Acquire(attr);
+    const AcquiredValue vb = sb.Acquire(attr);
+    EXPECT_EQ(va.ok, vb.ok);
+    EXPECT_EQ(va.permanent, vb.permanent);
+    EXPECT_DOUBLE_EQ(va.cost_multiplier, vb.cost_multiplier);
   }
-  EXPECT_EQ(a.injected(), b.injected());
+  EXPECT_EQ(sa.injected(), sb.injected());
 }
 
 TEST(FaultInjectorTest, PerAttributeStreamsAreOrderIndependent) {
   FaultSpec spec;
   spec.transient = 0.4;
   spec.seed = 7;
-  // Injector `a` interleaves attrs 0 and 1; `b` only ever touches attr 1.
+  const FaultInjector inj(spec);
+  const Tuple t(2, 0);
+  TupleSource base(t);
+  // Source `a` interleaves attrs 0 and 1; `b` only ever touches attr 1.
   // Attr 1 must see the same sequence either way.
-  FaultInjector a(spec), b(spec);
+  FaultyAcquisitionSource a(base, inj), b(base, inj);
   std::vector<bool> a_attr1, b_attr1;
   for (int i = 0; i < 200; ++i) {
-    a.NextAttempt(0);
-    a_attr1.push_back(a.NextAttempt(1).fail);
-    b_attr1.push_back(b.NextAttempt(1).fail);
+    a.Acquire(0);
+    a_attr1.push_back(a.Acquire(1).ok);
+    b_attr1.push_back(b.Acquire(1).ok);
   }
   EXPECT_EQ(a_attr1, b_attr1);
 }
@@ -172,37 +180,54 @@ TEST(FaultInjectorTest, ResetReplaysTheSameSequence) {
   FaultSpec spec;
   spec.transient = 0.5;
   spec.seed = 13;
-  FaultInjector inj(spec);
+  const FaultInjector inj(spec);
+  const Tuple t(3, 0);
+  TupleSource base(t);
+  FaultyAcquisitionSource src(base, inj);
   std::vector<bool> first;
-  for (int i = 0; i < 100; ++i) first.push_back(inj.NextAttempt(2).fail);
-  inj.Reset();
-  EXPECT_EQ(inj.injected(), 0u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(inj.NextAttempt(2).fail, first[i]);
+  for (int i = 0; i < 100; ++i) first.push_back(src.Acquire(2).ok);
+  // Setting the row again resets its attempt counters, so the source
+  // replays exactly the same decisions; so does a fresh source over the
+  // same injector.
+  src.SetRow(0);
+  FaultyAcquisitionSource fresh(base, inj);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(src.Acquire(2).ok, first[i]);
+    EXPECT_EQ(fresh.Acquire(2).ok, first[i]);
+  }
+  EXPECT_EQ(src.injected(), 2 * fresh.injected());
 }
 
 TEST(FaultInjectorTest, StuckSensorFailsPermanentlyForever) {
   FaultSpec spec;
   spec.stuck = 1.0;
-  FaultInjector inj(spec);
+  const FaultInjector inj(spec);
+  const Tuple t(4, 0);
+  TupleSource base(t);
+  FaultyAcquisitionSource src(base, inj);
   for (int i = 0; i < 20; ++i) {
-    const FaultInjector::Outcome o = inj.NextAttempt(3);
-    EXPECT_TRUE(o.fail);
-    EXPECT_TRUE(o.permanent);
+    const AcquiredValue v = src.Acquire(3);
+    EXPECT_FALSE(v.ok);
+    EXPECT_TRUE(v.permanent);
   }
-  EXPECT_TRUE(inj.IsStuck(3));
-  EXPECT_EQ(inj.injected(), 20u);
+  EXPECT_TRUE(inj.At(0, 3, 0).permanent);
+  EXPECT_EQ(src.injected(), 20u);
 }
 
 TEST(FaultInjectorTest, TransientRateIsApproximatelyHonored) {
   FaultSpec spec;
   spec.transient = 0.1;
   spec.seed = 21;
-  FaultInjector inj(spec);
+  const FaultInjector inj(spec);
+  const Tuple t(1, 0);
+  TupleSource base(t);
+  // One long retry chain: attempts 0..n-1 at attribute 0 of row 0.
+  FaultyAcquisitionSource src(base, inj);
   int fails = 0;
   const int n = 20000;
-  for (int i = 0; i < n; ++i) fails += inj.NextAttempt(0).fail ? 1 : 0;
+  for (int i = 0; i < n; ++i) fails += src.Acquire(0).ok ? 0 : 1;
   EXPECT_NEAR(static_cast<double>(fails) / n, 0.1, 0.01);
-  EXPECT_EQ(inj.injected(), static_cast<uint64_t>(fails));
+  EXPECT_EQ(src.injected(), static_cast<uint64_t>(fails));
 }
 
 TEST(FaultInjectorDeathTest, RejectsInvalidRatesBuiltInCode) {
@@ -247,11 +272,14 @@ TEST(FaultRowKeyedTest, AtIsAPureFunctionOfRowAttrAttempt) {
   }
   std::vector<FaultInjector::Outcome> forward;
   for (const Key& k : keys) forward.push_back(a.At(k.row, k.attr, k.attempt));
-  // Another injector, the opposite call order, with NextAttempt traffic
-  // interleaved: none of it can move an outcome.
-  FaultInjector noisy(spec);
+  // Another injector, the opposite call order, with a source drawing
+  // through it interleaved: none of it can move an outcome.
+  const FaultInjector noisy(spec);
+  const Tuple t(6, 0);
+  TupleSource base(t);
+  FaultyAcquisitionSource traffic(base, noisy);
   for (size_t i = keys.size(); i-- > 0;) {
-    noisy.NextAttempt(static_cast<AttrId>(i % 6));
+    traffic.Acquire(static_cast<AttrId>(i % 6));
     const FaultInjector::Outcome o =
         b.At(keys[i].row, keys[i].attr, keys[i].attempt);
     EXPECT_EQ(o.fail, forward[i].fail);
@@ -366,18 +394,36 @@ TEST(FaultRowKeyedTest, ConcurrentAtCallsAgree) {
   const FaultInjector shared(spec);
   constexpr RowId kRows = 20000;
   std::vector<uint8_t> outcomes[2];
-  auto run = [&](std::vector<uint8_t>* out) {
+  size_t source_mismatches[2] = {0, 0};
+  auto run = [&](std::vector<uint8_t>* out, size_t* mismatches) {
     for (RowId row = 0; row < kRows; ++row) {
       const FaultInjector::Outcome o = shared.At(row, row % 8, row % 3);
       out->push_back(static_cast<uint8_t>(o.fail) |
                      static_cast<uint8_t>(o.cost_multiplier != 1.0) << 1);
     }
+    // Each thread's own source over the shared injector: its k-th attempt
+    // at an attribute of a row is At(row, attr, k), whatever the other
+    // thread draws meanwhile.
+    const Tuple t(8, 1);
+    TupleSource base(t);
+    FaultyAcquisitionSource source(base, shared);
+    for (RowId row = 0; row < kRows; ++row) {
+      source.SetRow(row);
+      const AttrId attr = static_cast<AttrId>(row % 8);
+      for (uint32_t k = 0; k < 3; ++k) {
+        const AcquiredValue v = source.Acquire(attr);
+        const FaultInjector::Outcome o = shared.At(row, attr, k);
+        *mismatches += v.ok == o.fail || v.cost_multiplier != o.cost_multiplier;
+      }
+    }
   };
-  std::thread t0(run, &outcomes[0]);
-  std::thread t1(run, &outcomes[1]);
+  std::thread t0(run, &outcomes[0], &source_mismatches[0]);
+  std::thread t1(run, &outcomes[1], &source_mismatches[1]);
   t0.join();
   t1.join();
   EXPECT_EQ(outcomes[0], outcomes[1]);
+  EXPECT_EQ(source_mismatches[0], 0u);
+  EXPECT_EQ(source_mismatches[1], 0u);
 }
 
 TEST(FaultRowKeyedTest, TransientRateWithinFourSigmaPerAttribute) {
@@ -397,7 +443,7 @@ TEST(FaultRowKeyedTest, TransientRateWithinFourSigmaPerAttribute) {
   }
 }
 
-TEST(FaultRowKeyedTest, NextAttemptIsIndependentOfThePreviousOne) {
+TEST(FaultRowKeyedTest, RetryIsIndependentOfThePreviousAttempt) {
   FaultSpec spec;
   spec.transient = 0.3;
   spec.seed = 77;
@@ -428,12 +474,13 @@ TEST(FaultRowKeyedTest, StuckIsPerAttributeAndPermanent) {
   const FaultInjector inj(spec);
   size_t stuck = 0;
   for (AttrId attr = 0; attr < 64; ++attr) {
-    stuck += inj.IsStuck(attr);
+    const bool is_stuck = inj.At(0, attr, 0).permanent;
+    stuck += is_stuck;
     // Every row and attempt agrees with the per-attribute decision.
     for (RowId row = 0; row < 200; ++row) {
       for (uint32_t attempt = 0; attempt < 4; ++attempt) {
         const FaultInjector::Outcome o = inj.At(row, attr, attempt);
-        if (inj.IsStuck(attr)) {
+        if (is_stuck) {
           EXPECT_TRUE(o.fail && o.permanent);
         } else {
           EXPECT_FALSE(o.permanent);
@@ -477,28 +524,22 @@ TEST(FaultRowKeyedTest, SetRowRestartsAttemptCounters) {
   FaultSpec spec;
   spec.transient = 0.5;
   spec.seed = 31;
-  FaultInjector inj(spec);
-  for (RowId row : {RowId{0}, RowId{17}, RowId{123456}}) {
-    inj.SetRow(row);
-    for (uint32_t k = 0; k < 4; ++k) {
-      EXPECT_EQ(inj.NextAttempt(1).fail, inj.At(row, 1, k).fail);
-    }
-    // Revisiting the row replays it from attempt 0, whatever came between.
-    inj.SetRow(row + 1);
-    inj.NextAttempt(1);
-    inj.SetRow(row);
-    EXPECT_EQ(inj.NextAttempt(1).fail, inj.At(row, 1, 0).fail);
-    EXPECT_EQ(inj.NextAttempt(2).fail, inj.At(row, 2, 0).fail);
-  }
-  // The decorator forwards SetRow.
+  const FaultInjector inj(spec);
   const Tuple t = {1, 2, 3, 0};
   TupleSource base(t);
   FaultyAcquisitionSource src(base, inj);
-  src.SetRow(9);
-  EXPECT_EQ(src.Acquire(2).ok, !inj.At(9, 2, 0).fail);
-  EXPECT_EQ(src.Acquire(2).ok, !inj.At(9, 2, 1).fail);
-  src.SetRow(9);
-  EXPECT_EQ(src.Acquire(2).ok, !inj.At(9, 2, 0).fail);
+  for (RowId row : {RowId{0}, RowId{17}, RowId{123456}}) {
+    src.SetRow(row);
+    for (uint32_t k = 0; k < 4; ++k) {
+      EXPECT_EQ(src.Acquire(1).ok, !inj.At(row, 1, k).fail);
+    }
+    // Revisiting the row replays it from attempt 0, whatever came between.
+    src.SetRow(row + 1);
+    src.Acquire(1);
+    src.SetRow(row);
+    EXPECT_EQ(src.Acquire(1).ok, !inj.At(row, 1, 0).fail);
+    EXPECT_EQ(src.Acquire(2).ok, !inj.At(row, 2, 0).fail);
+  }
 }
 
 // -------------------------------------------------- FaultyAcquisitionSource
@@ -506,7 +547,7 @@ TEST(FaultRowKeyedTest, SetRowRestartsAttemptCounters) {
 TEST(FaultySourceTest, PassesValuesThroughWhenBenign) {
   const Tuple t = {3, 1, 2, 0};
   TupleSource base(t);
-  FaultInjector inj(FaultSpec{});
+  const FaultInjector inj(FaultSpec{});
   FaultyAcquisitionSource src(base, inj);
   for (AttrId a = 0; a < 4; ++a) {
     const AcquiredValue v = src.Acquire(a);
@@ -514,7 +555,7 @@ TEST(FaultySourceTest, PassesValuesThroughWhenBenign) {
     EXPECT_EQ(v.value, t[a]);
     EXPECT_DOUBLE_EQ(v.cost_multiplier, 1.0);
   }
-  EXPECT_EQ(inj.injected(), 0u);
+  EXPECT_EQ(src.injected(), 0u);
 }
 
 TEST(FaultySourceTest, InjectsFailuresAndSpikes) {
@@ -525,7 +566,7 @@ TEST(FaultySourceTest, InjectsFailuresAndSpikes) {
   spec.spike = 0.5;
   spec.spike_multiplier = 4.0;
   spec.seed = 5;
-  FaultInjector inj(spec);
+  const FaultInjector inj(spec);
   FaultyAcquisitionSource src(base, inj);
   int fails = 0, spikes = 0;
   for (int i = 0; i < 400; ++i) {
@@ -543,7 +584,7 @@ TEST(FaultySourceTest, InjectsFailuresAndSpikes) {
   }
   EXPECT_GT(fails, 100);
   EXPECT_GT(spikes, 50);
-  EXPECT_EQ(inj.injected(), static_cast<uint64_t>(fails));
+  EXPECT_EQ(src.injected(), static_cast<uint64_t>(fails));
 }
 
 // ---------------------------------------------------- executor degradation
@@ -829,6 +870,54 @@ TEST(FaultSimTest, GardenContinuousQueryMeetsDegradationBar) {
   SimOutcome other;
   RunGardenSim(9999, &other);
   EXPECT_NE(run.defined, other.defined);
+}
+
+TEST(FaultSimTest, MoteDrawsAreKeyedByEpoch) {
+  const Schema schema = SmallSchema();
+  PerAttributeCostModel cm(schema);
+  // Attribute 0 decides whether the leaf goes on to the other three, so the
+  // attributes tried vary by epoch.
+  const CompiledPlan plan = CompiledPlan::Compile(*PlanNode::Sequential(
+      {Predicate(0, 0, 1), Predicate(1, 0, 5), Predicate(2, 0, 3),
+       Predicate(3, 0, 4)}));
+  FaultSpec spec;
+  spec.transient = 0.3;
+  spec.seed = 4;
+  const FaultInjector injector(spec);
+  const Mote::Sampler sampler = [&schema](size_t epoch, AttrId attr) {
+    return static_cast<Value>((epoch + attr) % schema.domain_size(attr));
+  };
+  // Two motes over one injector, one running the epochs backwards: each
+  // epoch's faults are the injector's draws for that epoch, whatever ran
+  // before it.
+  Mote forward(0, schema, cm, sampler);
+  Mote backward(1, schema, cm, sampler);
+  for (Mote* m : {&forward, &backward}) {
+    m->InstallPlan(plan);
+    m->SetFaultInjector(&injector);
+    m->SetDegradationPolicy(DegradationPolicy::UnknownVerdict());
+  }
+  constexpr size_t kEpochs = 200;
+  std::vector<ExecutionResult> backward_runs(kEpochs);
+  for (size_t e = kEpochs; e-- > 0;) {
+    backward_runs[e] = backward.RunEpoch(e).value();
+  }
+  size_t failures = 0;
+  for (size_t e = 0; e < kEpochs; ++e) {
+    const ExecutionResult res = forward.RunEpoch(e).value();
+    const AttrSet tried = res.acquired.Union(res.failed);
+    EXPECT_TRUE(tried.Contains(0));
+    for (AttrId a = 0; a < schema.num_attributes(); ++a) {
+      if (!tried.Contains(a)) continue;
+      EXPECT_EQ(res.failed.Contains(a),
+                injector.At(static_cast<RowId>(e), a, 0).fail)
+          << "epoch " << e << " attr " << a;
+    }
+    EXPECT_EQ(res.failed.bits, backward_runs[e].failed.bits) << "epoch " << e;
+    EXPECT_EQ(res.acquired.bits, backward_runs[e].acquired.bits);
+    failures += res.failed.Count();
+  }
+  EXPECT_GT(failures, 0u);
 }
 
 }  // namespace

@@ -87,32 +87,6 @@ TEST(MaskDistributionTest, ConditionTrue) {
   EXPECT_DOUBLE_EQ(c.MassAllTrue(0b10), 2.0);
 }
 
-TEST(MaskDistributionTest, SubtractRemovesPrefix) {
-  MaskDistribution all;
-  all.Add(0b0, 4.0);
-  all.Add(0b1, 6.0);
-  all.Aggregate();
-  MaskDistribution part;
-  part.Add(0b1, 2.5);
-  part.Aggregate();
-  MaskDistribution rest = all.Subtract(part);
-  EXPECT_NEAR(rest.total(), 7.5, 1e-9);
-  EXPECT_NEAR(rest.MassAllTrue(0b1), 3.5, 1e-9);
-}
-
-TEST(MaskDistributionTest, SubtractDropsZeroedEntries) {
-  MaskDistribution all;
-  all.Add(0b1, 2.0);
-  all.Add(0b0, 1.0);
-  all.Aggregate();
-  MaskDistribution part;
-  part.Add(0b1, 2.0);
-  part.Aggregate();
-  MaskDistribution rest = all.Subtract(part);
-  EXPECT_EQ(rest.entries().size(), 1u);
-  EXPECT_NEAR(rest.total(), 1.0, 1e-9);
-}
-
 TEST(PredicateMaskTest, BuildsBitmaskFromTuple) {
   std::vector<Predicate> preds = {Predicate(0, 1, 2), Predicate(1, 0, 0),
                                   Predicate(2, 3, 5, /*neg=*/true)};
@@ -120,47 +94,6 @@ TEST(PredicateMaskTest, BuildsBitmaskFromTuple) {
   EXPECT_EQ(PredicateMask(preds, {0, 0, 4}), 0b010u);
   EXPECT_EQ(PredicateMask(preds, {2, 1, 3}), 0b001u);
 }
-
-class MaskDistributionPropertyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(MaskDistributionPropertyTest, SubtractAndConditionConsistent) {
-  Rng rng(GetParam());
-  MaskDistribution full;
-  const int m = 4;
-  std::vector<std::pair<uint64_t, double>> raw;
-  for (int i = 0; i < 300; ++i) {
-    const uint64_t mask = static_cast<uint64_t>(rng.UniformInt(0, 15));
-    const double w = rng.Uniform(0.1, 1.0);
-    raw.emplace_back(mask, w);
-    full.Add(mask, w);
-  }
-  full.Aggregate();
-
-  // Split raw entries arbitrarily into two halves; Subtract must recover the
-  // second half's statistics.
-  MaskDistribution half;
-  double half_total = 0;
-  for (size_t i = 0; i < raw.size() / 2; ++i) {
-    half.Add(raw[i].first, raw[i].second);
-    half_total += raw[i].second;
-  }
-  half.Aggregate();
-  MaskDistribution rest = full.Subtract(half);
-  EXPECT_NEAR(rest.total(), full.total() - half_total, 1e-6);
-  for (uint64_t s = 0; s < (1u << m); ++s) {
-    EXPECT_NEAR(rest.MassAllTrue(s), full.MassAllTrue(s) - half.MassAllTrue(s),
-                1e-6);
-  }
-
-  // ConditionTrue(b) preserves mass of supersets of b.
-  for (int b = 0; b < m; ++b) {
-    MaskDistribution c = full.ConditionTrue(b);
-    EXPECT_NEAR(c.total(), full.MassAllTrue(uint64_t{1} << b), 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MaskDistributionPropertyTest,
-                         ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace caqp

@@ -403,7 +403,7 @@ TEST(BasestationTest, EpochReportCountsDegradedAndBrownedOutMotes) {
   faulty.InstallPlan(plan);
   FaultSpec all_fail;
   all_fail.transient = 1.0;
-  FaultInjector injector(all_fail);
+  const FaultInjector injector(all_fail);
   faulty.SetFaultInjector(&injector);
 
   Mote dying(2, schema, cm, [](size_t, AttrId) { return Value{1}; },

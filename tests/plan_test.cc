@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "exec/executor.h"
 #include "plan/compiled_plan.h"
 #include "plan/plan.h"
 #include "plan/plan_printer.h"
@@ -25,6 +26,14 @@ Plan SampleTree() {
 
 CompiledPlan SamplePlan() { return CompiledPlan::Compile(SampleTree()); }
 
+/// The verdict ExecutePlan reaches for `t` under infallible acquisition.
+bool Verdict(const CompiledPlan& plan, const Tuple& t) {
+  const Schema schema = SmallSchema();
+  const PerAttributeCostModel cm(schema);
+  TupleSource source(t);
+  return ExecutePlan(plan, schema, cm, source).verdict;
+}
+
 TEST(PlanTest, CountsAndDepth) {
   const CompiledPlan p = SamplePlan();
   EXPECT_EQ(p.NumSplits(), 1u);
@@ -34,17 +43,17 @@ TEST(PlanTest, CountsAndDepth) {
 
 TEST(PlanTest, DefaultPlanRejectsEverything) {
   const CompiledPlan p = CompiledPlan::Compile(Plan());
-  EXPECT_FALSE(p.VerdictFor({0, 0, 0, 0}));
+  EXPECT_FALSE(Verdict(p, {0, 0, 0, 0}));
   EXPECT_EQ(p.NumSplits(), 0u);
 }
 
-TEST(PlanTest, VerdictForFollowsSplits) {
+TEST(PlanTest, VerdictFollowsSplits) {
   const CompiledPlan p = SamplePlan();
   // exp0 (attr 2) < 2 -> FAIL regardless.
-  EXPECT_FALSE(p.VerdictFor({1, 0, 1, 0}));
+  EXPECT_FALSE(Verdict(p, {1, 0, 1, 0}));
   // exp0 >= 2 -> sequential leaf on cheap0 in [1,2].
-  EXPECT_TRUE(p.VerdictFor({1, 0, 2, 0}));
-  EXPECT_FALSE(p.VerdictFor({3, 0, 2, 0}));
+  EXPECT_TRUE(Verdict(p, {1, 0, 2, 0}));
+  EXPECT_FALSE(Verdict(p, {3, 0, 2, 0}));
 }
 
 TEST(PlanTest, CloneIsDeep) {
@@ -54,7 +63,7 @@ TEST(PlanTest, CloneIsDeep) {
   EXPECT_NE(copy.root().ge.get(), p.root().ge.get());
   const CompiledPlan compiled = CompiledPlan::Compile(copy);
   EXPECT_EQ(compiled.NumNodes(), 3u);
-  EXPECT_TRUE(compiled.VerdictFor({1, 0, 2, 0}));
+  EXPECT_TRUE(Verdict(compiled, {1, 0, 2, 0}));
 }
 
 TEST(PlanTest, GenericLeafVerdict) {
@@ -62,9 +71,9 @@ TEST(PlanTest, GenericLeafVerdict) {
       {{Predicate(0, 3, 3)}, {Predicate(2, 0, 0), Predicate(1, 0, 1)}});
   const CompiledPlan p =
       CompiledPlan::Compile(*PlanNode::Generic(q, {0, 2, 1}));
-  EXPECT_TRUE(p.VerdictFor({3, 5, 3, 0}));   // first disjunct
-  EXPECT_TRUE(p.VerdictFor({0, 1, 0, 0}));   // second disjunct
-  EXPECT_FALSE(p.VerdictFor({0, 5, 0, 0}));  // neither
+  EXPECT_TRUE(Verdict(p, {3, 5, 3, 0}));   // first disjunct
+  EXPECT_TRUE(Verdict(p, {0, 1, 0, 0}));   // second disjunct
+  EXPECT_FALSE(Verdict(p, {0, 5, 0, 0}));  // neither
 }
 
 TEST(PlanSerdeTest, RoundtripSequentialLeaf) {
@@ -91,7 +100,7 @@ TEST(PlanSerdeTest, RoundtripSplitTree) {
     for (Value c = 0; c < 4; ++c) {
       t[0] = a;
       t[2] = c;
-      EXPECT_EQ(back->VerdictFor(t), p.VerdictFor(t));
+      EXPECT_EQ(Verdict(*back, t), Verdict(p, t));
     }
   }
 }

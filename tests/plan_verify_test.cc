@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/executor.h"
+#include "obs/obs.h"
+#include "obs/registry.h"
 #include "opt/greedy_plan.h"
 #include "opt/optseq.h"
 #include "plan/plan_cost.h"
@@ -35,9 +38,33 @@ TEST(PlanVerifyTest, WrongPlanYieldsCounterexample) {
   const auto res = VerifyPlanExhaustive(always_true, q, schema);
   ASSERT_FALSE(res.correct);
   ASSERT_TRUE(res.counterexample.has_value());
-  // The witness really is a disagreement.
-  EXPECT_NE(always_true.VerdictFor(*res.counterexample),
+  // The witness is the first tuple in odometer order that the plan gets
+  // wrong, and it really is a disagreement.
+  EXPECT_EQ(*res.counterexample, (Tuple{0, 0, 0, 0}));
+  EXPECT_EQ(res.tuples_checked, 1u);
+  PerAttributeCostModel cm(schema);
+  TupleSource source(*res.counterexample);
+  EXPECT_NE(ExecutePlan(always_true, schema, cm, source).verdict,
             q.Matches(*res.counterexample));
+}
+
+TEST(PlanVerifyTest, VerificationCountsNothing) {
+  // The verifiers run the executing walk uninstrumented: a whole-domain
+  // check leaves the exec.* counters where they were.
+  const Schema schema = SmallSchema();
+  const Query q = Query::Conjunction({Predicate(0, 1, 2), Predicate(2, 0, 1)});
+  const CompiledPlan plan = CompiledPlan::Compile(
+      *PlanNode::Sequential({Predicate(0, 1, 2), Predicate(2, 0, 1)}));
+  ASSERT_TRUE(obs::Enabled());
+  const obs::Counter& tuples = obs::DefaultRegistry().GetCounter("exec.tuples");
+  const obs::Counter& acquisitions =
+      obs::DefaultRegistry().GetCounter("exec.acquisitions");
+  const uint64_t tuples_before = tuples.value();
+  const uint64_t acquisitions_before = acquisitions.value();
+  EXPECT_TRUE(VerifyPlanExhaustive(plan, q, schema).correct);
+  EXPECT_TRUE(VerifyPlanSampled(plan, q, schema, 500, 2).correct);
+  EXPECT_EQ(tuples.value(), tuples_before);
+  EXPECT_EQ(acquisitions.value(), acquisitions_before);
 }
 
 TEST(PlanVerifyTest, SampledFindsGrossErrors) {

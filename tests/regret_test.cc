@@ -87,7 +87,7 @@ UncertaintyBox ShiftBox() {
 
 TEST(RegretUncertaintyTest, UniformBoxIsSymmetricClampedAndDegenerateAtZero) {
   const UncertaintyBox box = UncertaintyBox::Uniform(0.2);
-  for (size_t a = 0; a < kEstimateMaxAttrs; ++a) {
+  for (size_t a = 0; a < kMaxAttributes; ++a) {
     EXPECT_DOUBLE_EQ(box.shift_lo[a], -0.2);
     EXPECT_DOUBLE_EQ(box.shift_hi[a], 0.2);
     EXPECT_DOUBLE_EQ(box.fault_lo[a], 0.0);
@@ -278,7 +278,7 @@ TEST(RegretCostTest, FaultRateMultipliesAcquisitionCost) {
   // A 50% transient rate on every attribute doubles every acquisition
   // under retry-until-success: cost * 1/(1 - 0.5).
   CostScenario s;
-  for (size_t a = 0; a < kEstimateMaxAttrs; ++a) s.fault[a] = 0.5;
+  for (size_t a = 0; a < kMaxAttributes; ++a) s.fault[a] = 0.5;
   EXPECT_NEAR(ExpectedPlanCost(compiled, fx.est, fx.cm, s), 2.0 * point,
               1e-9);
 }

@@ -137,14 +137,17 @@ double RunOnce(const char* label, const CompiledPlan& plan,
         return live.at(static_cast<RowId>(epoch % live.num_rows()), attr);
       }));
   ptrs.push_back(motes.back().get());
-  // A fresh injector per run replays the identical fault stream for every
-  // planner, so the energy comparison stays apples-to-apples under faults.
+  // Draws are keyed by epoch, so every planner sees the same fault at the
+  // same epoch and attribute, and the energy comparison stays
+  // apples-to-apples under faults.
   std::optional<FaultInjector> injector;
   if (cfg.fault.any()) {
     injector.emplace(cfg.fault);
     motes[0]->SetFaultInjector(&*injector);
     motes[0]->SetDegradationPolicy(cfg.policy);
   }
+  obs::Counter& injected = obs::DefaultRegistry().GetCounter("fault.injected");
+  const uint64_t injected_before = injected.value();
   const size_t installed = base.Disseminate(plan, ptrs);
   if (installed == 0) {
     std::printf("%-12s plan lost in transit (drop-prob too high?)\n", label);
@@ -174,7 +177,9 @@ double RunOnce(const char* label, const CompiledPlan& plan,
   if (injector) {
     std::printf("%-12s faults injected=%llu, unknown verdicts=%zu "
                 "(%.2f%% of epochs)\n",
-                "", static_cast<unsigned long long>(injector->injected()),
+                "",
+                static_cast<unsigned long long>(injected.value() -
+                                                injected_before),
                 unknowns,
                 100.0 * static_cast<double>(unknowns) /
                     static_cast<double>(std::max<size_t>(1, cfg.epochs)));
