@@ -75,7 +75,6 @@ struct RunStats {
   size_t defined = 0;
   size_t mismatches = 0;  ///< defined verdicts disagreeing with ground truth
   size_t retries = 0;
-  size_t aborted = 0;
   double cost = 0.0;
 };
 
@@ -103,7 +102,6 @@ RunStats RunPass(const CompiledPlan& plan, const Schema& schema,
     ++out.tuples;
     out.cost += res.cost;
     out.retries += static_cast<size_t>(res.retries);
-    out.aborted += res.aborted;
     if (res.defined()) {
       ++out.defined;
       out.mismatches += res.verdict != query.Matches(tuple);

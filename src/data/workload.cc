@@ -8,6 +8,17 @@
 
 namespace caqp {
 
+namespace {
+/// Lab predicate width, in standard deviations of the attribute.
+constexpr double kLabWidthStddevs = 2.0;
+/// A garden range covers domain_size / f values for f uniform in
+/// [kGardenMinFraction, kGardenMaxFraction].
+constexpr double kGardenMinFraction = 1.25;
+constexpr double kGardenMaxFraction = 3.25;
+/// Chance that a garden query negates one sensor type's predicates.
+constexpr double kGardenNegateProbability = 0.5;
+}  // namespace
+
 std::vector<Query> GenerateLabQueries(const Dataset& train,
                                       const std::vector<AttrId>& target_attrs,
                                       const LabQueryOptions& options) {
@@ -19,7 +30,7 @@ std::vector<Query> GenerateLabQueries(const Dataset& train,
   for (size_t i = 0; i < target_attrs.size(); ++i) {
     Histogram h(schema.domain_size(target_attrs[i]));
     for (Value v : train.column(target_attrs[i])) h.Add(v);
-    widths[i] = std::max(1.0, options.width_stddevs * h.StdDev());
+    widths[i] = std::max(1.0, kLabWidthStddevs * h.StdDev());
   }
 
   Rng rng(options.seed);
@@ -50,8 +61,7 @@ std::vector<Query> GenerateGardenQueries(
 
   auto draw_range = [&](AttrId sample_attr) {
     const uint32_t k = schema.domain_size(sample_attr);
-    const double f =
-        rng.Uniform(options.min_fraction, options.max_fraction);
+    const double f = rng.Uniform(kGardenMinFraction, kGardenMaxFraction);
     const auto width = static_cast<uint32_t>(
         std::max<int64_t>(1, std::lround(static_cast<double>(k) / f)));
     const auto max_lo = static_cast<int64_t>(k) - static_cast<int64_t>(width);
@@ -68,8 +78,8 @@ std::vector<Query> GenerateGardenQueries(
     // Identical predicate per sensor type across all motes.
     const ValueRange temp_r = draw_range(temperature_attrs[0]);
     const ValueRange humid_r = draw_range(humidity_attrs[0]);
-    const bool temp_neg = rng.Bernoulli(options.negate_probability);
-    const bool humid_neg = rng.Bernoulli(options.negate_probability);
+    const bool temp_neg = rng.Bernoulli(kGardenNegateProbability);
+    const bool humid_neg = rng.Bernoulli(kGardenNegateProbability);
 
     Conjunct preds;
     for (AttrId a : temperature_attrs) {

@@ -13,12 +13,11 @@ namespace caqp {
 
 /// Lab workload (Section 6.1): queries with one range predicate per target
 /// attribute; each predicate's left endpoint is uniform over the domain and
-/// its width is `width_stddevs` standard deviations of the attribute (per
-/// the training data), clipped to the domain. Predicates end up passing a
-/// large (~50%) fraction of tuples, the paper's "challenging setting".
+/// its width is two standard deviations of the attribute (per the training
+/// data), clipped to the domain. Predicates end up passing a large (~50%)
+/// fraction of tuples, the paper's "challenging setting".
 struct LabQueryOptions {
   size_t num_queries = 95;
-  double width_stddevs = 2.0;
   uint64_t seed = 4242;
 };
 std::vector<Query> GenerateLabQueries(const Dataset& train,
@@ -27,14 +26,11 @@ std::vector<Query> GenerateLabQueries(const Dataset& train,
 
 /// Garden workload (Section 6.2): identical range predicates over the
 /// temperature and humidity of every mote; each query draws a range
-/// covering domain_size / f values for f uniform in [min_fraction,
-/// max_fraction], independently for temperature and humidity, and negates
-/// each sensor type's predicates with probability `negate_probability`.
+/// covering domain_size / f values for f uniform in [1.25, 3.25],
+/// independently for temperature and humidity, and negates each sensor
+/// type's predicates with probability 1/2.
 struct GardenQueryOptions {
   size_t num_queries = 90;
-  double min_fraction = 1.25;
-  double max_fraction = 3.25;
-  double negate_probability = 0.5;
   uint64_t seed = 1717;
 };
 std::vector<Query> GenerateGardenQueries(

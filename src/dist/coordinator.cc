@@ -6,13 +6,21 @@
 #include <utility>
 
 #include "common/check.h"
-#include "core/query_signature.h"
 #include "dist/merge.h"
 #include "exec/result_serde.h"
 #include "obs/export.h"
 #include "plan/plan_serde.h"
 
 namespace caqp::dist {
+
+namespace {
+std::unique_ptr<serve::PlanBuilder> MakeBuilder(
+    const serve::PlanBuilderFactory& factory) {
+  std::unique_ptr<serve::PlanBuilder> builder = factory();
+  CAQP_CHECK(builder != nullptr);
+  return builder;
+}
+}  // namespace
 
 Coordinator::Coordinator(const Dataset& data,
                          const AcquisitionCostModel& cost_model,
@@ -26,13 +34,10 @@ Coordinator::Coordinator(const Dataset& data,
               obs::TraceRecorder::Options{
                   .max_events_per_worker = options_.max_span_events_per_worker,
               }),
-      cache_(serve::ShardedPlanCache::Options{options_.plan_cache_capacity,
-                                              /*shards=*/8}) {
+      builder_(MakeBuilder(factory)),
+      store_(options_.plan_cache_capacity, builder_->ConfigFingerprint()) {
   const size_t n = options_.partition.num_shards;
   CAQP_CHECK(n > 0);
-  builder_ = factory();
-  CAQP_CHECK(builder_ != nullptr);
-  planner_fingerprint_ = builder_->ConfigFingerprint();
   if (options_.enable_calibration) {
     calibration_ = std::make_unique<obs::CalibrationAggregator>(n);
   }
@@ -97,9 +102,7 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
     root.emplace("dist.query");
   }
 
-  const PlanKey key{QuerySignature(query),
-                    estimator_version_.load(std::memory_order_acquire),
-                    planner_fingerprint_};
+  const PlanKey key = store_.Key(query);
   Response r;
   r.trace_id = trace_id;
   r.query_sig = key.query_sig;
@@ -108,27 +111,18 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
 
   {
     CAQP_OBS_SPAN(plan_span, "dist.plan");
-    r.plan = cache_.Get(key);
-    if (r.plan != nullptr) {
-      r.cache_hit = true;
-    } else {
-      serve::SingleFlight::Result flight = flight_.Do(key, [&] {
-        // A leader for this key may have finished between the miss above
-        // and this flight (serve/single_flight.h): re-check before planning.
-        if (auto cached = cache_.Peek(key)) return cached;
-        std::shared_ptr<const CompiledPlan> plan;
-        {
-          // Planning is serialized through the single builder; cache and
-          // single-flight keep it off the steady-state path entirely.
-          std::lock_guard<std::mutex> lock(builder_mu_);
-          plan = serve::CompileForServe(*builder_, builder_->Build(query),
-                                        cost_model_, calibration_ != nullptr);
-        }
-        cache_.Put(key, plan);
-        r.planned = true;
-        return plan;
+    r.plan = store_.Get(key);
+    r.cache_hit = r.plan != nullptr;
+    if (!r.cache_hit) {
+      serve::PlanStore::Built built = store_.BuildOnce(key, [&] {
+        // Planning is serialized through the single builder; the store's
+        // cache and single flight keep it off the steady-state path.
+        std::lock_guard<std::mutex> lock(builder_mu_);
+        return serve::CompileForServe(*builder_, builder_->Build(query),
+                                      cost_model_, calibration_ != nullptr);
       });
-      r.plan = std::move(flight.plan);
+      r.plan = std::move(built.plan);
+      r.planned = built.planned;
     }
   }
   cm_.queries->Increment();
@@ -303,8 +297,7 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
 }
 
 void Coordinator::InvalidateCache() {
-  estimator_version_.fetch_add(1, std::memory_order_acq_rel);
-  cache_.InvalidateAll();
+  store_.Invalidate();
   for (const std::unique_ptr<ExecutorShard>& shard : shards_) {
     shard->InvalidatePlans();
   }

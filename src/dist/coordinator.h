@@ -5,9 +5,10 @@
 // the query's WHERE clause over *every* row, returning per-row verdicts and
 // one merged ExecutionResult. The flow per query:
 //
-//   Execute -> canonical signature -> coordinator plan cache (serve machinery)
-//           -> miss: single-flight Build + serve::CompileForServe (the
-//              estimate stamping QueryService does), then SerializePlan to
+//   Execute -> serve::PlanStore key + counted lookup (the plan path
+//              QueryService uses: plan cache, single flight, version)
+//           -> miss: PlanStore::BuildOnce over the coordinator's one
+//              builder + serve::CompileForServe, then SerializePlan to
 //              v0xCA bytes (what a basestation would radio)
 //           -> scatter: Submit(key, bytes, verdict buffer) to every attempted
 //              shard; each executing shard writes its rows' verdicts into
@@ -63,9 +64,7 @@
 #include "obs/sharded_registry.h"
 #include "obs/span.h"
 #include "opt/cost_model.h"
-#include "serve/plan_cache.h"
-#include "serve/query_service.h"
-#include "serve/single_flight.h"
+#include "serve/plan_store.h"
 
 namespace caqp::dist {
 
@@ -160,7 +159,7 @@ class Coordinator {
   /// `data` and `cost_model` must outlive the coordinator. The factory is
   /// invoked once; the coordinator serializes planning through a single
   /// builder (plan fan-out is the scalable part of this tier, planning is
-  /// already deduplicated by cache + single-flight).
+  /// already deduplicated by the PlanStore's cache and single flight).
   Coordinator(const Dataset& data, const AcquisitionCostModel& cost_model,
               const serve::PlanBuilderFactory& factory, Options options);
   ~Coordinator();
@@ -176,9 +175,7 @@ class Coordinator {
   /// coordinator + shard plan caches.
   void InvalidateCache();
 
-  uint64_t estimator_version() const {
-    return estimator_version_.load(std::memory_order_relaxed);
-  }
+  uint64_t estimator_version() const { return store_.version(); }
 
   size_t num_shards() const { return shards_.size(); }
   size_t num_rows() const { return data_.num_rows(); }
@@ -198,7 +195,7 @@ class Coordinator {
   }
 
   DistReport Report() const;
-  const serve::ShardedPlanCache& cache() const { return cache_; }
+  const serve::ShardedPlanCache& cache() const { return store_.cache(); }
   const obs::ShardedRegistry& metrics() const { return metrics_; }
   const obs::TraceRecorder& trace_recorder() const { return tracer_; }
 
@@ -243,10 +240,7 @@ class Coordinator {
 
   std::unique_ptr<serve::PlanBuilder> builder_;
   std::mutex builder_mu_;  // serializes Build + CompileForServe
-  uint64_t planner_fingerprint_ = 0;
-  serve::ShardedPlanCache cache_;
-  serve::SingleFlight flight_;
-  std::atomic<uint64_t> estimator_version_{0};
+  serve::PlanStore store_;
   std::atomic<uint64_t> query_seq_{0};
 
   std::vector<std::unique_ptr<ShardSlot>> slots_;

@@ -28,33 +28,10 @@ std::string FormatValue(double v) {
 }
 
 template <typename Vec>
-void SortByName(Vec& v) {
-  std::sort(v.begin(), v.end(),
-            [](const auto& a, const auto& b) { return a.name < b.name; });
-}
-
-template <typename Vec>
 void RenameAll(Vec& v, MetricKind kind) {
   for (auto& entry : v) entry.name = CanonicalMetricName(entry.name, kind);
-  SortByName(v);
-}
-
-// Distinct internal names can collapse to one canonical name (dots and
-// underscores both map to '_'). A duplicate series is invalid exposition,
-// so after renaming merge adjacent same-name entries with the same
-// semantics MergeSnapshotInto uses.
-template <typename Vec, typename MergeFn>
-void MergeAdjacentDuplicates(Vec& v, MergeFn merge) {
-  size_t out = 0;
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (out > 0 && v[out - 1].name == v[i].name) {
-      merge(v[out - 1], v[i]);
-    } else {
-      if (out != i) v[out] = std::move(v[i]);
-      ++out;
-    }
-  }
-  v.resize(out);
+  std::sort(v.begin(), v.end(),
+            [](const auto& a, const auto& b) { return a.name < b.name; });
 }
 
 }  // namespace
@@ -75,48 +52,12 @@ RegistrySnapshot CanonicalizeSnapshot(RegistrySnapshot snap) {
   RenameAll(snap.counters, MetricKind::kCounter);
   RenameAll(snap.gauges, MetricKind::kGauge);
   RenameAll(snap.histograms, MetricKind::kHistogram);
-  MergeAdjacentDuplicates(snap.counters,
-                          [](auto& a, const auto& b) { a.value += b.value; });
-  MergeAdjacentDuplicates(snap.gauges, [](auto& a, const auto& b) {
-    a.value = std::max(a.value, b.value);
-  });
-  MergeAdjacentDuplicates(snap.histograms, [](auto& a, const auto& b) {
-    a.hist.Merge(b.hist);
-  });
-  return snap;
-}
-
-void MergeSnapshotInto(RegistrySnapshot* dst, const RegistrySnapshot& src) {
-  for (const auto& c : src.counters) {
-    auto it = std::find_if(dst->counters.begin(), dst->counters.end(),
-                           [&](const auto& e) { return e.name == c.name; });
-    if (it == dst->counters.end()) {
-      dst->counters.push_back(c);
-    } else {
-      it->value += c.value;
-    }
-  }
-  for (const auto& g : src.gauges) {
-    auto it = std::find_if(dst->gauges.begin(), dst->gauges.end(),
-                           [&](const auto& e) { return e.name == g.name; });
-    if (it == dst->gauges.end()) {
-      dst->gauges.push_back(g);
-    } else {
-      it->value = std::max(it->value, g.value);
-    }
-  }
-  for (const auto& h : src.histograms) {
-    auto it = std::find_if(dst->histograms.begin(), dst->histograms.end(),
-                           [&](const auto& e) { return e.name == h.name; });
-    if (it == dst->histograms.end()) {
-      dst->histograms.push_back(h);
-    } else {
-      it->hist.Merge(h.hist);
-    }
-  }
-  SortByName(dst->counters);
-  SortByName(dst->gauges);
-  SortByName(dst->histograms);
+  // Distinct internal names can collapse to one canonical name (dots and
+  // underscores both map to '_'). A duplicate series is invalid exposition,
+  // so fold them: merging into an empty snapshot collapses equal names.
+  RegistrySnapshot out;
+  out.MergeFrom(snap);
+  return out;
 }
 
 std::string RenderPrometheusText(const RegistrySnapshot& raw) {

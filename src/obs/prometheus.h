@@ -42,13 +42,9 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 std::string CanonicalMetricName(std::string_view name, MetricKind kind);
 
 /// Rewrites every name in `snap` to its canonical form. Sort order by name
-/// is preserved (re-sorted after renaming).
+/// is preserved (re-sorted after renaming), and names that collapse to one
+/// canonical name merge (RegistrySnapshot::MergeFrom).
 RegistrySnapshot CanonicalizeSnapshot(RegistrySnapshot snap);
-
-/// Merges `src` into `*dst` with ShardedRegistry semantics: counters sum,
-/// gauges max, histograms bucket-merge. Used to combine the serving tier's
-/// ShardedRegistry with the process-global DefaultRegistry for one scrape.
-void MergeSnapshotInto(RegistrySnapshot* dst, const RegistrySnapshot& src);
 
 /// Renders `snap` as Prometheus text exposition 0.0.4. Names in `snap` are
 /// canonicalized here; callers pass raw snapshots.

@@ -16,7 +16,47 @@ const Entry* FindByName(const std::vector<Entry>& sorted,
       [](const Entry& e, std::string_view n) { return e.name < n; });
   return it != sorted.end() && it->name == name ? &*it : nullptr;
 }
+
+void Fold(RegistrySnapshot::CounterValue& into,
+          const RegistrySnapshot::CounterValue& from) {
+  into.value += from.value;
+}
+void Fold(RegistrySnapshot::GaugeValue& into,
+          const RegistrySnapshot::GaugeValue& from) {
+  into.value = std::max(into.value, from.value);
+}
+void Fold(RegistrySnapshot::HistogramValue& into,
+          const RegistrySnapshot::HistogramValue& from) {
+  into.hist.Merge(from.hist);
+}
+
+/// Merges two name-sorted vectors into `*dst`, folding each run of equal
+/// names into its first entry.
+template <typename Entry>
+void MergeSorted(std::vector<Entry>* dst, const std::vector<Entry>& src) {
+  std::vector<Entry> out;
+  out.reserve(dst->size() + src.size());
+  auto a = dst->cbegin();
+  auto b = src.cbegin();
+  while (a != dst->cend() || b != src.cend()) {
+    const bool take_dst =
+        b == src.cend() || (a != dst->cend() && a->name <= b->name);
+    const Entry& next = take_dst ? *a++ : *b++;
+    if (!out.empty() && out.back().name == next.name) {
+      Fold(out.back(), next);
+    } else {
+      out.push_back(next);
+    }
+  }
+  *dst = std::move(out);
+}
 }  // namespace
+
+void RegistrySnapshot::MergeFrom(const RegistrySnapshot& other) {
+  MergeSorted(&counters, other.counters);
+  MergeSorted(&gauges, other.gauges);
+  MergeSorted(&histograms, other.histograms);
+}
 
 uint64_t RegistrySnapshot::CounterByName(std::string_view name) const {
   const CounterValue* c = FindByName(counters, name);

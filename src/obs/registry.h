@@ -77,6 +77,13 @@ struct RegistrySnapshot {
   uint64_t CounterByName(std::string_view name) const;
   /// Histogram `name`, or an empty snapshot if absent.
   HistogramSnapshot HistogramByName(std::string_view name) const;
+
+  /// Merges `other` in, folding the entries of one name into one: counters
+  /// sum, gauges take the max, histograms merge bucket by bucket (see
+  /// sharded_registry.h). Both snapshots must be sorted by name, and the
+  /// result is. Equal names within either side fold too, so merging a
+  /// sorted snapshot into an empty one collapses its duplicates.
+  void MergeFrom(const RegistrySnapshot& other);
 };
 
 class MetricsRegistry {

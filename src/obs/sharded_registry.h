@@ -8,7 +8,8 @@
 // and thereafter touch only worker-local cache lines. Snapshot() merges the
 // shards into one RegistrySnapshot.
 //
-// Merge semantics (documented because they are visible in exports):
+// Merge semantics are RegistrySnapshot::MergeFrom's (documented because
+// they are visible in exports):
 //  * counters — summed.
 //  * gauges   — max across shards (gauges record high-water marks on the
 //               serve path; a sum of last-written values is meaningless).

@@ -1,7 +1,6 @@
 #include "serve/plan_cache.h"
 
 #include "common/check.h"
-#include "obs/registry.h"
 
 namespace caqp {
 namespace serve {
@@ -29,7 +28,6 @@ ShardedPlanCache::Shard& ShardedPlanCache::ShardFor(
 std::shared_ptr<const CompiledPlan> ShardedPlanCache::Get(const PlanKey& key) {
   if (options_.capacity == 0) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    CAQP_OBS_COUNTER_INC("serve.cache.misses");
     return nullptr;
   }
   Shard& shard = ShardFor(key);
@@ -37,12 +35,10 @@ std::shared_ptr<const CompiledPlan> ShardedPlanCache::Get(const PlanKey& key) {
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    CAQP_OBS_COUNTER_INC("serve.cache.misses");
     return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
-  CAQP_OBS_COUNTER_INC("serve.cache.hits");
   return it->second->second;
 }
 
@@ -55,34 +51,35 @@ std::shared_ptr<const CompiledPlan> ShardedPlanCache::Peek(
   return it == shard.index.end() ? nullptr : it->second->second;
 }
 
-void ShardedPlanCache::Put(const PlanKey& key,
-                           std::shared_ptr<const CompiledPlan> plan) {
+ShardedPlanCache::PutResult ShardedPlanCache::Put(
+    const PlanKey& key, std::shared_ptr<const CompiledPlan> plan) {
   CAQP_CHECK(plan != nullptr);
-  if (options_.capacity == 0) return;
+  PutResult result;
+  if (options_.capacity == 0) return result;
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    // Concurrent single-flight leaders under different versions can race to
-    // insert the same key; last write wins and refreshes recency.
+    // Last write wins and refreshes recency.
     it->second->second = std::move(plan);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
+    return result;
   }
   shard.lru.emplace_front(key, std::move(plan));
   shard.index.emplace(key, shard.lru.begin());
   inserts_.fetch_add(1, std::memory_order_relaxed);
-  CAQP_OBS_COUNTER_INC("serve.cache.inserts");
+  result.inserted = true;
   while (shard.lru.size() > per_shard_capacity_) {
     shard.index.erase(shard.lru.back().first);
     shard.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    CAQP_OBS_COUNTER_INC("serve.cache.evictions");
+    ++result.evicted;
   }
+  return result;
 }
 
-void ShardedPlanCache::InvalidateAll() {
-  uint64_t dropped = 0;
+size_t ShardedPlanCache::InvalidateAll() {
+  size_t dropped = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     dropped += shard->lru.size();
@@ -90,8 +87,7 @@ void ShardedPlanCache::InvalidateAll() {
     shard->lru.clear();
   }
   invalidations_.fetch_add(dropped, std::memory_order_relaxed);
-  CAQP_OBS_COUNTER_ADD("serve.cache.invalidated_entries", dropped);
-  CAQP_OBS_COUNTER_INC("serve.cache.invalidations");
+  return dropped;
 }
 
 size_t ShardedPlanCache::size() const {

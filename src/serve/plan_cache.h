@@ -10,8 +10,9 @@
 //
 // Concurrency: the key space is split across `shards` independently locked
 // LRU maps by the high bits of the key hash; LRU order is per-shard. Hit /
-// miss / insert / eviction / invalidation counts feed both the local Stats
-// snapshot and the caqp::obs registry ("serve.cache.*").
+// miss / insert / eviction / invalidation counts feed the local Stats
+// snapshot only; a serving tier's PlanStore (plan_store.h) reports its own
+// cache's events as "serve.cache.*".
 
 #ifndef CAQP_SERVE_PLAN_CACHE_H_
 #define CAQP_SERVE_PLAN_CACHE_H_
@@ -59,13 +60,20 @@ class ShardedPlanCache {
   /// already counted its lookup and only re-checks before planning.
   std::shared_ptr<const CompiledPlan> Peek(const PlanKey& key) const;
 
+  /// What one Put did.
+  struct PutResult {
+    bool inserted = false;  ///< false when it replaced the key's entry
+    size_t evicted = 0;     ///< least-recently-used entries it dropped
+  };
+
   /// Inserts (or replaces) the plan for `key`, evicting the shard's
   /// least-recently-used entries if over budget.
-  void Put(const PlanKey& key, std::shared_ptr<const CompiledPlan> plan);
+  PutResult Put(const PlanKey& key, std::shared_ptr<const CompiledPlan> plan);
 
-  /// Eagerly drops every entry (estimator refresh). Version-bumped keys
-  /// would age out anyway; this frees their memory immediately.
-  void InvalidateAll();
+  /// Eagerly drops every entry (estimator refresh) and returns how many.
+  /// Version-bumped keys would age out anyway; this frees their memory
+  /// immediately.
+  size_t InvalidateAll();
 
   /// Current entry count across shards (racy-by-design snapshot).
   size_t size() const;

@@ -6,11 +6,9 @@
 #include <utility>
 
 #include "common/check.h"
-#include "core/query_signature.h"
 #include "exec/executor.h"
 #include "obs/export.h"
 #include "obs/registry.h"
-#include "plan/plan_estimates.h"
 
 namespace caqp {
 namespace serve {
@@ -24,8 +22,18 @@ double NowSeconds() {
 
 size_t NonZero(size_t n) { return n == 0 ? 1 : n; }
 
-/// Independently locked plan-cache shards (serve/plan_cache.h).
-constexpr size_t kCacheShards = 8;
+std::vector<std::unique_ptr<PlanBuilder>> MakeBuilders(
+    const PlanBuilderFactory& factory, size_t num_workers) {
+  std::vector<std::unique_ptr<PlanBuilder>> builders(num_workers);
+  for (std::unique_ptr<PlanBuilder>& b : builders) {
+    b = factory();
+    // A factory whose bundles disagree on config would alias cache entries.
+    CAQP_CHECK(b != nullptr && b->ConfigFingerprint() ==
+                                   builders[0]->ConfigFingerprint());
+  }
+  return builders;
+}
+
 /// How long after an SLO burn fires Submit sheds at half max_queue_depth.
 constexpr uint64_t kBurnShedWindowNs = 5ull * 1000 * 1000 * 1000;
 /// Widen mode's FromCalibration scale (interval width per unit of drift)
@@ -34,54 +42,20 @@ constexpr double kWidenScale = 1.0;
 constexpr double kWidenCap = 1.0;
 }  // namespace
 
-std::shared_ptr<const CompiledPlan> CompileForServe(
-    PlanBuilder& builder, const Plan& plan,
-    const AcquisitionCostModel& cost_model, bool stamp_estimates) {
-  CompiledPlan compiled = CompiledPlan::Compile(plan);
-  CondProbEstimator* estimator =
-      stamp_estimates ? builder.CalibrationEstimator() : nullptr;
-  if (estimator != nullptr) {
-    // Stamp what the planner believed at build time. Same thread as Build,
-    // so an estimator the builder does not share is safe too.
-    auto estimates = std::make_shared<PlanEstimates>(
-        EstimatePlan(compiled, *estimator, cost_model));
-    opt::UncertaintyBox box;
-    if (builder.PlanningBox(&box) && !box.degenerate()) {
-      // Robust builder: record the box and its interval cost promise so
-      // calibration can score the plan against the range, not just the
-      // point (obs::PlanCalibration::predicted_cost_lo/hi).
-      opt::StampEstimatesWithBox(
-          *estimates, box,
-          opt::ExpectedPlanCostBounds(compiled, *estimator, cost_model, box));
-    }
-    compiled.AttachEstimates(std::move(estimates));
-  }
-  return std::make_shared<const CompiledPlan>(std::move(compiled));
-}
-
 QueryService::QueryService(const Schema& schema,
                            const AcquisitionCostModel& cost_model,
                            const PlanBuilderFactory& factory, Options options)
     : schema_(schema),
       cost_model_(cost_model),
       options_(options),
-      cache_(ShardedPlanCache::Options{options.cache_capacity, kCacheShards}),
+      builders_(MakeBuilders(factory, NonZero(options.num_workers))),
+      store_(options.cache_capacity, builders_.front()->ConfigFingerprint()),
       metrics_(NonZero(options.num_workers) + 1),
       tracer_(NonZero(options.num_workers) + 1,
               obs::TraceRecorder::Options{
                   .max_events_per_worker = options.max_span_events_per_worker,
               }) {
   options_.num_workers = NonZero(options_.num_workers);
-  builders_.reserve(options_.num_workers);
-  for (size_t i = 0; i < options_.num_workers; ++i) {
-    builders_.push_back(factory());
-    CAQP_CHECK(builders_.back() != nullptr);
-  }
-  planner_fingerprint_ = builders_.front()->ConfigFingerprint();
-  for (const std::unique_ptr<PlanBuilder>& b : builders_) {
-    // A factory whose bundles disagree on config would alias cache entries.
-    CAQP_CHECK(b->ConfigFingerprint() == planner_fingerprint_);
-  }
   // Prefetch every hot-path metric ref out of the per-worker shards (plus
   // the submitter slot): the request path below does no by-name lookups and
   // each worker's updates land on lines no other worker writes.
@@ -175,17 +149,12 @@ std::future<QueryService::Response> QueryService::Submit(
   // One counted cache lookup per request, here on the calling thread. A hit
   // is answered here too: handing it to a worker would cost more than
   // executing it.
-  const PlanKey key{QuerySignature(query),
-                    estimator_version_.load(std::memory_order_acquire),
-                    planner_fingerprint_};
-  if (options_.cache_capacity > 0) {
-    std::shared_ptr<const CompiledPlan> plan = cache_.Get(key);
-    if (plan != nullptr) {
-      Response r =
-          AnswerHit(key, std::move(plan), tuple, trace_id, start, submit_ns);
-      Finish(r);
-      return Ready(std::move(r));
-    }
+  const PlanKey key = store_.Key(query);
+  if (std::shared_ptr<const CompiledPlan> plan = store_.Get(key)) {
+    Response r =
+        AnswerHit(key, std::move(plan), tuple, trace_id, start, submit_ns);
+    Finish(r);
+    return Ready(std::move(r));
   }
 
   const double relative = deadline_seconds < 0.0
@@ -307,44 +276,23 @@ QueryService::Response QueryService::Handle(size_t worker_id,
 
   {
     CAQP_OBS_SPAN(plan_span, "plan");
-    if (options_.cache_capacity == 0) {
-      // Plan-per-query baseline: no cache, no deduplication.
-      r.plan = compile(builder.Build(query));
-      r.planned = true;
+    // Submit already counted this request's miss. Compile once at insert
+    // time: every cached-path execution after this runs the flat IR with
+    // zero PlanNode clones or copies.
+    PlanStore::Built built = store_.BuildOnce(
+        key, [&] { return compile(builder.Build(query)); },
+        options_.planner_timeout_seconds);
+    if (built.timed_out) {
+      // The leader is still planning; answer from the cheap fallback plan
+      // rather than blocking past the timeout. The fallback is NOT cached:
+      // the leader's (better) plan lands in the cache when it finishes.
+      wm.planner_timeouts->Increment();
+      CAQP_OBS_SPAN(fallback_span, "plan.build_fallback");
+      r.plan = compile(builder.BuildFallback(query));
+      r.fallback = true;
     } else {
-      // Submit already counted this request's miss.
-      const double follower_wait = options_.planner_timeout_seconds > 0.0
-                                       ? options_.planner_timeout_seconds
-                                       : -1.0;
-      bool built = false;
-      SingleFlight::Result flight = flight_.Do(
-          key,
-          [&] {
-            // A leader for this key may have finished while this request
-            // sat in the queue.
-            if (auto cached = cache_.Peek(key)) return cached;
-            // Compile once at insert time: every cached-path execution
-            // after this runs the flat IR with zero PlanNode clones or
-            // copies.
-            auto plan = compile(builder.Build(query));
-            cache_.Put(key, plan);
-            built = true;
-            return plan;
-          },
-          follower_wait);
-      if (flight.timed_out) {
-        // The leader is still planning; answer from the cheap fallback
-        // plan rather than blocking past the timeout. The fallback is NOT
-        // cached: the leader's (better) plan lands in the cache when it
-        // finishes.
-        wm.planner_timeouts->Increment();
-        CAQP_OBS_SPAN(fallback_span, "plan.build_fallback");
-        r.plan = compile(builder.BuildFallback(query));
-        r.fallback = true;
-      } else {
-        r.plan = std::move(flight.plan);
-        r.planned = built;
-      }
+      r.plan = std::move(built.plan);
+      r.planned = built.planned;
     }
   }
   Execute(worker_id, key, tuple, start, r);
@@ -447,11 +395,7 @@ opt::UncertaintyBox QueryService::CurrentUncertaintyBox() const {
   return robust_box_;
 }
 
-void QueryService::InvalidateCache() {
-  estimator_version_.fetch_add(1, std::memory_order_acq_rel);
-  cache_.InvalidateAll();
-  CAQP_OBS_COUNTER_INC("serve.invalidations");
-}
+void QueryService::InvalidateCache() { store_.Invalidate(); }
 
 std::function<void()> QueryService::InvalidationHook() {
   return [this] { InvalidateCache(); };

@@ -7,10 +7,10 @@
 // of tree traversal), which is exactly the regime where a serving layer
 // amortizes planning across a workload:
 //
-//   Submit -> canonical signature -> sharded plan cache (plan_cache.h)
+//   Submit -> PlanStore::Key + Get (plan_store.h, shared with the dist tier)
 //          -> hit: ExecutePlan on the calling thread
-//          -> miss: worker pool (thread_pool.h) -> single-flight BuildPlan
-//             (single_flight.h) -> ExecutePlan on the worker
+//          -> miss: worker pool (thread_pool.h) -> PlanStore::BuildOnce
+//             with the worker's PlanBuilder -> ExecutePlan on the worker
 //
 // A hit never waits for a worker: executing a cached plan takes about a
 // microsecond, less than handing the request to another thread. Each
@@ -77,83 +77,12 @@
 #include "obs/slo.h"
 #include "obs/span.h"
 #include "opt/cost_model.h"
-#include "opt/planner.h"
 #include "opt/uncertainty.h"
-#include "serve/plan_cache.h"
-#include "serve/single_flight.h"
+#include "serve/plan_store.h"
 #include "serve/thread_pool.h"
 
 namespace caqp {
 namespace serve {
-
-/// Per-worker planning bundle. QueryService calls Build from exactly one
-/// thread at a time per instance, so implementations may hold state that is
-/// not safe to share (every caqp::prob estimator is, so they need not).
-class PlanBuilder {
- public:
-  virtual ~PlanBuilder() = default;
-  virtual Plan Build(const Query& query) = 0;
-  /// Cheap plan used when the service cannot wait for Build (a follower
-  /// timed out on the single-flight leader, see Options::
-  /// planner_timeout_seconds). Implementations should return something
-  /// orders of magnitude cheaper to construct than Build — e.g. a
-  /// sequential plan from GreedySeqSolver — at the price of a worse
-  /// expected acquisition cost. Must still be a correct plan for `query`.
-  /// Defaults to Build, which makes the timeout a no-op.
-  virtual Plan BuildFallback(const Query& query) { return Build(query); }
-  /// Stable fingerprint of the planner kind + options + training-data
-  /// identity. Part of the cache key, so two services (or one service after
-  /// a config change) never alias each other's plans. All bundles from one
-  /// factory must agree on this value.
-  virtual uint64_t ConfigFingerprint() const = 0;
-  /// The estimator whose beliefs Build's plans encode, used (only when
-  /// Options::enable_calibration) to stamp predicted side tables on freshly
-  /// compiled plans. Called from the same worker thread as Build, so
-  /// non-shareable estimators are fine. nullptr skips prediction stamping;
-  /// observed counters are still collected.
-  virtual CondProbEstimator* CalibrationEstimator() { return nullptr; }
-  /// The uncertainty box Build's plans hedge against, when this builder
-  /// plans robustly (e.g. wraps an opt::RegretPlanner following a
-  /// SharedUncertaintyBox). Fill `*out` and return true to have
-  /// CompileForServe stamp the box and its interval cost evaluation
-  /// (ExpectedPlanCostBounds) onto the plan's estimates, so calibration
-  /// scores the robust plan against the range it promised. Default: point
-  /// planning, nothing stamped.
-  virtual bool PlanningBox(opt::UncertaintyBox* out) {
-    (void)out;
-    return false;
-  }
-};
-
-using PlanBuilderFactory = std::function<std::unique_ptr<PlanBuilder>()>;
-
-/// Compiles a plan `builder` just built, for serving. With
-/// `stamp_estimates` (calibration on) and a builder that exposes an
-/// estimator, also stamps the predicted side tables (plan/plan_estimates.h),
-/// plus the builder's uncertainty box and its interval cost when it plans
-/// robustly. Call on the thread that ran Build.
-/// Every plan QueryService and dist::Coordinator serve goes through here,
-/// so every executed plan carries the same metadata.
-std::shared_ptr<const CompiledPlan> CompileForServe(
-    PlanBuilder& builder, const Plan& plan,
-    const AcquisitionCostModel& cost_model, bool stamp_estimates);
-
-/// Bundle over a shared const Planner (requires a thread-safe estimator —
-/// see opt/planner.h). The planner must outlive the service.
-class SharedPlannerBuilder : public PlanBuilder {
- public:
-  SharedPlannerBuilder(const Planner& planner, uint64_t fingerprint)
-      : planner_(planner), fingerprint_(fingerprint) {}
-  Plan Build(const Query& query) override { return planner_.BuildPlan(query); }
-  uint64_t ConfigFingerprint() const override { return fingerprint_; }
-  CondProbEstimator* CalibrationEstimator() override {
-    return planner_.estimator();
-  }
-
- private:
-  const Planner& planner_;
-  uint64_t fingerprint_;
-};
 
 /// When and how calibration drift invalidates the plan cache. Drift is
 /// evaluated per snapshot *window*: each CheckDrift() call diffs the
@@ -379,11 +308,9 @@ class QueryService {
   /// thread; must not outlive the service.
   std::function<void()> InvalidationHook();
 
-  uint64_t estimator_version() const {
-    return estimator_version_.load(std::memory_order_relaxed);
-  }
+  uint64_t estimator_version() const { return store_.version(); }
 
-  const ShardedPlanCache& cache() const { return cache_; }
+  const ShardedPlanCache& cache() const { return store_.cache(); }
   size_t num_workers() const { return pool_->num_threads(); }
 
   /// Merged request-stream counts + latency histogram. Snapshot cost is
@@ -447,7 +374,7 @@ class QueryService {
                      const Tuple& tuple, uint64_t trace_id, double start,
                      uint64_t submit_ns);
 
-  /// Cache miss, on a worker: deadline check, single-flight planning, then
+  /// Cache miss, on a worker: deadline check, PlanStore::BuildOnce, then
   /// Execute.
   Response Handle(size_t worker_id, const PlanKey& key,
                   const Query& query, const Tuple& tuple, double deadline,
@@ -468,10 +395,7 @@ class QueryService {
   const AcquisitionCostModel& cost_model_;
   Options options_;
   std::vector<std::unique_ptr<PlanBuilder>> builders_;  // one per worker
-  uint64_t planner_fingerprint_ = 0;
-  ShardedPlanCache cache_;
-  SingleFlight flight_;
-  std::atomic<uint64_t> estimator_version_{0};
+  PlanStore store_;
   /// Requests admitted but not yet completed; drives load shedding.
   std::atomic<size_t> pending_{0};
   /// Shed happens on submitter threads, which own no shard; count it here.

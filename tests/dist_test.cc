@@ -29,6 +29,7 @@
 #include "dist/shard.h"
 #include "exec/executor.h"
 #include "exec/result_serde.h"
+#include "obs/registry.h"
 #include "opt/greedy_plan.h"
 #include "opt/greedyseq.h"
 #include "opt/naive.h"
@@ -659,6 +660,100 @@ TEST(DistCoordinatorTest, InvalidateCacheForcesReplan) {
   EXPECT_TRUE(resp.planned);
   EXPECT_FALSE(resp.cache_hit);
   ExpectMatchesPerRow(fx, q, resp);
+}
+
+/// A CountingPlanBuilder whose Build first waits, for at most 10 s, until
+/// `arrived` reaches `clients`.
+class GatedPlanBuilder : public CountingPlanBuilder {
+ public:
+  GatedPlanBuilder(const Planner& planner, std::atomic<size_t>& builds,
+                   const std::atomic<size_t>& arrived, size_t clients)
+      : CountingPlanBuilder(planner, builds),
+        arrived_(arrived),
+        clients_(clients) {}
+  Plan Build(const Query& query) override {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived_.load() < clients_ &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    return CountingPlanBuilder::Build(query);
+  }
+
+ private:
+  const std::atomic<size_t>& arrived_;
+  const size_t clients_;
+};
+
+// The dist twin of ServeQueryServiceTest.ZeroCapacityPlansEveryRequest:
+// capacity 0 is the plan-per-query baseline in both tiers, concurrent
+// identical queries included. The first build waits until every client has
+// entered Execute, so a tier that deduplicated them would build once.
+TEST(DistCoordinatorTest, ZeroCapacityPlansEveryQuery) {
+  DistFixture fx;
+  Coordinator::Options opts;
+  opts.partition = PartitionSpec::Hash(2);
+  opts.plan_cache_capacity = 0;
+  static constexpr size_t kClients = 4;
+  std::atomic<size_t> builds{0};
+  std::atomic<size_t> arrived{0};
+  const Planner& planner = *fx.greedy;
+  Coordinator coord(
+      fx.data, fx.cm,
+      [&planner, &builds, &arrived] {
+        return std::make_unique<GatedPlanBuilder>(planner, builds, arrived,
+                                                  kClients);
+      },
+      opts);
+
+  const Query q = fx.MidQuery();
+  std::atomic<size_t> planned{0};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      arrived.fetch_add(1);
+      const Coordinator::Response resp = coord.Execute(q);
+      EXPECT_TRUE(resp.ok());
+      EXPECT_FALSE(resp.cache_hit);
+      if (resp.planned) planned.fetch_add(1);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(builds.load(), kClients);
+  EXPECT_EQ(planned.load(), kClients);
+  EXPECT_EQ(coord.Report().planned, kClients);
+  // No lookup at capacity 0 either.
+  EXPECT_EQ(coord.cache().stats().misses, 0u);
+}
+
+// serve.cache.* counts the coordinator's plan cache, once per event. The
+// shards' decode caches count only under dist.shard.*.
+TEST(DistCoordinatorTest, ServeCacheCountersCountTheCoordinatorCacheOnly) {
+  DistFixture fx;
+  Coordinator::Options opts;
+  opts.partition = PartitionSpec::Hash(4);
+  Coordinator coord = fx.MakeCoordinator(opts);
+  const Query q = fx.MidQuery();
+  ASSERT_TRUE(coord.Execute(q).planned);  // every shard decodes and caches
+
+  const obs::Counter& hits =
+      obs::DefaultRegistry().GetCounter("serve.cache.hits");
+  const obs::Counter& invalidations =
+      obs::DefaultRegistry().GetCounter("serve.cache.invalidations");
+  const uint64_t hits_before = hits.value();
+  const uint64_t report_before = coord.Report().cache_hits;
+  constexpr uint64_t kQueries = 10;
+  for (uint64_t i = 0; i < kQueries; ++i) {
+    ASSERT_TRUE(coord.Execute(q).cache_hit);
+  }
+  EXPECT_EQ(coord.Report().cache_hits - report_before, kQueries);
+  EXPECT_EQ(hits.value() - hits_before, kQueries);
+
+  const uint64_t invalidations_before = invalidations.value();
+  coord.InvalidateCache();
+  EXPECT_EQ(invalidations.value() - invalidations_before, 1u);
 }
 
 TEST(DistCoordinatorTest, DeadShardDegradesOnlyItsPartition) {

@@ -1,8 +1,8 @@
 // caqp::serve tests: query canonicalization/signatures, the sharded LRU plan
-// cache, single-flight planning, the worker pool, and the QueryService end
-// to end — including the concurrency stress tests that scripts/check.sh
-// runs under ThreadSanitizer (every suite here is named Serve* so the TSan
-// build can select them with ctest -R '^Serve').
+// cache, the PlanStore's single-flight planning, the worker pool, and the
+// QueryService end to end — including the concurrency stress tests that
+// scripts/check.sh runs under ThreadSanitizer (every suite here is named
+// Serve* so the TSan build can select them with ctest -R '^Serve').
 
 #include <gtest/gtest.h>
 
@@ -24,18 +24,18 @@
 #include "prob/chow_liu.h"
 #include "prob/dataset_estimator.h"
 #include "serve/plan_cache.h"
+#include "serve/plan_store.h"
 #include "serve/query_service.h"
-#include "serve/single_flight.h"
 #include "serve/thread_pool.h"
 #include "test_util.h"
 
 namespace caqp {
 namespace {
 
+using serve::PlanStore;
 using serve::QueryService;
 using serve::ServeReport;
 using serve::ShardedPlanCache;
-using serve::SingleFlight;
 using serve::ThreadPool;
 
 // ---------------------------------------------------------------------------
@@ -279,18 +279,18 @@ TEST(ServeThreadPoolTest, DestructionDuringIdleSpinDrainsAndJoins) {
 }
 
 // ---------------------------------------------------------------------------
-// Single-flight
+// Single-flight (PlanStore::BuildOnce)
 // ---------------------------------------------------------------------------
 
 TEST(ServeSingleFlightTest, ConcurrentSameKeyBuildsOnce) {
-  SingleFlight flight;
+  PlanStore store(/*capacity=*/8, /*fingerprint=*/0);
   const PlanKey key{42, 0, 0};
   std::atomic<int> builds{0};
   std::atomic<int> leaders{0};
   constexpr int kThreads = 8;
 
   // Gate the build on all threads having arrived, so every thread is inside
-  // Do() while the leader is still building.
+  // BuildOnce() while the leader is still building.
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
   std::atomic<int> arrived{0};
@@ -300,12 +300,12 @@ TEST(ServeSingleFlightTest, ConcurrentSameKeyBuildsOnce) {
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
       arrived.fetch_add(1);
-      SingleFlight::Result r = flight.Do(key, [&] {
+      PlanStore::Built r = store.BuildOnce(key, [&] {
         open.wait();
         builds.fetch_add(1);
         return LeafPlan(true);
       });
-      leaders.fetch_add(r.leader);
+      leaders.fetch_add(r.planned);
       results[i] = r.plan;
     });
   }
@@ -318,16 +318,16 @@ TEST(ServeSingleFlightTest, ConcurrentSameKeyBuildsOnce) {
   EXPECT_EQ(builds.load(), 1);
   EXPECT_EQ(leaders.load(), 1);
   for (int i = 1; i < kThreads; ++i) EXPECT_EQ(results[i], results[0]);
-  EXPECT_EQ(flight.InFlight(), 0u);
+  EXPECT_EQ(store.InFlight(), 0u);
 }
 
 TEST(ServeSingleFlightTest, DistinctKeysBuildIndependently) {
-  SingleFlight flight;
+  PlanStore store(/*capacity=*/8, /*fingerprint=*/0);
   std::atomic<int> builds{0};
   std::vector<std::thread> threads;
   for (uint64_t k = 0; k < 4; ++k) {
     threads.emplace_back([&, k] {
-      flight.Do(PlanKey{k, 0, 0}, [&] {
+      store.BuildOnce(PlanKey{k, 0, 0}, [&] {
         builds.fetch_add(1);
         return LeafPlan(true);
       });
@@ -678,8 +678,9 @@ TEST(ServeStressTest, SharedConstPlannerConcurrentBuilds) {
 
 TEST(ServeStressTest, SingleFlightUnderContention) {
   // A hot key rotated every round: leaders and followers interleave with
-  // erase/reinsert of flights.
-  SingleFlight flight;
+  // erase/reinsert of flights, and with evictions from a cache too small
+  // to hold every round's plan.
+  PlanStore store(/*capacity=*/8, /*fingerprint=*/0);
   std::atomic<size_t> builds{0};
   constexpr size_t kThreads = 8;
   constexpr size_t kRounds = 50;
@@ -687,7 +688,7 @@ TEST(ServeStressTest, SingleFlightUnderContention) {
   for (size_t i = 0; i < kThreads; ++i) {
     threads.emplace_back([&] {
       for (uint64_t round = 0; round < kRounds; ++round) {
-        SingleFlight::Result r = flight.Do(PlanKey{round, 0, 0}, [&] {
+        PlanStore::Built r = store.BuildOnce(PlanKey{round, 0, 0}, [&] {
           builds.fetch_add(1);
           std::this_thread::yield();
           return LeafPlan(true);
@@ -702,7 +703,7 @@ TEST(ServeStressTest, SingleFlightUnderContention) {
   // which TSan checks for us.
   EXPECT_GE(builds.load(), kRounds);
   EXPECT_LE(builds.load(), kRounds * kThreads);
-  EXPECT_EQ(flight.InFlight(), 0u);
+  EXPECT_EQ(store.InFlight(), 0u);
 }
 
 // ---------------------------------------------------------------------------

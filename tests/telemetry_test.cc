@@ -55,7 +55,6 @@ using obs::CanonicalMetricName;
 using obs::CanonicalizeSnapshot;
 using obs::JoinTraces;
 using obs::JoinedTrace;
-using obs::MergeSnapshotInto;
 using obs::MetricKind;
 using obs::MetricsExposer;
 using obs::RegistrySnapshot;
@@ -198,7 +197,7 @@ TEST(TelemetryMetricNameTest, MergeSnapshotSumsCountersAndMergesHists) {
   b.counters.push_back({"x", 3});
   b.counters.push_back({"y", 7});
   b.gauges.push_back({"g", 1.0});
-  MergeSnapshotInto(&a, b);
+  a.MergeFrom(b);
   ASSERT_EQ(a.counters.size(), 2u);
   EXPECT_EQ(a.counters[0].name, "x");
   EXPECT_EQ(a.counters[0].value, 4u);

@@ -272,7 +272,7 @@ void AppendCalibrationGauges(obs::RegistrySnapshot* snap, const char* tier,
 std::string RenderServeMetrics(const serve::QueryService& service,
                                bool calibration_on) {
   obs::RegistrySnapshot snap = obs::DefaultRegistry().Snapshot();
-  obs::MergeSnapshotInto(&snap, service.metrics().Snapshot());
+  snap.MergeFrom(service.metrics().Snapshot());
   if (const obs::SloMonitor* slo = service.slo_monitor()) {
     const obs::SloMonitor::Snapshot s =
         slo->GetSnapshot(obs::MonotonicNowNs());
@@ -300,7 +300,7 @@ std::string RenderServeMetrics(const serve::QueryService& service,
 std::string RenderDistMetrics(const dist::Coordinator& coord,
                               bool calibration_on) {
   obs::RegistrySnapshot snap = obs::DefaultRegistry().Snapshot();
-  obs::MergeSnapshotInto(&snap, coord.metrics().Snapshot());
+  snap.MergeFrom(coord.metrics().Snapshot());
   const dist::DistReport report = coord.Report();
   for (const dist::ShardReportRow& row : report.shards) {
     const std::string prefix = "dist.shard." + std::to_string(row.shard);
