@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
 
     if (bc.name == "point") {
       bar_identity = SerializePlan(regret_c) == SerializePlan(exhaustive_c) &&
-                     regret_planner.LastWorstCaseRegret() == 0.0;
+                     regret_planner.planner_stats().worst_case_regret == 0.0;
     }
 
     // Reference best-cost per scenario: the regret planner's own candidate

@@ -11,7 +11,6 @@
 
 #include "core/csv.h"          // IWYU pragma: export
 #include "core/dataset.h"      // IWYU pragma: export
-#include "core/dataset_io.h"   // IWYU pragma: export
 #include "core/discretizer.h"  // IWYU pragma: export
 #include "core/predicate.h"    // IWYU pragma: export
 #include "core/query.h"        // IWYU pragma: export

@@ -12,24 +12,12 @@ void ByteWriter::PutVarint(uint64_t v) {
   bytes_.push_back(static_cast<uint8_t>(v));
 }
 
-void ByteWriter::PutSignedVarint(int64_t v) {
-  // Zig-zag: maps small-magnitude signed values to small unsigned ones.
-  uint64_t zz = (static_cast<uint64_t>(v) << 1) ^
-                static_cast<uint64_t>(v >> 63);
-  PutVarint(zz);
-}
-
 void ByteWriter::PutDouble(double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   for (int i = 0; i < 8; ++i) {
     bytes_.push_back(static_cast<uint8_t>(bits >> (8 * i)));
   }
-}
-
-void ByteWriter::PutString(const std::string& s) {
-  PutVarint(s.size());
-  bytes_.insert(bytes_.end(), s.begin(), s.end());
 }
 
 Status ByteReader::GetU8(uint8_t* out) {
@@ -53,13 +41,6 @@ Status ByteReader::GetVarint(uint64_t* out) {
   return Status::OK();
 }
 
-Status ByteReader::GetSignedVarint(int64_t* out) {
-  uint64_t zz;
-  CAQP_RETURN_IF_ERROR(GetVarint(&zz));
-  *out = static_cast<int64_t>((zz >> 1) ^ (~(zz & 1) + 1));
-  return Status::OK();
-}
-
 Status ByteReader::GetDouble(double* out) {
   if (size_ - pos_ < 8) return Status::DataLoss("truncated: double");
   uint64_t bits = 0;
@@ -68,16 +49,6 @@ Status ByteReader::GetDouble(double* out) {
   }
   pos_ += 8;
   std::memcpy(out, &bits, sizeof(*out));
-  return Status::OK();
-}
-
-Status ByteReader::GetString(std::string* out) {
-  uint64_t len;
-  CAQP_RETURN_IF_ERROR(GetVarint(&len));
-  if (len > remaining()) return Status::DataLoss("truncated: string body");
-  out->assign(reinterpret_cast<const char*>(data_ + pos_),
-              static_cast<size_t>(len));
-  pos_ += static_cast<size_t>(len);
   return Status::OK();
 }
 

@@ -1,13 +1,15 @@
-// Byte-oriented serialization used for plan dissemination (the plan size
-// zeta(P) in the paper's Section 2.4 is the length of this encoding).
-// Integers use LEB128 varints so that small attribute ids and split values --
-// the common case on motes -- cost one byte.
+// Byte-oriented serialization for the two wire formats: the v0xCA plan
+// encoding a basestation radios to motes (plan/plan_serde.h; the plan size
+// zeta(P) in the paper's Section 2.4 is its length) and the v0xE5 shard
+// reply (exec/result_serde.h). Integers use LEB128 varints so that small
+// attribute ids and split values -- the common case on motes -- cost one
+// byte.
 
 #ifndef CAQP_COMMON_BYTES_H_
 #define CAQP_COMMON_BYTES_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -20,12 +22,8 @@ class ByteWriter {
   void PutU8(uint8_t v) { bytes_.push_back(v); }
   /// Unsigned LEB128.
   void PutVarint(uint64_t v);
-  /// Zig-zag + LEB128 for possibly-negative values.
-  void PutSignedVarint(int64_t v);
   /// IEEE-754 double, little-endian.
   void PutDouble(double v);
-  /// Length-prefixed string.
-  void PutString(const std::string& s);
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   size_t size() const { return bytes_.size(); }
@@ -46,12 +44,9 @@ class ByteReader {
 
   Status GetU8(uint8_t* out);
   Status GetVarint(uint64_t* out);
-  Status GetSignedVarint(int64_t* out);
   Status GetDouble(double* out);
-  Status GetString(std::string* out);
 
   bool AtEnd() const { return pos_ == size_; }
-  size_t remaining() const { return size_ - pos_; }
 
  private:
   const uint8_t* data_;

@@ -12,6 +12,11 @@ namespace caqp {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+constexpr uint32_t kTempBins = 12;
+constexpr uint32_t kHumidityBins = 12;
+constexpr uint32_t kVoltageBins = 8;
+constexpr double kExpensiveCost = 100.0;  ///< temperature, humidity
+constexpr double kCheapCost = 1.0;        ///< hour, voltage
 
 double Clamp(double v, double lo, double hi) {
   return std::min(hi, std::max(lo, v));
@@ -22,20 +27,17 @@ double Clamp(double v, double lo, double hi) {
 Dataset GenerateGardenData(const GardenDataOptions& options) {
   CAQP_CHECK_GE(options.num_motes, 1u);
   Schema schema;
-  schema.AddAttribute("hour", 24, options.cheap_cost);
+  schema.AddAttribute("hour", 24, kCheapCost);
   for (size_t m = 0; m < options.num_motes; ++m) {
     const std::string suffix = std::to_string(m);
-    schema.AddAttribute("temp_" + suffix, options.temp_bins,
-                        options.expensive_cost);
-    schema.AddAttribute("volt_" + suffix, options.voltage_bins,
-                        options.cheap_cost);
-    schema.AddAttribute("humid_" + suffix, options.humidity_bins,
-                        options.expensive_cost);
+    schema.AddAttribute("temp_" + suffix, kTempBins, kExpensiveCost);
+    schema.AddAttribute("volt_" + suffix, kVoltageBins, kCheapCost);
+    schema.AddAttribute("humid_" + suffix, kHumidityBins, kExpensiveCost);
   }
 
-  const UniformDiscretizer temp_disc(5.0, 30.0, options.temp_bins);
-  const UniformDiscretizer humid_disc(30.0, 100.0, options.humidity_bins);
-  const UniformDiscretizer volt_disc(2.4, 3.2, options.voltage_bins);
+  const UniformDiscretizer temp_disc(5.0, 30.0, kTempBins);
+  const UniformDiscretizer humid_disc(30.0, 100.0, kHumidityBins);
+  const UniformDiscretizer volt_disc(2.4, 3.2, kVoltageBins);
 
   Rng rng(options.seed);
 

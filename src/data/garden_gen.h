@@ -23,11 +23,6 @@ struct GardenDataOptions {
   size_t num_motes = 11;  // 5 => Garden-5 (16 attrs), 11 => Garden-11 (34)
   size_t epochs = 30000;
   uint64_t seed = 777;
-  uint32_t temp_bins = 12;
-  uint32_t humidity_bins = 12;
-  uint32_t voltage_bins = 8;
-  double expensive_cost = 100.0;
-  double cheap_cost = 1.0;
 };
 
 /// Per-mote attribute ids in a generated garden schema.

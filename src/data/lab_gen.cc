@@ -11,6 +11,8 @@ namespace caqp {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+constexpr double kExpensiveCost = 100.0;  ///< light, temperature, humidity
+constexpr double kCheapCost = 1.0;        ///< nodeid, hour, voltage
 
 double Clamp(double v, double lo, double hi) {
   return std::min(hi, std::max(lo, v));
@@ -22,14 +24,12 @@ Dataset GenerateLabData(const LabDataOptions& options) {
   CAQP_CHECK_GE(options.num_motes, 2u);
   Schema schema;
   schema.AddAttribute("nodeid", static_cast<uint32_t>(options.num_motes),
-                      options.cheap_cost);
-  schema.AddAttribute("hour", 24, options.cheap_cost);
-  schema.AddAttribute("voltage", options.voltage_bins, options.cheap_cost);
-  schema.AddAttribute("light", options.light_bins, options.expensive_cost);
-  schema.AddAttribute("temperature", options.temp_bins,
-                      options.expensive_cost);
-  schema.AddAttribute("humidity", options.humidity_bins,
-                      options.expensive_cost);
+                      kCheapCost);
+  schema.AddAttribute("hour", 24, kCheapCost);
+  schema.AddAttribute("voltage", options.voltage_bins, kCheapCost);
+  schema.AddAttribute("light", options.light_bins, kExpensiveCost);
+  schema.AddAttribute("temperature", options.temp_bins, kExpensiveCost);
+  schema.AddAttribute("humidity", options.humidity_bins, kExpensiveCost);
 
   const UniformDiscretizer light_disc(0.0, 1200.0, options.light_bins);
   const UniformDiscretizer temp_disc(10.0, 35.0, options.temp_bins);

@@ -31,8 +31,6 @@ struct LabDataOptions {
   uint32_t temp_bins = 16;
   uint32_t humidity_bins = 16;
   uint32_t voltage_bins = 8;
-  double expensive_cost = 100.0;
-  double cheap_cost = 1.0;
 };
 
 /// Attribute ids within the generated schema.

@@ -8,10 +8,19 @@
 
 namespace caqp {
 
+namespace {
+
+/// Paper costs: the cheap correlated proxy 1 unit, the rest 100 units.
+constexpr double kExpensiveCost = 100.0;
+constexpr double kCheapCost = 1.0;
+/// Pairwise within-group agreement probability (paper: 80%).
+constexpr double kAgreement = 0.8;
+
+}  // namespace
+
 Dataset GenerateSyntheticData(const SyntheticDataOptions& options) {
   CAQP_CHECK_GE(options.n, 2u);
   CAQP_CHECK_GE(options.gamma, 1u);
-  CAQP_CHECK(options.agreement > 0.5 && options.agreement <= 1.0);
 
   const uint32_t group_size = options.gamma + 1;
   const uint32_t num_groups = (options.n + group_size - 1) / group_size;
@@ -26,11 +35,11 @@ Dataset GenerateSyntheticData(const SyntheticDataOptions& options) {
                             .append(std::to_string(group))
                             .append("_a")
                             .append(std::to_string(a % group_size)),
-                        2, cheap ? options.cheap_cost : options.expensive_cost);
+                        2, cheap ? kCheapCost : kExpensiveCost);
   }
 
   // rho^2 + (1 - rho)^2 = agreement  =>  rho = (1 + sqrt(2*agreement-1))/2.
-  const double rho = 0.5 * (1.0 + std::sqrt(2.0 * options.agreement - 1.0));
+  const double rho = 0.5 * (1.0 + std::sqrt(2.0 * kAgreement - 1.0));
   // Marginal: q*rho + (1-q)*(1-rho) = sel => q = (sel - (1-rho))/(2rho - 1).
   const double q = std::clamp(
       (options.sel - (1.0 - rho)) / (2.0 * rho - 1.0), 0.0, 1.0);

@@ -29,10 +29,6 @@ struct SyntheticDataOptions {
   double sel = 0.5;      ///< target marginal P(X = 1)
   size_t tuples = 20000;
   uint64_t seed = 99;
-  double expensive_cost = 100.0;
-  double cheap_cost = 1.0;
-  /// Pairwise within-group agreement probability (paper: 80%).
-  double agreement = 0.8;
 };
 
 Dataset GenerateSyntheticData(const SyntheticDataOptions& options);

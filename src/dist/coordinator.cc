@@ -49,7 +49,6 @@ Coordinator::Coordinator(const Dataset& data,
   cm_.probes = &coord.GetCounter("dist.probes");
   cm_.planned = &coord.GetCounter("dist.planned");
   cm_.cache_hits = &coord.GetCounter("dist.cache_hits");
-  cm_.trace_mismatches = &coord.GetCounter("dist.trace_echo_mismatches");
   cm_.query_latency = &coord.GetHistogram("dist.query_latency_seconds");
 
   std::vector<std::vector<RowId>> partitions =
@@ -149,11 +148,10 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
   const uint64_t scatter_ns = obs::MonotonicNowNs();
   {
     // Its context is the parent every shard span joins under. Inert when
-    // obs is disabled or the request is untraced — shards then receive
-    // span_id 0 (no parent).
+    // obs is disabled or the request is untraced — shards then receive an
+    // empty context (no parent).
     obs::ScopedSpan scatter_span("dist.scatter");
-    obs::SpanContext parent = scatter_span.context();
-    parent.trace_id = trace_id;  // propagate even when spans are inactive
+    const obs::SpanContext parent = scatter_span.context();
     for (size_t i = 0; i < n; ++i) {
       bool attempt = false;
       bool probe = false;
@@ -229,34 +227,20 @@ Coordinator::Response Coordinator::Execute(const Query& query) {
         fail(std::move(reply.status), "shard_unavailable");
         continue;
       }
-      // An OK reply means the shard wrote its rows; rejecting the reply
-      // takes them back.
-      const auto reject = [&](Status status, const char* reason) {
+      Result<ExecutionResult> partial =
+          DeserializeExecutionResult(reply.result_bytes);
+      if (!partial.ok() || reply.rows_written != shards_[i]->num_rows() ||
+          reply.matches + reply.unknown_rows > reply.rows_written) {
+        // A reply we cannot validate merges exactly like a lost shard. An
+        // OK reply means the shard wrote its rows; rejecting it takes them
+        // back.
         for (RowId row : shards_[i]->rows()) {
           (*verdicts)[row] = Truth::kUnknown;
         }
-        fail(std::move(status), reason);
-      };
-      ResultTraceContext echo;
-      Result<ExecutionResult> partial =
-          DeserializeExecutionResult(reply.result_bytes, &echo);
-      if (!partial.ok() || reply.rows_written != shards_[i]->num_rows() ||
-          reply.matches + reply.unknown_rows > reply.rows_written) {
-        // A reply we cannot validate merges exactly like a lost shard.
-        reject(partial.ok()
-                   ? Status::DataLoss("shard " + std::to_string(i) +
-                                      " reply row count mismatch")
-                   : partial.status(),
-               "shard_reply_corrupt");
-        continue;
-      }
-      if (echo.present() && echo.trace_id != trace_id) {
-        // The reply executed under some other trace — a scatter/gather
-        // pairing bug or a stale wire buffer. Degrade like corruption.
-        cm_.trace_mismatches->Increment();
-        reject(Status::DataLoss("shard " + std::to_string(i) +
-                                " echoed a foreign trace id"),
-               "shard_trace_mismatch");
+        fail(partial.ok() ? Status::DataLoss("shard " + std::to_string(i) +
+                                             " reply row count mismatch")
+                          : partial.status(),
+             "shard_reply_corrupt");
         continue;
       }
       {

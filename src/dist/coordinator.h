@@ -38,9 +38,11 @@
 // dist.degraded_queries, dist.stragglers, dist.probes, the query-latency
 // histogram); metric shard i+1 belongs to executor shard i — the same slot
 // layout the TraceRecorder uses, so flight-recorder incidents carry the
-// shard id in Incident::worker. Calibration aggregates across shards: each
-// shard feeds per-node observed counters into its own
-// CalibrationAggregator shard, and CalibrationSnapshot() merges them.
+// shard id in Incident::worker. A traced shard opens its RequestScope with
+// the scatter span as parent, so its spans join the request trace as they
+// are recorded; replies carry no trace context to check. Calibration
+// aggregates across shards: each shard feeds per-node observed counters into
+// its own CalibrationAggregator shard, and CalibrationSnapshot() merges them.
 
 #ifndef CAQP_DIST_COORDINATOR_H_
 #define CAQP_DIST_COORDINATOR_H_
@@ -218,10 +220,6 @@ class Coordinator {
     obs::Counter* probes = nullptr;
     obs::Counter* planned = nullptr;
     obs::Counter* cache_hits = nullptr;
-    /// Replies whose echoed trace context names a different trace — the
-    /// scatter/gather pairing went wrong somewhere; the reply is degraded
-    /// like corruption.
-    obs::Counter* trace_mismatches = nullptr;
     obs::Histogram* query_latency = nullptr;
   };
 

@@ -162,8 +162,7 @@ ShardReply ExecutorShard::Handle(const ShardRequest& request,
                   parent.span_id);
     obs::SetRequestPlanContext(request.key);
   }
-  // The reply's trace echo below reads this span's context.
-  obs::ScopedSpan handle_span("shard.handle");
+  CAQP_OBS_SPAN(handle_span, "shard.handle");
 
   if (options_.delay_seconds > 0.0) {
     std::this_thread::sleep_for(
@@ -258,15 +257,7 @@ ShardReply ExecutorShard::Handle(const ShardRequest& request,
     reply.rows_written = rows_.size();
     reply.matches = stats.matches;
     reply.unknown_rows = stats.unknown;
-    // Echo the trace context with the partial result: trace id, this
-    // shard's root span, and the coordinator parent it was joined under.
-    ResultTraceContext echo;
-    if (scope.has_value() && parent.trace_id != 0) {
-      echo.trace_id = parent.trace_id;
-      echo.root_span_id = handle_span.context().span_id;
-      echo.parent_span_id = parent.span_id;
-    }
-    reply.result_bytes = SerializeExecutionResult(partial, echo);
+    reply.result_bytes = SerializeExecutionResult(partial);
     if (corrupt_next_.exchange(false, std::memory_order_acq_rel)) {
       reply.result_bytes.push_back(0);  // trailing bytes fail decoding
     }

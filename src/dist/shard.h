@@ -97,8 +97,9 @@ struct ShardRequest {
 /// One shard's reply.
 struct ShardReply {
   Status status;  ///< kOk, kShardUnavailable, or a plan-decode error
-  /// SerializeExecutionResult(partial over this shard's rows); empty unless
-  /// status is OK.
+  /// SerializeExecutionResult(partial over this shard's rows): the v0xE5
+  /// counts only, never verdicts or trace context. Empty unless status is
+  /// OK.
   std::vector<uint8_t> result_bytes;
   /// Verdicts this shard wrote into the request's buffer, and how many of
   /// them are kTrue and kUnknown. All zero unless status is OK.
@@ -138,11 +139,10 @@ class ExecutorShard {
   ///
   /// `parent` is the coordinator-side trace context: trace_id names the
   /// request trace and span_id the coordinator span (the scatter span) the
-  /// shard's own spans should hang under. The shard echoes this context —
-  /// plus its root span id — in the reply's result bytes
-  /// (exec/result_serde.h trace-context tail), which is how a remote
-  /// coordinator would re-join shard spans; the in-process tier records
-  /// into the shared TraceRecorder directly and uses the echo to validate.
+  /// shard's own spans should hang under. A traced shard opens its
+  /// RequestScope with it, so every span it records into the shared
+  /// TraceRecorder joins the request trace; the reply carries no trace
+  /// context.
   std::future<ShardReply> Submit(ShardRequest request,
                                  obs::SpanContext parent);
 

@@ -40,12 +40,13 @@ namespace internal {
 // ExecutePlan with a null sink runs the exact same code as an
 // uninstrumented executor (bench/bench_obs_overhead.cc measures the
 // residual dispatch cost). kProfiled does the same for the calibration
-// counter hooks (exec/exec_profile.h). aligned(64): this is the library's
-// hottest loop, and cache-line-aligned entry keeps its per-tuple cost
-// stable across otherwise-unrelated link-order changes — the overhead bench
-// compares it against an equally aligned mirror at ns/tuple resolution.
+// counter hooks (exec/exec_profile.h). This TU is compiled with
+// -falign-functions=64 (src/CMakeLists.txt): this is the library's hottest
+// loop, and cache-line-aligned entry keeps its per-tuple cost stable across
+// otherwise-unrelated link-order changes — the overhead bench compares it
+// against an equally aligned mirror at ns/tuple resolution.
 template <bool kTraced, bool kProfiled>
-__attribute__((aligned(64))) ExecutionResult ExecuteCompiledImpl(
+ExecutionResult ExecuteCompiledImpl(
     const CompiledPlan& plan, const Schema& schema,
     const AcquisitionCostModel& cost_model, AcquisitionSource& source,
     TraceSink* trace, const DegradationPolicy& policy,

@@ -9,39 +9,23 @@ namespace caqp {
 
 namespace {
 constexpr uint8_t kFlagAborted = 1u << 0;
-constexpr uint8_t kFlagTraceContext = 1u << 1;
-constexpr uint8_t kAllFlags = kFlagAborted | kFlagTraceContext;
 }  // namespace
 
-std::vector<uint8_t> SerializeExecutionResult(const ExecutionResult& result,
-                                              const ResultTraceContext& trace) {
+std::vector<uint8_t> SerializeExecutionResult(const ExecutionResult& result) {
   ByteWriter w;
   w.PutU8(kResultWireFormatVersion);
   w.PutU8(static_cast<uint8_t>(result.verdict3));
-  uint8_t flags = result.aborted ? kFlagAborted : 0;
-  if (trace.present()) flags |= kFlagTraceContext;
-  w.PutU8(flags);
+  w.PutU8(result.aborted ? kFlagAborted : 0);
   w.PutDouble(result.cost);
   w.PutVarint(static_cast<uint64_t>(result.acquisitions));
   w.PutVarint(static_cast<uint64_t>(result.retries));
   w.PutVarint(result.acquired.bits);
   w.PutVarint(result.failed.bits);
-  if (trace.present()) {
-    w.PutVarint(trace.trace_id);
-    w.PutVarint(trace.root_span_id);
-    w.PutVarint(trace.parent_span_id);
-  }
   return w.bytes();
 }
 
 Result<ExecutionResult> DeserializeExecutionResult(
     const std::vector<uint8_t>& bytes) {
-  return DeserializeExecutionResult(bytes, nullptr);
-}
-
-Result<ExecutionResult> DeserializeExecutionResult(
-    const std::vector<uint8_t>& bytes, ResultTraceContext* trace) {
-  if (trace != nullptr) *trace = ResultTraceContext{};
   ByteReader r(bytes);
   uint8_t version = 0;
   CAQP_RETURN_IF_ERROR(r.GetU8(&version));
@@ -55,7 +39,7 @@ Result<ExecutionResult> DeserializeExecutionResult(
   }
   uint8_t flags = 0;
   CAQP_RETURN_IF_ERROR(r.GetU8(&flags));
-  if ((flags & ~kAllFlags) != 0) {
+  if ((flags & ~kFlagAborted) != 0) {
     return Status::InvalidArgument("result flags has reserved bits set");
   }
   double cost = 0.0;
@@ -75,27 +59,6 @@ Result<ExecutionResult> DeserializeExecutionResult(
   ExecutionResult out;
   CAQP_RETURN_IF_ERROR(r.GetVarint(&out.acquired.bits));
   CAQP_RETURN_IF_ERROR(r.GetVarint(&out.failed.bits));
-  if ((flags & kFlagTraceContext) != 0) {
-    uint64_t trace_id = 0;
-    uint64_t root_span = 0;
-    uint64_t parent_span = 0;
-    CAQP_RETURN_IF_ERROR(r.GetVarint(&trace_id));
-    CAQP_RETURN_IF_ERROR(r.GetVarint(&root_span));
-    CAQP_RETURN_IF_ERROR(r.GetVarint(&parent_span));
-    if (trace_id == 0) {
-      return Status::InvalidArgument("result trace context with trace_id 0");
-    }
-    constexpr uint64_t kMaxSpan =
-        static_cast<uint64_t>(std::numeric_limits<uint32_t>::max());
-    if (root_span > kMaxSpan || parent_span > kMaxSpan) {
-      return Status::InvalidArgument("result span id overflows uint32");
-    }
-    if (trace != nullptr) {
-      trace->trace_id = trace_id;
-      trace->root_span_id = static_cast<uint32_t>(root_span);
-      trace->parent_span_id = static_cast<uint32_t>(parent_span);
-    }
-  }
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after result encoding");
   }

@@ -9,28 +9,22 @@
 //
 //   u8      version        (kResultWireFormatVersion, 0xE5)
 //   u8      verdict3       (0 = kFalse, 1 = kTrue, 2 = kUnknown)
-//   u8      flags          (bit 0 = aborted, bit 1 = trace context present;
-//                           other bits must be zero)
+//   u8      flags          (bit 0 = aborted; other bits are reserved and
+//                           must be zero)
 //   f64     cost           (IEEE-754 LE; must be finite and >= 0)
 //   varint  acquisitions
 //   varint  retries
 //   varint  acquired bits  (AttrSet bitmap)
 //   varint  failed bits    (AttrSet bitmap)
-//  -- iff flags bit 1 (since PR 10; absent in legacy encodings) --
-//   varint  trace_id       (the request trace the shard executed under)
-//   varint  root_span_id   (the shard's own root span, e.g. shard.handle)
-//   varint  parent_span_id (the coordinator span the shard was parented to)
 //
-// The trace-context tail is the shard's echo of the scatter-path trace
-// propagation: a coordinator joins remote shard spans under its own request
-// span by matching the echoed trace_id (a mismatch degrades the reply like
-// corruption — see dist/coordinator.cc). Legacy v0xE5 bytes, which never
-// set bit 1, decode exactly as before.
+// The reply carries no trace context: in-process shards join the request
+// trace when each span is recorded (the scatter span is the parent of every
+// shard's RequestScope, dist/shard.h).
 //
 // The two-valued `verdict` field is derived (verdict3 == kTrue) and never
 // encoded. Decoding rejects unknown versions, out-of-range enum bytes,
-// non-finite or negative cost, counts that overflow int, span ids that
-// overflow uint32, a trace context with trace_id 0, and trailing bytes.
+// reserved flag bits, non-finite or negative cost, counts that overflow int,
+// and trailing bytes.
 
 #ifndef CAQP_EXEC_RESULT_SERDE_H_
 #define CAQP_EXEC_RESULT_SERDE_H_
@@ -48,35 +42,12 @@ namespace caqp {
 /// handed to the result decoder (or vice versa) fails on the first byte.
 inline constexpr uint8_t kResultWireFormatVersion = 0xE5;
 
-/// Trace context a shard echoes back with its partial result so the
-/// coordinator can stitch remote spans under its request span. present()
-/// iff trace_id != 0 — a context is only encoded when the request actually
-/// ran under a RequestScope (trace ids are allocated starting at 1).
-struct ResultTraceContext {
-  uint64_t trace_id = 0;
-  uint32_t root_span_id = 0;
-  uint32_t parent_span_id = 0;
-
-  bool present() const { return trace_id != 0; }
-  friend bool operator==(const ResultTraceContext&,
-                         const ResultTraceContext&) = default;
-};
-
-/// Encodes `result` into the wire format above. A present() trace context
-/// sets flags bit 1 and appends the trace-context tail; the default
-/// (absent) context reproduces the legacy byte stream exactly.
-std::vector<uint8_t> SerializeExecutionResult(
-    const ExecutionResult& result, const ResultTraceContext& trace = {});
+/// Encodes `result` into the wire format above.
+std::vector<uint8_t> SerializeExecutionResult(const ExecutionResult& result);
 
 /// Decodes and validates a buffer produced by SerializeExecutionResult.
-/// A trace-context tail, if present, is validated and discarded.
 Result<ExecutionResult> DeserializeExecutionResult(
     const std::vector<uint8_t>& bytes);
-
-/// As above, but surfaces the trace context: `*trace` is the decoded tail
-/// when present, and a default (absent) context for legacy bytes.
-Result<ExecutionResult> DeserializeExecutionResult(
-    const std::vector<uint8_t>& bytes, ResultTraceContext* trace);
 
 }  // namespace caqp
 

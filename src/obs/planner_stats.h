@@ -4,8 +4,6 @@
 // given planner stay zero), and BuildPlan commits it when the build ends;
 // tests, harnesses and JSON exports read it through
 // Planner::planner_stats() without knowing the concrete planner type.
-// Only RegretPlanner keeps a record of its own, for the regret figures this
-// struct has no field for.
 
 #ifndef CAQP_OBS_PLANNER_STATS_H_
 #define CAQP_OBS_PLANNER_STATS_H_
@@ -35,6 +33,13 @@ struct PlannerStats {
   double benefit_first = 0.0;      ///< gain of the first adopted expansion
   double benefit_last = 0.0;       ///< gain of the last adopted expansion
   double benefit_total = 0.0;      ///< summed adopted expansion gains
+
+  // RegretPlanner (minmax regret over an uncertainty box, opt/regret.h).
+  uint64_t scenarios = 0;           ///< corner scenarios priced
+  uint64_t candidates = 0;          ///< candidate plans costed
+  double worst_case_regret = 0.0;   ///< max regret of the chosen plan
+  double point_plan_regret = 0.0;   ///< max regret of candidate 0
+  bool degenerate_fallback = false; ///< the box was degenerate: point plan
 
   // Sequential machinery (shared by all planners).
   uint64_t seq_solves = 0;  ///< base-plan solver invocations

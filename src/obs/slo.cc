@@ -128,7 +128,6 @@ SloMonitor::Snapshot SloMonitor::GetSnapshot(uint64_t now_ns) const {
       Burn(lat.fast_bad, lat.fast_total, options_.latency_target);
   snap.latency_slow_burn =
       Burn(lat.slow_bad, lat.slow_total, options_.latency_target);
-  snap.burns_fired = burns_fired_.load(std::memory_order_relaxed);
   return snap;
 }
 

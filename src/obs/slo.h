@@ -88,7 +88,6 @@ class SloMonitor {
     double latency_ratio = 1.0;  ///< fraction under threshold, slow window
     double latency_fast_burn = 0.0;
     double latency_slow_burn = 0.0;
-    uint64_t burns_fired = 0;
   };
 
   explicit SloMonitor(Options options);

@@ -24,17 +24,16 @@ namespace caqp {
 ///
 ///   BuildPlan is const. A build keeps its scratch on the stack and counts
 ///   into one stack-local obs::PlannerStats, which BuildPlan commits under
-///   an internal mutex when the build finishes. Greedy, Exhaustive and
-///   sequential builds touch no other instance state; RegretPlanner also
-///   commits its regret Stats under that mutex. One planner instance may
-///   therefore run concurrent BuildPlan calls **iff the CondProbEstimator
-///   it references is itself safe for concurrent use**:
+///   an internal mutex when the build finishes. No build touches any other
+///   instance state. One planner instance may therefore run concurrent
+///   BuildPlan calls **iff the CondProbEstimator it references is itself
+///   safe for concurrent use**:
 ///     * DatasetEstimator / IndependentEstimator / ChowLiuEstimator —
 ///       immutable after construction with per-call scratch, safe to share
 ///       across threads.
-///   Diagnostics (planner_stats(), RegretPlanner::stats()) describe the
-///   most recently *completed* build and are unsynchronized on the read
-///   side: read them only while no build is in flight.
+///   Diagnostics (planner_stats()) describe the most recently *completed*
+///   build and are unsynchronized on the read side: read them only while no
+///   build is in flight.
 class Planner {
  public:
   virtual ~Planner() = default;
@@ -68,14 +67,12 @@ class Planner {
 
  protected:
   /// Builds the plan, counting into `stats` (already Reset to this
-  /// planner's name). Implementations touch no instance state; the one
-  /// exception, RegretPlanner, commits the regret figures PlannerStats has
-  /// no field for under diag_mu_ at the very end of the build.
+  /// planner's name). Implementations touch no instance state.
   virtual Plan BuildPlanImpl(const Query& query,
                              obs::PlannerStats& stats) const = 0;
 
-  /// Guards the most-recent-build diagnostics of this planner and its
-  /// subclasses.
+ private:
+  /// Guards planner_stats_, the most recent build's diagnostics.
   mutable std::mutex diag_mu_;
   mutable obs::PlannerStats planner_stats_;
 };

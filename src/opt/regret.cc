@@ -94,11 +94,8 @@ Plan RegretPlanner::BuildPlanImpl(const Query& query,
   Plan point_plan = options_.point_planner->BuildPlan(query);
 
   if (box.degenerate() || !query.IsConjunctive()) {
-    Stats s;
-    s.degenerate_fallback = box.degenerate();
-    s.candidates = 1;
-    std::lock_guard<std::mutex> lock(diag_mu_);
-    stats_ = s;
+    stats.degenerate_fallback = box.degenerate();
+    stats.candidates = 1;
     return point_plan;
   }
 
@@ -143,16 +140,10 @@ Plan RegretPlanner::BuildPlanImpl(const Query& query,
 
   stats.candidates_tried = nc * ns;
   stats.expected_cost = cost[winner][0];  // scenario 0 is nominal
-
-  Stats s;
-  s.scenarios = ns;
-  s.candidates = nc;
-  s.worst_case_regret = winner_regret;
-  s.point_plan_regret = point_regret;
-  {
-    std::lock_guard<std::mutex> lock(diag_mu_);
-    stats_ = s;
-  }
+  stats.scenarios = ns;
+  stats.candidates = nc;
+  stats.worst_case_regret = winner_regret;
+  stats.point_plan_regret = point_regret;
   return std::move(candidates[winner]);
 }
 

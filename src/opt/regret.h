@@ -19,7 +19,9 @@
 // give the regret sweep the alternatives a drifted world makes attractive.
 //
 // Falls back to the point planner verbatim when the box is degenerate or
-// the query is not conjunctive.
+// the query is not conjunctive. Each build's scenario and candidate counts,
+// both regrets and the fallback flag land in the regret section of
+// planner_stats() (obs/planner_stats.h).
 
 #ifndef CAQP_OPT_REGRET_H_
 #define CAQP_OPT_REGRET_H_
@@ -48,14 +50,6 @@ class RegretPlanner : public Planner {
     std::function<UncertaintyBox()> box_provider;
   };
 
-  struct Stats {
-    size_t scenarios = 0;           ///< corner scenarios priced
-    size_t candidates = 0;          ///< candidate plans costed
-    double worst_case_regret = 0.0; ///< max-regret of the chosen plan
-    double point_plan_regret = 0.0; ///< max-regret of candidate 0
-    bool degenerate_fallback = false; ///< true when the box was degenerate
-  };
-
   RegretPlanner(CondProbEstimator& estimator,
                 const AcquisitionCostModel& cost_model, Options options)
       : estimator_(estimator), cost_model_(cost_model),
@@ -66,12 +60,6 @@ class RegretPlanner : public Planner {
   std::string Name() const override { return "Regret"; }
   CondProbEstimator* estimator() const override { return &estimator_; }
 
-  /// Worst-case regret of the last built plan over the box's corners (0 on
-  /// the degenerate-fallback path). See opt/planner.h for when diagnostics
-  /// may be read.
-  double LastWorstCaseRegret() const { return stats_.worst_case_regret; }
-  const Stats& stats() const { return stats_; }
-
  protected:
   Plan BuildPlanImpl(const Query& query,
                      obs::PlannerStats& stats) const override;
@@ -80,8 +68,6 @@ class RegretPlanner : public Planner {
   CondProbEstimator& estimator_;
   const AcquisitionCostModel& cost_model_;
   Options options_;
-  /// Most-recent-build diagnostics, committed under Planner::diag_mu_.
-  mutable Stats stats_;
 };
 
 /// The candidate set RegretPlanner sweeps, exposed so bench_regret can

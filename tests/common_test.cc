@@ -88,19 +88,6 @@ TEST(BytesTest, VarintSmallValuesAreOneByte) {
   EXPECT_EQ(w.size(), 3u);  // +2 bytes
 }
 
-TEST(BytesTest, SignedVarintRoundtrip) {
-  ByteWriter w;
-  const int64_t values[] = {0, -1, 1, -64, 64, -1000000, 1000000,
-                            INT64_MIN, INT64_MAX};
-  for (int64_t v : values) w.PutSignedVarint(v);
-  ByteReader r(w.bytes());
-  for (int64_t expected : values) {
-    int64_t v = 0;
-    ASSERT_TRUE(r.GetSignedVarint(&v).ok());
-    EXPECT_EQ(v, expected);
-  }
-}
-
 TEST(BytesTest, DoubleRoundtrip) {
   ByteWriter w;
   const double values[] = {0.0, -0.0, 1.5, -3.25e17, 1e-300};
@@ -111,21 +98,6 @@ TEST(BytesTest, DoubleRoundtrip) {
     ASSERT_TRUE(r.GetDouble(&v).ok());
     EXPECT_EQ(v, expected);
   }
-}
-
-TEST(BytesTest, StringRoundtrip) {
-  ByteWriter w;
-  w.PutString("hello");
-  w.PutString("");
-  w.PutString(std::string(1000, 'x'));
-  ByteReader r(w.bytes());
-  std::string s;
-  ASSERT_TRUE(r.GetString(&s).ok());
-  EXPECT_EQ(s, "hello");
-  ASSERT_TRUE(r.GetString(&s).ok());
-  EXPECT_EQ(s, "");
-  ASSERT_TRUE(r.GetString(&s).ok());
-  EXPECT_EQ(s.size(), 1000u);
 }
 
 TEST(BytesTest, TruncatedReadsFail) {
@@ -150,15 +122,6 @@ TEST(BytesTest, OverlongVarintFails) {
   ByteReader r(bytes);
   uint64_t v;
   EXPECT_EQ(r.GetVarint(&v).code(), StatusCode::kDataLoss);
-}
-
-TEST(BytesTest, StringLengthBeyondBufferFails) {
-  ByteWriter w;
-  w.PutVarint(100);  // claims 100 bytes follow
-  w.PutU8('x');
-  ByteReader r(w.bytes());
-  std::string s;
-  EXPECT_EQ(r.GetString(&s).code(), StatusCode::kDataLoss);
 }
 
 class VarintPropertyTest : public ::testing::TestWithParam<uint64_t> {};

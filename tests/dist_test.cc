@@ -351,6 +351,14 @@ TEST(DistResultSerdeTest, RejectsCorruptEncodings) {
   bad = good;
   bad.push_back(0);
   EXPECT_FALSE(DeserializeExecutionResult(bad).ok());
+
+  // `good` with flags bit 1 set and a well-formed trace-context tail
+  // appended (trace id 42, root span (7 << 22) + 1, parent span 3). Bit 1
+  // is reserved, so the reply is rejected.
+  const std::vector<uint8_t> traced = {
+      0xE5, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,
+      0x01, 0x00, 0x00, 0x00, 0x2A, 0x81, 0x80, 0x80, 0x0E, 0x03};
+  EXPECT_FALSE(DeserializeExecutionResult(traced).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -327,8 +327,8 @@ TEST(RegretPlannerTest, DegenerateBoxReproducesPointPlanBitIdentically) {
   const CompiledPlan point = CompiledPlan::Compile(fx.planner.BuildPlan(q));
   const CompiledPlan robust = CompiledPlan::Compile(regret.BuildPlan(q));
   EXPECT_EQ(SerializePlan(robust), SerializePlan(point));
-  EXPECT_TRUE(regret.stats().degenerate_fallback);
-  EXPECT_DOUBLE_EQ(regret.LastWorstCaseRegret(), 0.0);
+  EXPECT_TRUE(regret.planner_stats().degenerate_fallback);
+  EXPECT_DOUBLE_EQ(regret.planner_stats().worst_case_regret, 0.0);
 }
 
 TEST(RegretPlannerTest, PicksRobustOrderingUnderDirectionalBox) {
@@ -353,7 +353,7 @@ TEST(RegretPlannerTest, PicksRobustOrderingUnderDirectionalBox) {
   shifted.shift[1] = -0.85;
   EXPECT_NEAR(ExpectedPlanCost(robust, fx.est, fx.cm, shifted), 5.25, 1e-9);
 
-  const RegretPlanner::Stats& st = regret.stats();
+  const obs::PlannerStats& st = regret.planner_stats();
   EXPECT_FALSE(st.degenerate_fallback);
   EXPECT_GE(st.candidates, 3u);  // point plan + both orderings
   EXPECT_GE(st.scenarios, 5u);
@@ -378,11 +378,11 @@ TEST(RegretPlannerTest, BoxProviderOverridesStaticBox) {
   };
   // ...but the provider currently says "point": fall back verbatim.
   EXPECT_EQ(wire(regret), wire(fx.planner));
-  EXPECT_TRUE(regret.stats().degenerate_fallback);
+  EXPECT_TRUE(regret.planner_stats().degenerate_fallback);
   // Widen the shared box at runtime: the next build plans robustly.
   shared->Widen(ShiftBox());
   EXPECT_NE(wire(regret), wire(fx.planner));
-  EXPECT_FALSE(regret.stats().degenerate_fallback);
+  EXPECT_FALSE(regret.planner_stats().degenerate_fallback);
 }
 
 TEST(RegretPlannerTest, NonConjunctiveQueryFallsBackToPointPlanner) {
@@ -404,7 +404,7 @@ TEST(RegretPlannerTest, NonConjunctiveQueryFallsBackToPointPlanner) {
   const CompiledPlan robust = CompiledPlan::Compile(regret.BuildPlan(dnf));
   EXPECT_EQ(SerializePlan(robust),
             SerializePlan(CompiledPlan::Compile(exhaustive.BuildPlan(dnf))));
-  EXPECT_EQ(regret.stats().candidates, 1u);
+  EXPECT_EQ(regret.planner_stats().candidates, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -205,8 +205,25 @@ std::vector<ExecutionResult> ResultCorpus() {
 }
 
 TEST(SerdeFuzzResultTest, RoundTripIsExact) {
-  for (const ExecutionResult& r : ResultCorpus()) {
+  // The v0xE5 bytes of each ResultCorpus() entry, pinned: version,
+  // verdict3, flags, f64 cost, then the acquisitions, retries, acquired and
+  // failed varints.
+  const std::vector<std::vector<uint8_t>> golden = {
+      {0xE5, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+       0x00, 0x00, 0x00, 0x00},
+      {0xE5, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xA0, 0x60, 0x40,
+       0x04, 0x00, 0x0F, 0x00},
+      {0xE5, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xC0, 0x49, 0x40,
+       0x02, 0x03, 0x01, 0x04},
+      {0xE5, 0x02, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,
+       0x01, 0x00, 0x02, 0x08},
+  };
+  const std::vector<ExecutionResult> corpus = ResultCorpus();
+  ASSERT_EQ(corpus.size(), golden.size());
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const ExecutionResult& r = corpus[i];
     const std::vector<uint8_t> bytes = SerializeExecutionResult(r);
+    EXPECT_EQ(bytes, golden[i]) << "corpus entry " << i;
     ASSERT_FALSE(bytes.empty());
     EXPECT_EQ(bytes[0], kResultWireFormatVersion);
     const Result<ExecutionResult> back = DeserializeExecutionResult(bytes);
@@ -261,109 +278,6 @@ TEST(SerdeFuzzResultTest, EmptyAndTinyResultInputsAreRejected) {
     EXPECT_FALSE(
         DeserializeExecutionResult({static_cast<uint8_t>(b)}).ok());
   }
-}
-
-// ---------------------------------------------------------------------------
-// Trace-context tail (PR 10): flags bit 1 appends trace_id / root_span_id /
-// parent_span_id varints. Legacy v0xE5 bytes never set the bit and must
-// keep decoding byte for byte; a corrupt tail must reject, not crash.
-// ---------------------------------------------------------------------------
-
-TEST(SerdeFuzzResultTest, TraceContextRoundTrips) {
-  const ResultTraceContext contexts[] = {
-      {1, 1, 0},
-      {42, (7u << 22) + 1, 3},
-      {~0ull >> 1, ~0u, ~0u},
-  };
-  for (const ExecutionResult& r : ResultCorpus()) {
-    for (const ResultTraceContext& ctx : contexts) {
-      const std::vector<uint8_t> bytes = SerializeExecutionResult(r, ctx);
-      EXPECT_EQ(bytes[2] & 0x2, 0x2) << "flags bit 1 must be set";
-      ResultTraceContext back;
-      const Result<ExecutionResult> decoded =
-          DeserializeExecutionResult(bytes, &back);
-      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-      EXPECT_EQ(back, ctx);
-      EXPECT_EQ(decoded.value().verdict3, r.verdict3);
-      // The overload that discards the tail accepts the same bytes.
-      EXPECT_TRUE(DeserializeExecutionResult(bytes).ok());
-    }
-  }
-}
-
-TEST(SerdeFuzzResultTest, AbsentContextReproducesLegacyBytes) {
-  for (const ExecutionResult& r : ResultCorpus()) {
-    const std::vector<uint8_t> legacy = SerializeExecutionResult(r);
-    const std::vector<uint8_t> explicit_absent =
-        SerializeExecutionResult(r, ResultTraceContext{});
-    EXPECT_EQ(legacy, explicit_absent);
-    EXPECT_EQ(legacy[2] & 0x2, 0);
-    ResultTraceContext trace;
-    trace.trace_id = 99;  // must be overwritten to "absent"
-    ASSERT_TRUE(DeserializeExecutionResult(legacy, &trace).ok());
-    EXPECT_FALSE(trace.present());
-  }
-}
-
-TEST(SerdeFuzzResultTest, TraceTailWithZeroTraceIdIsRejected) {
-  // Corpus entry 0 has all-zero counters, so every varint ahead of the
-  // tail is one byte and the tail occupies exactly the last three bytes.
-  const ResultTraceContext ctx{1, 5, 7};
-  std::vector<uint8_t> bytes =
-      SerializeExecutionResult(ExecutionResult{}, ctx);
-  ASSERT_GE(bytes.size(), 3u);
-  ASSERT_EQ(bytes[bytes.size() - 3], 1u);  // trace_id varint
-  bytes[bytes.size() - 3] = 0;
-  EXPECT_FALSE(DeserializeExecutionResult(bytes).ok());
-}
-
-TEST(SerdeFuzzResultTest, TruncatedTraceTailsAreRejected) {
-  const ResultTraceContext ctx{42, (7u << 22) + 1, 3};
-  for (const ExecutionResult& r : ResultCorpus()) {
-    const std::vector<uint8_t> bytes = SerializeExecutionResult(r, ctx);
-    const std::vector<uint8_t> plain = SerializeExecutionResult(r);
-    // Chop the tail off byte by byte: every prefix that still has the
-    // flag bit set but an incomplete tail must reject.
-    for (size_t len = plain.size(); len < bytes.size(); ++len) {
-      std::vector<uint8_t> cut(bytes.begin(),
-                               bytes.begin() + static_cast<long>(len));
-      EXPECT_FALSE(DeserializeExecutionResult(cut).ok()) << "len " << len;
-    }
-  }
-}
-
-TEST(SerdeFuzzResultTest, MutatedTraceBytesNeverCrashOrBreakInvariants) {
-  const ResultTraceContext ctx{77, (3u << 22) + 9, (1u << 22) + 2};
-  size_t accepted = 0, rejected = 0;
-  for (uint64_t seed = 300; seed <= 360; ++seed) {
-    Rng rng(seed);
-    for (const ExecutionResult& r : ResultCorpus()) {
-      const std::vector<uint8_t> bytes = SerializeExecutionResult(r, ctx);
-      for (int round = 0; round < 40; ++round) {
-        const std::vector<uint8_t> mutated = Mutate(bytes, rng);
-        ResultTraceContext trace;
-        const Result<ExecutionResult> decoded =
-            DeserializeExecutionResult(mutated, &trace);
-        if (!decoded.ok()) {
-          ++rejected;
-          continue;
-        }
-        ++accepted;
-        const ExecutionResult& d = decoded.value();
-        EXPECT_LE(static_cast<uint8_t>(d.verdict3), 2u);
-        EXPECT_EQ(d.verdict, d.verdict3 == Truth::kTrue);
-        EXPECT_TRUE(std::isfinite(d.cost));
-        EXPECT_GE(d.cost, 0.0);
-        // A surviving trace context is either absent or well-formed; the
-        // decoder never hands back a present() context with trace_id 0.
-        if (trace.present()) {
-          EXPECT_NE(trace.trace_id, 0u);
-        }
-      }
-    }
-  }
-  EXPECT_GT(accepted, 0u);
-  EXPECT_GT(rejected, 500u);
 }
 
 TEST(SerdeFuzzTest, EmptyAndTinyInputsAreRejected) {

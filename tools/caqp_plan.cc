@@ -314,16 +314,16 @@ int main(int argc, char** argv) {
     ropts.box = opt::UncertaintyBox::Uniform(uncertainty_eps);
     opt::RegretPlanner planner(estimator, cost_model, std::move(ropts));
     tree = planner.BuildPlan(query);
-    if (planner.stats().degenerate_fallback) {
+    const obs::PlannerStats& st = planner.planner_stats();
+    if (st.degenerate_fallback) {
       std::printf("regret: degenerate box (eps=%.3f), point plan kept\n",
                   uncertainty_eps);
     } else {
       std::printf(
           "regret: %zu candidates x %zu scenarios, worst-case regret "
           "%.3f (point plan's: %.3f)\n",
-          planner.stats().candidates, planner.stats().scenarios,
-          planner.stats().worst_case_regret,
-          planner.stats().point_plan_regret);
+          st.candidates, st.scenarios, st.worst_case_regret,
+          st.point_plan_regret);
     }
   } else {
     Die("unknown --planner " + planner_name);

@@ -287,7 +287,6 @@ std::string RenderServeMetrics(const serve::QueryService& service,
         {"serve.slo.latency_fast_burn", s.latency_fast_burn});
     snap.gauges.push_back(
         {"serve.slo.latency_slow_burn", s.latency_slow_burn});
-    snap.counters.push_back({"serve.slo.burns", s.burns_fired});
   }
   if (calibration_on) {
     AppendCalibrationGauges(&snap, "serve", service.CalibrationSnapshot());
@@ -339,9 +338,11 @@ std::unique_ptr<obs::MetricsExposer> MaybeStartExposer(
 }
 
 /// --metrics-linger-ms: hold the exposer up after the replay so external
-/// scrapers have a stable target.
+/// scrapers have a stable target. The run's report is flushed first, so a
+/// scraper can read it while the exposer is still up.
 void LingerExposer(const Config& cfg, const obs::MetricsExposer* exposer) {
   if (exposer == nullptr || cfg.metrics_linger_ms <= 0.0) return;
+  std::fflush(stdout);
   std::this_thread::sleep_for(
       std::chrono::duration<double, std::milli>(cfg.metrics_linger_ms));
 }
