@@ -10,9 +10,10 @@
 # calibration aggregator and drift-policy suites, the regret-planner and
 # uncertainty-box suites incl. the widen-mode drift loop, the columnar
 # batch-executor differential and shared-profile concurrency suites, and
-# the PR 10 telemetry suites — exposer scrapes, SLO burn recording, and the
-# shard-flapping calibration/trace-join stress tests, and the shared
-# DatasetEstimator suites) plus the fault suites again.
+# the telemetry suites — exposer scrapes, SLO burn recording, the dist
+# trace-parentage check on spans as recorded, and the shard-flapping
+# calibration/trace stress tests, and the shared DatasetEstimator suites)
+# plus the fault suites again.
 # Usage: scripts/check.sh [--skip-sanitizers]
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "core/schema.h"
 #include "obs/prometheus.h"
-#include "obs/trace_join.h"
 
 namespace caqp {
 namespace obs {
@@ -237,11 +236,6 @@ void WriteTraceEvent(JsonWriter& w, const SpanEvent& ev) {
 }  // namespace
 
 std::string TraceEventsToJson(const TraceRecorder& recorder) {
-  return TraceEventsToJson(recorder, recorder.Events());
-}
-
-std::string TraceEventsToJson(const TraceRecorder& recorder,
-                              const std::vector<SpanEvent>& events) {
   JsonWriter w;
   w.BeginObject();
   w.Key("displayTimeUnit").String("ms");
@@ -258,7 +252,7 @@ std::string TraceEventsToJson(const TraceRecorder& recorder,
     w.Key("args").BeginObject().Key("name").String(name).EndObject();
     w.EndObject();
   }
-  for (const SpanEvent& ev : events) WriteTraceEvent(w, ev);
+  for (const SpanEvent& ev : recorder.Events()) WriteTraceEvent(w, ev);
   w.EndArray();
   w.Key("caqpFlightRecorder").BeginArray();
   for (const TraceRecorder::Incident& incident : recorder.Incidents()) {
@@ -277,44 +271,6 @@ std::string TraceEventsToJson(const TraceRecorder& recorder,
   w.Key("caqpDroppedSpanEvents").UInt(recorder.dropped_events());
   w.EndObject();
   return w.TakeString();
-}
-
-std::string UnifiedTraceToJson(const TraceRecorder& recorder) {
-  const TraceJoinResult joined = JoinTraces(recorder.Events());
-  std::vector<SpanEvent> flat;
-  flat.reserve(joined.total_events);
-  for (const JoinedTrace& trace : joined.traces) {
-    flat.insert(flat.end(), trace.events.begin(), trace.events.end());
-  }
-  std::string doc = TraceEventsToJson(recorder, flat);
-
-  // Splice the join summary in before the closing brace; the document the
-  // overload returns is always a single JSON object.
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("traces").BeginArray();
-  for (const JoinedTrace& trace : joined.traces) {
-    w.BeginObject();
-    w.Key("trace_id").UInt(trace.trace_id);
-    w.Key("root_span_id").UInt(trace.root_span_id);
-    w.Key("root_name").String(trace.root_name);
-    w.Key("events").UInt(trace.events.size());
-    w.Key("adopted_orphans").UInt(trace.adopted_orphans);
-    w.Key("duplicate_span_ids").UInt(trace.duplicate_span_ids);
-    w.Key("all_under_root").Bool(trace.AllUnderRoot());
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("total_adopted").UInt(joined.total_adopted);
-  w.Key("total_duplicates").UInt(joined.total_duplicates);
-  w.EndObject();
-
-  CAQP_DCHECK(!doc.empty() && doc.back() == '}');
-  doc.pop_back();
-  doc += ",\"caqpTraceJoin\":";
-  doc += w.TakeString();
-  doc += '}';
-  return doc;
 }
 
 void WritePlannerStats(JsonWriter& w, const PlannerStats& stats) {

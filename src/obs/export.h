@@ -82,23 +82,11 @@ void WriteHistogram(JsonWriter& w, const HistogramSnapshot& hist);
 ///    "caqpFlightRecorder":[{"trace_id","reason","worker","at_us",
 ///                           "events":[...]},...],
 ///    "caqpDroppedSpanEvents":N}
-/// Spans nest in the viewer by time containment within a tid ("X" complete
-/// events); args carry the exact parentage for programmatic consumers.
+/// Spans are listed in start-tick order and nest in the viewer by time
+/// containment within a tid ("X" complete events); args carry the parentage
+/// each span was recorded with, which already crosses workers (a dist
+/// shard's spans name the coordinator's scatter span as parent).
 std::string TraceEventsToJson(const TraceRecorder& recorder);
-
-/// As above, but over an explicit event list (the recorder still supplies
-/// the worker count for thread names, the flight-recorder incidents, and
-/// the drop counter). Used by UnifiedTraceToJson after a TraceJoin pass.
-std::string TraceEventsToJson(const TraceRecorder& recorder,
-                              const std::vector<SpanEvent>& events);
-
-/// The dist-mode trace export: runs TraceJoin over the recorder's events so
-/// shard spans land under their coordinator request span, then serializes
-/// the joined stream as one Perfetto document. The document additionally
-/// carries a "caqpTraceJoin" summary (per-trace root span, adopted-orphan
-/// and duplicate-id counts) so CI can validate the join without replaying
-/// the parentage walk.
-std::string UnifiedTraceToJson(const TraceRecorder& recorder);
 
 /// Emits `stats` as an object of its non-identifying fields.
 void WritePlannerStats(JsonWriter& w, const PlannerStats& stats);

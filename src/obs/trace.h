@@ -138,32 +138,6 @@ class AttributeProfile : public TraceSink {
   double total_cost_ = 0.0;
 };
 
-/// Fans one event stream out to several sinks (e.g. a per-tuple trace plus
-/// a profile). Ignores null entries.
-class TeeTraceSink : public TraceSink {
- public:
-  TeeTraceSink(TraceSink* a, TraceSink* b) : sinks_{a, b} {}
-
-  void OnAcquire(AttrId attr, Value value, double marginal_cost) override {
-    for (TraceSink* s : sinks_) {
-      if (s) s->OnAcquire(attr, value, marginal_cost);
-    }
-  }
-  void OnBranch(AttrId attr, Value split_value, bool went_ge) override {
-    for (TraceSink* s : sinks_) {
-      if (s) s->OnBranch(attr, split_value, went_ge);
-    }
-  }
-  void OnVerdict(bool verdict, double total_cost) override {
-    for (TraceSink* s : sinks_) {
-      if (s) s->OnVerdict(verdict, total_cost);
-    }
-  }
-
- private:
-  TraceSink* sinks_[2];
-};
-
 }  // namespace caqp
 
 #endif  // CAQP_OBS_TRACE_H_

@@ -32,7 +32,7 @@ class AdaptivePlanner {
     /// Invoked (on the Observe thread) each time a replan is adopted — i.e.
     /// the window distribution drifted enough that plans built from older
     /// statistics are stale. Serving layers hook cache invalidation here
-    /// (serve::QueryService::InvalidationHook()).
+    /// (serve::QueryService::InvalidateCache()).
     std::function<void()> on_plan_adopted;
   };
 

@@ -58,21 +58,19 @@ BatchPlanView::BatchPlanView(const CompiledPlan& plan) : plan_(&plan) {
   // their attribute for both children (the walk acquires before branching).
   struct Item {
     uint32_t plan_index = 0;
-    uint32_t level = 0;
     AttrSet entry;
   };
   std::vector<Item> order;
   order.reserve(n);
-  order.push_back(Item{0, 0, AttrSet::None()});
+  order.push_back(Item{0, AttrSet::None()});
   for (size_t head = 0; head < order.size(); ++head) {
     const Item it = order[head];  // by value: push_back may reallocate
     const CompiledPlan::Node& pn = plan.node(it.plan_index);
     if (pn.kind == CompiledPlan::Kind::kSplit) {
       AttrSet child = it.entry;
       if (pn.first_acquisition()) child.Insert(pn.attr);
-      order.push_back(
-          Item{CompiledPlan::LtChild(it.plan_index), it.level + 1, child});
-      order.push_back(Item{pn.a, it.level + 1, child});
+      order.push_back(Item{CompiledPlan::LtChild(it.plan_index), child});
+      order.push_back(Item{pn.a, child});
     }
   }
   // Every node is reachable from the root exactly once (it's a tree).
@@ -85,7 +83,6 @@ BatchPlanView::BatchPlanView(const CompiledPlan& plan) : plan_(&plan) {
   for (uint32_t s = 0; s < order.size(); ++s) {
     const Item& it = order[s];
     const CompiledPlan::Node& pn = plan.node(it.plan_index);
-    while (level_begin_.size() <= it.level) level_begin_.push_back(s);
 
     Node& bn = nodes_[s];
     bn.plan_index = it.plan_index;
@@ -142,7 +139,6 @@ BatchPlanView::BatchPlanView(const CompiledPlan& plan) : plan_(&plan) {
       }
     }
   }
-  level_begin_.push_back(static_cast<uint32_t>(order.size()));
 }
 
 }  // namespace caqp

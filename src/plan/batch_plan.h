@@ -8,11 +8,10 @@
 // everything the columnar executor needs to run without touching the plan
 // tree or the cost model inside its row loops:
 //
-//  * slot order — nodes_[s] for s = 0..n-1 with every parent at a lower slot
-//    than its children and each level contiguous (level() exposes the
-//    [begin, end) slot span per depth). A single forward pass over slots
-//    therefore visits parents before children: selection vectors can be
-//    produced and consumed in one sweep.
+//  * slot order — nodes_[s] for s = 0..n-1 in BFS order, so every parent
+//    sits at a lower slot than its children. A single forward pass over
+//    slots therefore visits parents before children: selection vectors can
+//    be produced and consumed in one sweep.
 //  * static acquisition metadata — the set of attributes already acquired
 //    when a tuple *enters* a node is a property of the node, not the tuple:
 //    the root path to a node is unique, and the split walk acquires exactly
@@ -38,7 +37,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/predicate.h"
@@ -114,19 +112,10 @@ class BatchPlanView {
     return {steps_.data() + n.steps, n.num_steps};
   }
 
-  /// Number of BFS levels (== CompiledPlan depth + 1).
-  size_t num_levels() const { return level_begin_.size() - 1; }
-  /// [begin, end) slot span of level `l` (levels are contiguous in slot
-  /// order; level 0 is {root}).
-  std::pair<uint32_t, uint32_t> level(size_t l) const {
-    return {level_begin_[l], level_begin_[l + 1]};
-  }
-
  private:
   const CompiledPlan* plan_;
   std::vector<Node> nodes_;
   std::vector<AcqStep> steps_;
-  std::vector<uint32_t> level_begin_;
 };
 
 }  // namespace caqp

@@ -397,10 +397,6 @@ opt::UncertaintyBox QueryService::CurrentUncertaintyBox() const {
 
 void QueryService::InvalidateCache() { store_.Invalidate(); }
 
-std::function<void()> QueryService::InvalidationHook() {
-  return [this] { InvalidateCache(); };
-}
-
 ServeReport QueryService::Report() const {
   // ServeReport and WorkerReport share these fields.
   const auto read = [](const obs::RegistrySnapshot& snap, auto& out) {

@@ -26,8 +26,8 @@
 // Invalidation: InvalidateCache() bumps the estimator version (a component
 // of every cache key) and eagerly clears the cache. Wire it to the adaptive
 // replanner via AdaptivePlanner::Options::on_plan_adopted =
-// service.InvalidationHook() so a detected distribution shift immediately
-// stops serving stale plans.
+// [&service] { service.InvalidateCache(); } so a detected distribution
+// shift immediately stops serving stale plans.
 //
 // Observability (caqp::obs v2): per-request metrics — counts and the
 // request-latency histogram behind Report() — are written to per-worker
@@ -298,15 +298,11 @@ class QueryService {
                          double deadline_seconds = -1.0);
 
   /// Estimator refresh: bumps the version component of future cache keys
-  /// and eagerly drops all cached plans. A request racing with the bump may
-  /// still insert a plan under the old version; such entries are
-  /// unreachable afterwards and age out of the LRU.
+  /// and eagerly drops all cached plans. Safe to call from any thread. A
+  /// request racing with the bump may still insert a plan under the old
+  /// version; such entries are unreachable afterwards and age out of the
+  /// LRU.
   void InvalidateCache();
-
-  /// Callback form of InvalidateCache, shaped for
-  /// AdaptivePlanner::Options::on_plan_adopted. Safe to call from any
-  /// thread; must not outlive the service.
-  std::function<void()> InvalidationHook();
 
   uint64_t estimator_version() const { return store_.version(); }
 

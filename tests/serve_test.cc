@@ -15,7 +15,6 @@
 
 #include "core/query_signature.h"
 #include "obs/registry.h"
-#include "obs/trace_join.h"
 #include "opt/adaptive.h"
 #include "opt/greedy_plan.h"
 #include "opt/greedyseq.h"
@@ -564,7 +563,7 @@ TEST(ServeQueryServiceTest, AdaptiveAdoptionInvalidatesTheCache) {
   aopts.split_points = &splits;
   aopts.seq_solver = &optseq;
   aopts.max_splits = 4;
-  aopts.on_plan_adopted = service.InvalidationHook();
+  aopts.on_plan_adopted = [&service] { service.InvalidateCache(); };
   AdaptivePlanner adaptive(schema, query, cm, aopts);
 
   // Populate the cache, then drive the stream until a replan is adopted.
@@ -997,17 +996,14 @@ TEST(ServeObsTest, CacheHitSpansJoinUnderTheirRequestRoot) {
     ASSERT_TRUE(resp.cache_hit);
     hit_ids.push_back(resp.trace_id);
   }
-  const obs::TraceJoinResult joined =
-      obs::JoinTraces(service.trace_recorder().Events());
+  const std::vector<obs::SpanEvent> events =
+      service.trace_recorder().Events();
   for (const uint64_t trace_id : hit_ids) {
-    const obs::JoinedTrace* trace = joined.Find(trace_id);
-    ASSERT_NE(trace, nullptr);
-    EXPECT_EQ(std::string_view(trace->root_name), "request");
-    EXPECT_EQ(trace->adopted_orphans, 0u);
-    EXPECT_EQ(trace->duplicate_span_ids, 0u);
-    EXPECT_TRUE(trace->AllUnderRoot()) << "trace " << trace_id;
-    EXPECT_GE(trace->events.size(), 3u);  // request, plan, exec
-    for (const obs::SpanEvent& ev : trace->events) {
+    std::vector<obs::SpanEvent> spans;
+    ASSERT_TRUE(
+        testing_util::TraceIsOneTree(events, trace_id, "request", &spans));
+    EXPECT_GE(spans.size(), 3u);  // request, plan, exec
+    for (const obs::SpanEvent& ev : spans) {
       // Recorded in the submitter slot, carrying the plan's cache key.
       EXPECT_EQ(ev.worker, service.num_workers());
       EXPECT_EQ(ev.plan.query_sig, QuerySignature(q));

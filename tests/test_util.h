@@ -5,13 +5,18 @@
 #ifndef CAQP_TESTS_TEST_UTIL_H_
 #define CAQP_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/dataset.h"
 #include "core/query.h"
 #include "exec/executor.h"
+#include "obs/span.h"
 #include "plan/compiled_plan.h"
 #include "plan/plan.h"
 #include "prob/estimator.h"
@@ -317,6 +322,52 @@ inline ExecutionResult ExecuteTreeReference(
   }
   out.verdict = out.verdict3 == Truth::kTrue;
   return out;
+}
+
+/// Checks trace `trace_id` in `events` (TraceRecorder::Events(), the spans
+/// exactly as recorded, nothing re-parented): it has exactly one parentless
+/// span, named `root_name`; no span id occurs twice; and every other span
+/// reaches that root through parent ids recorded in the same trace. When
+/// `spans` is non-null it receives the trace's events in recorder order.
+inline ::testing::AssertionResult TraceIsOneTree(
+    const std::vector<obs::SpanEvent>& events, uint64_t trace_id,
+    std::string_view root_name, std::vector<obs::SpanEvent>* spans = nullptr) {
+  std::vector<obs::SpanEvent> trace;
+  for (const obs::SpanEvent& ev : events) {
+    if (ev.trace_id == trace_id) trace.push_back(ev);
+  }
+  auto fail = [&] {
+    return ::testing::AssertionFailure() << "trace " << trace_id << ": ";
+  };
+  std::unordered_map<uint32_t, uint32_t> parent_of;
+  const obs::SpanEvent* root = nullptr;
+  for (const obs::SpanEvent& ev : trace) {
+    if (!parent_of.emplace(ev.span_id, ev.parent_id).second) {
+      return fail() << "span id " << ev.span_id << " recorded twice";
+    }
+    if (ev.parent_id != 0) continue;
+    if (root != nullptr) {
+      return fail() << "two parentless spans, " << root->name << " and "
+                    << ev.name;
+    }
+    root = &ev;
+  }
+  if (root == nullptr) return fail() << "no parentless span";
+  if (root->name != root_name) return fail() << "root named " << root->name;
+  for (const obs::SpanEvent& ev : trace) {
+    // A walk longer than the trace is a parent cycle.
+    uint32_t cur = ev.span_id;
+    for (size_t steps = 0; cur != root->span_id; ++steps) {
+      const auto it = parent_of.find(cur);
+      if (it == parent_of.end() || steps == trace.size()) {
+        return fail() << ev.name << " (span " << ev.span_id
+                      << ") does not reach the root";
+      }
+      cur = it->second;
+    }
+  }
+  if (spans != nullptr) *spans = std::move(trace);
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace testing_util

@@ -14,9 +14,8 @@
 // Run `caqp_plan --help` for the full grouped flag listing.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,6 +34,7 @@
 #include "plan/plan_printer.h"
 #include "plan/plan_serde.h"
 #include "prob/dataset_estimator.h"
+#include "flag_values.h"
 
 using namespace caqp;
 
@@ -47,10 +47,9 @@ struct WhereSpec {
   bool negated = false;
 };
 
-[[noreturn]] void Die(const std::string& msg) {
-  std::fprintf(stderr, "caqp_plan: %s\n", msg.c_str());
-  std::exit(1);
-}
+constexpr char kProgram[] = "caqp_plan";
+
+[[noreturn]] void Die(const std::string& msg) { tools::Die(kProgram, msg); }
 
 std::vector<std::string> SplitColon(const std::string& s) {
   std::vector<std::string> parts;
@@ -65,13 +64,6 @@ std::vector<std::string> SplitColon(const std::string& s) {
     start = pos + 1;
   }
   return parts;
-}
-
-long ParseLong(const std::string& s, const std::string& what) {
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') Die("bad " + what + ": '" + s + "'");
-  return v;
 }
 
 void PrintHelp() {
@@ -112,19 +104,23 @@ void PrintHelp() {
 
 /// TraceSink that writes one JSON line per executed tuple: the acquisition
 /// order with per-attribute marginal costs, the branch path through the
-/// split tree, and the final verdict.
+/// split tree, and the final verdict. Every event also feeds profile(), the
+/// per-attribute acquisition histogram behind the trace's summary line.
 class JsonlTraceSink : public TraceSink {
  public:
   JsonlTraceSink(std::ofstream& out, const Schema& schema)
-      : out_(out), schema_(schema) {}
+      : out_(out), schema_(schema), profile_(schema.num_attributes()) {}
 
   void OnAcquire(AttrId attr, Value value, double marginal_cost) override {
+    profile_.OnAcquire(attr, value, marginal_cost);
     acquisitions_.push_back({attr, value, marginal_cost});
   }
   void OnBranch(AttrId attr, Value split_value, bool went_ge) override {
+    profile_.OnBranch(attr, split_value, went_ge);
     branches_.push_back({attr, split_value, went_ge});
   }
   void OnVerdict(bool verdict, double total_cost) override {
+    profile_.OnVerdict(verdict, total_cost);
     obs::JsonWriter w;
     w.BeginObject();
     w.Key("tuple").UInt(tuple_++);
@@ -154,9 +150,12 @@ class JsonlTraceSink : public TraceSink {
     branches_.clear();
   }
 
+  const AttributeProfile& profile() const { return profile_; }
+
  private:
   std::ofstream& out_;
   const Schema& schema_;
+  AttributeProfile profile_;
   uint64_t tuple_ = 0;
   std::vector<TraceAcquisition> acquisitions_;
   std::vector<TraceBranch> branches_;
@@ -183,6 +182,12 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) Die("missing value after " + arg);
       return argv[++i];
     };
+    auto count = [&](const std::string& text, uint64_t max) {
+      return tools::ParseCountFlag(kProgram, arg, text, max);
+    };
+    auto real = [&](const std::string& text) {
+      return tools::ParseRealFlag(kProgram, arg, text);
+    };
     if (arg == "--csv") {
       csv_path = next();
     } else if (arg == "--attr") {
@@ -190,8 +195,8 @@ int main(int argc, char** argv) {
       if (parts.size() != 3) Die("--attr expects NAME:BINS:COST");
       CsvColumnSpec spec;
       spec.name = parts[0];
-      spec.bins = static_cast<uint32_t>(ParseLong(parts[1], "bins"));
-      spec.cost = std::strtod(parts[2].c_str(), nullptr);
+      spec.bins = static_cast<uint32_t>(count(parts[1], UINT32_MAX));
+      spec.cost = real(parts[2]);
       attrs.push_back(spec);
     } else if (arg == "--where") {
       const auto parts = SplitColon(next());
@@ -200,22 +205,24 @@ int main(int argc, char** argv) {
       }
       WhereSpec w;
       w.name = parts[0];
-      w.lo = static_cast<Value>(ParseLong(parts[1], "lo"));
-      w.hi = static_cast<Value>(ParseLong(parts[2], "hi"));
+      constexpr uint64_t kMaxValue = std::numeric_limits<Value>::max();
+      w.lo = static_cast<Value>(count(parts[1], kMaxValue));
+      w.hi = static_cast<Value>(count(parts[2], kMaxValue));
       w.negated = parts.size() == 4 && parts[3] == "not";
       wheres.push_back(w);
     } else if (arg == "--planner") {
       planner_name = next();
     } else if (arg == "--max-splits") {
-      max_splits = static_cast<size_t>(ParseLong(next(), "max-splits"));
+      max_splits = count(next(), std::numeric_limits<size_t>::max());
     } else if (arg == "--train-frac") {
-      train_frac = std::strtod(next().c_str(), nullptr);
+      train_frac = real(next());
     } else if (arg == "--spsf") {
-      spsf_log10 = std::strtod(next().c_str(), nullptr);
+      spsf_log10 = real(next());
     } else if (arg == "--uncertainty") {
-      uncertainty_eps = std::strtod(next().c_str(), nullptr);
+      uncertainty_eps = real(next());
     } else if (arg.rfind("--uncertainty=", 0) == 0) {
-      uncertainty_eps = std::strtod(arg.c_str() + 14, nullptr);
+      uncertainty_eps =
+          tools::ParseRealFlag(kProgram, "--uncertainty", arg.substr(14));
     } else if (arg == "--explain") {
       explain = true;
     } else if (arg == "--emit") {
@@ -347,22 +354,18 @@ int main(int argc, char** argv) {
   // then one {"summary": ...} line with the acquisition histogram.
   std::ofstream trace_file;
   std::unique_ptr<JsonlTraceSink> jsonl;
-  AttributeProfile profile(schema.num_attributes());
-  std::unique_ptr<TeeTraceSink> tee;
-  TraceSink* sink = nullptr;
   if (!trace_out.empty()) {
     trace_file.open(trace_out);
     if (!trace_file) Die("cannot open --trace-out " + trace_out);
     jsonl = std::make_unique<JsonlTraceSink>(trace_file, schema);
-    tee = std::make_unique<TeeTraceSink>(jsonl.get(), &profile);
-    sink = tee.get();
   }
-  const auto r_test = EmpiricalPlanCost(plan, test, query, cost_model, sink);
-  if (sink != nullptr) {
+  const auto r_test =
+      EmpiricalPlanCost(plan, test, query, cost_model, jsonl.get());
+  if (jsonl != nullptr) {
     obs::JsonWriter w;
     w.BeginObject();
     w.Key("summary");
-    obs::WriteAttributeProfile(w, profile, &schema);
+    obs::WriteAttributeProfile(w, jsonl->profile(), &schema);
     w.EndObject();
     trace_file << w.str() << "\n";
     trace_file.close();

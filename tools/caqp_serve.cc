@@ -82,7 +82,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -108,15 +108,15 @@
 #include "opt/uncertainty.h"
 #include "prob/dataset_estimator.h"
 #include "serve/query_service.h"
+#include "flag_values.h"
 
 using namespace caqp;
 
 namespace {
 
-[[noreturn]] void Die(const std::string& msg) {
-  std::fprintf(stderr, "caqp_serve: %s\n", msg.c_str());
-  std::exit(1);
-}
+constexpr char kProgram[] = "caqp_serve";
+
+[[noreturn]] void Die(const std::string& msg) { tools::Die(kProgram, msg); }
 
 struct Config {
   size_t workers = 4;
@@ -239,9 +239,10 @@ void PrintHelp() {
       "  --metrics-linger-ms L keep the exposer up this long after the\n"
       "                        replay finishes (default 0)\n"
       "  --trace-out PATH      Chrome/Perfetto trace-event JSON (enables\n"
-      "                        tracing + flight recorder); in dist mode the\n"
-      "                        trace is the unified coordinator+shard join\n"
-      "                        with a caqpTraceJoin summary\n"
+      "                        tracing + flight recorder); in dist mode one\n"
+      "                        document holds the coordinator (tid 0) and\n"
+      "                        shard (tid i+1) spans, every shard span\n"
+      "                        parented under its query's dist.query span\n"
       "  --serve-report-out PATH  ServeReport (serve mode) or DistReport\n"
       "                        (dist mode) as JSON\n"
       "  --span-buffer N       span-ring entries per worker (default 32768;\n"
@@ -621,11 +622,11 @@ int RunDist(const Config& cfg, const Dataset& train, const Dataset& test,
     }
   }
   if (!cfg.trace_out.empty()) {
-    // Unified trace: coordinator and shard spans joined per trace_id (every
-    // shard span parented under the coordinator's request span) plus a
-    // caqpTraceJoin summary block asserting the join's integrity.
+    // One document for the coordinator (tid 0) and every shard (tid i + 1):
+    // each shard span was recorded with the coordinator's scatter span as
+    // its parent, so every trace_id is one tree under its dist.query span.
     const std::string trace_json =
-        obs::UnifiedTraceToJson(coord.trace_recorder());
+        obs::TraceEventsToJson(coord.trace_recorder());
     if (obs::WriteFileOrComplain(cfg.trace_out, trace_json)) {
       std::printf("[wrote %s — open at https://ui.perfetto.dev]\n",
                   cfg.trace_out.c_str());
@@ -661,8 +662,11 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) Die("missing value after " + arg);
       return argv[++i];
     };
-    auto next_num = [&]() {
-      return std::strtoull(next().c_str(), nullptr, 10);
+    auto next_num = [&](uint64_t max = std::numeric_limits<size_t>::max()) {
+      return tools::ParseCountFlag(kProgram, arg, next(), max);
+    };
+    auto next_real = [&] {
+      return tools::ParseRealFlag(kProgram, arg, next());
     };
     if (arg == "--workers") {
       cfg.workers = next_num();
@@ -675,9 +679,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--tuples") {
       cfg.tuples = next_num();
     } else if (arg == "--attrs") {
-      cfg.attrs = static_cast<uint32_t>(next_num());
+      cfg.attrs = static_cast<uint32_t>(next_num(UINT32_MAX));
     } else if (arg == "--gamma") {
-      cfg.gamma = static_cast<uint32_t>(next_num());
+      cfg.gamma = static_cast<uint32_t>(next_num(UINT32_MAX));
     } else if (arg == "--planner") {
       cfg.planner = next();
     } else if (arg == "--max-splits") {
@@ -687,27 +691,27 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-cache") {
       cfg.cache_capacity = 0;
     } else if (arg == "--deadline-ms") {
-      cfg.deadline_ms = std::strtod(next().c_str(), nullptr);
+      cfg.deadline_ms = next_real();
     } else if (arg == "--planner-timeout-ms") {
-      cfg.planner_timeout_ms = std::strtod(next().c_str(), nullptr);
+      cfg.planner_timeout_ms = next_real();
     } else if (arg == "--max-queue-depth") {
       cfg.max_queue_depth = next_num();
     } else if (arg == "--metrics-out") {
       cfg.metrics_out = next();
     } else if (arg == "--metrics-port") {
-      cfg.metrics_port = static_cast<int>(next_num());
+      cfg.metrics_port = static_cast<int>(next_num(UINT16_MAX));
     } else if (arg == "--metrics-port-file") {
       cfg.metrics_port_file = next();
     } else if (arg == "--metrics-linger-ms") {
-      cfg.metrics_linger_ms = std::strtod(next().c_str(), nullptr);
+      cfg.metrics_linger_ms = next_real();
     } else if (arg == "--span-buffer") {
       cfg.span_buffer = next_num();
     } else if (arg == "--slo-latency-ms") {
-      cfg.slo_latency_ms = std::strtod(next().c_str(), nullptr);
+      cfg.slo_latency_ms = next_real();
     } else if (arg == "--slo-availability-target") {
-      cfg.slo_availability_target = std::strtod(next().c_str(), nullptr);
+      cfg.slo_availability_target = next_real();
     } else if (arg == "--slo-latency-target") {
-      cfg.slo_latency_target = std::strtod(next().c_str(), nullptr);
+      cfg.slo_latency_target = next_real();
     } else if (arg == "--trace-out") {
       cfg.trace_out = next();
     } else if (arg == "--calibration-out") {
@@ -715,15 +719,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--serve-report-out") {
       cfg.serve_report_out = next();
     } else if (arg == "--drift-threshold") {
-      cfg.drift_threshold = std::strtod(next().c_str(), nullptr);
+      cfg.drift_threshold = next_real();
     } else if (arg == "--drift-windows") {
-      cfg.drift_windows = static_cast<int>(next_num());
+      cfg.drift_windows =
+          static_cast<int>(next_num(std::numeric_limits<int>::max()));
     } else if (arg == "--drift-interval-ms") {
-      cfg.drift_interval_ms = std::strtod(next().c_str(), nullptr);
+      cfg.drift_interval_ms = next_real();
     } else if (arg == "--robust-drift") {
       cfg.robust_drift = true;
     } else if (arg == "--shift-at") {
-      cfg.shift_at = std::strtod(next().c_str(), nullptr);
+      cfg.shift_at = next_real();
     } else if (arg == "--seed") {
       cfg.seed = next_num();
     } else if (arg == "--shards") {
@@ -731,7 +736,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--partition") {
       cfg.partition = next();
     } else if (arg == "--shard-deadline-ms") {
-      cfg.shard_deadline_ms = std::strtod(next().c_str(), nullptr);
+      cfg.shard_deadline_ms = next_real();
     } else if (arg == "--shard-fault-profile") {
       cfg.shard_fault_profile = next();
     } else if (arg == "--fault-profile") {

@@ -33,7 +33,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -58,15 +58,15 @@
 #include "opt/naive.h"
 #include "plan/plan_printer.h"
 #include "prob/dataset_estimator.h"
+#include "flag_values.h"
 
 using namespace caqp;
 
 namespace {
 
-[[noreturn]] void Die(const std::string& msg) {
-  std::fprintf(stderr, "caqp_simulate: %s\n", msg.c_str());
-  std::exit(1);
-}
+constexpr char kProgram[] = "caqp_simulate";
+
+[[noreturn]] void Die(const std::string& msg) { tools::Die(kProgram, msg); }
 
 struct Config {
   std::string network = "garden";
@@ -255,19 +255,21 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) Die("missing value after " + arg);
       return argv[++i];
     };
+    auto next_num = [&](uint64_t max = std::numeric_limits<size_t>::max()) {
+      return tools::ParseCountFlag(kProgram, arg, next(), max);
+    };
     if (arg == "--network") {
       cfg.network = next();
     } else if (arg == "--motes") {
-      cfg.motes = static_cast<size_t>(std::strtoul(next().c_str(), nullptr, 10));
+      cfg.motes = next_num();
     } else if (arg == "--epochs") {
-      cfg.epochs = static_cast<size_t>(std::strtoul(next().c_str(), nullptr, 10));
+      cfg.epochs = next_num();
     } else if (arg == "--max-splits") {
-      cfg.max_splits =
-          static_cast<size_t>(std::strtoul(next().c_str(), nullptr, 10));
+      cfg.max_splits = next_num();
     } else if (arg == "--drop-prob") {
-      cfg.drop_prob = std::strtod(next().c_str(), nullptr);
+      cfg.drop_prob = tools::ParseRealFlag(kProgram, arg, next());
     } else if (arg == "--limit") {
-      cfg.limit = static_cast<size_t>(std::strtoul(next().c_str(), nullptr, 10));
+      cfg.limit = next_num();
     } else if (arg == "--fault-profile") {
       const Result<FaultSpec> spec = FaultSpec::Parse(next());
       if (!spec.ok()) Die("bad --fault-profile: " + spec.status().message());
@@ -284,7 +286,8 @@ int main(int argc, char** argv) {
         Die("unknown --policy " + p + " (want unknown|retry|abort)");
       }
     } else if (arg == "--max-retries") {
-      const int n = static_cast<int>(std::strtol(next().c_str(), nullptr, 10));
+      const int n =
+          static_cast<int>(next_num(std::numeric_limits<int>::max()));
       if (n < 1) Die("--max-retries must be >= 1");
       cfg.policy.max_attempts = n;
     } else if (arg == "--metrics-out") {
