@@ -14,16 +14,16 @@
 // clock on fewer cores, so constrained machines report the numbers without
 // failing (merge equivalence is always enforced).
 //
-// Why 2x and not 4x: the single shard is faster per row. Hash(1) gives it
-// every row in order, consecutive RowIds, so it runs the AVX-512 masked
-// engine (exec/batch_masked.h). Each of the four hash shards holds
-// interleaved rows and runs the selection kernels instead. On this
-// workload's plans, one thread on a 4-vCPU AVX-512 VM measured 3.4-3.6
-// ns/row for all rows on the masked engine and 6.7-7.0 ns/row for one hash
-// shard's rows, so four shards on four cores top out near 2x before the
-// coordinator and the clients take their share of the same cores. A query
-// costs the single shard ~0.3 ms of row work; the coordinator's own share
-// is O(shards) (dist/coordinator.h), ~13 us in a traced run.
+// Why 2x and not 4x: the four shards share four cores with the coordinator
+// and the clients. Every shard scans its own copy of its rows, local rows
+// 0..n-1 (dist/shard.h), so Hash(1)'s single shard and each of the four
+// hash shards run the same AVX-512 masked engine (exec/batch_masked.h)
+// where the CPU has it, at 3.4-3.6 ns/row on this workload's plans (one
+// thread, 4-vCPU AVX-512 VM), and the ratio reads about 3x there. The bar
+// dates from when a hash shard ran the selection kernels over its
+// interleaved global ids at 6.7-7.0 ns/row, which held the ratio near 2x.
+// A query costs the single shard ~0.3 ms of row work; the coordinator's
+// own share is O(shards) (dist/coordinator.h), ~13 us in a traced run.
 //
 // Protocol: each config runs fixed-duration rounds of kRoundSeconds, one
 // warm-up round each, then kRounds rounds alternating which config goes

@@ -1,6 +1,7 @@
 #include "dist/shard.h"
 
 #include <chrono>
+#include <numeric>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -26,6 +27,13 @@ Status ParseSizeT(const std::string& text, size_t* out,
   }
   *out = static_cast<size_t>(v);
   return Status::OK();
+}
+
+/// 0..n-1: the rows of a shard's local copy.
+std::vector<RowId> LocalRows(size_t n) {
+  std::vector<RowId> rows(n);
+  std::iota(rows.begin(), rows.end(), RowId{0});
+  return rows;
 }
 
 }  // namespace
@@ -114,19 +122,22 @@ ExecutorShard::ExecutorShard(size_t shard_id, const Dataset& data,
                              const AcquisitionCostModel& cost_model,
                              Options options)
     : shard_id_(shard_id),
-      data_(data),
       rows_(std::move(rows)),
+      dataset_rows_(data.num_rows()),
+      local_(data.Select(rows_)),
+      local_rows_(LocalRows(rows_.size())),
       cost_model_(cost_model),
       options_(std::move(options)),
       plan_cache_(serve::ShardedPlanCache::Options{kPlanCacheCapacity,
                                                    /*shards=*/1}) {
   if (options_.acquisition_faults.any()) {
     // Faults are keyed by global row id, so a row's faults do not depend on
-    // its shard. Its attempt-0 outcomes are drawn here, once, over the rows
-    // every request executes.
+    // its shard. Its attempt-0 outcomes are drawn here, once, positioned
+    // over the local rows every request executes and keyed by their global
+    // ids.
     faults_ = std::make_unique<const FaultRealization>(
-        FaultInjector(options_.acquisition_faults), rows_,
-        data_.schema().num_attributes());
+        FaultInjector(options_.acquisition_faults), local_rows_,
+        local_.schema().num_attributes(), rows_);
   }
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *options_.metrics;
@@ -197,14 +208,14 @@ ShardReply ExecutorShard::Handle(const ShardRequest& request,
   }
 
   CAQP_CHECK(request.verdicts != nullptr &&
-             request.verdicts->size() == data_.num_rows());
+             request.verdicts->size() == dataset_rows_);
   std::shared_ptr<const CompiledPlan> plan = plan_cache_.Get(request.key);
   reply.plan_cache_hit = plan != nullptr;
   if (plan == nullptr) {
     CAQP_OBS_SPAN(decode_span, "shard.plan_decode");
     CAQP_CHECK(request.plan_bytes != nullptr);
     Result<CompiledPlan> decoded =
-        DeserializeCompiledPlan(*request.plan_bytes, data_.schema());
+        DeserializeCompiledPlan(*request.plan_bytes, local_.schema());
     if (!decoded.ok()) {
       // Corrupt plan bytes degrade like a down shard: old cached plans stay
       // installed (mote semantics, net/mote.h), nothing partial executes.
@@ -230,14 +241,15 @@ ShardReply ExecutorShard::Handle(const ShardRequest& request,
     // = exists-a-match, costs/acquisitions sum, acquired unions. In fault
     // mode the stats also carry the Unknown/aborted rows, retries and the
     // failed union, and the row-order cost sum still matches the per-row
-    // merge bitwise.
-    ColumnarBatchExecutor exec(*plan, data_, cost_model_);
+    // merge bitwise. The scan runs over the shard's own copy, local rows
+    // 0..n-1, which take the masked engine where the CPU has one.
+    ColumnarBatchExecutor exec(*plan, local_, cost_model_);
     BatchExecOptions batch_options;
     batch_options.profile = profile;
     batch_options.faults = faults_.get();
     batch_options.policy = options_.row_policy;
     const BatchExecutionStats stats =
-        exec.Execute(rows_, &verdict_scratch_, batch_options);
+        exec.Execute(local_rows_, &verdict_scratch_, batch_options);
     ExecutionResult partial;
     partial.verdict3 = stats.matches > 0   ? Truth::kTrue
                        : stats.unknown > 0 ? Truth::kUnknown
@@ -249,7 +261,8 @@ ShardReply ExecutorShard::Handle(const ShardRequest& request,
     partial.retries = static_cast<int>(stats.total_retries);
     partial.acquired = stats.acquired;
     partial.failed = stats.failed;
-    // In place, into the query's buffer (the file comment in shard.h).
+    // In place, into the query's buffer, in dataset row order (the file
+    // comment in shard.h): local row j is dataset row rows_[j].
     std::vector<Truth>& out = *request.verdicts;
     for (size_t j = 0; j < rows_.size(); ++j) {
       out[rows_[j]] = static_cast<Truth>(verdict_scratch_[j]);

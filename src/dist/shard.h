@@ -1,12 +1,19 @@
 // ExecutorShard: one partition's in-process query agent.
 //
-// A shard owns a disjoint slice of the dataset rows (its "motes"), a single
-// worker thread (serve::ThreadPool of size 1 — requests within a shard are
-// serialized, like a mote network behind one radio), and a per-shard plan
-// cache of 64 plans. The coordinator ships plans as v0xCA wire bytes —
-// exactly what a basestation radios to motes — and the shard decodes them
-// once per PlanKey (core/plan_key.h), caching the CompiledPlan; the cached
-// path never touches the bytes again.
+// A shard owns a disjoint slice of the dataset rows (its "motes"): it copies
+// their columns into a shard-local Dataset once, at construction, and every
+// request scans that copy, local rows 0..n-1. Consecutive rows take the
+// columnar executor's AVX-512 masked engine where the CPU has one, whatever
+// the partitioning. The shard keeps the rows' global ids only to write
+// verdicts back in dataset order and to key its fault draws. The copies
+// cost one extra copy of the dataset across all shards.
+//
+// Each shard also owns a single worker thread (serve::ThreadPool of size 1 —
+// requests within a shard are serialized, like a mote network behind one
+// radio), and a per-shard plan cache of 64 plans. The coordinator ships
+// plans as v0xCA wire bytes — exactly what a basestation radios to motes —
+// and the shard decodes them once per PlanKey (core/plan_key.h), caching
+// the CompiledPlan; the cached path never touches the bytes again.
 //
 // The reply's partial ExecutionResult travels through the result wire format
 // (exec/result_serde.h) even in-process, so the coordinator exercises — and
@@ -31,11 +38,13 @@
 //    faults keyed by (seed, global row id, attribute, attempt), so all
 //    shards share one fault model and a row's outcome does not depend on
 //    the partitioning. The shard draws its rows' attempt-0 outcomes once,
-//    in its constructor (a FaultRealization over its rows: one bit per
-//    row and attribute), and passes them on every request. It stays on the
-//    columnar path in fault mode (exec/batch_executor.h): rows clean on
-//    every attribute a plan can acquire run the fault-free kernels, and
-//    only rows whose acquisition fails finish on the scalar executor.
+//    in its constructor (a FaultRealization positioned over its local rows
+//    and keyed by their global ids: one bit per row and attribute), and
+//    passes them on every request: columns are read at the local row, and
+//    every fault draw is made at the global id. It stays on the columnar
+//    path in fault mode (exec/batch_executor.h): rows clean on every
+//    attribute a plan can acquire run the fault-free kernels, and only rows
+//    whose acquisition fails finish on the scalar executor.
 
 #ifndef CAQP_DIST_SHARD_H_
 #define CAQP_DIST_SHARD_H_
@@ -127,7 +136,9 @@ class ExecutorShard {
     size_t calibration_shard = 0;
   };
 
-  /// `data` must outlive the shard. `rows` is this shard's partition.
+  /// `rows` is this shard's partition of `data`, as dataset row ids. The
+  /// shard copies those rows' columns here and keeps no reference to
+  /// `data`, which may die first. `cost_model` must outlive the shard.
   ExecutorShard(size_t shard_id, const Dataset& data, std::vector<RowId> rows,
                 const AcquisitionCostModel& cost_model, Options options);
 
@@ -187,15 +198,24 @@ class ExecutorShard {
   };
 
   const size_t shard_id_;
-  const Dataset& data_;
+  /// The partition's global row ids: local row j is dataset row rows_[j].
+  /// Used only to write verdicts back in dataset order, and as the fault
+  /// realization's keys.
   const std::vector<RowId> rows_;
+  const size_t dataset_rows_;  ///< rows in the whole dataset
+  /// This shard's rows, copied once at construction: the columns every
+  /// request scans.
+  const Dataset local_;
+  /// 0..n-1: the span every request executes over local_.
+  const std::vector<RowId> local_rows_;
   const AcquisitionCostModel& cost_model_;
   const Options options_;
 
   MetricRefs m_;
   serve::ShardedPlanCache plan_cache_;
-  /// The attempt-0 fault realization of rows_, built once at construction
-  /// and passed to every request's Execute; null without faults.
+  /// The attempt-0 fault realization of local_rows_, keyed by rows_, built
+  /// once at construction and passed to every request's Execute; null
+  /// without faults.
   std::unique_ptr<const FaultRealization> faults_;
   std::atomic<bool> dead_{false};
   std::atomic<bool> killed_by_schedule_{false};

@@ -129,9 +129,24 @@ ColumnarBatchExecutor::ColumnarBatchExecutor(
                      leaf_cost_.size() <= 65535 && !has_generic;
 }
 
-void ColumnarBatchExecutor::EnsureScratch(size_t capacity, bool faulty) {
-  if (capacity > chunk_capacity_ || sel_.size() != view_.num_slots()) {
-    chunk_capacity_ = std::max(capacity, chunk_capacity_);
+void ColumnarBatchExecutor::EnsureScratch(size_t capacity, bool masked,
+                                          bool faulty) {
+  chunk_capacity_ = std::max(capacity, chunk_capacity_);
+  if (masked) {
+    // Per-row lanes are rounded up to whole 32-row blocks: the engine's
+    // 512-bit loads/stores touch full blocks (mask-protected lanes
+    // included), so the buffers must cover the round-up.
+    const size_t blocks = (chunk_capacity_ + 31) / 32;
+    if (mask_alive_.size() < blocks) {
+      mask_slots_.resize(view_.num_slots() * blocks);
+      mask_alive_.resize(blocks);
+      mask_verdict_.resize(blocks);
+      mask_exec_.resize(blocks * 32);
+      mask_cost_idx_.resize(blocks * 32);
+    }
+    return;
+  }
+  if (row_cost_.size() < chunk_capacity_) {
     sel_.resize(view_.num_slots());
     for (auto& s : sel_) s.resize(chunk_capacity_);
     sel_n_.assign(view_.num_slots(), 0);
@@ -139,17 +154,6 @@ void ColumnarBatchExecutor::EnsureScratch(size_t capacity, bool faulty) {
     row_cost_.resize(chunk_capacity_);
     iota_.resize(chunk_capacity_);
     std::iota(iota_.begin(), iota_.end(), SelIdx{0});
-    if (masked_eligible_) {
-      // Per-row lanes are rounded up to whole 32-row blocks: the engine's
-      // 512-bit loads/stores touch full blocks (mask-protected lanes
-      // included), so the buffers must cover the round-up.
-      const size_t blocks = (chunk_capacity_ + 31) / 32;
-      mask_slots_.resize(view_.num_slots() * blocks);
-      mask_alive_.resize(blocks);
-      mask_verdict_.resize(blocks);
-      mask_exec_.resize(blocks * 32);
-      mask_cost_idx_.resize(blocks * 32);
-    }
   }
   // Only fault mode routes and diverts rows: a fault-free scan (a shard
   // builds one executor per request) allocates and zeroes none of these.
@@ -212,10 +216,9 @@ void ColumnarBatchExecutor::SplitKernel(const BatchPlanView::Node& node,
     uint32_t failed = 0;
     for (uint32_t j = 0; j < nd; ++j) {
       const SelIdx pos = div[j];
-      const RowId row = row_ids[pos];
-      if (!ChargeAttempts(row, node.attr, charge, pos, stats)) {
+      if (!ChargeAttempts(node.attr, charge, pos, stats)) {
         div[failed++] = pos;
-      } else if (col[row] >= split_value) {
+      } else if (col[row_ids[pos]] >= split_value) {
         ge_out[ng++] = pos;
       } else {
         lt_out[nl++] = pos;
@@ -322,10 +325,9 @@ void ColumnarBatchExecutor::SeqKernel(const BatchPlanView::Node& node,
         uint32_t failed = 0;
         for (uint32_t j = 0; j < nd; ++j) {
           const SelIdx pos = div[j];
-          const RowId row = row_ids[pos];
-          if (!ChargeAttempts(row, st.attr, charge, pos, stats)) {
+          if (!ChargeAttempts(st.attr, charge, pos, stats)) {
             div[failed++] = pos;
-          } else if (st.pred.Matches(col[row])) {
+          } else if (st.pred.Matches(col[row_ids[pos]])) {
             dst[out++] = pos;
           }
         }
@@ -400,17 +402,19 @@ uint32_t ColumnarBatchExecutor::Route(uint32_t n) {
   return nc;
 }
 
-bool ColumnarBatchExecutor::ChargeAttempts(RowId row, AttrId attr,
-                                           double marginal_cost, SelIdx pos,
+bool ColumnarBatchExecutor::ChargeAttempts(AttrId attr, double marginal_cost,
+                                           SelIdx pos,
                                            BatchExecutionStats* stats) {
   // The per-row walk's attempt-loop additions, in its order: the marginal
   // times the attempt's cost multiplier, times the retry multiplier past
   // the first attempt. Committed only if an attempt succeeds: a failing
-  // acquisition is redone from attempt 0 by the resume.
+  // acquisition is redone from attempt 0 by the resume. The draws are
+  // keyed by the realization's id for the row, not the row itself.
+  const RowId key = faults_->keys()[chunk_off_ + pos];
   double cost = row_cost_[pos];
   for (int att = 0; att < max_attempts_; ++att) {
     const FaultInjector::Outcome o =
-        faults_->injector().At(row, attr, static_cast<uint32_t>(att));
+        faults_->injector().At(key, attr, static_cast<uint32_t>(att));
     double marginal = marginal_cost * o.cost_multiplier;
     if (att > 0) marginal *= policy_.retry_cost_multiplier;
     cost += marginal;
@@ -457,8 +461,10 @@ void ColumnarBatchExecutor::ResumeDiverted(RowSource& base, Source& source,
       const AttrId a = static_cast<AttrId>(__builtin_ctzll(bits));
       values[a] = data_.at(row, a);
     }
+    // Values come from the row; a fault source draws by the row's key.
     base.SetRow(row);
-    source.SetRow(row);
+    source.SetRow(faults_ != nullptr ? faults_->keys()[chunk_off_ + d.pos]
+                                     : row);
     internal::WalkCompiled<false, kProfiled>(
         plan_, data_.schema(), cost_model_, source, /*trace=*/nullptr, policy_,
         profile, node.plan_index, d.step, values, r);
@@ -652,7 +658,6 @@ BatchExecutionStats ColumnarBatchExecutor::Execute(
 
   size_t chunk = options.chunk_size == 0 ? rows.size() : options.chunk_size;
   chunk = std::min(chunk, kMaxChunk);  // SelIdx is 16-bit
-  EnsureScratch(std::min(chunk, rows.size()), options.faults != nullptr);
   // Profiling rides the obs switch, as in ExecutePlan.
   ExecutionProfile* profile = obs::Enabled() ? options.profile : nullptr;
   faults_ = options.faults;
@@ -663,6 +668,7 @@ BatchExecutionStats ColumnarBatchExecutor::Execute(
                       : 1;
   const bool masked = masked_eligible_ && faults_ == nullptr &&
                       RowsConsecutive(rows.data(), rows.size());
+  EnsureScratch(std::min(chunk, rows.size()), masked, faults_ != nullptr);
 
   for (size_t off = 0; off < rows.size(); off += chunk) {
     const uint32_t n =

@@ -56,41 +56,44 @@
 // the universal fallback (arbitrary row lists, huge plans, generic leaves,
 // older CPUs).
 //
-// Fault mode (BatchExecOptions::faults): acquisition becomes fallible under
-// the row-keyed fault model of fault/fault.h. The caller passes the
-// FaultRealization of the very row span it executes: one attempt-0 clean bit
-// per (row, attribute), drawn once (a dist shard builds it over its rows at
-// construction). Per 64 chunk rows, the executor ANDs the clean words of
-// every attribute the plan can acquire and routes the chunk in two. A row
-// whose bits are all set behaves exactly like a fault-free row — every
-// acquisition it can make succeeds at attempt 0, at the normal cost — so it
-// takes the fault-free sweep: the same selection kernels, exact-cost tables
-// and profile counters as outside fault mode. The other rows take the
-// fault-mode sweep and carry an exact running cost from the per-row walk's
-// starting 0.0. At every new acquisition (a first-acquisition split, an
-// is_new leaf step) a row whose bit is set adds the static marginal,
-// exactly the walk's addition. A clear bit only means "take the exact
-// path": the row redraws its attempts through FaultInjector::At(). If an
-// attempt within the policy succeeds — a retry, or a cost spike — the row
-// adds the walk's attempt-loop charges, tallies its retries, and routes on:
-// the value and every counter are a clean row's. A failing acquisition
-// (retries exhausted, a stuck sensor, or any failure under UnknownVerdict /
-// Abort) takes the row out of the selection, and the per-row walk finishes
-// it, resumed at that node — or, in a sequential leaf, at that step — with
-// its static entry state and its running cost, reading through a
-// FaultyAcquisitionSource over a RowSource, both set to the row. Both
-// sweeps store costs and verdicts by chunk position, so the row-order cost
-// fold is unchanged. Every outcome on the way was what the per-row oracle
-// draws, so each row's ExecutionResult and profile counters are the
-// oracle's: ExecutePlan over FaultyAcquisitionSource with SetRow(row).
-// Verdict bytes then carry Truth values (kUnknown = 2), BatchExecutionStats
-// fills its fault totals, and the exec.* counters are added once per
-// Execute with the per-row path's totals. So is fault.injected, except for
-// the resumed rows' failures, which their source counts as they happen.
-// Fault mode always runs the selection kernels: the masked engine stays
-// fault-free, and the fault-free kernels compile exactly as before (kFaulty
-// is a template parameter; a sweep only takes its root selection as an
-// argument).
+// Fault mode (BatchExecOptions::faults): acquisition becomes fallible under the
+// row-keyed fault model of fault/fault.h. The caller passes a FaultRealization
+// positioned over the very row span it executes: one attempt-0 clean bit per
+// (row, attribute), drawn once, by the key the realization names for the row.
+// The key is the row itself unless the realization says otherwise: a dist shard
+// executes its own copy of its rows, local rows 0..n-1, and keys its
+// realization by their global ids, so a row faults as it would in the whole
+// dataset. Columns and the RowSource read the executed row; every fault draw
+// uses its key. Per 64 chunk rows, the executor ANDs the clean words of every
+// attribute the plan can acquire and routes the chunk in two. A row whose bits
+// are all set behaves exactly like a fault-free row — every acquisition it can
+// make succeeds at attempt 0, at the normal cost — so it takes the fault-free
+// sweep: the same selection kernels, exact-cost tables and profile counters as
+// outside fault mode. The other rows take the fault-mode sweep and carry an
+// exact running cost from the per-row walk's starting 0.0. At every new
+// acquisition (a first-acquisition split, an is_new leaf step) a row whose bit
+// is set adds the static marginal, exactly the walk's addition. A clear bit
+// only means "take the exact path": the row redraws its attempts through
+// FaultInjector::At(). If an attempt within the policy succeeds — a retry, or a
+// cost spike — the row adds the walk's attempt-loop charges, tallies its
+// retries, and routes on: the value and every counter are a clean row's. A
+// failing acquisition (retries exhausted, a stuck sensor, or any failure under
+// UnknownVerdict / Abort) takes the row out of the selection, and the per-row
+// walk finishes it, resumed at that node — or, in a sequential leaf, at that
+// step — with its static entry state and its running cost, reading through a
+// FaultyAcquisitionSource set to the row's key, over a RowSource set to the
+// row. Both sweeps store costs and verdicts by chunk position, so the row-order
+// cost fold is unchanged. Every outcome on the way was what the per-row oracle
+// draws, so each row's ExecutionResult and profile counters are the oracle's:
+// ExecutePlan over those two sources. Over a shard's local copy that is the
+// oracle over the whole dataset at the global row. Verdict bytes then carry
+// Truth values (kUnknown = 2), BatchExecutionStats fills its fault totals, and
+// the exec.* counters are added once per Execute with the per-row path's
+// totals. So is fault.injected, except for the resumed rows' failures, which
+// their source counts as they happen. Fault mode always runs the selection
+// kernels: the masked engine stays fault-free, and the fault-free kernels
+// compile exactly as before (kFaulty is a template parameter; a sweep only
+// takes its root selection as an argument).
 //
 // Thread safety: one ColumnarBatchExecutor is single-threaded scratch
 // (selection buffers are reused across chunks and calls); build one per
@@ -126,9 +129,10 @@ struct BatchExecOptions {
   /// node indices exactly like the per-tuple profiled path. Ignored while
   /// obs::Enabled() is false, as in ExecutePlan.
   ExecutionProfile* profile = nullptr;
-  /// Fault mode (see file comment) when non-null: the realization drawn
+  /// Fault mode (see file comment) when non-null: a realization positioned
   /// over exactly the span Execute receives (same data() and size();
-  /// Execute aborts otherwise). Must outlive Execute.
+  /// Execute aborts otherwise) and keyed by the ids it names, which every
+  /// fault draw uses (FaultRealization::keys). Must outlive Execute.
   const FaultRealization* faults = nullptr;
   /// How fault mode degrades failed acquisitions (ignored without faults).
   DegradationPolicy policy{};
@@ -165,10 +169,12 @@ class ColumnarBatchExecutor {
   using SelIdx = uint16_t;
   static constexpr size_t kMaxChunk = 65536;
 
-  /// Sizes the selection scratch for `capacity`-row chunks, and the
-  /// fault-mode buffers (div_scratch_, clean_sel_, fault_sel_) only when
-  /// `faulty`.
-  void EnsureScratch(size_t capacity, bool faulty);
+  /// Sizes, for `capacity`-row chunks, the scratch of the path the call
+  /// takes: the mask lanes when `masked` (a fault-free shard request: a
+  /// shard executes its local rows 0..n-1), the selection buffers
+  /// otherwise, and the fault-mode buffers (div_scratch_, clean_sel_,
+  /// fault_sel_) on top only when `faulty`.
+  void EnsureScratch(size_t capacity, bool masked, bool faulty);
 
   template <bool kProfiled, bool kVerdicts, bool kFaulty>
   void RunChunk(const RowId* rows, uint32_t n, uint8_t* verdicts,
@@ -192,14 +198,15 @@ class ColumnarBatchExecutor {
   /// returns how many are clean.
   uint32_t Route(uint32_t n);
 
-  /// Fault mode, for a row whose attempt-0 draw for `attr` is not clean:
-  /// if an attempt within the policy succeeds (or the draw was only a cost
-  /// spike), adds the per-row walk's attempt-loop charges for
-  /// `marginal_cost` to the row's running cost, tallies its failed
-  /// attempts, and returns true — the row read its value and routes on.
-  /// False when the acquisition fails; nothing is charged then.
-  bool ChargeAttempts(RowId row, AttrId attr, double marginal_cost,
-                      SelIdx pos, BatchExecutionStats* stats);
+  /// Fault mode, for the row at chunk position `pos`, whose attempt-0 draw
+  /// for `attr` is not clean: redraws its attempts by its key
+  /// (FaultRealization::keys). If an attempt within the policy succeeds (or
+  /// the draw was only a cost spike), adds the per-row walk's attempt-loop
+  /// charges for `marginal_cost` to the row's running cost, tallies its
+  /// failed attempts, and returns true — the row read its value and routes
+  /// on. False when the acquisition fails; nothing is charged then.
+  bool ChargeAttempts(AttrId attr, double marginal_cost, SelIdx pos,
+                      BatchExecutionStats* stats);
 
   /// Queues the `n` chunk positions at `pos` for a per-row resume at
   /// `slot` — at node entry (step -1) or, in a sequential leaf, at
@@ -208,8 +215,9 @@ class ColumnarBatchExecutor {
 
   /// Finishes every diverted row of the chunk on the per-row walk, reading
   /// through `source` — `base` itself without faults, a
-  /// FaultyAcquisitionSource over `base` with them; both are set to each
-  /// row — and folds its result into the chunk outputs.
+  /// FaultyAcquisitionSource over `base` with them; `base` is set to each
+  /// row and the fault source to the row's key — and folds its result into
+  /// the chunk outputs.
   template <bool kProfiled, typename Source>
   void ResumeDiverted(RowSource& base, Source& source, const RowId* rows,
                       uint8_t* verdicts, ExecutionProfile* profile,

@@ -185,13 +185,16 @@ FaultInjector::FaultInjector(const FaultSpec& spec) : spec_(spec) {
 
 FaultRealization::FaultRealization(const FaultInjector& injector,
                                    std::span<const RowId> rows,
-                                   size_t num_attributes)
+                                   size_t num_attributes,
+                                   std::span<const RowId> keys)
     : injector_(injector),
       rows_(rows),
+      keys_(keys.empty() ? rows : keys),
       num_attributes_(num_attributes),
       words_per_attr_((rows.size() + 63) / 64),
       words_(num_attributes * words_per_attr_, 0) {
   CAQP_CHECK(num_attributes <= kMaxAttributes);
+  CAQP_CHECK(keys_.size() == rows_.size());
   for (size_t a = 0; a < num_attributes; ++a) {
     const FaultInjector::CleanTest test =
         injector.CleanTestFor(static_cast<AttrId>(a));
@@ -200,7 +203,7 @@ FaultRealization::FaultRealization(const FaultInjector& injector,
       const size_t end = std::min(rows.size(), (w + 1) * 64);
       uint64_t bits = 0;
       for (size_t i = w * 64; i < end; ++i) {
-        bits |= static_cast<uint64_t>(test.Clean(rows[i])) << (i & 63);
+        bits |= static_cast<uint64_t>(test.Clean(keys_[i])) << (i & 63);
       }
       words[w] = bits;
     }

@@ -191,32 +191,43 @@ class FaultInjector {
 
 /// The attempt-0 fault realization of one row list: one clean bit per
 /// (position, attribute), drawn from the injector once, at construction.
-/// Bit i of attribute a is set iff At(rows[i], a, 0) is the default Outcome
+/// Bit i of attribute a is set iff At(keys[i], a, 0) is the default Outcome
 /// — no failure and no spike (FaultInjector::CleanTest). A fault is a pure
 /// function of (seed, row, attribute, attempt), so the bits are outcomes the
 /// model already fixes, only drawn earlier; verdicts, costs and counters
 /// are still computed per query (exec/batch_executor.h, fault mode).
 ///
+/// The realization is positioned over one span, `rows`, and keyed by
+/// another of the same length, `keys`: position i is read as row rows[i]
+/// and draws for dataset row keys[i]. By default the two are the same span.
+/// A dist shard executes its own copy of its rows, local rows 0..n-1, so it
+/// positions its realization over those and keys it by their global ids:
+/// a row faults as it would in any other partitioning.
+///
 /// A set bit is a promise: that attempt succeeds at the normal cost. A clear
 /// bit only means "take the exact path": the columnar fault kernels redraw
-/// such a row's attempts through At(). A clear bit can cost time but can
-/// never change a result.
+/// such a row's attempts through At(), by its key. A clear bit can cost time
+/// but can never change a result.
 ///
 /// Immutable after construction, so one instance can be shared across
 /// threads. It holds ceil(rows / 64) words per attribute and its own copy of
-/// the injector. It keeps the span, not the rows: they must outlive it, and
+/// the injector. It keeps the spans, not the ids: they must outlive it, and
 /// its positions mean nothing over any other span.
 class FaultRealization {
  public:
   /// Draws the bits of attributes 0..num_attributes-1 (at most
-  /// kMaxAttributes) for every row of `rows`.
+  /// kMaxAttributes) for every position of `rows`, keyed by `keys` (empty:
+  /// by `rows` itself; otherwise exactly as long as `rows`).
   FaultRealization(const FaultInjector& injector, std::span<const RowId> rows,
-                   size_t num_attributes);
+                   size_t num_attributes, std::span<const RowId> keys = {});
 
   /// The model the bits were drawn from; later attempts draw through it.
   const FaultInjector& injector() const { return injector_; }
-  /// The row list the bits were drawn over; a position indexes it.
+  /// The row list the realization is positioned over; a position indexes
+  /// it.
   std::span<const RowId> rows() const { return rows_; }
+  /// The dataset row ids the draws are keyed by, one per position.
+  std::span<const RowId> keys() const { return keys_; }
   size_t num_attributes() const { return num_attributes_; }
 
   /// Attribute `attr`'s words: position p's bit is bit (p & 63) of word
@@ -248,6 +259,7 @@ class FaultRealization {
  private:
   const FaultInjector injector_;
   const std::span<const RowId> rows_;
+  const std::span<const RowId> keys_;
   const size_t num_attributes_;
   const size_t words_per_attr_;
   std::vector<uint64_t> words_;  ///< attribute-major

@@ -9,11 +9,14 @@
 // generic leaves (Exhaustive plans of DNF queries) resume those rows on the
 // per-row walk. Fault mode must agree just as exactly with the oracle over
 // a row-keyed FaultyAcquisitionSource, across fault profiles and
-// degradation policies.
+// degradation policies; and over a shard's own copy of its rows, with faults
+// keyed by their global ids, it must agree with fault mode over the whole
+// dataset.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <random>
 #include <thread>
 #include <vector>
@@ -617,8 +620,80 @@ void ExpectSameStats(const BatchExecutionStats& got,
   EXPECT_EQ(got.total_cost, want.total_cost);
 }
 
+void ExpectSameProfile(const ExecutionProfileSnapshot& got,
+                       const ExecutionProfileSnapshot& want) {
+  ASSERT_EQ(got.nodes.size(), want.nodes.size());
+  for (size_t i = 0; i < want.nodes.size(); ++i) {
+    EXPECT_EQ(got.nodes[i].evals, want.nodes[i].evals) << "node " << i;
+    EXPECT_EQ(got.nodes[i].passes, want.nodes[i].passes) << "node " << i;
+    EXPECT_EQ(got.nodes[i].unknowns, want.nodes[i].unknowns) << "node " << i;
+  }
+  EXPECT_EQ(got.attr_evals, want.attr_evals);
+  EXPECT_EQ(got.attr_passes, want.attr_passes);
+  EXPECT_EQ(got.executions, want.executions);
+  EXPECT_EQ(got.unknown_executions, want.unknown_executions);
+  EXPECT_EQ(got.acquisitions, want.acquisitions);
+  EXPECT_EQ(got.realized_cost, want.realized_cost);
+}
+
+/// Fault mode over a shard's own copy of its rows, local rows 0..n-1 with a
+/// realization keyed by their global ids, vs fault mode over the whole
+/// dataset at those global ids: verdicts, stats and profile counters must
+/// agree bit for bit, for every chunk size. So must a fault-free call.
+void ExpectLocalSliceMatchesGlobal(const CompiledPlan& plan,
+                                   const Dataset& data,
+                                   const AcquisitionCostModel& cm,
+                                   std::span<const RowId> global,
+                                   const FaultInjector& injector,
+                                   const DegradationPolicy& policy) {
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);  // profiles record only while obs is on
+  const size_t num_attrs = data.schema().num_attributes();
+  const Dataset local = data.Select({global.begin(), global.end()});
+  std::vector<RowId> local_rows(global.size());
+  std::iota(local_rows.begin(), local_rows.end(), RowId{0});
+  const FaultRealization global_faults(injector, global, num_attrs);
+  const FaultRealization local_faults(injector, local_rows, num_attrs, global);
+  ColumnarBatchExecutor global_exec(plan, data, cm);
+  ColumnarBatchExecutor local_exec(plan, local, cm);
+  for (const size_t chunk : kChunkSizes) {
+    SCOPED_TRACE("local slice, chunk=" + std::to_string(chunk));
+    BatchExecOptions opts;
+    opts.chunk_size = chunk;
+    // Fault-free first. Over the local rows that is the masked engine where
+    // the CPU has one, and the fault-mode call after it on the same
+    // executor must size the selection and fault scratch it skipped.
+    std::vector<uint8_t> want_clean;
+    std::vector<uint8_t> got_clean;
+    const BatchExecutionStats want_clean_stats =
+        global_exec.Execute(global, &want_clean, opts);
+    ExpectSameStats(local_exec.Execute(local_rows, &got_clean, opts),
+                    want_clean_stats);
+    EXPECT_EQ(got_clean, want_clean);
+
+    opts.policy = policy;
+    ExecutionProfile want_profile(plan.NumNodes());
+    opts.faults = &global_faults;
+    opts.profile = &want_profile;
+    std::vector<uint8_t> want_verdicts;
+    const BatchExecutionStats want =
+        global_exec.Execute(global, &want_verdicts, opts);
+    ExecutionProfile got_profile(plan.NumNodes());
+    opts.faults = &local_faults;
+    opts.profile = &got_profile;
+    std::vector<uint8_t> got_verdicts;
+    ExpectSameStats(local_exec.Execute(local_rows, &got_verdicts, opts),
+                    want);
+    EXPECT_EQ(got_verdicts, want_verdicts);
+    ExpectSameProfile(got_profile.Snapshot(), want_profile.Snapshot());
+  }
+  obs::SetEnabled(was_enabled);
+}
+
 /// Fault mode vs the oracle for every profile x policy x row order x chunk
-/// size, with and without verdict stores.
+/// size, with and without verdict stores; and, as one more input, a hash
+/// shard's rows executed over the shard's own copy of them
+/// (ExpectLocalSliceMatchesGlobal).
 void ExpectFaultModeMatches(const CompiledPlan& plan, const Dataset& data,
                             const AcquisitionCostModel& cm) {
   const size_t n = data.num_rows();
@@ -629,6 +704,9 @@ void ExpectFaultModeMatches(const CompiledPlan& plan, const Dataset& data,
   std::shuffle(shuffled.begin(), shuffled.end(), rng);
   std::vector<RowId> strided;
   for (size_t r = 0; r < n; r += 3) strided.push_back(static_cast<RowId>(r));
+  // Hash-like: strided, off zero, so no global id equals its local one.
+  std::vector<RowId> hashed;
+  for (size_t r = 1; r < n; r += 4) hashed.push_back(static_cast<RowId>(r));
 
   ColumnarBatchExecutor exec(plan, data, cm);
   size_t injected = 0;  // the matrix must actually exercise faults
@@ -659,6 +737,9 @@ void ExpectFaultModeMatches(const CompiledPlan& plan, const Dataset& data,
           ExpectSameStats(exec.Execute(*rows, nullptr, opts), want);
         }
       }
+      SCOPED_TRACE(std::string(profile) + " policy=" +
+                   std::to_string(static_cast<int>(policy.mode)));
+      ExpectLocalSliceMatchesGlobal(plan, data, cm, hashed, injector, policy);
     }
   }
   EXPECT_GT(injected, 0u);
@@ -835,21 +916,7 @@ TEST(BatchExecFaultTest, ProfileAndObsCountersMatchPerRowPath) {
       const std::vector<uint64_t> b0 = counters();
       exec.Execute(rows, nullptr, opts);
       EXPECT_EQ(delta(counters(), b0), want_counters);
-      const ExecutionProfileSnapshot got = batch_profile.Snapshot();
-
-      ASSERT_EQ(got.nodes.size(), want.nodes.size());
-      for (size_t i = 0; i < want.nodes.size(); ++i) {
-        EXPECT_EQ(got.nodes[i].evals, want.nodes[i].evals) << "node " << i;
-        EXPECT_EQ(got.nodes[i].passes, want.nodes[i].passes) << "node " << i;
-        EXPECT_EQ(got.nodes[i].unknowns, want.nodes[i].unknowns)
-            << "node " << i;
-      }
-      EXPECT_EQ(got.attr_evals, want.attr_evals);
-      EXPECT_EQ(got.attr_passes, want.attr_passes);
-      EXPECT_EQ(got.executions, want.executions);
-      EXPECT_EQ(got.unknown_executions, want.unknown_executions);
-      EXPECT_EQ(got.acquisitions, want.acquisitions);
-      EXPECT_EQ(got.realized_cost, want.realized_cost);
+      ExpectSameProfile(batch_profile.Snapshot(), want);
     }
   }
 }

@@ -6,9 +6,11 @@
 // that hold the degradation invariant (no defined verdict is ever wrong)
 // under dead and straggling shards, and the verdict-buffer contract: summed
 // counts equal a recount of the verdicts, a straggler's late writes never
-// reach a response, and a rejected reply's rows return to Unknown. Every
-// suite is named Dist* so scripts/check.sh can select them for the TSan
-// build with ctest -R '^Dist'.
+// reach a response, and a rejected reply's rows return to Unknown; and the
+// shards' own copies of their rows: a hash shard runs the masked engine,
+// and a shard outlives the dataset it was built from. Every suite is named
+// Dist* so scripts/check.sh can select them for the TSan build with
+// ctest -R '^Dist'.
 
 #include <gtest/gtest.h>
 
@@ -27,13 +29,16 @@
 #include "dist/merge.h"
 #include "dist/partition.h"
 #include "dist/shard.h"
+#include "exec/batch_masked.h"
 #include "exec/executor.h"
 #include "exec/result_serde.h"
+#include "obs/obs.h"
 #include "obs/registry.h"
 #include "opt/greedy_plan.h"
 #include "opt/greedyseq.h"
 #include "opt/naive.h"
 #include "opt/split_points.h"
+#include "plan/plan_serde.h"
 #include "prob/chow_liu.h"
 #include "serve/query_service.h"
 #include "test_util.h"
@@ -51,6 +56,7 @@ using dist::ShardForRow;
 using dist::ShardFaultSpec;
 using dist::ShardHealth;
 using dist::UnknownShardResult;
+using testing_util::CounterIn;
 
 // ---------------------------------------------------------------------------
 // Merge semantics
@@ -552,6 +558,73 @@ TEST(DistCoordinatorTest, MergeEquivalenceMatrix) {
       }
     }
   }
+}
+
+// Every shard executes its own copy of its rows, local rows 0..n-1, so the
+// strided rows of a hash partition take the masked engine like one shard's.
+TEST(DistCoordinatorTest, HashShardsRunTheMaskedEngine) {
+  if (!internal::MaskedChunkAvailable()) {
+    GTEST_SKIP() << "this CPU has no AVX-512 masked engine";
+  }
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  DistFixture fx;
+  Coordinator::Options opts;
+  opts.partition = PartitionSpec::Hash(4);
+  Coordinator coord = fx.MakeCoordinator(opts);
+  const Query q = fx.MidQuery();
+  ASSERT_TRUE(coord.Execute(q).ok());  // warm: the plan is cached
+  const obs::RegistrySnapshot before = obs::DefaultRegistry().Snapshot();
+  const Coordinator::Response resp = coord.Execute(q);
+  const obs::RegistrySnapshot after = obs::DefaultRegistry().Snapshot();
+  obs::SetEnabled(was_enabled);
+  ASSERT_TRUE(resp.ok()) << resp.status.ToString();
+  EXPECT_FALSE(resp.degraded());
+  EXPECT_EQ(CounterIn(after, "exec.batch.masked_rows") -
+                CounterIn(before, "exec.batch.masked_rows"),
+            fx.data.num_rows());
+  EXPECT_EQ(CounterIn(after, "exec.batch.selection_chunks") -
+                CounterIn(before, "exec.batch.selection_chunks"),
+            0u);
+}
+
+// A shard copies its rows' columns at construction and keeps no reference
+// to the dataset it was built from. A dangling reference shows as a
+// heap-use-after-free in the ASan build.
+TEST(DistShardTest, OwnsItsRowsAfterTheSourceDatasetIsGone) {
+  DistFixture fx;
+  const std::vector<RowId> rows =
+      PartitionRows(PartitionSpec::Hash(4), fx.data.num_rows())[1];
+  auto source_data = std::make_unique<Dataset>(fx.data);
+  ExecutorShard shard(1, *source_data, rows, fx.cm, ExecutorShard::Options{});
+  source_data.reset();
+
+  const CompiledPlan plan =
+      CompiledPlan::Compile(fx.greedy->BuildPlan(fx.MidQuery()));
+  dist::ShardRequest request;
+  request.key = PlanKey{QuerySignature(fx.MidQuery()), 1, 21};
+  request.plan_bytes =
+      std::make_shared<const std::vector<uint8_t>>(SerializePlan(plan));
+  request.verdicts = std::make_shared<std::vector<Truth>>(fx.data.num_rows(),
+                                                          Truth::kUnknown);
+  const dist::ShardReply reply =
+      shard.Submit(request, obs::SpanContext{}).get();
+  ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+
+  // Per-row ExecutePlan over the fixture's copy of the destroyed dataset.
+  std::vector<Truth> want(fx.data.num_rows(), Truth::kUnknown);
+  size_t matches = 0;
+  RowSource source(fx.data);
+  for (const RowId r : rows) {
+    source.SetRow(r);
+    want[r] = ExecutePlan(plan, fx.schema, fx.cm, source).verdict3;
+    matches += want[r] == Truth::kTrue;
+  }
+  EXPECT_EQ(*request.verdicts, want);  // other shards' rows stay untouched
+  EXPECT_EQ(reply.rows_written, rows.size());
+  EXPECT_EQ(reply.matches, matches);
+  EXPECT_GT(matches, 0u);
+  EXPECT_EQ(reply.unknown_rows, 0u);
 }
 
 TEST(DistCoordinatorTest, PlanCacheAndSingleFlightAreUsed) {

@@ -1,11 +1,12 @@
 // Fault-injection tests: FaultSpec parsing, injector determinism, the
 // row-keyed fault model (At() purity, rates, attempt independence, stuck and
 // spike semantics, one injector shared across threads), the attempt-0
-// FaultRealization (bits at word tails and extreme specs, the executor's
-// span check), the FaultyAcquisitionSource decorator and its per-row
-// attempt counters (SetRow), executor degradation policies, the mote's
-// epoch-keyed draws, and the acceptance-style continuous-query simulation
-// under 10% transient faults.
+// FaultRealization (bits at word tails and extreme specs, keys apart from
+// the rows it is positioned over, the executor's span check), the
+// FaultyAcquisitionSource decorator and its per-row attempt counters
+// (SetRow), executor degradation policies, the mote's epoch-keyed draws, and
+// the acceptance-style continuous-query simulation under 10% transient
+// faults.
 
 #include <gtest/gtest.h>
 
@@ -360,6 +361,47 @@ TEST(FaultRealizationTest, BitsAreAttemptZeroAtWordTailsAndExtremeSpecs) {
       }
     }
   }
+}
+
+TEST(FaultRealizationTest, KeyedRealizationDrawsByItsKeys) {
+  // A hash shard's rows, executed over its own copy: the realization is
+  // positioned over local rows 0..n-1 and keyed by the global ids, so its
+  // bits are those of one drawn over the global ids themselves.
+  std::vector<RowId> global;
+  for (RowId r = 3; r < 1000; r += 4) global.push_back(r);
+  std::vector<RowId> local(global.size());
+  std::iota(local.begin(), local.end(), RowId{0});
+  constexpr size_t kAttrs = 5;
+  for (const char* text :
+       {"transient=0.3,seed=4", "transient@1=0.7,spike=0.2,spike_mult=2",
+        "stuck=0.5,seed=9"}) {
+    SCOPED_TRACE(text);
+    const Result<FaultSpec> spec = FaultSpec::Parse(text);
+    ASSERT_TRUE(spec.ok());
+    const FaultInjector injector(spec.value());
+    const FaultRealization keyed(injector, local, kAttrs, global);
+    const FaultRealization drawn(injector, global, kAttrs);
+    EXPECT_EQ(keyed.rows().data(), local.data());
+    EXPECT_EQ(keyed.keys().data(), global.data());
+    EXPECT_EQ(drawn.keys().data(), global.data());  // keyed by its rows
+    size_t clear = 0;
+    for (size_t pos = 0; pos < local.size(); ++pos) {
+      for (AttrId attr = 0; attr < kAttrs; ++attr) {
+        EXPECT_EQ(keyed.CleanWord(attr, pos), drawn.CleanWord(attr, pos))
+            << "pos " << pos << " attr " << attr;
+        clear += !keyed.Clean(pos, attr);
+      }
+    }
+    EXPECT_GT(clear, 0u);  // the spec draws faults
+  }
+}
+
+TEST(FaultRealizationDeathTest, KeysMustBeAsLongAsTheRows) {
+  std::vector<RowId> rows(100);
+  std::iota(rows.begin(), rows.end(), RowId{0});
+  const std::vector<RowId> keys(rows.begin() + 1, rows.end());
+  const FaultInjector injector(FaultSpec{});
+  EXPECT_DEATH(FaultRealization(injector, rows, 3, keys), "");
 }
 
 TEST(FaultRealizationDeathTest, ExecuteRejectsARealizationOverOtherRows) {

@@ -58,6 +58,7 @@ using obs::RegistrySnapshot;
 using obs::RenderPrometheusText;
 using obs::SloMonitor;
 using obs::SpanEvent;
+using testing_util::CounterIn;
 
 // ---------------------------------------------------------------------------
 // Canonical metric names and exposition rendering
@@ -735,13 +736,6 @@ TEST(TelemetryFlapTest, CalibrationMergeIsExactWithoutFaults) {
 // ---------------------------------------------------------------------------
 // Per-kernel executor counters
 // ---------------------------------------------------------------------------
-
-uint64_t CounterIn(const RegistrySnapshot& snap, const std::string& name) {
-  for (const auto& c : snap.counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
 
 TEST(TelemetryKernelCountersTest, BatchExecutionFeedsPerOpRowCounters) {
   const bool was_enabled = obs::Enabled();

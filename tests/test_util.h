@@ -16,6 +16,7 @@
 #include "core/dataset.h"
 #include "core/query.h"
 #include "exec/executor.h"
+#include "obs/registry.h"
 #include "obs/span.h"
 #include "plan/compiled_plan.h"
 #include "plan/plan.h"
@@ -322,6 +323,16 @@ inline ExecutionResult ExecuteTreeReference(
   }
   out.verdict = out.verdict3 == Truth::kTrue;
   return out;
+}
+
+/// Counter `name`'s value in `snap`, or 0 if the snapshot has none: read
+/// twice, around the code under test, it gives that code's delta.
+inline uint64_t CounterIn(const obs::RegistrySnapshot& snap,
+                          std::string_view name) {
+  for (const auto& c : snap.counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
 }
 
 /// Checks trace `trace_id` in `events` (TraceRecorder::Events(), the spans
